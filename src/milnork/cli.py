@@ -354,7 +354,7 @@ def cmd_certify(args):
     ctx = _context(args)
     data = _load_input(args)
     elements = [jsonio.decode_ratfunc(ctx.field.tower, e)
-                for e in data["elements"]]
+                for e in jsonio.field(data, "elements", "certify input", list)]
     cert = ctx.certificate_search(elements, budget=args.budget, seed=args.seed,
                                   workers=args.workers)
     if cert is UNKNOWN:

@@ -1274,11 +1274,12 @@ class FunctionField:
         return self.tower.p
 
     def var(self, i):
+        return RatFunc.from_poly(self._var_poly(i), self.tower)
+
+    def _var_poly(self, i):
         if not 0 <= i < self.nvars:
             raise ValueError("variable index out of range")
-        return RatFunc.from_poly(
-            SparsePoly.variable(self.nvars, i, self.tower.one()), self.tower
-        )
+        return SparsePoly.variable(self.nvars, i, self.tower.one())
 
     def const(self, c):
         if isinstance(c, int):
@@ -1297,9 +1298,19 @@ class FunctionField:
         return CoordValuation(var, center, self.nvars)
 
     def uniformizer(self, v):
+        """1/t_i at the pole valuation, t_i - c at the valuation t_i = c.
+
+        Both are built directly in canonical form, equal term for term (and
+        level for level) to one() / var(i) and var(i) - const(c): the
+        denominator is already monic and the constant term carries no
+        monomial content to strip."""
+        nv, one = self.nvars, self.tower.one()
+        t = self._var_poly(v.var)
         if v.at_infinity:
-            return self.one() / self.var(v.var)
-        return self.var(v.var) - self.const(v.center)
+            return RatFunc(SparsePoly.constant(nv, one), t)
+        if v.center:
+            t = t - SparsePoly.constant(nv, v.center)
+        return RatFunc(t, SparsePoly.constant(nv, one))
 
     def order_and_residue(self, f, v):
         """Order of f at the coordinate valuation v and the residue function.

@@ -13,6 +13,23 @@ from .kmilnor import Certificate, ParshinChain, Symbol
 SCHEMA_VERSION = 1
 
 
+class InputError(ValueError):
+    """Malformed JSON input: a missing field, a wrong type, or a value the
+    domain type rejects, such as a zero denominator."""
+
+
+def field(data, name, what, kind=None):
+    """data[name], of type kind when one is given; InputError otherwise."""
+    try:
+        value = data[name]
+    except (KeyError, TypeError):
+        raise InputError("%s has no %r field" % (what, name)) from None
+    if kind is not None and not isinstance(value, kind):
+        raise InputError("the %r field of %s must be a %s"
+                         % (name, what, kind.__name__))
+    return value
+
+
 def canonical_json(obj):
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
@@ -22,7 +39,10 @@ def encode_ground(x):
 
 
 def decode_ground(tower, data):
-    return tower.element(data["level"], data["coeffs"])
+    level = field(data, "level", "a ground element", int)
+    if level < 1:
+        raise InputError("a ground element needs a level of at least 1")
+    return tower.element(level, field(data, "coeffs", "a ground element", list))
 
 
 def encode_poly(f):
@@ -33,9 +53,10 @@ def encode_poly(f):
 
 def decode_poly(tower, data):
     terms = {}
-    for t in data["terms"]:
-        terms[tuple(t["exp"])] = decode_ground(tower, t["coef"])
-    return SparsePoly(data["vars"], terms)
+    for t in field(data, "terms", "a polynomial", list):
+        exp = tuple(field(t, "exp", "a polynomial term", list))
+        terms[exp] = decode_ground(tower, field(t, "coef", "a polynomial term"))
+    return SparsePoly(field(data, "vars", "a polynomial", int), terms)
 
 
 def encode_ratfunc(f):
@@ -43,7 +64,11 @@ def encode_ratfunc(f):
 
 
 def decode_ratfunc(tower, data):
-    return RatFunc(decode_poly(tower, data["num"]), decode_poly(tower, data["den"]))
+    num = decode_poly(tower, field(data, "num", "a rational function"))
+    den = decode_poly(tower, field(data, "den", "a rational function"))
+    if den.is_zero():
+        raise InputError("a rational function needs a nonzero denominator")
+    return RatFunc(num, den)
 
 
 def encode_symbol(s):

@@ -13,6 +13,7 @@ import itertools
 import random
 import threading
 
+from . import linalg
 from .groundfield import INF, RatFunc, SparsePoly, ZeroInputError
 
 
@@ -538,8 +539,6 @@ class KContext:
     def _straightening_transform(self, elements):
         """For linear entries: the substitution sending entry k to the k-th
         coordinate, as a matrix T with t_i -> sum_j T[i][j] t_j."""
-        from . import linalg
-
         p = self.field.p
         rows = []
         for x in elements:
@@ -577,7 +576,32 @@ class KContext:
         return tuple(tuple(r) for r in T)
 
     def apply_transform(self, x, T):
-        """Substitute t_i -> sum_j T[i][j] t_j in a rational function."""
+        """Substitute t_i -> sum_j T[i][j] t_j in a rational function.
+
+        A linear entry (constant denominator, numerator of total degree at
+        most one) has its image built directly: the constant term stays, and
+        c t_i becomes the terms c T[i][j] t_j, merged in the same order and
+        with the same zero-dropping additions as the generic composition, so
+        the result agrees with it coefficient by coefficient, tower levels
+        included.  The denominator composes to itself.  Every other entry
+        goes through RatFunc.compose."""
+        nv, p = self.nvars, self.field.p
+        if x.den.is_constant() and all(sum(e) <= 1 for e in x.num.terms):
+            from_int = self.field.tower.from_int
+            out = {}
+            for exp, c in x.num.terms.items():
+                if any(exp):
+                    image = [(_unit_exponent(nv, j), c * from_int(a))
+                             for j, a in enumerate(T[exp.index(1)]) if a % p]
+                else:
+                    image = [(exp, c)]
+                for e, v in image:
+                    s = out[e] + v if e in out else v
+                    if s:
+                        out[e] = s
+                    else:
+                        del out[e]
+            return RatFunc(SparsePoly(nv, out), x.den)
         images = []
         for i in range(self.nvars):
             poly = SparsePoly.zero(self.nvars)
@@ -779,7 +803,16 @@ class KContext:
 
     def jacobian_rank(self, gens):
         """Transcendence degree bound via the rank of the Jacobian of the
-        Frobenius-stripped generators; exact fraction-free elimination."""
+        Frobenius-stripped generators; exact fraction-free elimination.
+
+        When every nonconstant generator is linear in the sense of
+        _linear_part, its Jacobian row is its prime-field coefficient vector
+        divided by its constant denominator, and a linear form is never a
+        p-th power, so the rank is the F_p rank of those vectors: a matrix
+        over F_p has the same rank over every extension field."""
+        rows = [self._linear_part(g) for g in gens if not g.is_constant()]
+        if None not in rows:
+            return linalg.rank(tuple(rows), self.field.p)
         key = tuple(sorted(g.key() for g in gens))
         cached = self._jacobian_cache.get(key)
         if cached is not None:
@@ -862,6 +895,10 @@ class KContext:
         if cert is not UNKNOWN:
             return DISTINCT
         return UNKNOWN
+
+
+def _unit_exponent(nvars, j):
+    return tuple(1 if k == j else 0 for k in range(nvars))
 
 
 def _univariate_divisor(field, f, i):

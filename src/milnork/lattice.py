@@ -192,15 +192,24 @@ class Universe:
     def independent(self, indices):
         """Certified algebraic independence of the generators: dependence is
         decided by the transcendence bound, independence by one certified
-        symbol of full length built from subfield translates."""
-        from milnork.kmilnor import UNKNOWN as _UNKNOWN
+        symbol of full length built from subfield translates.
 
+        Two dependent answers need no Jacobian.  A set with more members
+        than variables exceeds the bound min(nvars, Jacobian rank).  A set
+        that contains a cached dependent set minus one member is dependent
+        too: that subset was cached because its Jacobian rank fell short of
+        its size, and one more generator adds one row, which raises the rank
+        by at most one (Oxley, Matroid Theory, ch. 1)."""
         key = frozenset(indices)
         cached = self._indep_cache.get(key)
         if cached is not None:
             return cached
         if key in self._unresolved:
             raise DimUnknown([key])
+        if len(key) > self.ctx.nvars or any(
+                self._indep_cache.get(key - {i}) is False for i in key):
+            self._indep_cache[key] = False
+            return False
         gens = [self.subgroups[i].gen for i in sorted(key)]
         hi = min(self.ctx.nvars, self.ctx.jacobian_rank(gens))
         if hi < len(key):
@@ -208,7 +217,7 @@ class Universe:
         else:
             cert = self.ctx.certificate_search(
                 gens, budget=self.budget, seed=repr(sorted(key)), shifts=True)
-            if cert is _UNKNOWN:
+            if cert is UNKNOWN:
                 self._unresolved.add(key)
                 raise DimUnknown([key])
             out = True

@@ -1,6 +1,7 @@
 """Acceptance suite: one test per criterion, exact tolerances, stated time
 budgets asserted, one summary line printed per criterion."""
 
+import hashlib
 import itertools
 import random
 import time
@@ -9,6 +10,7 @@ import pytest
 
 from milnork import linalg
 from milnork.groundfield import INF, FieldTower, FunctionField, RatFunc, SparsePoly
+from milnork.jsonio import canonical_json
 from milnork.kmilnor import (
     UNKNOWN,
     KContext,
@@ -167,6 +169,18 @@ ACCEPTANCE_UNIVERSE = (
 )
 
 
+# sha256 of the canonical JSON artifacts, pinned so that changes to the
+# search or the arithmetic cannot move a byte of the output unnoticed
+CRITERION_5_SHA256 = (
+    "a7f0b911a85378a6bca182ca6f7aa4eabf6fc4a30091c4f4b8fa92a9d19cbeea")
+CRITERION_11_SHA256 = (
+    "754714a8a3482c88adcd811336c5fd2bd9ab0add890322c8a58ba5d494997b29")
+
+
+def _digest(artifacts):
+    return hashlib.sha256(canonical_json(artifacts).encode()).hexdigest()
+
+
 def _direction(decl, p=7):
     vec = [0] * 5
     if "var" in decl:
@@ -190,6 +204,7 @@ def test_criterion_5_recipe_roundtrip():
     cfg = PipelineConfig({"p": 7, "ell": 3, "vars": 5, "seed": 5,
                           "budget": 64, "universe": decls})
     artifacts, (ctx, universe, lat, geometry) = run_pipeline(cfg)
+    assert _digest(artifacts) == CRITERION_5_SHA256
     points = list(geometry.points)
     assert len(points) <= 12
 
@@ -200,6 +215,11 @@ def test_criterion_5_recipe_roundtrip():
     for j, d in enumerate(decls):
         by_dir.setdefault(_direction(d), set()).add(j)
     truth_points = {dirv: frozenset(by_dir[dirv]) for dirv in directions}
+    # every cached independence answer is the prime-field rank test
+    assert len(universe) == len(decls)
+    for key, indep in universe._indep_cache.items():
+        rows = tuple(_direction(decls[i]) for i in key)
+        assert indep == (linalg.rank(rows, 7) == len(key)), sorted(key)
     # the recovered points must be exactly the ground-truth source groups
     recovered = {pt.sources for pt in points}
     assert recovered == set(truth_points.values())
@@ -381,7 +401,6 @@ def test_criterion_10_kummer_bridge():
 
 def test_criterion_11_pipeline_determinism():
     from milnork.cli import PipelineConfig, run_pipeline
-    from milnork.jsonio import canonical_json
 
     t0 = time.time()
     decls = list(ACCEPTANCE_UNIVERSE)[:13]
@@ -391,8 +410,8 @@ def test_criterion_11_pipeline_determinism():
                               "workers": workers, "budget": 64,
                               "universe": decls})
         artifacts, _ = run_pipeline(cfg)
-        outputs.add(canonical_json(artifacts))
-    assert len(outputs) == 1
+        outputs.add(_digest(artifacts))
+    assert outputs == {CRITERION_11_SHA256}
     print("PASS criterion 11 (byte-identical artifacts): %.2fs"
           % (time.time() - t0))
 

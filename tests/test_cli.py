@@ -65,6 +65,22 @@ def test_certify_and_unknown(run, enc2):
     assert code == EXIT_UNKNOWN and out["result"] == "unknown"
 
 
+@pytest.mark.parametrize("payload", [
+    {},
+    {"elements": [{"num": {"vars": 2, "terms": [
+        {"exp": [1, 0], "coef": {"level": 1, "coeffs": [1]}}]},
+        "den": {"vars": 2, "terms": []}}]},
+])
+def test_certify_malformed_input_exits_3(tmp_path, capsys, payload):
+    # a missing field and a zero denominator are input errors, not crashes
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(payload))
+    code = main(["--vars", "2", "certify", str(path)])
+    err = capsys.readouterr().err
+    assert code == EXIT_FAILURE
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_dim(run, enc2):
     tw, ff = enc2
     payload = {"generators": [encode_ratfunc(ff.var(0)),

@@ -131,6 +131,27 @@ def test_universe_rank_and_closure(ctx5, subs, ff5):
     assert uni.closure(frozenset([2])) == frozenset([2])
 
 
+def test_independent_dependence_short_cuts(ctx5, subs, ff5, monkeypatch):
+    extra = RationalSubgroup(ctx5, ff5.var(0) * ff5.var(1), "t0*t1")
+    uni = Universe(ctx5, subs + [extra], budget=48)
+    assert uni.independent(frozenset([0, 1, 5])) is False
+    calls = []
+    jacobian_rank = ctx5.jacobian_rank
+
+    def spy(gens):
+        calls.append(len(gens))
+        return jacobian_rank(gens)
+
+    monkeypatch.setattr(ctx5, "jacobian_rank", spy)
+    # a superset of a cached dependent set, and more members than variables
+    assert uni.independent(frozenset([0, 1, 2, 5])) is False
+    assert uni.independent(frozenset(range(6))) is False
+    assert calls == []
+    assert uni.independent(frozenset([0, 2, 5])) is True
+    assert uni.independent(frozenset(range(5))) is True
+    assert calls == [3, 5]
+
+
 def test_recover_rank_r_against_brute_force(ctx5, ff5):
     # oracle: enumerate all subsets, compute dimensions, keep the maximal
     # ones of each dimension
