@@ -8,7 +8,7 @@ normal form is wanted.  The cohomological side is checked against an honest
 """
 
 import itertools
-from math import comb
+from math import comb, isqrt
 
 from . import linalg
 
@@ -31,20 +31,6 @@ class Mismatch(ValueError):
         super().__init__("kernel mismatch at %r" % (witness,))
 
 
-class ModEllSpace:
-    """(Z/l)^n with subspaces in reduced canonical form."""
-
-    def __init__(self, dim, ell):
-        self.dim = dim
-        self.ell = ell
-
-    def subspace(self, vectors):
-        return linalg.Subspace(self.dim, vectors, self.ell)
-
-    def full(self):
-        return self.subspace(linalg.identity(self.dim))
-
-
 class AbcGroup:
     """A finitely generated abelian-by-central fragment: free rank n, prime
     l, and a declared subspace of the wedge square that the commutator map
@@ -56,7 +42,6 @@ class AbcGroup:
         self.ell = ell
         self.wdim = linalg.wedge_dim(rank)
         self.relations = linalg.Subspace(self.wdim, relations, ell)
-        self.two_adic = ell == 2
 
     def __repr__(self):
         return "AbcGroup(rank=%d, ell=%d, relations dim %d)" % (
@@ -201,10 +186,6 @@ def _add_basis(g, j, l):
     return tuple(out)
 
 
-def _group_elements(n, ell):
-    return list(itertools.product(range(ell), repeat=n))
-
-
 def h2_brute_force(n, ell):
     """Dimension and basis of the degree-two cohomology of (Z/l)^n with
     trivial mod-l coefficients, by solving the 2-cocycle linear system.
@@ -214,141 +195,154 @@ def h2_brute_force(n, ell):
     identity into linear conditions on those column values, and the identity
     for a general third argument follows by induction on its length.  The
     coboundaries are divided out exactly.
+
+    The system is built one block of rows per first argument g and reduced
+    into a running echelon basis in float64 (see `_echelon`).  Every entry
+    stays in 0..l-1 between steps, so no intermediate exceeds
+    ncols * (l - 1)^2 + (l - 1) with ncols = n * l^n; inside the budget
+    l^n <= 243 that is below 240^2 * 1215 + 240 < 2^53, and every float
+    operation is exact.  Raises ValueError for n < 0 or l not prime, and
+    TooLarge beyond the budget.
     """
-    if ell ** n > 243:
-        raise TooLarge("group of order %d is beyond the brute-force budget"
-                       % ell ** n)
+    if not isinstance(n, int) or n < 0:
+        raise ValueError("n must be a nonnegative integer, not %r" % (n,))
+    if not isinstance(ell, int) or ell < 2:
+        raise ValueError("l must be a prime, not %r" % (ell,))
+    if n >= 8 or ell ** n > 243:
+        raise TooLarge("group of order %d**%d is beyond the brute-force "
+                       "budget" % (ell, n))
+    if any(ell % q == 0 for q in range(2, isqrt(ell) + 1)):
+        raise ValueError("l must be a prime, not %r" % (ell,))
     import numpy as np
 
     l = ell
-    elements = _group_elements(n, l)
-    index = {g: i for i, g in enumerate(elements)}
-    ncols = len(elements) * n
-    # column (g, j) holds f(g, e_j)
-    col_index = {(g, j): index[g] * n + j for g in elements for j in range(n)}
+    elements = list(itertools.product(range(l), repeat=n))
+    size = len(elements)
+    ncols = size * n
+    # column (g, j) holds f(g, e_j); group elements are indexed in
+    # lexicographic order, so e_j has index l^(n-1-j)
+    weights = l ** np.arange(n - 1, -1, -1, dtype=np.intp)
+    digits = np.array(elements, dtype=np.intp).reshape(size, n)
+    add = ((digits[:, None, :] + digits[None, :, :]) % l) @ weights
+    neg = ((-digits) % l) @ weights
+    step = add[:, weights]                  # step[h, j] = h + e_j
+    # index h * n + j of the pair (h, j): a row of a block, or a column
+    hj = np.arange(ncols)
+    hh = np.repeat(np.arange(size), n)
+    jj = np.tile(np.arange(n), size)
+    # S[h] = P(0, h) sums the columns (p, j) of the steps p -> p + e_j on
+    # the peeling path from 0 to h; the path to h is the path to h - e_j*
+    # followed by one step in the last nonzero coordinate j*
+    S = np.zeros((size, ncols), dtype=np.int64)
+    for h in range(1, size):
+        last = n - 1 - int(np.flatnonzero(digits[h, ::-1])[0])
+        prev = h - int(weights[last])
+        S[h] = S[prev]
+        S[h, prev * n + last] += 1
 
-    def hat_row(g, h):
-        """Coefficient vector of f(g, h) in terms of the column values,
-        through the peeling recursion
-        f(g, h+e_j) = f(g, h) + f(g+h, e_j) - f(h, e_j)."""
-        row = {}
-        gg = tuple(g)
-        pp = zero
-        for j in range(n):
-            for _ in range(h[j] % l):
-                c = col_index[(gg, j)]
-                row[c] = row.get(c, 0) + 1
-                c2 = col_index[(pp, j)]
-                row[c2] = row.get(c2, 0) - 1
-                gg = _add_basis(gg, j, l)
-                pp = _add_basis(pp, j, l)
-        return row
+    def blocks():
+        # f(0, e_j) = 0 for a normalized cocycle
+        yield np.eye(n, ncols)
+        for g in range(size):
+            # hat(g, h) = P(g, h) - P(0, h), where P(g, h) is P(0, h) with
+            # every column (p, j) moved to (g + p, j)
+            hat = S[:, add[hh, neg[g]] * n + jj] - S
+            # f(g, h) + f(g+h, e_j) - f(h, e_j) - f(g, h+e_j) = 0
+            rows = (hat[:, None, :] - hat[step]).reshape(ncols, ncols)
+            rows[hj, add[g, hh] * n + jj] += 1
+            rows[hj, hj] -= 1
+            rows %= l
+            yield rows[rows.any(axis=1)].astype(np.float64)
 
-    rows = []
-    zero = tuple(0 for _ in range(n))
-    for g in elements:
-        for h in elements:
-            base = hat_row(g, h)
-            gh = tuple((a + b) % l for a, b in zip(g, h))
-            for j in range(n):
-                row = dict(base)
-                for c, v in (
-                    (col_index[(gh, j)], 1),
-                    (col_index[(h, j)], -1),
-                ):
-                    row[c] = row.get(c, 0) + v
-                for c, v in hat_row(g, _add_basis(h, j, l)).items():
-                    row[c] = row.get(c, 0) - v
-                rows.append(row)
-    for j in range(n):
-        rows.append({col_index[(zero, j)]: 1})
-    # int8 is safe: entries stay in 0..l-1 < 5 and row updates bound at 16
-    M = np.zeros((len(rows), ncols), dtype=np.int8)
-    for i, row in enumerate(rows):
-        for c, v in row.items():
-            M[i, c] = v % l
-    Z = _np_nullspace(M, l)           # solution space = cocycle columns
-    # coboundary columns: delta c (g, e_j) = c(g) + c(e_j) - c(g + e_j)
-    nc = len(elements) - 1
-    D = np.zeros((ncols, nc), dtype=np.int64)
-    nonzero = [g for g in elements if g != zero]
-    cidx = {g: i for i, g in enumerate(nonzero)}
-    for g in elements:
-        for j in range(n):
-            r = col_index[(g, j)]
-            ej = _add_basis(zero, j, l)
-            for h, v in ((g, 1), (ej, 1), (tuple((a + b) % l for a, b in zip(g, ej)), -1)):
-                if h != zero:
-                    D[r, cidx[h]] = (D[r, cidx[h]] + v) % l
-    B = _np_colspace(D, l)
-    dim_h2 = Z.shape[0] - B.shape[0]
-    # quotient basis: extend the coboundary space inside the cocycle space
-    basis = []
-    stack = [list(b) for b in B]
-    for z in Z:
-        cand = stack + [list(z)]
-        if _np_rank(np.array(cand, dtype=np.int64), l) > len(stack):
-            stack.append(list(z))
-            basis.append(tuple(int(x) % l for x in z))
-        if len(basis) == dim_h2:
-            break
-    simple_index = {}
-    for g in elements:
-        for j in range(n):
-            simple_index[(g, j)] = col_index[(g, j)]
-    return H2Result(n, ell, dim_h2, basis, simple_index)
+    R, pivots = _echelon(blocks(), ncols, l)
+    # cocycles: the kernel, one vector per non-pivot column
+    free = np.setdiff1d(np.arange(ncols), pivots)
+    Z = np.zeros((len(free), ncols))
+    Z[np.arange(len(free)), free] = 1
+    Z[:, pivots] = (-R[:, free].T) % l
+    # coboundary columns: delta c (g, e_j) = c(g) + c(e_j) - c(g + e_j),
+    # one per normalized 1-cochain c = [h], h != 0 (index 0)
+    D = np.zeros((ncols, size), dtype=np.int64)
+    np.add.at(D, (hj, hh), 1)
+    np.add.at(D, (hj, weights[jj]), 1)
+    np.add.at(D, (hj, step[hh, jj]), -1)
+    B, bpivots = _echelon([(D[:, 1:].T % l).astype(np.float64)], ncols, l)
+    dim_h2 = len(Z) - len(B)
+    # quotient basis: the cocycles that are independent of the coboundaries
+    # and of the cocycles before them, i.e. the pivot columns of the
+    # cocycles reduced modulo the coboundaries and set side by side
+    Y = (Z - Z[:, bpivots] @ B) % l
+    _, chosen = _echelon([Y.T.copy()], len(Z), l)
+    basis = [tuple(int(x) for x in Z[i]) for i in chosen]
+    col_index = {(g, j): i * n + j
+                 for i, g in enumerate(elements) for j in range(n)}
+    return H2Result(n, ell, dim_h2, basis, col_index)
 
 
-def _np_rref(M, l):
+def _echelon(blocks, ncols, l):
+    """The reduced row echelon basis over F_l, and its pivot columns, of the
+    rows of a stream of float64 blocks with entries in 0..l-1.
+
+    The basis R is kept reduced.  Each block C is first reduced against it
+    as C - C[:, pivots] @ R, on the non-pivot columns only since the pivot
+    columns cancel; the rows left over go through Gauss-Jordan and are
+    merged back.  The reduced echelon form of a row space is unique, so the
+    order of the rows does not change the result.
+    """
     import numpy as np
 
-    M = M % l
-    rows, cols = M.shape
+    R = np.zeros((0, ncols))
+    pivots = np.zeros(0, dtype=np.intp)
+    free = np.arange(ncols)
+    R_free = R
+    for C in blocks:
+        if not len(free):
+            break
+        C = C[:, free] - C[:, pivots] @ R_free
+        C %= l
+        C = C[C.any(axis=1)]
+        if not len(C):
+            continue
+        new, at = _gauss_jordan(C, l)
+        new_pivots = free[at]
+        N = np.zeros((len(new), ncols))
+        N[:, free] = new
+        R = np.vstack([(R - R[:, new_pivots] @ N) % l, N])
+        pivots = np.concatenate([pivots, new_pivots])
+        order = np.argsort(pivots)
+        R, pivots = R[order], pivots[order]
+        free = np.setdiff1d(free, new_pivots)
+        R_free = R[:, free]
+    return R, pivots
+
+
+def _gauss_jordan(A, l):
+    """Reduced row echelon form of a float64 matrix with entries in 0..l-1,
+    in place; returns the nonzero rows and their pivot columns."""
+    import numpy as np
+
+    nrows, ncols = A.shape
     r = 0
     pivots = []
-    for c in range(cols):
-        if r == rows:
+    for c in range(ncols):
+        if r == nrows:
             break
-        nz = np.nonzero(M[r:, c])[0]
-        if len(nz) == 0:
+        nz = np.flatnonzero(A[r:, c])
+        if not len(nz):
             continue
-        pivot = r + int(nz[0])
-        if pivot != r:
-            M[[r, pivot]] = M[[pivot, r]]
-        M[r] = (M[r] * pow(int(M[r, c]), -1, l)) % l
-        hits = np.nonzero(M[:, c])[0]
-        for i in hits:
-            if i != r:
-                M[i] = (M[i] - M[i, c] * M[r]) % l
+        p = r + int(nz[0])
+        if p != r:
+            A[[r, p]] = A[[p, r]]
+        inv = pow(int(A[r, c]), -1, l)
+        if inv != 1:
+            A[r, c:] = (A[r, c:] * inv) % l
+        hits = np.flatnonzero(A[:, c])
+        hits = hits[hits != r]
+        if len(hits):
+            A[hits, c:] = (A[hits, c:] - np.outer(A[hits, c], A[r, c:])) % l
         pivots.append(c)
         r += 1
-    return M[:r], pivots
-
-
-def _np_rank(M, l):
-    if M.size == 0:
-        return 0
-    R, _ = _np_rref(M.copy(), l)
-    return R.shape[0]
-
-
-def _np_nullspace(M, l):
-    import numpy as np
-
-    R, pivots = _np_rref(M.copy(), l)
-    cols = M.shape[1]
-    free = [c for c in range(cols) if c not in pivots]
-    out = np.zeros((len(free), cols), dtype=np.int64)
-    for k, fcol in enumerate(free):
-        out[k, fcol] = 1
-        for r, p in enumerate(pivots):
-            out[k, p] = (-int(R[r, fcol])) % l
-    return out
-
-
-def _np_colspace(M, l):
-    R, _ = _np_rref(M.T.copy(), l)
-    return R
+    return A[:r], np.array(pivots, dtype=np.intp)
 
 
 def h2_predicted_dim(n, ell):

@@ -337,8 +337,11 @@ def _context(args):
 def cmd_symbol_eval(args):
     ctx = _context(args)
     data = _load_input(args)
-    sym = jsonio.decode_symbol(ctx.field.tower, data["symbol"])
-    chain = jsonio.decode_chain(ctx.field, data["chain"])
+    what = "symbol-eval input"
+    sym = jsonio.decode_symbol(ctx.field.tower,
+                               jsonio.field(data, "symbol", what, list))
+    chain = jsonio.decode_chain(ctx.field,
+                                jsonio.field(data, "chain", what, dict))
     out = tame_chain(ctx.field, sym, chain, ctx.ell)
     if out.is_scalar():
         _emit(args, {"scalar": out.scalar()})
@@ -372,7 +375,7 @@ def cmd_dim(args):
     ctx = _context(args)
     data = _load_input(args)
     gens = [jsonio.decode_ratfunc(ctx.field.tower, e)
-            for e in data["generators"]]
+            for e in jsonio.field(data, "generators", "dim input", list)]
     lo, hi = ctx.milnor_dim_bounds(gens, budget=args.budget, seed=args.seed)
     _emit(args, {"lower": lo, "upper": hi})
     return EXIT_OK if lo == hi else EXIT_UNKNOWN
@@ -488,7 +491,8 @@ def cmd_lcl_eval(args):
 
 def cmd_abc_verify(args):
     data = _load_input(args)
-    G = jsonio.decode_abc_group(data["group"])
+    what = "abc-verify input"
+    G = jsonio.decode_abc_group(jsonio.field(data, "group", what, dict))
     out = {"rank": G.rank, "ell": G.ell,
            "kernel_dim": CommutatorForm(G).wedge_kernel().dim,
            "upsilon_pairing": upsilon(G).pairing_identity_holds()}
@@ -496,10 +500,12 @@ def cmd_abc_verify(args):
         out["normal_forms"] = [
             {"word": w, "abelian": list(word_normal_form(w, G)[0]),
              "central": list(word_normal_form(w, G)[1])}
-            for w in data["words"]
+            for w in jsonio.field(data, "words", what, list)
         ]
     if "h2" in data:
-        res = h2_brute_force(data["h2"]["n"], data["h2"]["ell"])
+        h2 = jsonio.field(data, "h2", what, dict)
+        res = h2_brute_force(jsonio.field(h2, "n", "the h2 field", int),
+                             jsonio.field(h2, "ell", "the h2 field", int))
         out["h2_dim"] = res.dim
     _emit(args, out)
     return EXIT_OK if out["upsilon_pairing"] else EXIT_FAILURE

@@ -98,16 +98,21 @@ def encode_chain(chain):
     }
 
 
-def decode_chain(field, data):
-    steps = [CoordValuation(s["var"], decode_center(field.tower, s["center"]),
-                            field.nvars)
-             for s in data["steps"]]
+def decode_chain(ff, data):
+    what = "a Parshin chain"
+    steps = [CoordValuation(field(s, "var", "a chain step", int),
+                            decode_center(ff.tower,
+                                          field(s, "center", "a chain step")),
+                            ff.nvars)
+             for s in field(data, "steps", what, list)]
     if len({v.var for v in steps}) != len(steps):
         raise ValueError("chain steps must use distinct variables")
-    unis = [decode_ratfunc(field.tower, u) for u in data["uniformizers"]]
-    covers = [(c["var"], c["exp"], decode_center(field.tower, c["center"]))
+    unis = [decode_ratfunc(ff.tower, u)
+            for u in field(data, "uniformizers", what, list)]
+    covers = [(c["var"], c["exp"], decode_center(ff.tower, c["center"]))
               for c in data.get("covers", [])]
-    return ParshinChain(field, steps, unis, tuple(data["ram_indices"]),
+    return ParshinChain(ff, steps, unis,
+                        tuple(field(data, "ram_indices", what, list)),
                         covers=covers, validate=False)
 
 
@@ -144,7 +149,8 @@ def encode_abc_group(G):
 def decode_abc_group(data):
     from .abelcentral import AbcGroup
 
-    return AbcGroup(data["rank"], data["ell"],
+    what = "a group fragment"
+    return AbcGroup(field(data, "rank", what, int), field(data, "ell", what, int),
                     [tuple(v) for v in data.get("relations", [])])
 
 

@@ -81,6 +81,34 @@ def test_certify_malformed_input_exits_3(tmp_path, capsys, payload):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+GROUP = {"rank": 2, "ell": 3, "relations": []}
+
+
+@pytest.mark.parametrize("command, payload", [
+    ("dim", {}),
+    ("dim", {"generators": 5}),
+    ("symbol-eval", {}),
+    ("symbol-eval", {"symbol": [], "chain": {}}),
+    ("symbol-eval", {"symbol": [], "chain": {"steps": [{"var": 0}]}}),
+    ("abc-verify", {}),
+    ("abc-verify", {"group": {}}),
+    ("abc-verify", {"group": GROUP, "h2": {}}),
+    ("abc-verify", {"group": GROUP, "h2": {"n": 2}}),
+    ("abc-verify", {"group": GROUP, "h2": {"n": 2, "ell": 4}}),
+    ("abc-verify", {"group": GROUP, "h2": {"n": 1, "ell": 1}}),
+    ("abc-verify", {"group": GROUP, "h2": {"n": 2, "ell": "3"}}),
+    ("abc-verify", {"group": GROUP, "h2": {"n": -1, "ell": 3}}),
+])
+def test_malformed_input_exits_3(tmp_path, capsys, command, payload):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(payload))
+    code = main(["--vars", "2", command, str(path)])
+    captured = capsys.readouterr()
+    assert code == EXIT_FAILURE and captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err
+
+
 def test_dim(run, enc2):
     tw, ff = enc2
     payload = {"generators": [encode_ratfunc(ff.var(0)),
