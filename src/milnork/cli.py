@@ -194,9 +194,8 @@ def _quadratic_fragment(ctx, gens, budget, workers=1):
 
     def entry_for(pair):
         a, b = pair
-        rel = ctx.kclass_compare(gens[a], gens[b], budget=budget)
         entry = {"pair": [a, b]}
-        if rel == EQUAL:
+        if ctx.kclass_closed_form(gens[a], gens[b]) == EQUAL:
             entry["relation"] = "equal-classes"
         elif ctx.jacobian_rank([gens[a], gens[b]]) < 2:
             # both classes live in a one-dimensional subfield, where every
@@ -387,7 +386,10 @@ def cmd_lattice_build(args):
     from .lattice import omega
 
     nodes = []
-    for i, gens_json in enumerate(data["subfields"]):
+    subfields = jsonio.field(data, "subfields", "lattice-build input", list)
+    for i, gens_json in enumerate(subfields):
+        if not isinstance(gens_json, list):
+            raise jsonio.InputError("each subfield must be a list")
         gens = [jsonio.decode_ratfunc(ctx.field.tower, g) for g in gens_json]
         frag = omega(ctx, gens, label="L%d" % i, budget=args.budget)
         nodes.append({"label": frag.label, "rank": frag.rank,
@@ -428,11 +430,15 @@ def cmd_lattice_reconstruct(args):
 def cmd_delta(args):
     ctx = _context(args)
     data = _load_input(args)
-    gen = jsonio.decode_ratfunc(ctx.field.tower, data["generator"])
+    what = "delta input"
+    gen = jsonio.decode_ratfunc(ctx.field.tower,
+                                jsonio.field(data, "generator", what, dict))
     A = RationalSubgroup(ctx, gen)
-    vals = [ctx.field.valuation(v["var"],
-                                jsonio.decode_center(ctx.field.tower, v["center"]))
-            for v in data["valuations"]]
+    vals = [ctx.field.valuation(
+                jsonio.field(v, "var", "a valuation", int),
+                jsonio.decode_center(ctx.field.tower,
+                                     jsonio.field(v, "center", "a valuation")))
+            for v in jsonio.field(data, "valuations", what, list)]
     ds = delta_set(A, vals)
     _emit(args, {
         "entries": [
@@ -450,11 +456,15 @@ def cmd_rigidity(args):
     data = _load_input(args)
     from .lattice import CounterexampleReport, RationalFragmentData, RigidityInstance
 
+    what = "rigidity input"
     inst = RigidityInstance(
-        data["ell"], data["ambient_dim"],
-        [RationalFragmentData(f["name"], [tuple(m) for m in f["members"]])
-         for f in data["fragments"]])
-    phi = tuple(tuple(row) for row in data["phi"])
+        jsonio.field(data, "ell", what, int),
+        jsonio.field(data, "ambient_dim", what, int),
+        [RationalFragmentData(
+            jsonio.field(f, "name", "a fragment"),
+            [tuple(m) for m in jsonio.field(f, "members", "a fragment", list)])
+         for f in jsonio.field(data, "fragments", what, list)])
+    phi = tuple(tuple(row) for row in jsonio.field(data, "phi", what, list))
     out = epsilon_rigidity_check(phi, inst)
     if isinstance(out, CounterexampleReport):
         _emit(args, {"result": "rejected", "kind": out.kind,
@@ -474,7 +484,8 @@ def _plain(obj):
 
 def cmd_geometry_check(args):
     data = _load_input(args)
-    geometry = geom_mod.ClosureGeometry.from_json(data["geometry"])
+    geometry = geom_mod.ClosureGeometry.from_json(
+        jsonio.field(data, "geometry", "geometry-check input", dict))
     report = geom_mod.check_axioms(geometry)
     _emit(args, {"report": report.to_json()})
     return EXIT_OK if report.all_pass() else EXIT_FAILURE
@@ -482,8 +493,10 @@ def cmd_geometry_check(args):
 
 def cmd_lcl_eval(args):
     data = _load_input(args)
-    geometry = geom_mod.ClosureGeometry.from_json(data["geometry"])
-    free, rows = geom_mod.eval_lcl(geometry, data["formula"],
+    what = "lcl-eval input"
+    geometry = geom_mod.ClosureGeometry.from_json(
+        jsonio.field(data, "geometry", what, dict))
+    free, rows = geom_mod.eval_lcl(geometry, jsonio.field(data, "formula", what),
                                    params=data.get("params"))
     _emit(args, {"free": free, "tuples": sorted(map(list, rows))})
     return EXIT_OK
@@ -515,10 +528,9 @@ def cmd_duality_check(args):
     data = _load_input(args)
     from .abelcentral import Mismatch
 
-    G = jsonio.decode_abc_group(data["group"])
-    mult = MultFragment.from_kernel(
-        data["mult"]["n"], data["mult"]["ell"],
-        [tuple(v) for v in data["mult"].get("kernel", [])])
+    what = "duality-check input"
+    G = jsonio.decode_abc_group(jsonio.field(data, "group", what, dict))
+    mult = _decode_mult(jsonio.field(data, "mult", what, dict))
     try:
         rep = duality_check(mult, G)
     except Mismatch as e:
@@ -528,15 +540,20 @@ def cmd_duality_check(args):
     return EXIT_OK
 
 
+def _decode_mult(data):
+    what = "a multiplication fragment"
+    return MultFragment.from_kernel(
+        jsonio.field(data, "n", what, int), jsonio.field(data, "ell", what, int),
+        [tuple(v) for v in data.get("kernel", [])])
+
+
 def cmd_kummer(args):
     data = _load_input(args)
-    mult_K = MultFragment.from_kernel(
-        data["mult_k"]["n"], data["mult_k"]["ell"],
-        [tuple(v) for v in data["mult_k"].get("kernel", [])])
-    mult_L = MultFragment.from_kernel(
-        data["mult_l"]["n"], data["mult_l"]["ell"],
-        [tuple(v) for v in data["mult_l"].get("kernel", [])])
-    psi = kummer_bridge(tuple(map(tuple, data["phi"])), mult_K, mult_L,
+    what = "kummer input"
+    mult_K = _decode_mult(jsonio.field(data, "mult_k", what, dict))
+    mult_L = _decode_mult(jsonio.field(data, "mult_l", what, dict))
+    phi = jsonio.field(data, "phi", what, list)
+    psi = kummer_bridge(tuple(map(tuple, phi)), mult_K, mult_L,
                         pairing_K=data.get("pairing_k"),
                         pairing_L=data.get("pairing_l"))
     _emit(args, {"psi": [list(r) for r in psi]})
@@ -583,7 +600,8 @@ def cmd_pipeline(args):
 
 def cmd_roundtrip(args):
     data = _load_input(args)
-    perm = data.pop("permutation")
+    perm = jsonio.field(data, "permutation", "roundtrip input", list)
+    del data["permutation"]
     for key, val in (("p", args.p), ("ell", args.ell), ("vars", args.vars)):
         data.setdefault(key, val)
     data.setdefault("seed", args.seed)

@@ -9,6 +9,8 @@ import itertools
 import json
 import random
 
+from .jsonio import field
+
 
 class JoinUndefined(RuntimeError):
     """The lattice fragment lacks a join required by the construction."""
@@ -96,11 +98,14 @@ class ClosureGeometry:
 
     @classmethod
     def from_json(cls, data):
+        what = "a geometry"
+        points = field(data, "points", what, list)
         if "closure" in data:
             return cls.from_table(
-                data["points"],
-                [(tuple(k), tuple(v)) for k, v in data["closure"]])
-        return cls.from_closed_sets(data["points"], data["closed_sets"])
+                points, [(tuple(k), tuple(v))
+                         for k, v in field(data, "closure", what, list)])
+        return cls.from_closed_sets(points,
+                                    field(data, "closed_sets", what, list))
 
 
 def c_construction(view):

@@ -109,7 +109,8 @@ def decode_chain(ff, data):
         raise ValueError("chain steps must use distinct variables")
     unis = [decode_ratfunc(ff.tower, u)
             for u in field(data, "uniformizers", what, list)]
-    covers = [(c["var"], c["exp"], decode_center(ff.tower, c["center"]))
+    covers = [(field(c, "var", "a cover", int), field(c, "exp", "a cover", int),
+               decode_center(ff.tower, field(c, "center", "a cover")))
               for c in data.get("covers", [])]
     return ParshinChain(ff, steps, unis,
                         tuple(field(data, "ram_indices", what, list)),
@@ -128,17 +129,15 @@ def encode_certificate(cert):
     return out
 
 
-def decode_certificate(field, data):
+def decode_certificate(ff, data):
+    what = "a certificate"
+    statement = decode_symbol(ff.tower, field(data, "statement", what, list))
+    chain = decode_chain(ff, field(data, "chain", what, dict))
     transform = data.get("transform")
     if transform is not None:
         transform = tuple(tuple(row) for row in transform)
-    return Certificate(
-        decode_symbol(field.tower, data["statement"]),
-        decode_chain(field, data["chain"]),
-        data["value"],
-        data["ell"],
-        transform=transform,
-    )
+    return Certificate(statement, chain, field(data, "value", what, int),
+                       field(data, "ell", what, int), transform=transform)
 
 
 def encode_abc_group(G):

@@ -872,6 +872,19 @@ class KContext:
     def kclass_compare(self, x, y, budget=48):
         """Three-valued equality in degree one: classes agree, certified
         distinct, or unknown within the budget."""
+        rel = self.kclass_closed_form(x, y)
+        if rel is not UNKNOWN:
+            return rel
+        cert = self.certificate_search([x / y], budget=budget, shifts=False)
+        if cert is not UNKNOWN:
+            return DISTINCT
+        return UNKNOWN
+
+    def kclass_closed_form(self, x, y):
+        """The part of kclass_compare that needs no search: EQUAL or DISTINCT
+        when the ratio is constant, a monomial, or a function of one
+        variable, else UNKNOWN.  A search can only add DISTINCT, so a caller
+        that reads only EQUAL needs nothing more."""
         if x.is_zero() or y.is_zero():
             raise ZeroEntry("classes of zero are undefined")
         ratio = x / y
@@ -890,9 +903,6 @@ class KContext:
             div = _univariate_divisor(self.field, ratio, i)
             if all(v % self.ell == 0 for v in div.values()):
                 return EQUAL
-            return DISTINCT
-        cert = self.certificate_search([ratio], budget=budget, shifts=False)
-        if cert is not UNKNOWN:
             return DISTINCT
         return UNKNOWN
 

@@ -174,7 +174,13 @@ class Universe:
     Ranks are computed greedily through a certified independence oracle:
     algebraic independence obeys exchange, so a maximal independent subset
     collected in sorted order has the full rank, and the oracle answers are
-    shared across the exponentially many subsets the recipes probe."""
+    shared across the exponentially many subsets the recipes probe.
+
+    One certificate answers many queries.  A nonzero symbol has nonzero
+    sub-symbols, {a,b,c} = {a,b}.{c}, so every subset of a certified set is
+    independent.  A set that needs a search is therefore first extended
+    towards a basis of the universe and the extension is certified in its
+    place; its subsets are then answered without a further search."""
 
     def __init__(self, ctx, subgroups, budget=64):
         self.ctx = ctx
@@ -185,6 +191,7 @@ class Universe:
         self._closure_cache = {}
         self._flats_by_rank = {}
         self._unresolved = set()
+        self._certified = []
 
     def __len__(self):
         return len(self.subgroups)
@@ -199,7 +206,17 @@ class Universe:
         that contains a cached dependent set minus one member is dependent
         too: that subset was cached because its Jacobian rank fell short of
         its size, and one more generator adds one row, which raises the rank
-        by at most one (Oxley, Matroid Theory, ch. 1)."""
+        by at most one (Oxley, Matroid Theory, ch. 1).
+
+        A subset of a certified set is independent without a search.  A set
+        that needs one is first extended: universe members are scanned in
+        index order and kept while the Jacobian of the enlarged set has full
+        rank, up to nvars members.  Full Jacobian rank proves independence
+        in every characteristic, but here it only chooses the candidate; the
+        extension is certified with the search the set itself would get, and
+        only when that search runs out of budget is the set searched on its
+        own.  So the extension changes no answer, except that a set whose
+        own search would run out of budget can be certified through it."""
         key = frozenset(indices)
         cached = self._indep_cache.get(key)
         if cached is not None:
@@ -210,19 +227,45 @@ class Universe:
                 self._indep_cache.get(key - {i}) is False for i in key):
             self._indep_cache[key] = False
             return False
-        gens = [self.subgroups[i].gen for i in sorted(key)]
-        hi = min(self.ctx.nvars, self.ctx.jacobian_rank(gens))
-        if hi < len(key):
+        if any(key <= s for s in self._certified):
+            out = True
+        elif self.ctx.jacobian_rank(self._gens(key)) < len(key):
             out = False
         else:
-            cert = self.ctx.certificate_search(
-                gens, budget=self.budget, seed=repr(sorted(key)), shifts=True)
-            if cert is UNKNOWN:
-                self._unresolved.add(key)
-                raise DimUnknown([key])
+            extended = self._extend(key)
+            if extended == key or not self._certify(extended):
+                if not self._certify(key):
+                    self._unresolved.add(key)
+                    raise DimUnknown([key])
             out = True
         self._indep_cache[key] = out
         return out
+
+    def _gens(self, key):
+        return [self.subgroups[i].gen for i in sorted(key)]
+
+    def _extend(self, key):
+        """The set enlarged, in index order, by the members that keep the
+        Jacobian at full rank, until it has nvars members."""
+        out = set(key)
+        for i in range(len(self.subgroups)):
+            if len(out) >= self.ctx.nvars:
+                break
+            if i not in out and self.ctx.jacobian_rank(
+                    self._gens(out | {i})) == len(out) + 1:
+                out.add(i)
+        return frozenset(out)
+
+    def _certify(self, key):
+        """One certificate search for the set; a certified set is recorded
+        so that its subsets need none."""
+        cert = self.ctx.certificate_search(
+            self._gens(key), budget=self.budget, seed=repr(sorted(key)),
+            shifts=True)
+        if cert is UNKNOWN:
+            return False
+        self._certified.append(key)
+        return True
 
     def rank(self, indices):
         """Certified dimension of the join of the indexed subgroups.

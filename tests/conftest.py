@@ -1,7 +1,14 @@
+import os
+
 import pytest
+from hypothesis import settings
 
 from milnork.groundfield import FieldTower, FunctionField
 from milnork.kmilnor import KContext
+
+# CI runs the same examples every time; local runs keep exploring
+settings.register_profile("ci", derandomize=True)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 @pytest.fixture(scope="session")

@@ -169,16 +169,22 @@ ACCEPTANCE_UNIVERSE = (
 )
 
 
-# sha256 of the canonical JSON artifacts, pinned so that changes to the
-# search or the arithmetic cannot move a byte of the output unnoticed
+# sha256 of the canonical JSON artifacts without their "tower" field, pinned
+# so that changes to the search or the arithmetic cannot move a byte of the
+# output unnoticed.  The tower is pinned on its own: the degree-two stage
+# reads only closed-form class equalities, runs no search, and so never
+# builds level 2.
 CRITERION_5_SHA256 = (
-    "a7f0b911a85378a6bca182ca6f7aa4eabf6fc4a30091c4f4b8fa92a9d19cbeea")
+    "be6adab46b80a07db276334b90deaaf8791d4924acda64aad3c7ea58d9112852")
 CRITERION_11_SHA256 = (
-    "754714a8a3482c88adcd811336c5fd2bd9ab0add890322c8a58ba5d494997b29")
+    "8cfd851933e7d5e8d15926ff9fb83e52ae34b42872a8b1be87e89f68a9456c35")
+PIPELINE_TOWER = {"levels": [{"level": 1, "modulus": [0, 1]}],
+                  "p": 7, "seed": 0, "spine": [1]}
 
 
 def _digest(artifacts):
-    return hashlib.sha256(canonical_json(artifacts).encode()).hexdigest()
+    rest = {k: v for k, v in artifacts.items() if k != "tower"}
+    return hashlib.sha256(canonical_json(rest).encode()).hexdigest()
 
 
 def _direction(decl, p=7):
@@ -205,6 +211,7 @@ def test_criterion_5_recipe_roundtrip():
                           "budget": 64, "universe": decls})
     artifacts, (ctx, universe, lat, geometry) = run_pipeline(cfg)
     assert _digest(artifacts) == CRITERION_5_SHA256
+    assert artifacts["tower"] == PIPELINE_TOWER
     points = list(geometry.points)
     assert len(points) <= 12
 
@@ -411,6 +418,7 @@ def test_criterion_11_pipeline_determinism():
                               "universe": decls})
         artifacts, _ = run_pipeline(cfg)
         outputs.add(_digest(artifacts))
+        assert artifacts["tower"] == PIPELINE_TOWER
     assert outputs == {CRITERION_11_SHA256}
     print("PASS criterion 11 (byte-identical artifacts): %.2fs"
           % (time.time() - t0))

@@ -6,7 +6,12 @@ import pytest
 
 from milnork.cli import EXIT_FAILURE, EXIT_OK, EXIT_UNKNOWN, main
 from milnork.groundfield import FieldTower, FunctionField
-from milnork.jsonio import encode_chain, encode_ratfunc
+from milnork.jsonio import (
+    InputError,
+    decode_certificate,
+    encode_chain,
+    encode_ratfunc,
+)
 from milnork.kmilnor import coordinate_chain
 
 
@@ -82,6 +87,10 @@ def test_certify_malformed_input_exits_3(tmp_path, capsys, payload):
 
 
 GROUP = {"rank": 2, "ell": 3, "relations": []}
+X0 = {"num": {"vars": 2, "terms": [
+    {"exp": [1, 0], "coef": {"level": 1, "coeffs": [1]}}]},
+    "den": {"vars": 2, "terms": [
+        {"exp": [0, 0], "coef": {"level": 1, "coeffs": [1]}}]}}
 
 
 @pytest.mark.parametrize("command, payload", [
@@ -98,6 +107,25 @@ GROUP = {"rank": 2, "ell": 3, "relations": []}
     ("abc-verify", {"group": GROUP, "h2": {"n": 1, "ell": 1}}),
     ("abc-verify", {"group": GROUP, "h2": {"n": 2, "ell": "3"}}),
     ("abc-verify", {"group": GROUP, "h2": {"n": -1, "ell": 3}}),
+    ("symbol-eval", {"symbol": [], "chain": {
+        "steps": [], "uniformizers": [], "ram_indices": [], "covers": [{}]}}),
+    ("lattice-build", {}),
+    ("lattice-build", {"subfields": [5]}),
+    ("delta", {}),
+    ("delta", {"generator": X0, "valuations": [{}]}),
+    ("rigidity", {}),
+    ("rigidity", {"ell": 3, "ambient_dim": 2, "fragments": [{}],
+                  "phi": [[1, 0], [0, 1]]}),
+    ("geometry-check", {}),
+    ("geometry-check", {"geometry": {}}),
+    ("geometry-check", {"geometry": {"points": [0]}}),
+    ("lcl-eval", {}),
+    ("lcl-eval", {"geometry": {"points": [0], "closed_sets": [[]]}}),
+    ("duality-check", {}),
+    ("duality-check", {"group": GROUP, "mult": {}}),
+    ("kummer", {}),
+    ("kummer", {"mult_k": {"n": 2, "ell": 3}, "mult_l": {"ell": 3}}),
+    ("roundtrip", {}),
 ])
 def test_malformed_input_exits_3(tmp_path, capsys, command, payload):
     path = tmp_path / "bad.json"
@@ -107,6 +135,17 @@ def test_malformed_input_exits_3(tmp_path, capsys, command, payload):
     assert code == EXIT_FAILURE and captured.out == ""
     assert captured.err.startswith("error: ")
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("payload", [
+    {},
+    {"statement": [X0], "chain": {"steps": [], "uniformizers": [],
+                                  "ram_indices": []}},
+])
+def test_decode_certificate_rejects_missing_fields(payload):
+    ff = FunctionField(FieldTower(7, seed=0), 2)
+    with pytest.raises(InputError):
+        decode_certificate(ff, payload)
 
 
 def test_dim(run, enc2):

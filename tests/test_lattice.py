@@ -4,10 +4,12 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from milnork import linalg
-from milnork.groundfield import INF, CoordValuation
-from milnork.kmilnor import UNKNOWN
+from milnork.groundfield import INF, CoordValuation, FieldTower, FunctionField
+from milnork.kmilnor import UNKNOWN, KContext
 from milnork.lattice import (
     CounterexampleReport,
     DimUnknown,
@@ -149,7 +151,142 @@ def test_independent_dependence_short_cuts(ctx5, subs, ff5, monkeypatch):
     assert calls == []
     assert uni.independent(frozenset([0, 2, 5])) is True
     assert uni.independent(frozenset(range(5))) is True
-    assert calls == [3, 5]
+    # {0, 2, 5} is extended before its search: t1 is rejected (t0*t1 is in
+    # the set already), t3 and t4 are kept; range(5) is no subset of that
+    assert calls == [3, 4, 4, 5, 5]
+
+
+class SearchEverySet(Universe):
+    """The oracle without the subset rule: every set that passes the
+    Jacobian is searched on its own, and an UNKNOWN search is final."""
+
+    def independent(self, indices):
+        key = frozenset(indices)
+        cached = self._indep_cache.get(key)
+        if cached is not None:
+            return cached
+        if key in self._unresolved:
+            raise DimUnknown([key])
+        if len(key) > self.ctx.nvars or any(
+                self._indep_cache.get(key - {i}) is False for i in key):
+            self._indep_cache[key] = False
+            return False
+        gens = [self.subgroups[i].gen for i in sorted(key)]
+        if self.ctx.jacobian_rank(gens) < len(key):
+            out = False
+        else:
+            cert = self.ctx.certificate_search(
+                gens, budget=self.budget, seed=repr(sorted(key)), shifts=True)
+            if cert is UNKNOWN:
+                self._unresolved.add(key)
+                raise DimUnknown([key])
+            out = True
+        self._indep_cache[key] = out
+        return out
+
+
+_LINEAR_CONTEXTS = {}
+
+
+def _linear_context(p, nvars):
+    if (p, nvars) not in _LINEAR_CONTEXTS:
+        ff = FunctionField(FieldTower(p, seed=0), nvars)
+        _LINEAR_CONTEXTS[(p, nvars)] = KContext(ff, 3)
+    return _LINEAR_CONTEXTS[(p, nvars)]
+
+
+@st.composite
+def linear_universes(draw):
+    p = draw(st.sampled_from([5, 7]))
+    nvars = draw(st.integers(4, 5))
+    row = st.lists(st.integers(0, p - 1), min_size=nvars,
+                   max_size=nvars).filter(any)
+    rows = draw(st.lists(row, min_size=6, max_size=10))
+    consts = draw(st.lists(st.integers(0, p - 1), min_size=len(rows),
+                           max_size=len(rows)))
+    subsets = st.frozensets(st.integers(0, len(rows) - 1), max_size=len(rows))
+    queries = draw(st.lists(subsets, min_size=1, max_size=6))
+    return p, nvars, [tuple(r) for r in rows], consts, queries
+
+
+@settings(max_examples=20, deadline=None)
+@given(linear_universes())
+def test_universe_matches_prime_field_rank(case):
+    # oracle: linear forms over F_p are algebraically independent exactly
+    # when their coefficient vectors are linearly independent
+    p, nvars, rows, consts, queries = case
+    ctx = _linear_context(p, nvars)
+    ff = ctx.field
+    subs = []
+    for j, (row, c) in enumerate(zip(rows, consts)):
+        g = ff.const(c)
+        for i, a in enumerate(row):
+            g = g + ff.const(a) * ff.var(i)
+        subs.append(RationalSubgroup(ctx, g, "g%d" % j))
+
+    def truth(key):
+        return linalg.rank(tuple(rows[i] for i in sorted(key)), p)
+
+    new, old = Universe(ctx, subs, budget=64), SearchEverySet(ctx, subs,
+                                                               budget=64)
+    for key in queries:
+        r = truth(key)
+        closed = frozenset(i for i in range(len(rows))
+                           if truth(key | {i}) == r)
+        for uni in (new, old):
+            assert uni.rank(key) == r
+            assert uni.closure(key) == closed
+    for uni in (new, old):
+        for key, indep in uni._indep_cache.items():
+            assert indep == (truth(key) == len(key)), sorted(key)
+    for key in set(new._indep_cache) & set(old._indep_cache):
+        assert new._indep_cache[key] == old._indep_cache[key]
+
+
+def test_subset_of_certified_set_needs_no_search(ctx5, subs, monkeypatch):
+    uni = Universe(ctx5, subs, budget=48)
+    assert uni.independent(frozenset([1, 3])) is True
+    # the search ran on the extension of {1, 3} to a full basis
+    assert uni._certified == [frozenset(range(5))]
+    searches = []
+    search = ctx5.certificate_search
+
+    def spy(elements, **kw):
+        searches.append(len(elements))
+        return search(elements, **kw)
+
+    monkeypatch.setattr(ctx5, "certificate_search", spy)
+    for r in range(1, 6):
+        for key in itertools.combinations(range(5), r):
+            assert uni.independent(frozenset(key)) is True
+    assert searches == []
+
+
+def test_failed_extension_falls_back_to_the_set(ctx5, subs, monkeypatch):
+    uni = Universe(ctx5, subs, budget=48)
+    full = frozenset(range(5))
+    searched = []
+    search = ctx5.certificate_search
+
+    def stub(elements, **kw):
+        searched.append(kw["seed"])
+        if kw["seed"] == repr(sorted(full)):
+            return UNKNOWN
+        return search(elements, **kw)
+
+    monkeypatch.setattr(ctx5, "certificate_search", stub)
+    assert uni.independent(frozenset([0, 2])) is True
+    assert searched == [repr(sorted(full)), repr([0, 2])]
+    assert uni._certified == [frozenset([0, 2])]
+    assert full not in uni._indep_cache and full not in uni._unresolved
+    # the fallback is the search a set gets on its own, so a set that
+    # fails both is unresolved, and the failed extension still leaves no trace
+    monkeypatch.setattr(ctx5, "certificate_search",
+                        lambda elements, **kw: UNKNOWN)
+    with pytest.raises(DimUnknown):
+        uni.independent(frozenset([1, 3]))
+    assert uni._unresolved == {frozenset([1, 3])}
+    assert full not in uni._indep_cache
 
 
 def test_recover_rank_r_against_brute_force(ctx5, ff5):
