@@ -466,7 +466,7 @@ class MultFragment:
         certificates = {}
         unknown = []
         for a, b in itertools.combinations(range(n), 2):
-            if ctx.kclass_closed_form(gens[a], gens[b]) == EQUAL:
+            if ctx.kclass_compare(gens[a], gens[b]) == EQUAL:
                 vec = [0] * linalg.wedge_dim(n)
                 vec[linalg.wedge_index(a, b, n)] = 1
                 kernel.append(tuple(vec))

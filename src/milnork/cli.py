@@ -13,7 +13,7 @@ import json
 import sys
 
 from . import geometry as geom_mod
-from . import jsonio
+from . import jsonio, linalg
 from .abelcentral import (
     AbcGroup,
     CommutatorForm,
@@ -195,7 +195,7 @@ def _quadratic_fragment(ctx, gens, budget, workers=1):
     def entry_for(pair):
         a, b = pair
         entry = {"pair": [a, b]}
-        if ctx.kclass_closed_form(gens[a], gens[b]) == EQUAL:
+        if ctx.kclass_compare(gens[a], gens[b]) == EQUAL:
             entry["relation"] = "equal-classes"
         elif ctx.jacobian_rank([gens[a], gens[b]]) < 2:
             # both classes live in a one-dimensional subfield, where every
@@ -457,14 +457,16 @@ def cmd_rigidity(args):
     from .lattice import CounterexampleReport, RationalFragmentData, RigidityInstance
 
     what = "rigidity input"
+    dim = jsonio.field(data, "ambient_dim", what, int)
     inst = RigidityInstance(
-        jsonio.field(data, "ell", what, int),
-        jsonio.field(data, "ambient_dim", what, int),
+        jsonio.modulus(data, what), dim,
         [RationalFragmentData(
             jsonio.field(f, "name", "a fragment"),
-            [tuple(m) for m in jsonio.field(f, "members", "a fragment", list)])
+            list(jsonio.int_matrix(jsonio.field(f, "members", "a fragment"),
+                                   "the members of a fragment", cols=dim)))
          for f in jsonio.field(data, "fragments", what, list)])
-    phi = tuple(tuple(row) for row in jsonio.field(data, "phi", what, list))
+    phi = jsonio.int_matrix(jsonio.field(data, "phi", what), "phi",
+                            rows=dim, cols=dim)
     out = epsilon_rigidity_check(phi, inst)
     if isinstance(out, CounterexampleReport):
         _emit(args, {"result": "rejected", "kind": out.kind,
@@ -542,9 +544,13 @@ def cmd_duality_check(args):
 
 def _decode_mult(data):
     what = "a multiplication fragment"
+    n = jsonio.field(data, "n", what, int)
+    if n < 0:
+        raise jsonio.InputError("%s needs n of at least 0" % what)
     return MultFragment.from_kernel(
-        jsonio.field(data, "n", what, int), jsonio.field(data, "ell", what, int),
-        [tuple(v) for v in data.get("kernel", [])])
+        n, jsonio.modulus(data, what),
+        jsonio.int_matrix(data.get("kernel", []), "the kernel of %s" % what,
+                          cols=linalg.wedge_dim(n)))
 
 
 def cmd_kummer(args):
@@ -552,10 +558,12 @@ def cmd_kummer(args):
     what = "kummer input"
     mult_K = _decode_mult(jsonio.field(data, "mult_k", what, dict))
     mult_L = _decode_mult(jsonio.field(data, "mult_l", what, dict))
-    phi = jsonio.field(data, "phi", what, list)
-    psi = kummer_bridge(tuple(map(tuple, phi)), mult_K, mult_L,
-                        pairing_K=data.get("pairing_k"),
-                        pairing_L=data.get("pairing_l"))
+    n = mult_K.n
+    phi = jsonio.int_matrix(jsonio.field(data, "phi", what), "phi", n, n)
+    pairings = [None if data.get(name) is None
+                else jsonio.int_matrix(data[name], name, n, n)
+                for name in ("pairing_k", "pairing_l")]
+    psi = kummer_bridge(phi, mult_K, mult_L, *pairings)
     _emit(args, {"psi": [list(r) for r in psi]})
     return EXIT_OK
 

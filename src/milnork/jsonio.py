@@ -6,6 +6,7 @@ newline; byte-identical output is part of the pipeline contract.
 
 import json
 
+from . import linalg
 from .groundfield import INF, CoordValuation, RatFunc, SparsePoly
 from .kmilnor import Certificate, ParshinChain, Symbol
 
@@ -28,6 +29,29 @@ def field(data, name, what, kind=None):
         raise InputError("the %r field of %s must be a %s"
                          % (name, what, kind.__name__))
     return value
+
+
+def modulus(data, what):
+    """The 'ell' field: an integer of at least 2; InputError otherwise."""
+    ell = field(data, "ell", what, int)
+    if ell < 2:
+        raise InputError("the 'ell' field of %s must be at least 2" % what)
+    return ell
+
+
+def int_matrix(value, what, rows=None, cols=None):
+    """A list of lists of integers as a tuple of tuples, with the given
+    number of rows and of columns when those are given; InputError
+    otherwise."""
+    if not (isinstance(value, list) and all(
+            isinstance(row, list) and all(isinstance(v, int) for v in row)
+            for row in value)):
+        raise InputError("%s must be a list of lists of integers" % what)
+    if rows is not None and len(value) != rows:
+        raise InputError("%s must have %d rows" % (what, rows))
+    if cols is not None and any(len(row) != cols for row in value):
+        raise InputError("the rows of %s must have %d entries" % (what, cols))
+    return tuple(tuple(row) for row in value)
 
 
 def canonical_json(obj):
@@ -135,7 +159,8 @@ def decode_certificate(ff, data):
     chain = decode_chain(ff, field(data, "chain", what, dict))
     transform = data.get("transform")
     if transform is not None:
-        transform = tuple(tuple(row) for row in transform)
+        transform = int_matrix(transform, "the transform of %s" % what,
+                               ff.nvars, ff.nvars)
     return Certificate(statement, chain, field(data, "value", what, int),
                        field(data, "ell", what, int), transform=transform)
 
@@ -149,8 +174,13 @@ def decode_abc_group(data):
     from .abelcentral import AbcGroup
 
     what = "a group fragment"
-    return AbcGroup(field(data, "rank", what, int), field(data, "ell", what, int),
-                    [tuple(v) for v in data.get("relations", [])])
+    rank = field(data, "rank", what, int)
+    if rank < 0:
+        raise InputError("%s needs a rank of at least 0" % what)
+    return AbcGroup(rank, modulus(data, what),
+                    int_matrix(data.get("relations", []),
+                               "the relations of %s" % what,
+                               cols=linalg.wedge_dim(rank)))
 
 
 def encode_divisor(div):

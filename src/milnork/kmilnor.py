@@ -869,22 +869,11 @@ class KContext:
 
     # -- degree-1 class comparison --------------------------------------------
 
-    def kclass_compare(self, x, y, budget=48):
-        """Three-valued equality in degree one: classes agree, certified
-        distinct, or unknown within the budget."""
-        rel = self.kclass_closed_form(x, y)
-        if rel is not UNKNOWN:
-            return rel
-        cert = self.certificate_search([x / y], budget=budget, shifts=False)
-        if cert is not UNKNOWN:
-            return DISTINCT
-        return UNKNOWN
-
-    def kclass_closed_form(self, x, y):
-        """The part of kclass_compare that needs no search: EQUAL or DISTINCT
-        when the ratio is constant, a monomial, or a function of one
-        variable, else UNKNOWN.  A search can only add DISTINCT, so a caller
-        that reads only EQUAL needs nothing more."""
+    def kclass_compare(self, x, y):
+        """Three-valued equality in degree one, in closed form: EQUAL or
+        DISTINCT when the ratio is constant, a monomial, or a function of one
+        variable, else UNKNOWN.  No search is run: one could only certify
+        DISTINCT, and the callers act on EQUAL alone."""
         if x.is_zero() or y.is_zero():
             raise ZeroEntry("classes of zero are undefined")
         ratio = x / y

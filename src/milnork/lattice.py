@@ -192,6 +192,7 @@ class Universe:
         self._flats_by_rank = {}
         self._unresolved = set()
         self._certified = []
+        self._failed = set()
 
     def __len__(self):
         return len(self.subgroups)
@@ -258,11 +259,15 @@ class Universe:
 
     def _certify(self, key):
         """One certificate search for the set; a certified set is recorded
-        so that its subsets need none."""
+        so that its subsets need none.  The search is seeded by the set, so
+        one that ran out of budget would do so again and is not rerun."""
+        if key in self._failed:
+            return False
         cert = self.ctx.certificate_search(
             self._gens(key), budget=self.budget, seed=repr(sorted(key)),
             shifts=True)
         if cert is UNKNOWN:
+            self._failed.add(key)
             return False
         self._certified.append(key)
         return True

@@ -126,6 +126,31 @@ X0 = {"num": {"vars": 2, "terms": [
     ("kummer", {}),
     ("kummer", {"mult_k": {"n": 2, "ell": 3}, "mult_l": {"ell": 3}}),
     ("roundtrip", {}),
+    # list fields whose entries are not rows of integers of the right length
+    ("duality-check", {"group": GROUP, "mult": {"n": 2, "ell": 3,
+                                                "kernel": [5]}}),
+    ("duality-check", {"group": GROUP, "mult": {"n": 2, "ell": 3,
+                                                "kernel": [["a"]]}}),
+    ("duality-check", {"group": GROUP, "mult": {"n": 2, "ell": 0}}),
+    ("duality-check", {"group": GROUP, "mult": {"n": -1, "ell": 3}}),
+    ("abc-verify", {"group": {"rank": 2, "ell": 3, "relations": [7]}}),
+    ("abc-verify", {"group": {"rank": 3, "ell": 3, "relations": [[1]]}}),
+    ("rigidity", {"ell": 5, "ambient_dim": 2,
+                  "fragments": [{"name": "A", "members": [5]}],
+                  "phi": [[3, 0], [0, 3]]}),
+    ("rigidity", {"ell": 5, "ambient_dim": 2,
+                  "fragments": [{"name": "A", "members": [[1], [0]]}],
+                  "phi": [[3, 0], [0, 3]]}),
+    ("rigidity", {"ell": 5, "ambient_dim": 2, "fragments": [],
+                  "phi": [3]}),
+    ("rigidity", {"ell": 5, "ambient_dim": 2, "fragments": [],
+                  "phi": [[3], [0]]}),
+    ("kummer", {"mult_k": {"n": 2, "ell": 3}, "mult_l": {"n": 2, "ell": 3},
+                "phi": [1]}),
+    ("kummer", {"mult_k": {"n": 2, "ell": 3}, "mult_l": {"n": 2, "ell": 3},
+                "phi": [[1]]}),
+    ("kummer", {"mult_k": {"n": 2, "ell": 3}, "mult_l": {"n": 2, "ell": 3},
+                "phi": [[1, 0], [0, 1]], "pairing_k": [1]}),
 ])
 def test_malformed_input_exits_3(tmp_path, capsys, command, payload):
     path = tmp_path / "bad.json"
@@ -141,8 +166,11 @@ def test_malformed_input_exits_3(tmp_path, capsys, command, payload):
     {},
     {"statement": [X0], "chain": {"steps": [], "uniformizers": [],
                                   "ram_indices": []}},
+    {"statement": [X0], "chain": {"steps": [], "uniformizers": [],
+                                  "ram_indices": []},
+     "value": 1, "ell": 3, "transform": [[1, 0]]},
 ])
-def test_decode_certificate_rejects_missing_fields(payload):
+def test_decode_certificate_rejects_malformed_input(payload):
     ff = FunctionField(FieldTower(7, seed=0), 2)
     with pytest.raises(InputError):
         decode_certificate(ff, payload)

@@ -280,11 +280,18 @@ def test_failed_extension_falls_back_to_the_set(ctx5, subs, monkeypatch):
     assert uni._certified == [frozenset([0, 2])]
     assert full not in uni._indep_cache and full not in uni._unresolved
     # the fallback is the search a set gets on its own, so a set that
-    # fails both is unresolved, and the failed extension still leaves no trace
-    monkeypatch.setattr(ctx5, "certificate_search",
-                        lambda elements, **kw: UNKNOWN)
+    # fails both is unresolved, and the failed extension still leaves no
+    # trace; the extension, already failed once, is not searched again
+    searched.clear()
+
+    def fail(elements, **kw):
+        searched.append(kw["seed"])
+        return UNKNOWN
+
+    monkeypatch.setattr(ctx5, "certificate_search", fail)
     with pytest.raises(DimUnknown):
         uni.independent(frozenset([1, 3]))
+    assert searched == [repr([1, 3])]
     assert uni._unresolved == {frozenset([1, 3])}
     assert full not in uni._indep_cache
 
