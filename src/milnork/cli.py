@@ -58,14 +58,21 @@ class PipelineConfig:
     rank-one recovery four, plain K-theory two."""
 
     def __init__(self, data):
-        self.p = data["p"]
-        self.ell = data["ell"]
-        self.vars = data["vars"]
-        self.seed = data.get("seed", 0)
+        what = "the pipeline configuration"
+
+        def integer(name, default=None):
+            if default is not None and name not in data:
+                return default
+            return jsonio.field(data, name, what, int)
+
+        self.p = integer("p")
+        self.ell = jsonio.modulus(data, what)
+        self.vars = integer("vars")
+        self.seed = integer("seed", 0)
         self.tower_seed = data.get("tower_seed", 0)
-        self.budget = data.get("budget", 64)
-        self.workers = data.get("workers", 1)
-        self.max_rank = data.get("max_rank", 3)
+        self.budget = integer("budget", 64)
+        self.workers = integer("workers", 1)
+        self.max_rank = integer("max_rank", 3)
         self.universe_decl = list(data.get("universe", []))
         self.auto_universe = data.get("auto_universe")
         if self.p == self.ell:
@@ -197,9 +204,9 @@ def _quadratic_fragment(ctx, gens, budget, workers=1):
         entry = {"pair": [a, b]}
         if ctx.kclass_compare(gens[a], gens[b]) == EQUAL:
             entry["relation"] = "equal-classes"
-        elif ctx.jacobian_rank([gens[a], gens[b]]) < 2:
-            # both classes live in a one-dimensional subfield, where every
-            # degree-two symbol dies
+        elif ctx.trdeg_upper([gens[a], gens[b]]) < 2:
+            # both classes provably live in a one-dimensional subfield,
+            # where every degree-two symbol dies
             entry["relation"] = "vanishes-by-dimension"
         else:
             cert = ctx.canonical_certificate([gens[a], gens[b]], budget=budget)
@@ -257,16 +264,19 @@ def run_roundtrip(config, permutation):
     """Run the pipeline on the original and on the permuted configuration
     and check that the induced lattice isomorphism transfers to exactly the
     permutation-induced map of geometry points."""
-    artifacts1, (ctx1, uni1, lat1, g1) = run_pipeline(config)
-    perm_data = {
+    if (not all(isinstance(i, int) for i in permutation)
+            or sorted(permutation) != list(range(config.vars))):
+        raise ValueError("the permutation must rearrange 0..%d"
+                         % (config.vars - 1))
+    if config.auto_universe:
+        raise ValueError("roundtrip needs an explicit universe")
+    config2 = PipelineConfig({
         "p": config.p, "ell": config.ell, "vars": config.vars,
         "seed": config.seed, "tower_seed": config.tower_seed,
         "budget": config.budget, "workers": config.workers,
         "universe": [_permute_decl(d, permutation) for d in config.universe_decl],
-    }
-    if config.auto_universe:
-        raise ValueError("roundtrip needs an explicit universe")
-    config2 = PipelineConfig(perm_data)
+    })
+    artifacts1, (ctx1, uni1, lat1, g1) = run_pipeline(config)
     artifacts2, (ctx2, uni2, lat2, g2) = run_pipeline(config2)
     # declaration i maps to declaration i, so sources correspond by index
     node_map = {}

@@ -47,6 +47,11 @@ def _lcm(a, b):
     return a * b // gcd(a, b)
 
 
+def is_prime(n):
+    """Exact primality of an integer, by trial division."""
+    return n >= 2 and _prime_factors(n) == [n]
+
+
 def _prime_factors(n):
     out = []
     d = 2
@@ -210,7 +215,7 @@ class FieldTower:
     """
 
     def __init__(self, p, seed=0):
-        if p < 2 or any(p % q == 0 for q in range(2, min(p, 1000)) if q * q <= p):
+        if not is_prime(p):
             raise ValueError("p must be prime")
         self.p = p
         self.seed = seed

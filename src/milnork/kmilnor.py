@@ -14,7 +14,7 @@ import random
 import threading
 
 from . import linalg
-from .groundfield import INF, RatFunc, SparsePoly, ZeroInputError
+from .groundfield import INF, RatFunc, SparsePoly, ZeroInputError, is_prime
 
 
 class NotUniformizer(ValueError):
@@ -49,6 +49,11 @@ class _Unknown:
 
 
 UNKNOWN = _Unknown()
+
+# Entries a context keeps in its trial cache.  A pipeline's searches repeat
+# a few keys stored early; a stream of unrelated searches on one context
+# repeats almost none and would otherwise grow it by about 1.7 KB a trial.
+TRIAL_CACHE_LIMIT = 1024
 
 EQUAL = "equal"
 DISTINCT = "distinct"
@@ -444,17 +449,38 @@ class Certificate:
 
 class KContext:
     """Ambient data for mod-l K-theory computations: the function field, the
-    prime l, and seeded samplers."""
+    prime l, and seeded samplers.
+
+    Two caches are kept.  Under threads their reads and writes need no
+    lock: a value is only ever stored under its own key, and an entry lost
+    to a race or an emptied cache is recomputed.
+
+    _jacobian_cache (grow-only) maps the sorted keys of a nonlinear
+    generator list to its Jacobian rank.
+
+    _trial_values maps (symbol key, chain steps) to the scalar the symbol
+    takes along the chain, 0 for no certificate.  Searches evaluate only
+    coordinate chains, fixed by their steps and without covers, and
+    tame_chain depends on the field, the symbol, the chain and l alone, so
+    one evaluation serves every repeat.  Keys are plain tuples, since
+    hashing a Symbol recomputes its entry keys; stored keys share their
+    parts through _key_parts.  The cache is emptied when it reaches
+    TRIAL_CACHE_LIMIT entries.  Only search trials read it: evaluate,
+    tame_chain and Certificate.replay never do, so a replay recomputes
+    independently."""
 
     def __init__(self, field, ell):
+        if not is_prime(ell):
+            raise ValueError("l must be prime")
         if field.p == ell:
             raise ValueError("l must differ from the field characteristic")
         if ell == 2 and field.p == 2:
             raise ValueError("l = 2 needs odd characteristic")
         self.field = field
         self.ell = ell
-        # grow-only cache; concurrent read-write is safe, entries only repeat
         self._jacobian_cache = {}
+        self._trial_values = {}
+        self._key_parts = {}
 
     @property
     def nvars(self):
@@ -747,15 +773,36 @@ class KContext:
         try:
             sym = Symbol(entries)
             chain = coordinate_chain(self.field, vars_, centers)
-            value = tame_chain(self.field, sym, chain, self.ell)
-        except (ZeroEntry, ChainError, ZeroInputError, ZeroDivisionError):
+        except (ZeroEntry, ChainError):
             return None
-        if not value.is_scalar():
-            return None
-        v = value.scalar()
+        key = (sym.key(), chain.steps)
+        v = self._trial_values.get(key)
+        if v is None:
+            v = self._chain_value(sym, chain)
+            self._remember(key, v)
         if v == 0:
             return None
         return Certificate(sym, chain, v, self.ell, transform=transform)
+
+    def _remember(self, key, value):
+        """Store a trial value under a key whose parts are shared with the
+        keys already stored; a full cache is emptied first."""
+        if len(self._trial_values) >= TRIAL_CACHE_LIMIT:
+            self._trial_values.clear()
+            self._key_parts.clear()
+        parts = self._key_parts
+        sym_key, steps = key
+        key = (tuple(parts.setdefault(k, k) for k in sym_key),
+               parts.setdefault(steps, steps))
+        self._trial_values[key] = value
+
+    def _chain_value(self, sym, chain):
+        """The scalar of a full-length evaluation, 0 when there is none."""
+        try:
+            value = tame_chain(self.field, sym, chain, self.ell)
+        except (ZeroEntry, ChainError, ZeroInputError, ZeroDivisionError):
+            return 0
+        return value.scalar() if value.is_scalar() else 0
 
     def _search_parallel(self, elements, trials, workers):
         """Race the trials across threads with first-success cancellation,
@@ -802,8 +849,10 @@ class KContext:
     # -- dimension -----------------------------------------------------------
 
     def jacobian_rank(self, gens):
-        """Transcendence degree bound via the rank of the Jacobian of the
-        Frobenius-stripped generators; exact fraction-free elimination.
+        """Transcendence degree lower bound via the rank of the Jacobian of
+        the Frobenius-stripped generators; exact fraction-free elimination.
+        Full rank proves independence; a rank below the number of
+        generators proves nothing in characteristic p (see trdeg_upper).
 
         When every nonconstant generator is linear in the sense of
         _linear_part, its Jacobian row is its prime-field coefficient vector
@@ -832,19 +881,37 @@ class KContext:
         self._jacobian_cache[key] = rank
         return rank
 
-    def milnor_dim_bounds(self, gens, trdeg=None, budget=64, seed=0):
-        """(certified lower, axiom-backed upper) for the span of the given
-        classes.  The upper bound is the transcendence degree of the field
-        the generators cut out; degree-s symbols vanish above it.
+    def trdeg_upper(self, gens):
+        """An upper bound on the transcendence degree of the field the
+        nonconstant generators cut out, each one backed by a witness: the
+        F_p rank of the coefficient vectors when every generator is linear
+        in the sense of _linear_part (exact, since an F_p relation between
+        the vectors is an affine relation between the generators), else the
+        number of generators or of variables they use, whichever is smaller.
 
-        Subsets whose own transcendence bound is below the target degree
-        cannot carry a nonzero symbol of that degree and are skipped, so the
-        search never burns its budget on dependent tuples."""
+        The Jacobian rank is no such bound: in characteristic p it can fall
+        below the transcendence degree, as for x and x + y^p."""
+        gens = [g for g in gens if not g.is_constant()]
+        rows = [self._linear_part(g) for g in gens]
+        if None not in rows:
+            return linalg.rank(tuple(rows), self.field.p)
+        used = set().union(*(g.vars_used() for g in gens))
+        return min(len(gens), len(used))
+
+    def milnor_dim_bounds(self, gens, trdeg=None, budget=64, seed=0):
+        """(certified lower, witnessed upper) for the span of the given
+        classes.  The upper bound is trdeg_upper of the generators, a bound
+        on the transcendence degree of the field they cut out; degree-s
+        symbols vanish above it.
+
+        Subsets whose own trdeg_upper is below the target degree cannot
+        carry a nonzero symbol of that degree and are skipped, so the search
+        never burns its budget on provably dependent tuples."""
         d = self.nvars if trdeg is None else trdeg
         gens = [g for g in gens if not g.is_constant()]
         if not gens:
             return 0, 0
-        upper = min(d, self.jacobian_rank(gens))
+        upper = min(d, self.trdeg_upper(gens))
         if upper == 0:
             return 0, 0
         lower = 0
@@ -852,7 +919,7 @@ class KContext:
             found = False
             for subset in itertools.combinations(range(len(gens)), r):
                 chosen = [gens[i] for i in subset]
-                if r > 1 and self.jacobian_rank(chosen) < r:
+                if r > 1 and self.trdeg_upper(chosen) < r:
                     continue
                 # translates of each generator stay in its own subfield, so
                 # shifted certificates witness the subfield-span dimension

@@ -199,15 +199,15 @@ class Universe:
 
     def independent(self, indices):
         """Certified algebraic independence of the generators: dependence is
-        decided by the transcendence bound, independence by one certified
-        symbol of full length built from subfield translates.
+        decided by a witnessed transcendence bound (KContext.trdeg_upper),
+        independence by one certified symbol of full length built from
+        subfield translates.  A set with neither is unresolved.
 
-        Two dependent answers need no Jacobian.  A set with more members
-        than variables exceeds the bound min(nvars, Jacobian rank).  A set
-        that contains a cached dependent set minus one member is dependent
-        too: that subset was cached because its Jacobian rank fell short of
-        its size, and one more generator adds one row, which raises the rank
-        by at most one (Oxley, Matroid Theory, ch. 1).
+        Two dependent answers need no bound.  A set with more members than
+        variables exceeds the transcendence degree of the field.  A set that
+        contains a cached dependent set minus one member is dependent too,
+        as every superset of a dependent set is (Oxley, Matroid Theory,
+        ch. 1).
 
         A subset of a certified set is independent without a search.  A set
         that needs one is first extended: universe members are scanned in
@@ -230,7 +230,7 @@ class Universe:
             return False
         if any(key <= s for s in self._certified):
             out = True
-        elif self.ctx.jacobian_rank(self._gens(key)) < len(key):
+        elif self.ctx.trdeg_upper(self._gens(key)) < len(key):
             out = False
         else:
             extended = self._extend(key)

@@ -12,7 +12,7 @@ from milnork.jsonio import (
     encode_chain,
     encode_ratfunc,
 )
-from milnork.kmilnor import coordinate_chain
+from milnork.kmilnor import KContext, coordinate_chain
 
 
 @pytest.fixture()
@@ -87,6 +87,8 @@ def test_certify_malformed_input_exits_3(tmp_path, capsys, payload):
 
 
 GROUP = {"rank": 2, "ell": 3, "relations": []}
+CONFIG5 = {"p": 7, "ell": 3, "vars": 5,
+           "universe": [{"var": i} for i in range(5)]}
 X0 = {"num": {"vars": 2, "terms": [
     {"exp": [1, 0], "coef": {"level": 1, "coeffs": [1]}}]},
     "den": {"vars": 2, "terms": [
@@ -151,6 +153,17 @@ X0 = {"num": {"vars": 2, "terms": [
                 "phi": [[1]]}),
     ("kummer", {"mult_k": {"n": 2, "ell": 3}, "mult_l": {"n": 2, "ell": 3},
                 "phi": [[1, 0], [0, 1]], "pairing_k": [1]}),
+    # a composite ell, and configuration fields that are no integers
+    ("pipeline", dict(CONFIG5, ell=4)),
+    ("pipeline", dict(CONFIG5, max_rank="a")),
+    ("pipeline", dict(CONFIG5, budget="a")),
+    ("pipeline", dict(CONFIG5, seed=[1])),
+    ("pipeline", dict(CONFIG5, vars="5")),
+    ("pipeline", dict(CONFIG5, workers="2")),
+    # permutations that do not rearrange range(vars)
+    ("roundtrip", dict(CONFIG5, permutation=[0, 1])),
+    ("roundtrip", dict(CONFIG5, permutation=[0, 0, 1, 2, 3])),
+    ("roundtrip", dict(CONFIG5, permutation=[0, 1, 2, 3, "4"])),
 ])
 def test_malformed_input_exits_3(tmp_path, capsys, command, payload):
     path = tmp_path / "bad.json"
@@ -160,6 +173,39 @@ def test_malformed_input_exits_3(tmp_path, capsys, command, payload):
     assert code == EXIT_FAILURE and captured.out == ""
     assert captured.err.startswith("error: ")
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("command, payload", [
+    ("dim", {"generators": [X0]}),
+    ("certify", {"elements": [X0]}),
+])
+def test_composite_ell_exits_3(tmp_path, capsys, command, payload):
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(payload))
+    code = main(["--vars", "2", "--ell", "4", command, str(path)])
+    captured = capsys.readouterr()
+    assert code == EXIT_FAILURE and captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+def test_roundtrip_rejects_a_repeated_index(tmp_path, capsys):
+    # once reported as a universe with too few subgroups
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(dict(CONFIG5, permutation=[0, 0, 1, 2, 3])))
+    code = main(["roundtrip", str(path)])
+    err = capsys.readouterr().err
+    assert code == EXIT_FAILURE and "permutation" in err
+
+
+def test_p_power_mixture_is_no_vanishing_pair():
+    from milnork.cli import _quadratic_fragment
+
+    ff = FunctionField(FieldTower(3, seed=0), 2)
+    ctx = KContext(ff, 2)
+    x, y = ff.var(0), ff.var(1)
+    (entry,) = _quadratic_fragment(ctx, [x, x + y ** 3], 64)["pairs"]
+    assert entry["relation"] == "independent"
+    assert decode_certificate(ff, entry["certificate"]).replay()
 
 
 @pytest.mark.parametrize("payload", [

@@ -1,8 +1,13 @@
 """Symbols, tame steps, chains, pullbacks, certificates, dimension bounds."""
 
 import random
+import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from milnork import kmilnor
 
 from milnork.groundfield import INF, CoordValuation, FieldTower, FunctionField
 from milnork.kmilnor import (
@@ -291,9 +296,12 @@ def test_certificate_search_straightens_linear_entries(ctx5, ff5):
 def test_parallel_search_matches_sequential(ctx5, ff5):
     ts = [ff5.var(i) for i in range(4)]
     seq = ctx5.certificate_search(ts, budget=32, seed=5, workers=1)
+    # the sequential search has filled the trial cache the threads now read
+    assert ctx5._trial_values
     par = ctx5.certificate_search(ts, budget=32, seed=5, workers=4)
     assert seq.value == par.value
     assert seq.statement.key() == par.statement.key()
+    assert seq.chain.steps == par.chain.steps
 
 
 def test_milnor_dim_bounds_examples(ctx5, ff5):
@@ -309,6 +317,30 @@ def test_milnor_dim_bounds_frobenius_powers(ctx5, ff5):
     ts = [ff5.var(i) for i in range(5)]
     assert ctx5.milnor_dim_bounds([ts[0] ** 7, ts[1]]) == (2, 2)
     assert ctx5.milnor_dim_bounds([ts[0] ** 49]) == (1, 1)
+
+
+def test_milnor_dim_bounds_p_power_mixture():
+    ff = FunctionField(FieldTower(3, seed=0), 2)
+    ctx = KContext(ff, 2)
+    x, y = ff.var(0), ff.var(1)
+    gens = [x, x + y ** 3]
+    assert ctx.jacobian_rank(gens) == 1
+    assert ctx.milnor_dim_bounds(gens) == (2, 2)
+    cert = ctx.certificate_search(gens, shifts=True)
+    assert cert is not UNKNOWN and len(cert.statement) == 2 and cert.replay()
+
+
+def test_trdeg_upper_needs_a_witness(ff2):
+    ctx = KContext(ff2, 3)
+    x, y = ff2.var(0), ff2.var(1)
+    # linear: the F_p rank, constants ignored
+    assert ctx.trdeg_upper([x, x + ff2.const(1), ff2.const(2)]) == 1
+    assert ctx.trdeg_upper([x + y, x - y]) == 2
+    # otherwise the count of members or of variables used
+    assert ctx.trdeg_upper([x ** 2, x * x * x]) == 1
+    assert ctx.trdeg_upper([x * y, (x * y) ** 2]) == 2
+    assert ctx.jacobian_rank([x * y, (x * y) ** 2]) == 1
+    assert ctx.milnor_dim_bounds([x * y, (x * y) ** 2], budget=16) == (1, 2)
 
 
 def test_kclass_compare(ctx2, ff2):
@@ -375,3 +407,165 @@ def test_monomial_pullback_composes(ff2):
     assert twice.ram_indices == (4, 2)
     sym = Symbol([ff2.var(0), ff2.var(1)])
     assert tame_chain(ff2, sym, twice, 3).scalar() == (4 * 2) % 3
+
+
+def _spy_tame_chain(monkeypatch):
+    """Record (statement key, chain steps) of every tame_chain call."""
+    calls = []
+    inner = kmilnor.tame_chain
+
+    def spy(field, sym, chain, ell, pull=True):
+        calls.append((sym.key(), chain.steps))
+        return inner(field, sym, chain, ell, pull=pull)
+
+    monkeypatch.setattr(kmilnor, "tame_chain", spy)
+    return calls
+
+
+def _outcome(cert):
+    if cert is UNKNOWN:
+        return UNKNOWN
+    assert cert.replay()
+    return (cert.statement.key(), cert.chain.steps, cert.value,
+            cert.transform)
+
+
+class _Forgetful(dict):
+    """A trial cache that stores nothing: every trial is evaluated."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
+def test_straightened_searches_evaluate_each_pair_once(ff5, monkeypatch):
+    ctx = KContext(ff5, 3)
+    calls = _spy_tame_chain(monkeypatch)
+    rng = random.Random(3)
+    certs = []
+    while len(certs) < 6:
+        rows = [[rng.randrange(7) for _ in range(5)] for _ in range(5)]
+        gens = []
+        for row in rows:
+            g = ff5.const(rng.randrange(7))
+            for i, a in enumerate(row):
+                g = g + ff5.const(a) * ff5.var(i)
+            gens.append(g)
+        if ctx.trdeg_upper(gens) < 5:
+            continue
+        cert = ctx.certificate_search(gens, budget=16, seed=len(certs),
+                                      shifts=True)
+        assert cert is not UNKNOWN
+        certs.append(cert)
+    assert len(calls) == len(set(calls))
+    # straightened and shifted, every set became the coordinate symbol on
+    # the zero chain, evaluated by the first search alone
+    coordinate = (Symbol([ff5.var(i) for i in range(5)]).key(),
+                  coordinate_chain(ff5, range(5), [ff5.tower.zero()] * 5).steps)
+    statements = [(c.statement.key(), c.chain.steps) for c in certs]
+    assert statements.count(coordinate) >= 3
+    assert calls.count(coordinate) == 1
+    assert all(c.replay() for c in certs)
+
+
+def test_replay_recomputes_a_cached_pair(ff5, monkeypatch):
+    ctx = KContext(ff5, 3)
+    cert = ctx.certificate_search([ff5.var(1), ff5.var(0) + ff5.var(2)],
+                                  budget=40, seed=0)
+    key = (cert.statement.key(), cert.chain.steps)
+    assert ctx._trial_values[key] == cert.value
+    calls = _spy_tame_chain(monkeypatch)
+    assert cert.replay()
+    assert ctx.evaluate(cert.statement, cert.chain).scalar() == cert.value
+    assert calls == [key, key]
+
+
+def test_full_trial_cache_is_emptied(ff5, monkeypatch):
+    monkeypatch.setattr(kmilnor, "TRIAL_CACHE_LIMIT", 4)
+    ctx, oracle = KContext(ff5, 3), KContext(ff5, 3)
+    oracle._trial_values = _Forgetful()
+    t = [ff5.var(i) for i in range(5)]
+    cases = [[t[0] * t[1], t[1] * t[2] + ff5.const(1)], [t[1], t[0] + t[2]],
+             [t[0] * t[1], t[1] * t[2] + ff5.const(1)]]
+    for elements in cases:
+        got = ctx.certificate_search(elements, budget=12, seed=2, shifts=True)
+        assert 0 < len(ctx._trial_values) <= 4
+        assert len(ctx._key_parts) <= 4 * 3
+        assert _outcome(got) == _outcome(oracle.certificate_search(
+            elements, budget=12, seed=2, shifts=True))
+
+
+def test_threads_racing_on_one_cache_find_the_sequential_answer(ff5):
+    # more workers than cores and a short switch interval; the oracle
+    # evaluates every trial on its own, one at a time
+    t, one = [ff5.var(i) for i in range(5)], ff5.const(1)
+    cases = [([t[0] * t[1] + one, t[1] + t[2]], True),
+             ([t[0] + t[1] * t[1], t[1] + ff5.const(2)], True),
+             ([t[0] * t[1] + t[2], t[2] + t[1]], True),
+             ([t[0] * t[1], t[1] * t[2] + one, t[2] * t[3]], False)]
+    shared = KContext(ff5, 3)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for elements, shifts in cases * 2:
+            oracle = KContext(ff5, 3)
+            oracle._trial_values = _Forgetful()
+            want = oracle.certificate_search(elements, budget=24, seed=1,
+                                             shifts=shifts)
+            got = shared.certificate_search(elements, budget=24, seed=1,
+                                            shifts=shifts, workers=4)
+            assert _outcome(got) == _outcome(want)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+_DIFF_FIELD = FunctionField(FieldTower(5, seed=0), 3)
+_WARM = KContext(_DIFF_FIELD, 3)
+
+
+@st.composite
+def _search_elements(draw):
+    ff = _DIFF_FIELD
+    const = st.integers(0, 4)
+
+    def linear():
+        g = ff.const(draw(const))
+        for i in range(3):
+            g = g + ff.const(draw(const)) * ff.var(i)
+        return g
+
+    def univariate():
+        i = draw(st.integers(0, 2))
+        g = ff.const(draw(const))
+        for k in range(1, draw(st.integers(1, 3)) + 1):
+            g = g + ff.const(draw(const)) * ff.var(i) ** k
+        return g
+
+    def mixed():
+        i, j = draw(st.permutations(range(3)))[:2]
+        g = ff.var(i) * ff.var(j) + ff.const(draw(const)) * ff.var(j)
+        if draw(st.booleans()):
+            g = g / (ff.var(i) + ff.const(draw(st.integers(1, 4))))
+        return g + ff.const(draw(const))
+
+    makers = draw(st.lists(st.sampled_from([linear, univariate, mixed]),
+                           min_size=1, max_size=3))
+    elements = [make() for make in makers]
+    if any(g.is_zero() for g in elements):
+        elements = [ff.var(0)]
+    return elements, draw(st.booleans()), draw(st.integers(0, 3))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_search_elements())
+def test_warm_context_finds_the_fresh_certificate(case):
+    # oracles: a context with an empty cache, and one that evaluates every
+    # trial; the shared context keeps the entries of every earlier example
+    elements, shifts, seed = case
+    fresh, uncached = KContext(_DIFF_FIELD, 3), KContext(_DIFF_FIELD, 3)
+    uncached._trial_values = _Forgetful()
+    want = _outcome(uncached.certificate_search(elements, budget=12,
+                                                seed=seed, shifts=shifts))
+    for ctx in (fresh, _WARM, _WARM):
+        got = _outcome(ctx.certificate_search(elements, budget=12, seed=seed,
+                                              shifts=shifts))
+        assert got == want

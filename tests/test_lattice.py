@@ -151,9 +151,36 @@ def test_independent_dependence_short_cuts(ctx5, subs, ff5, monkeypatch):
     assert calls == []
     assert uni.independent(frozenset([0, 2, 5])) is True
     assert uni.independent(frozenset(range(5))) is True
-    # {0, 2, 5} is extended before its search: t1 is rejected (t0*t1 is in
-    # the set already), t3 and t4 are kept; range(5) is no subset of that
-    assert calls == [3, 4, 4, 5, 5]
+    # dependence is decided without a Jacobian; {0, 2, 5} is extended
+    # before its search: t1 is rejected (t0*t1 is in the set already), t3
+    # and t4 are kept; range(5) has nvars members and is not extended
+    assert calls == [4, 4, 5]
+
+
+def test_p_power_mixtures_are_independent():
+    # p = 3: the Jacobian of x + y^3 forgets y^3, so the rank of
+    # [x, x + y^3] is 1, yet the pair carries a certified symbol
+    ff = FunctionField(FieldTower(3, seed=0), 2)
+    ctx = KContext(ff, 2)
+    x, y = ff.var(0), ff.var(1)
+    gens = [x, y, x + y ** 3]
+    uni = Universe(ctx, [RationalSubgroup(ctx, g, "g%d" % i)
+                         for i, g in enumerate(gens)])
+    assert ctx.jacobian_rank([x, x + y ** 3]) == 1
+    assert uni.independent(frozenset([0, 2])) is True
+    assert [uni.rank(frozenset(k)) for k in ([0], [0, 2], [1, 2])] == [1, 2, 2]
+    assert uni.closure(frozenset([0])) == frozenset([0])
+
+
+def test_dependence_without_witness_is_unknown(ff2):
+    # {xy, (xy)^2} vanishes and the Jacobian rank is 1, but the pair uses
+    # two variables and is not linear: no witness, so no dependent answer
+    ctx = KContext(ff2, 3)
+    xy = ff2.var(0) * ff2.var(1)
+    uni = Universe(ctx, [RationalSubgroup(ctx, g, "g%d" % i)
+                         for i, g in enumerate([xy, xy ** 2])], budget=16)
+    with pytest.raises(DimUnknown):
+        uni.independent(frozenset([0, 1]))
 
 
 class SearchEverySet(Universe):
