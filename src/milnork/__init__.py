@@ -38,10 +38,9 @@ from .lattice import (
 )
 from .geometry import (
     ClosureGeometry,
-    GradedLatticeView,
-    c_construction,
     check_axioms,
     eval_lcl,
+    flats_by_covers,
     transfer_isomorphism,
 )
 from .abelcentral import (
@@ -63,8 +62,8 @@ __all__ = [
     "DeltaSet", "LatticeFragment", "RationalSubgroup", "SubgroupFragment",
     "Universe", "delta_set", "div_ell", "epsilon_rigidity_check", "omega",
     "recover_rank_1", "recover_rank_r", "very_general_search",
-    "ClosureGeometry", "GradedLatticeView", "c_construction", "check_axioms",
-    "eval_lcl", "transfer_isomorphism",
+    "ClosureGeometry", "check_axioms", "eval_lcl", "flats_by_covers",
+    "transfer_isomorphism",
     "AbcGroup", "MultFragment", "commutator_form", "duality_check",
     "h2_brute_force", "kummer_bridge", "upsilon", "word_normal_form",
 ]

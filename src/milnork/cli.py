@@ -2,8 +2,8 @@
 
 The pipeline assembles the quadratic-algebra fragment from certified symbol
 values, recovers the graded lattice fragment relative to the declared
-universe, applies the closure construction, and emits the geometry with its
-axiom report.  All output JSON is canonical and byte-stable: the search seed
+universe, finds the flats of the closure geometry on its points, and emits
+the geometry with its axiom report.  All output JSON is canonical and byte-stable: the search seed
 only affects internal search order, never the artifacts.
 """
 
@@ -155,8 +155,7 @@ def run_pipeline(config):
 
     # step 1: the quadratic algebra fragment on the universe generators
     gens = [s.gen for s in subs]
-    kring = _quadratic_fragment(ctx, gens, config.budget,
-                                workers=config.workers)
+    kring = _quadratic_fragment(ctx, gens, config.budget)
 
     # step 2: the graded lattice fragment
     r2 = recover_rank_r(universe, 2)
@@ -167,11 +166,11 @@ def run_pipeline(config):
         higher.extend(recover_rank_r(universe, r))
     lat = LatticeFragment(r1 + r2 + r3 + higher)
 
-    # step 3: the closure construction over the universe join oracle
+    # step 3: the geometry of flats over the universe closure
     geometry = _universe_geometry(universe, r1)
 
     # step 4: axiom report
-    report = geom_mod.check_axioms(geometry, exhaustive_limit=12)
+    report = geom_mod.check_axioms(geometry)
 
     artifacts = {
         "version": jsonio.SCHEMA_VERSION,
@@ -189,18 +188,13 @@ def run_pipeline(config):
     return artifacts, (ctx, universe, lat, geometry)
 
 
-def _quadratic_fragment(ctx, gens, budget, workers=1):
+def _quadratic_fragment(ctx, gens, budget):
     """Degree-one generators with certified degree-two relations: every
     generator pair carries either a nonzero-symbol certificate or an
-    equality witness; unknown pairs are reported as such.
-
-    Pairs are independent work items; with several workers they are mapped
-    across a thread pool and collected back in declaration order, so the
-    output does not depend on the worker count."""
+    equality witness; unknown pairs are reported as such."""
     from .kmilnor import EQUAL
 
-    def entry_for(pair):
-        a, b = pair
+    def entry_for(a, b):
         entry = {"pair": [a, b]}
         if ctx.kclass_compare(gens[a], gens[b]) == EQUAL:
             entry["relation"] = "equal-classes"
@@ -217,46 +211,34 @@ def _quadratic_fragment(ctx, gens, budget, workers=1):
                 entry["certificate"] = jsonio.encode_certificate(cert)
         return entry
 
-    work = list(itertools.combinations(range(len(gens)), 2))
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            pairs = list(ex.map(entry_for, work))
-    else:
-        pairs = [entry_for(w) for w in work]
     return {
         "generators": [jsonio.encode_ratfunc(g) for g in gens],
-        "pairs": pairs,
+        "pairs": [entry_for(a, b)
+                  for a, b in itertools.combinations(range(len(gens)), 2)],
     }
 
 
 def _universe_geometry(universe, rank1_nodes):
+    """The geometry on the recovered points, found by covers: the closure
+    of a point set is every point below the universe closure of its
+    sources."""
     points = sorted(rank1_nodes, key=lambda n: sorted(n.sources))
 
-    def join(subset):
-        tot = frozenset().union(*(n.sources for n in subset))
-        return universe.closure(tot)
+    def closure(subset):
+        closed = universe.closure(frozenset().union(*(n.sources for n in subset)))
+        return frozenset(n for n in points if n.sources <= closed)
 
-    def point_leq(pt, closed):
-        return pt.sources <= closed
-
-    view = geom_mod.GradedLatticeView(points, join, point_leq)
-    return geom_mod.c_construction(view)
+    return geom_mod.flats_by_covers(points, closure)
 
 
 def _geometry_json(geometry):
-    pts = {n: "p%d" % i for i, n in enumerate(
-        sorted(geometry.points, key=lambda n: sorted(n.sources)))}
-    flats = set()
-    for r in range(len(pts) + 1):
-        for sub in itertools.combinations(geometry.points, r):
-            flats.add(frozenset(geometry.cl(sub)))
+    pts = {n: "p%d" % i for i, n in enumerate(geometry.points)}
     return {
         "points": [
             {"id": pts[n], "sources": sorted(n.sources)} for n in pts
         ],
-        "closed_sets": sorted(sorted(pts[n] for n in f) for f in flats),
+        "closed_sets": sorted(sorted(pts[n] for n in f)
+                              for f in geometry.flats),
     }
 
 
@@ -508,6 +490,10 @@ def cmd_lcl_eval(args):
     what = "lcl-eval input"
     geometry = geom_mod.ClosureGeometry.from_json(
         jsonio.field(data, "geometry", what, dict))
+    witness = geometry.table_witness()
+    if witness is not None:
+        raise jsonio.InputError("the closure table is not a closure operator: "
+                                "%s" % json.dumps(geom_mod.encode_witness(witness)))
     free, rows = geom_mod.eval_lcl(geometry, jsonio.field(data, "formula", what),
                                    params=data.get("params"))
     _emit(args, {"free": free, "tuples": sorted(map(list, rows))})

@@ -11,7 +11,6 @@ step by step, so full-length evaluations land in Z/l.
 
 import itertools
 import random
-import threading
 
 from . import linalg
 from .groundfield import INF, RatFunc, SparsePoly, ZeroInputError, is_prime
@@ -653,6 +652,8 @@ class KContext:
         one-variable subfields as the elements, so a shifted certificate
         witnesses a nonzero symbol from the subfield tuple, the form the
         subgroup recipes consume.
+
+        workers is accepted and ignored: the trials run one after another.
         """
         elements = list(elements)
         r = len(elements)
@@ -710,8 +711,6 @@ class KContext:
                 produced += 1
                 yield (tuple(vars_), point, use_shift, transform)
 
-        if workers > 1:
-            return self._search_parallel(elements, list(trial_stream()), workers)
         for trial in trial_stream():
             cert = self._try_trial(elements, trial)
             if cert is not None:
@@ -803,35 +802,6 @@ class KContext:
         except (ZeroEntry, ChainError, ZeroInputError, ZeroDivisionError):
             return 0
         return value.scalar() if value.is_scalar() else 0
-
-    def _search_parallel(self, elements, trials, workers):
-        """Race the trials across threads with first-success cancellation,
-        then re-check the prefix sequentially so the returned certificate is
-        the one a single worker would have found."""
-        from concurrent.futures import ThreadPoolExecutor
-
-        stop = threading.Event()
-        results = {}
-
-        def run(idx_trial):
-            idx, trial = idx_trial
-            if stop.is_set():
-                return
-            cert = self._try_trial(elements, trial)
-            if cert is not None:
-                results[idx] = cert
-                stop.set()
-
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            list(ex.map(run, enumerate(trials)))
-        if not results:
-            return UNKNOWN
-        best = min(results)
-        for idx in range(best):
-            cert = self._try_trial(elements, trials[idx])
-            if cert is not None:
-                return cert
-        return results[best]
 
     def canonical_certificate(self, elements, budget=64, shifts=False):
         """Deterministic, seed-free certificate enumeration; used whenever a

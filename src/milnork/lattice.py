@@ -12,7 +12,7 @@ unknown in between).
 import itertools
 import random
 
-from . import linalg
+from . import geometry, linalg
 from .groundfield import INF, CoordValuation, FunctionField, RatFunc
 from .kmilnor import UNKNOWN, _univariate_divisor
 
@@ -174,7 +174,8 @@ class Universe:
     Ranks are computed greedily through a certified independence oracle:
     algebraic independence obeys exchange, so a maximal independent subset
     collected in sorted order has the full rank, and the oracle answers are
-    shared across the exponentially many subsets the recipes probe.
+    shared across the sets the recipes probe.  The flats of each rank are
+    found as covers of the flats one rank down (Universe.flats).
 
     One certificate answers many queries.  A nonzero symbol has nonzero
     sub-symbols, {a,b,c} = {a,b}.{c}, so every subset of a certified set is
@@ -186,10 +187,11 @@ class Universe:
         self.ctx = ctx
         self.subgroups = list(subgroups)
         self.budget = budget
-        self._rank_cache = {}
+        self._basis_cache = {}
         self._indep_cache = {}
         self._closure_cache = {}
         self._flats_by_rank = {}
+        self._layers = {}
         self._unresolved = set()
         self._certified = []
         self._failed = set()
@@ -273,27 +275,33 @@ class Universe:
         return True
 
     def rank(self, indices):
-        """Certified dimension of the join of the indexed subgroups.
+        """Certified dimension of the join of the indexed subgroups: the
+        size of the greedy basis.
 
         Raises DimUnknown when the certificate budget cannot close the gap.
         """
+        return len(self.basis(indices))
+
+    def basis(self, indices):
+        """The greedy basis of the set: its members in index order, each
+        kept when independent of those kept before.  By Gale's theorem it is
+        the lexicographically least basis of the set."""
         key = frozenset(indices)
-        cached = self._rank_cache.get(key)
-        if cached is not None:
-            return cached
-        basis = []
-        for i in sorted(key):
-            if self.independent(frozenset(basis + [i])):
-                basis.append(i)
-        self._rank_cache[key] = len(basis)
-        return len(basis)
+        basis = self._basis_cache.get(key)
+        if basis is None:
+            basis = []
+            for i in sorted(key):
+                if self.independent(frozenset(basis + [i])):
+                    basis.append(i)
+            basis = self._basis_cache[key] = tuple(basis)
+        return basis
 
     def closure(self, indices):
         """All universe subgroups that do not raise the rank of the set.
 
         A computed flat of the same rank containing the set already is its
-        closure, so the exponentially many queries the geometry makes
-        collapse onto the finitely many flats."""
+        closure, so the covers that Universe.flats and the pipeline geometry
+        ask for collapse onto the finitely many flats."""
         base = frozenset(indices)
         cached = self._closure_cache.get(base)
         if cached is not None:
@@ -315,6 +323,22 @@ class Universe:
         self._flats_by_rank.setdefault(r, []).append(out)
         return out
 
+    def flats(self, r):
+        """The rank-r flats, in order of discovery: the closure of the
+        empty set for r = 0, else the covers of the rank-(r - 1) flats.
+        Memoized per rank."""
+        layer = self._layers.get(r)
+        if layer is None:
+            if r == 0:
+                layer = [self.closure(())]
+            else:
+                points = range(len(self.subgroups))
+                layer = list(dict.fromkeys(
+                    c for f in self.flats(r - 1)
+                    for c in geometry.covers(f, points, self.closure)))
+            self._layers[r] = layer
+        return layer
+
     def fragment(self, sources, rank, provenance=None):
         sources = frozenset(sources)
         gens = [self.subgroups[i].gen for i in sorted(sources)]
@@ -326,33 +350,23 @@ class Universe:
                                 provenance=prov)
 
 
-def recover_rank_r(universe, r, budget=None):
+def recover_rank_r(universe, r):
     """Fragments of the rank-r lattice layer: joins of universe subsets that
-    are maximal, within the universe, among sets of dimension exactly r."""
+    are maximal, within the universe, among sets of dimension exactly r.
+
+    These are the rank-r flats of the universe, found as covers of the
+    rank-(r - 1) flats (Universe.flats).  Each records as its seed its greedy
+    basis, the lexicographically least set of r members that spans it."""
     if r < 2:
         raise ValueError("the recipe applies to rank two and above")
-    if budget is not None:
-        universe.budget = budget
-    n = len(universe)
-    flats = {}
-    for seed in itertools.combinations(range(n), r):
-        if universe.rank(seed) != r:
-            continue
-        closed = universe.closure(seed)
-        if closed not in flats:
-            flats[closed] = seed
-    out = []
-    for closed in sorted(flats, key=lambda s: sorted(s)):
-        out.append(universe.fragment(closed, r, provenance={"seed": sorted(flats[closed])}))
-    return out
+    return [universe.fragment(f, r, provenance={"seed": list(universe.basis(f))})
+            for f in sorted(universe.flats(r), key=sorted)]
 
 
-def recover_rank_1(universe, rank2_sets, rank3_sets, budget=None):
+def recover_rank_1(universe, rank2_sets, rank3_sets):
     """Rank-one fragments recovered through the witness conditions: distinct
     rank-two subgroups inside a common rank-three one, linked through an
     outside rational direction, intersecting in the fragment."""
-    if budget is not None:
-        universe.budget = budget
     out = {}
     by2 = list(rank2_sets)
     by3 = list(rank3_sets)

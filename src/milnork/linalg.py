@@ -7,14 +7,6 @@ here is exact; l is assumed prime throughout.
 from itertools import combinations
 
 
-def vec(entries, l):
-    return tuple(e % l for e in entries)
-
-
-def zeros(n):
-    return tuple(0 for _ in range(n))
-
-
 def identity(n):
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
@@ -38,14 +30,6 @@ def mat_mul(A, B, l):
 
 def transpose(A):
     return tuple(zip(*A)) if A else ()
-
-
-def scale_vec(c, v, l):
-    return tuple((c * x) % l for x in v)
-
-
-def add_vec(u, v, l):
-    return tuple((a + b) % l for a, b in zip(u, v))
 
 
 def sub_vec(u, v, l):
@@ -188,9 +172,6 @@ class Subspace:
 
     def __repr__(self):
         return "Subspace(dim=%d, n=%d)" % (self.dim, self.n)
-
-    def sum(self, other):
-        return Subspace(self.n, self.basis + other.basis, self.l)
 
     def annihilator(self):
         """All v with <v, w> = 0 for every w in the subspace."""

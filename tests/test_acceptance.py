@@ -247,7 +247,7 @@ def test_criterion_5_recipe_roundtrip():
             if not sub:
                 expected = set()
             assert got == expected, sub
-    rep = check_axioms(geometry, exhaustive_limit=12)
+    rep = check_axioms(geometry)
     assert rep.all_pass()
     report(5, "recipe round-trip on a 20-subgroup universe",
            time.time() - t0, 60)

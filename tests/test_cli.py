@@ -299,6 +299,50 @@ def test_geometry_check_and_lcl(run):
     assert sorted(t[0] for t in out["tuples"]) == ["a", "b", "c"]
 
 
+def _table_value(table, subset):
+    return next((set(v) for k, v in table if set(k) == set(subset)), None)
+
+
+@pytest.mark.parametrize("entries, reason", [
+    # {a, b} is not a fixed point of the table
+    ([[["a"], ["a", "b"]]], "cl not idempotent"),
+    # {a} lies in the fixed points {a, b} and {a, c}, the first of which
+    # does not hold cl(a) = {a, b, c}
+    ([[["a"], ["a", "b", "c"]], [["a", "b"], ["a", "b"]]], "cl not monotone"),
+    ([[["b"], ["c"]]], "A not in cl(A)"),
+])
+def test_closure_table_that_is_no_closure_operator(run, tmp_path, capsys,
+                                                   entries, reason):
+    table = [[[], []], [["a"], ["a"]], [["b"], ["b"]], [["c"], ["c"]],
+             [["a", "c"], ["a", "c"]], [["a", "b", "c"], ["a", "b", "c"]]]
+    keys = [set(k) for k, _ in entries]
+    table = [e for e in table if set(e[0]) not in keys] + entries
+    geometry = {"points": ["a", "b", "c"], "closure": table}
+    code, out = run("geometry-check", {"geometry": geometry})
+    assert code == EXIT_FAILURE
+    closure = out["report"]["closure"]
+    assert closure["pass"] is False
+    witness = closure["witness"]
+    assert witness["reason"] == reason
+    # replay the witness against the table alone
+    A = set(witness["A"])
+    clA = _table_value(table, A)
+    if reason == "A not in cl(A)":
+        assert not A <= clA
+    elif reason == "cl not idempotent":
+        assert _table_value(table, clA) != clA
+    else:
+        B = set(witness["B"])
+        assert A <= B and _table_value(table, B) == B and not clA <= B
+    path = tmp_path / "lcl.json"
+    path.write_text(json.dumps({"geometry": geometry, "formula": "(cl x a)"}))
+    code = main(["lcl-eval", str(path)])
+    captured = capsys.readouterr()
+    assert code == EXIT_FAILURE and captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err
+
+
 def test_abc_verify(run):
     payload = {
         "group": {"rank": 2, "ell": 3, "relations": []},
@@ -400,3 +444,39 @@ def test_pipeline_config_validation():
     cfg = PipelineConfig({"p": 7, "ell": 3, "vars": 4})
     with pytest.raises(ValueError):
         cfg.require_vars(5, "the full pipeline")
+
+
+def test_pipeline_nonlinear_universe_pins_its_unknown_set(run, monkeypatch):
+    # the coordinates plus xy and (xy)^2: {xy, (xy)^2} is dependent with no
+    # witness, so the recovery stops at it.  Every generator is a monomial,
+    # so the transcendence degree of a set is the rank over Q of its
+    # exponent vectors, the oracle for every rank answered before that.
+    import sympy
+
+    from milnork import lattice
+
+    ff = FunctionField(FieldTower(7, seed=0), 5)
+    xy = ff.var(0) * ff.var(1)
+    exponents = [[int(i == j) for j in range(5)] for i in range(5)]
+    exponents += [[1, 1, 0, 0, 0], [2, 2, 0, 0, 0]]
+    answered = []
+    rank = lattice.Universe.rank
+
+    def spy(self, indices):
+        out = rank(self, indices)
+        answered.append((frozenset(indices), out))
+        return out
+
+    monkeypatch.setattr(lattice.Universe, "rank", spy)
+    payload = {"p": 7, "ell": 3, "vars": 5, "budget": 16,
+               "universe": [{"var": i} for i in range(5)]
+               + [{"ratfunc": encode_ratfunc(xy)},
+                  {"ratfunc": encode_ratfunc(xy ** 2)}]}
+    code, out = run("pipeline", payload)
+    assert code == EXIT_UNKNOWN
+    assert out == {"error": "dim-unknown", "candidates": [[5, 6]]}
+    assert len(answered) > 20
+    for key, got in answered:
+        want = sympy.Matrix([exponents[i] for i in sorted(key)]).rank() \
+            if key else 0
+        assert got == want, sorted(key)

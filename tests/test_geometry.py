@@ -1,18 +1,20 @@
-"""Closure construction, axiom checking, the closure language, transfer."""
+"""Geometries of flats, axiom checking, the closure language, transfer."""
 
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from milnork import linalg
 from milnork.geometry import (
     ArityMismatch,
     ClosureGeometry,
-    GradedLatticeView,
     JoinUndefined,
     NotIsomorphism,
-    c_construction,
     check_axioms,
     eval_lcl,
+    flats_by_covers,
     lattice_geometry,
     parse_formula,
     transfer_isomorphism,
@@ -20,10 +22,14 @@ from milnork.geometry import (
 from milnork.lattice import LatticeFragment, SubgroupFragment
 
 
+def subsets(points):
+    return [frozenset(c) for r in range(len(points) + 1)
+            for c in itertools.combinations(points, r)]
+
+
 def boolean_geometry(atoms=("a", "b", "c")):
-    view = GradedLatticeView(atoms, lambda s: frozenset(s),
-                             lambda p, node: p in node)
-    return c_construction(view)
+    # the closure construction on a Boolean lattice: every set is a flat
+    return ClosureGeometry(atoms, subsets(atoms))
 
 
 def test_c_construction_boolean_lattice():
@@ -44,19 +50,7 @@ def test_c_construction_matroid_closure():
     # rank-two matroid on four directions through the plane: the closure of
     # two independent points is everything
     pts = ("e1", "e2", "d12", "d13")
-    spans = {"e1": (1, 0), "e2": (0, 1), "d12": (1, 1), "d13": (1, 2)}
-
-    def join(s):
-        vecs = [spans[p] for p in s]
-        seen = {tuple(v) for v in vecs}
-        if len(seen) <= 1:
-            return frozenset(s)
-        return frozenset(pts)
-
-    def leq(p, node):
-        return p in node
-
-    g = c_construction(GradedLatticeView(pts, join, leq))
+    g = ClosureGeometry(pts, [(), *[(p,) for p in pts], pts])
     assert g.cl({"e1", "e2"}) == frozenset(pts)
     assert g.cl({"e1"}) == frozenset({"e1"})
     assert check_axioms(g).all_pass()
@@ -76,8 +70,10 @@ def test_check_axioms_trapdoor_exchange_failure():
             if out == prev:
                 return out
 
-    bad = ClosureGeometry(pts, stable)
+    bad = ClosureGeometry.from_json({"points": list(pts), "closure": [
+        [sorted(s), sorted(stable(s))] for s in subsets(pts)]})
     rep = check_axioms(bad)
+    assert rep.closure == (True, None)
     assert not rep.exchange[0]
     A, a, b = rep.exchange[1]["A"], rep.exchange[1]["a"], rep.exchange[1]["b"]
     # replay the witness: a entered through b but b does not enter through a
@@ -87,7 +83,7 @@ def test_check_axioms_trapdoor_exchange_failure():
 
 def test_check_axioms_identity_closure():
     pts = ("a", "b", "c", "d")
-    g = ClosureGeometry(pts, lambda s: set(s))
+    g = ClosureGeometry(pts, subsets(pts))
     rep = check_axioms(g)
     assert rep.all_pass()
     assert rep.finite_character == (True, "vacuous on a finite universe")
@@ -95,7 +91,7 @@ def test_check_axioms_identity_closure():
 
 def test_geometry_axiom_failure_reported():
     pts = ("a", "b")
-    g = ClosureGeometry(pts, lambda s: set(pts) if s else set())
+    g = ClosureGeometry(pts, [(), pts])
     rep = check_axioms(g)
     assert not rep.geometry[0]
 
@@ -238,6 +234,7 @@ def test_geometry_json_roundtrip():
     for r in range(3):
         for sub in itertools.combinations(g.points, r):
             assert g.cl(sub) == g2.cl(sub)
+    assert g2.table_witness() is None
 
 
 def test_transfer_preserves_formula_sets():
@@ -291,3 +288,105 @@ def test_transfer_preserves_formula_sets():
         mapped = {tuple(ptmap[by_label1[p.label]] for p in row)
                   for row in rows1}
         assert mapped == rows2
+
+
+# ---------------------------------------------------------------------------
+# Vector configurations past the old exhaustive limit of 12 points.
+# ---------------------------------------------------------------------------
+
+def _projective_points(p, d):
+    """The nonzero vectors of F_p^d whose first nonzero entry is 1."""
+    return [v for v in itertools.product(range(p), repeat=d)
+            if any(v) and next(x for x in v if x) == 1]
+
+
+@st.composite
+def vector_configurations(draw):
+    # the fields and dimensions with at least 13 projective points
+    p, d = draw(st.sampled_from([(2, 4), (3, 3), (3, 4)]))
+    pool = _projective_points(p, d)
+    k = draw(st.integers(13, min(16, len(pool))))
+    return p, draw(st.lists(st.sampled_from(pool), min_size=k, max_size=k,
+                            unique=True))
+
+
+def _spanned_sets(p, points):
+    """The point sets spanned by subsets of at most d points, each span
+    listed as every linear combination of the subset: no rank is computed."""
+    d = len(points[0])
+    out = set()
+    for r in range(d + 1):
+        for sub in itertools.combinations(points, r):
+            span = {tuple(sum(c * v[i] for c, v in zip(coeffs, sub)) % p
+                          for i in range(d))
+                    for coeffs in itertools.product(range(p), repeat=r)}
+            out.add(frozenset(v for v in points if v in span))
+    return out
+
+
+def _replays(table, witness):
+    value = {frozenset(k): frozenset(v) for k, v in table}
+    A = frozenset(witness["A"])
+    clA = value[A]
+    if witness["reason"] == "A not in cl(A)":
+        return not A <= clA
+    if witness["reason"] == "cl not idempotent":
+        return value.get(clA) != clA
+    B = frozenset(witness["B"])
+    return witness["reason"] == "cl not monotone" and (
+        A <= B and value.get(B) == B and not clA <= B)
+
+
+@settings(max_examples=8, deadline=None)
+@given(vector_configurations(), st.data())
+def test_vector_geometry_flats_and_checks(config, data):
+    p, points = config
+    memo = {}
+
+    def closure(subset):
+        if subset not in memo:
+            rows = tuple(sorted(subset))
+            r = linalg.rank(rows, p)
+            memo[subset] = frozenset(
+                v for v in points if linalg.rank(rows + (v,), p) == r)
+        return memo[subset]
+
+    geom = flats_by_covers(points, closure)
+    assert set(geom.flats) == _spanned_sets(p, points)
+    assert check_axioms(geom).all_pass()
+
+    # enlarge one entry of the derived table to a set that is not a flat
+    table = geom.to_json()["closure"]
+    j = data.draw(st.integers(0, len(table) - 1))
+    key, value = table[j]
+    extra = [x for x in points if x not in value
+             and frozenset(value + [x]) not in geom.flats]
+    if extra:
+        x = data.draw(st.sampled_from(extra))
+        table[j] = [key, sorted(value + [x])]
+        rep = check_axioms(ClosureGeometry.from_json(
+            {"points": list(points), "closure": table}))
+        assert not rep.closure[0]
+        assert _replays(table, rep.closure[1])
+
+    # a point bijection that carries every flat but one onto a flat
+    nodes1 = [SubgroupFragment("p%d" % i, (), 1, sources=[i])
+              for i in range(len(points))]
+    nodes2 = [SubgroupFragment("p%d" % i, (), 1, sources=[i])
+              for i in range(len(points))]
+    perm = data.draw(st.permutations(range(len(points))))
+    node_map = {nodes1[i]: nodes2[perm[i]] for i in range(len(points))}
+    index = {v: i for i, v in enumerate(points)}
+    flats1 = [{nodes1[index[v]] for v in f} for f in geom.flats]
+    g1 = ClosureGeometry(nodes1, flats1)
+    images = [{node_map[n] for n in f} for f in flats1]
+    lat1, lat2 = LatticeFragment(nodes1), LatticeFragment(nodes2)
+    g2 = ClosureGeometry(nodes2, images)
+    assert transfer_isomorphism(lat1, lat2, node_map, g1, g2) == node_map
+    k = data.draw(st.integers(0, len(images) - 1))
+    g2 = ClosureGeometry(nodes2, images[:k] + images[k + 1:])
+    with pytest.raises(NotIsomorphism) as exc:
+        transfer_isomorphism(lat1, lat2, node_map, g1, g2)
+    assert exc.value.witness == {
+        "reason": "closure broken",
+        "A": sorted(n.label for n in flats1[k])}
