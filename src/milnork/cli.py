@@ -3,8 +3,9 @@
 The pipeline assembles the quadratic-algebra fragment from certified symbol
 values, recovers the graded lattice fragment relative to the declared
 universe, finds the flats of the closure geometry on its points, and emits
-the geometry with its axiom report.  All output JSON is canonical and byte-stable: the search seed
-only affects internal search order, never the artifacts.
+the geometry with its axiom report.  All output JSON is canonical and
+byte-stable: the search seed only affects internal search order, never the
+artifacts.
 """
 
 import argparse
@@ -225,7 +226,8 @@ def _universe_geometry(universe, rank1_nodes):
     points = sorted(rank1_nodes, key=lambda n: sorted(n.sources))
 
     def closure(subset):
-        closed = universe.closure(frozenset().union(*(n.sources for n in subset)))
+        closed = universe.closure(
+            frozenset().union(*(n.sources for n in subset)))
         return frozenset(n for n in points if n.sources <= closed)
 
     return geom_mod.flats_by_covers(points, closure)
@@ -492,8 +494,9 @@ def cmd_lcl_eval(args):
         jsonio.field(data, "geometry", what, dict))
     witness = geometry.table_witness()
     if witness is not None:
-        raise jsonio.InputError("the closure table is not a closure operator: "
-                                "%s" % json.dumps(geom_mod.encode_witness(witness)))
+        raise jsonio.InputError(
+            "the closure table is not a closure operator: %s"
+            % json.dumps(geom_mod.encode_witness(witness)))
     free, rows = geom_mod.eval_lcl(geometry, jsonio.field(data, "formula", what),
                                    params=data.get("params"))
     _emit(args, {"free": free, "tuples": sorted(map(list, rows))})

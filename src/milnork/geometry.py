@@ -137,17 +137,21 @@ def _point_list(value, what):
     return value
 
 
-def covers(flat, points, closure):
-    """The flats covering a flat: closure(flat | {x}) for x outside it.
+def covers(layer, points, closure):
+    """The flats covering the flats of a layer, in order of discovery:
+    closure(F | {x}) for F in the layer and x outside F.
 
-    A point inside a cover already found spans that cover again and is
+    A point inside a cover of F already found spans that cover again and is
     skipped.  This is valid where exchange holds (Oxley, Matroid Theory,
     ch. 1), so check_axioms does not rely on it."""
-    out = []
-    for x in points:
-        if x not in flat and not any(x in c for c in out):
-            out.append(closure(flat | {x}))
-    return out
+    out = {}
+    for f in layer:
+        found = []
+        for x in points:
+            if x not in f and not any(x in c for c in found):
+                found.append(closure(f | {x}))
+        out.update(dict.fromkeys(found))
+    return list(out)
 
 
 def flats_by_covers(points, closure):
@@ -158,9 +162,7 @@ def flats_by_covers(points, closure):
     layer = [frozenset(closure(frozenset()))]
     flats = dict.fromkeys(layer)
     while layer:
-        layer = [c for c in dict.fromkeys(
-                    c for f in layer for c in covers(f, points, closure))
-                 if c not in flats]
+        layer = [c for c in covers(layer, points, closure) if c not in flats]
         flats.update(dict.fromkeys(layer))
     return ClosureGeometry(points, flats)
 
@@ -194,10 +196,17 @@ class AxiomReport:
 
 
 def encode_witness(w):
-    """A witness as plain JSON values, point sets as sorted lists."""
+    """A witness as plain JSON values, point sets as sorted lists; points of
+    different JSON types sort by type name first."""
     if w is None or isinstance(w, str):
         return w
-    return json.loads(json.dumps(w, default=lambda o: sorted(o) if isinstance(o, (set, frozenset)) else str(o)))
+
+    def plain(o):
+        if isinstance(o, (set, frozenset)):
+            return sorted(o, key=lambda p: (type(p).__name__, p))
+        return str(o)
+
+    return json.loads(json.dumps(w, default=plain))
 
 
 def check_axioms(geom):

@@ -332,10 +332,9 @@ class Universe:
             if r == 0:
                 layer = [self.closure(())]
             else:
-                points = range(len(self.subgroups))
-                layer = list(dict.fromkeys(
-                    c for f in self.flats(r - 1)
-                    for c in geometry.covers(f, points, self.closure)))
+                layer = geometry.covers(self.flats(r - 1),
+                                        range(len(self.subgroups)),
+                                        self.closure)
             self._layers[r] = layer
         return layer
 
@@ -359,7 +358,8 @@ def recover_rank_r(universe, r):
     basis, the lexicographically least set of r members that spans it."""
     if r < 2:
         raise ValueError("the recipe applies to rank two and above")
-    return [universe.fragment(f, r, provenance={"seed": list(universe.basis(f))})
+    return [universe.fragment(f, r,
+                              provenance={"seed": list(universe.basis(f))})
             for f in sorted(universe.flats(r), key=sorted)]
 
 

@@ -299,6 +299,15 @@ def test_geometry_check_and_lcl(run):
     assert sorted(t[0] for t in out["tuples"]) == ["a", "b", "c"]
 
 
+def test_geometry_check_mixed_point_types(run):
+    # a witness over points of two JSON types is still encoded
+    code, out = run("geometry-check", {"geometry": {"points": ["a", 1],
+                                                    "closed_sets": []}})
+    assert code == EXIT_FAILURE
+    assert out["report"]["geometry"]["witness"] == {
+        "reason": "cl(empty) not empty", "got": [1, "a"]}
+
+
 def _table_value(table, subset):
     return next((set(v) for k, v in table if set(k) == set(subset)), None)
 

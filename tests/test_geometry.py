@@ -96,6 +96,22 @@ def test_geometry_axiom_failure_reported():
     assert not rep.geometry[0]
 
 
+def test_closure_needs_a_least_flat():
+    # {a, b} lies in two minimal flats, and no flat holds {c, d}
+    pts = ("a", "b", "c", "d")
+    g = ClosureGeometry(pts, [(), *[(p,) for p in pts], ("a", "b", "c"),
+                             ("a", "b", "d")])
+    with pytest.raises(JoinUndefined):
+        g.cl({"a", "b"})
+    with pytest.raises(JoinUndefined):
+        g.cl({"c", "d"})
+    rep = check_axioms(g)
+    assert not rep.closure[0]
+    assert rep.closure[1]["reason"] == "no least flat contains A"
+    with pytest.raises(JoinUndefined):
+        g.cl(rep.closure[1]["A"])
+
+
 def test_eval_lcl_closure_relation():
     g = boolean_geometry()
     free, out = eval_lcl(g, "(cl x a b)")
@@ -390,3 +406,11 @@ def test_vector_geometry_flats_and_checks(config, data):
     assert exc.value.witness == {
         "reason": "closure broken",
         "A": sorted(n.label for n in flats1[k])}
+    # or one flat more on the far side: its preimage is no flat
+    extra = data.draw(st.sampled_from([f | {n} for f in flats1 for n in nodes1
+                                       if f | {n} not in flats1]))
+    g2 = ClosureGeometry(nodes2, images + [{node_map[n] for n in extra}])
+    with pytest.raises(NotIsomorphism) as exc:
+        transfer_isomorphism(lat1, lat2, node_map, g1, g2)
+    assert exc.value.witness == {
+        "reason": "closure broken", "A": sorted(n.label for n in extra)}
