@@ -32,8 +32,9 @@ class ClosureGeometry:
 
     The closure of a set is the least flat containing it.  A set that no
     flat contains, or that several minimal flats contain, has no closure
-    and cl raises JoinUndefined.  A geometry read from a closure table keeps
-    the table, whose entries check_axioms checks against the flats."""
+    and cl raises JoinUndefined.  A geometry read from a closure table, or
+    found by covers, keeps the table of the closure's answers, whose entries
+    check_axioms checks against the flats."""
 
     def __init__(self, points, flats, table=()):
         self.points = tuple(points)
@@ -79,10 +80,10 @@ class ClosureGeometry:
 
     def table_witness(self):
         """The first table entry (A, C) where C is not the closure of A,
-        with a witness that replays against the table alone: A is not
-        inside C, or C is not a fixed point of the table, or the table fixes
-        a set B that holds A but not C.  None when every entry agrees with
-        the flats, which are the fixed points of the table."""
+        with a witness: A is not inside C, or C is not a flat, or a flat B
+        holds A but not C.  None when every entry agrees with the flats.
+        The flats of a table read from JSON are its fixed points, so there
+        the witness replays against the table alone."""
         fixed = set(self.flats)
         for a, c in self.table:
             if not a <= c:
@@ -94,19 +95,6 @@ class ClosureGeometry:
                 return {"A": a, "B": next(f for f in minimal if f != c),
                         "reason": "cl not monotone"}
         return None
-
-    def to_json(self):
-        """The points and a closure table: every flat F and every F | {x},
-        x outside F, with its closure."""
-        table = {}
-        for f in self.flats:
-            table[f] = f
-            for x in self.points:
-                if x not in f:
-                    table.setdefault(f | {x}, self.cl(f | {x}))
-        return {"points": sorted(self.points),
-                "closure": sorted([sorted(k), sorted(v)]
-                                  for k, v in table.items())}
 
     @classmethod
     def from_json(cls, data):
@@ -142,8 +130,9 @@ def covers(layer, points, closure):
     closure(F | {x}) for F in the layer and x outside F.
 
     A point inside a cover of F already found spans that cover again and is
-    skipped.  This is valid where exchange holds (Oxley, Matroid Theory,
-    ch. 1), so check_axioms does not rely on it."""
+    skipped.  This is valid only where exchange holds (Oxley, Matroid
+    Theory, ch. 1), so flats_by_covers, whose geometry check_axioms checks,
+    does not skip."""
     out = {}
     for f in layer:
         found = []
@@ -156,15 +145,29 @@ def covers(layer, points, closure):
 
 def flats_by_covers(points, closure):
     """The geometry of a closure on the points, found by covers: the
-    closure of the empty set, then the covers of each layer of flats in
-    turn.  Every flat of a matroid is reached, as every rank-r flat is
-    closure(F | {x}) for some rank-(r - 1) flat F and point x outside F."""
-    layer = [frozenset(closure(frozenset()))]
-    flats = dict.fromkeys(layer)
+    closure of the empty set, then closure(F | {x}) for every flat F found
+    and every point x outside F.  Every flat of a matroid is reached, as
+    every rank-r flat is closure(F | {x}) for some rank-(r - 1) flat F.
+
+    No point is skipped, and every answer of the closure is kept as a table
+    entry, so check_axioms checks exchange at every flat the closure yields
+    and checks each answer against the least flat holding its set."""
+    empty = frozenset(closure(frozenset()))
+    table = [(frozenset(), empty)]
+    flats = {empty: None}
+    layer = [empty]
     while layer:
-        layer = [c for c in covers(layer, points, closure) if c not in flats]
-        flats.update(dict.fromkeys(layer))
-    return ClosureGeometry(points, flats)
+        found = {}
+        for f in layer:
+            for x in points:
+                if x not in f:
+                    c = frozenset(closure(f | {x}))
+                    table.append((f | {x}, c))
+                    if c not in flats:
+                        found[c] = None
+        flats.update(found)
+        layer = list(found)
+    return ClosureGeometry(points, flats, table)
 
 
 class AxiomReport:
@@ -219,7 +222,7 @@ def check_axioms(geom):
     x a point: a chain of such closures climbs from cl(empty) to the least
     flat holding any set.
     So the closure axiom asks that those closures exist and that every
-    entry of a table the geometry was read from agree with the flats.  The
+    entry of the geometry's table agree with the flats.  The
     geometry axiom asks that the empty set and every point be flats.
     Exchange at a set A is exchange at the flat cl(A), and at a flat F it
     says that the covers cl(F | {x}), x outside F, partition the complement

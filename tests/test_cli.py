@@ -1,6 +1,7 @@
 """End-to-end exercise of every subcommand through the argument parser."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -460,8 +461,6 @@ def test_pipeline_nonlinear_universe_pins_its_unknown_set(run, monkeypatch):
     # witness, so the recovery stops at it.  Every generator is a monomial,
     # so the transcendence degree of a set is the rank over Q of its
     # exponent vectors, the oracle for every rank answered before that.
-    import sympy
-
     from milnork import lattice
 
     ff = FunctionField(FieldTower(7, seed=0), 5)
@@ -486,6 +485,21 @@ def test_pipeline_nonlinear_universe_pins_its_unknown_set(run, monkeypatch):
     assert out == {"error": "dim-unknown", "candidates": [[5, 6]]}
     assert len(answered) > 20
     for key, got in answered:
-        want = sympy.Matrix([exponents[i] for i in sorted(key)]).rank() \
-            if key else 0
-        assert got == want, sorted(key)
+        assert got == _rank_over_q([exponents[i] for i in key]), sorted(key)
+
+
+def _rank_over_q(rows):
+    """The rank over Q of integer rows, by Gaussian elimination."""
+    rows = [[Fraction(x) for x in row] for row in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]),
+                     None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][col] / rows[rank][col]
+            rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank

@@ -27,6 +27,14 @@ def subsets(points):
             for c in itertools.combinations(points, r)]
 
 
+def closure_table(geom):
+    """Every flat F and every F | {x}, x outside F, with its closure, as a
+    JSON closure table."""
+    keys = set(geom.flats) | {f | {x} for f in geom.flats
+                              for x in geom.points if x not in f}
+    return sorted([sorted(k), sorted(geom.cl(k))] for k in keys)
+
+
 def boolean_geometry(atoms=("a", "b", "c")):
     # the closure construction on a Boolean lattice: every set is a flat
     return ClosureGeometry(atoms, subsets(atoms))
@@ -79,6 +87,37 @@ def test_check_axioms_trapdoor_exchange_failure():
     # replay the witness: a entered through b but b does not enter through a
     assert a in bad.cl(set(A) | {b}) - bad.cl(A)
     assert b not in bad.cl(set(A) | {a})
+
+
+def test_flats_by_covers_exchange_failure():
+    # a closure operator that breaks exchange at {b}: c enters through a,
+    # a does not enter through c.  Skipping c, which lies in cl(ab), would
+    # never find the flat {b, c}
+    def closure(s):
+        s = frozenset(s)
+        return s if len(s) < 2 or s == {"b", "c"} else frozenset("abc")
+
+    rep = check_axioms(flats_by_covers(("a", "b", "c"), closure))
+    assert rep.closure == (True, None)
+    assert not rep.exchange[0]
+    A, a, b = rep.exchange[1]["A"], rep.exchange[1]["a"], rep.exchange[1]["b"]
+    assert A == {"b"}
+    assert a in closure(set(A) | {b}) - closure(A)
+    assert b not in closure(set(A) | {a})
+
+
+def test_flats_by_covers_checks_each_answer():
+    # cl(ab) is the full set, but the flat cl(ac) = abc holds {a, b}
+    def closure(s):
+        s = frozenset(s)
+        if len(s) < 2 or s <= set("abc") and s != {"a", "b"}:
+            return s if len(s) < 2 else frozenset("abc")
+        return frozenset("abcd")
+
+    rep = check_axioms(flats_by_covers(("a", "b", "c", "d"), closure))
+    assert rep.closure == (False, {"A": frozenset("ab"), "B": frozenset("abc"),
+                                   "reason": "cl not monotone"})
+    assert closure(rep.closure[1]["B"]) == rep.closure[1]["B"]
 
 
 def test_check_axioms_identity_closure():
@@ -245,8 +284,8 @@ def test_transfer_rejects_broken_containment():
 
 def test_geometry_json_roundtrip():
     g = boolean_geometry(("a", "b"))
-    data = g.to_json()
-    g2 = ClosureGeometry.from_json(data)
+    g2 = ClosureGeometry.from_json({"points": list(g.points),
+                                    "closure": closure_table(g)})
     for r in range(3):
         for sub in itertools.combinations(g.points, r):
             assert g.cl(sub) == g2.cl(sub)
@@ -372,7 +411,7 @@ def test_vector_geometry_flats_and_checks(config, data):
     assert check_axioms(geom).all_pass()
 
     # enlarge one entry of the derived table to a set that is not a flat
-    table = geom.to_json()["closure"]
+    table = closure_table(geom)
     j = data.draw(st.integers(0, len(table) - 1))
     key, value = table[j]
     extra = [x for x in points if x not in value
