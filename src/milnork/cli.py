@@ -307,9 +307,23 @@ def _permute_decl(decl, permutation):
 
 def _load_input(args):
     if args.input and args.input != "-":
-        with open(args.input) as fh:
-            return json.load(fh)
+        try:
+            with open(args.input) as fh:
+                return json.load(fh)
+        except OSError as e:
+            raise jsonio.InputError("cannot read %s: %s"
+                                    % (args.input, e.strerror)) from None
     return json.load(sys.stdin)
+
+
+def _pipeline_config(args, data):
+    """The pipeline configuration of an input object, with the
+    command-line values filling the fields it leaves out."""
+    if not isinstance(data, dict):
+        raise jsonio.InputError("the pipeline configuration must be an object")
+    for key in ("p", "ell", "vars", "seed", "budget", "workers"):
+        data.setdefault(key, getattr(args, key))
+    return PipelineConfig(data)
 
 
 def _emit(args, obj):
@@ -394,13 +408,7 @@ def cmd_lattice_build(args):
 
 
 def cmd_lattice_reconstruct(args):
-    data = _load_input(args)
-    data.setdefault("p", args.p)
-    data.setdefault("ell", args.ell)
-    data.setdefault("vars", args.vars)
-    data.setdefault("seed", args.seed)
-    data.setdefault("budget", args.budget)
-    config = PipelineConfig(data)
+    config = _pipeline_config(args, _load_input(args))
     ctx = config.context()
     subs = build_universe(ctx, config)
     universe = Universe(ctx, subs, budget=config.budget)
@@ -568,13 +576,7 @@ def cmd_kummer(args):
 
 
 def cmd_pipeline(args):
-    data = _load_input(args)
-    for key, val in (("p", args.p), ("ell", args.ell), ("vars", args.vars)):
-        data.setdefault(key, val)
-    data.setdefault("seed", args.seed)
-    data.setdefault("budget", args.budget)
-    data.setdefault("workers", args.workers)
-    config = PipelineConfig(data)
+    config = _pipeline_config(args, _load_input(args))
     try:
         artifacts, extras = run_pipeline(config)
     except DimUnknown as e:
@@ -608,12 +610,7 @@ def cmd_pipeline(args):
 def cmd_roundtrip(args):
     data = _load_input(args)
     perm = jsonio.field(data, "permutation", "roundtrip input", list)
-    del data["permutation"]
-    for key, val in (("p", args.p), ("ell", args.ell), ("vars", args.vars)):
-        data.setdefault(key, val)
-    data.setdefault("seed", args.seed)
-    data.setdefault("budget", args.budget)
-    config = PipelineConfig(data)
+    config = _pipeline_config(args, data)
     try:
         out = run_roundtrip(config, perm)
     except TransferMismatch as e:

@@ -799,10 +799,6 @@ class GroundElem:
         c = self.compress()
         return (c.level, c.coeffs)
 
-    def frobenius(self, times=1):
-        """Apply x -> x^p repeatedly."""
-        return self ** (self.tower.p ** (times % self.level))
-
     def pth_root(self):
         return self ** (self.tower.p ** (self.level - 1))
 

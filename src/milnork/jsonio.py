@@ -181,16 +181,3 @@ def decode_abc_group(data):
                     int_matrix(data.get("relations", []),
                                "the relations of %s" % what,
                                cols=linalg.wedge_dim(rank)))
-
-
-def encode_divisor(div):
-    out = []
-    for k, v in div.items():
-        if k == "inf":
-            out.append({"point": "inf", "coeff": v})
-        else:
-            level, coeffs = k
-            out.append({"point": {"level": level, "coeffs": list(coeffs)},
-                        "coeff": v})
-    out.sort(key=lambda e: json.dumps(e, sort_keys=True))
-    return out

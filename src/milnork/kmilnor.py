@@ -510,31 +510,6 @@ class KContext:
                 lv, rng.randrange(self.field.p ** lv))
             i += 1
 
-    def canonical_trials(self, elements, r, budget, shifts=False):
-        """Deterministic trial enumeration used for replayable provenance:
-        variable tuples in lexicographic order crossed with base points taken
-        from the fixed element order of the tower, with the straightening
-        transform tried when the entries are linear."""
-        d = self.nvars
-        pool = self._variable_pool(elements, r)
-        straight = self._straightening_transform(elements)
-        count = 0
-        var_choices = list(itertools.permutations(pool, r)) or [tuple(range(r))]
-        shift_modes = (False, True) if shifts else (False,)
-        for radius in range(0, self.field.p + 2):
-            point = tuple(self.field.tower.from_int(radius) for _ in range(d))
-            if straight is not None:
-                yield tuple(range(r)), point, shifts, straight
-                count += 1
-                if count >= budget:
-                    return
-            for use_shift in shift_modes:
-                for vars_ in var_choices:
-                    yield vars_, point, use_shift, None
-                    count += 1
-                    if count >= budget:
-                        return
-
     def _variable_pool(self, elements, r):
         pool = set()
         for x in elements:
@@ -542,7 +517,7 @@ class KContext:
         pool = sorted(pool)
         if len(pool) < r:
             pool += [i for i in range(self.nvars) if i not in pool]
-        return pool[: max(r, len(pool))]
+        return pool
 
     def _linear_part(self, x):
         """Prime-field coefficient vector of a degree-one numerator with
@@ -645,6 +620,13 @@ class KContext:
         symbol.  Returns a Certificate, or UNKNOWN when the budget runs out;
         non-vanishing is only semi-decided.
 
+        The trials come in one order.  First, at the origin: the
+        straightening transform when every entry is linear, then the
+        entries as given, then (with shifts on) up to twelve shifted
+        variable tuples.  Then trials drawn from the seed: random base
+        points, variable tuples and, for entries in several variables,
+        transforms.  deterministic_first=False skips the origin trials.
+
         With shifts off (the default) the certified statement is the direct
         symbol of the given elements, up to a recorded linear change of
         coordinates.  With shifts on, each element may also be translated by
@@ -655,6 +637,18 @@ class KContext:
 
         workers is accepted and ignored: the trials run one after another.
         """
+        return self._search(elements, budget, seed, shifts,
+                            deterministic_first)
+
+    def canonical_certificate(self, elements, budget=64, shifts=False):
+        """The certificate search with the fixed seed 0: seed-free and
+        replayable, used whenever a certificate is going to be serialized."""
+        return self._search(elements, budget, 0, shifts, True)
+
+    def _search(self, elements, budget, seed, shifts, deterministic_first):
+        # certificate_search and canonical_certificate share this body
+        # rather than calling each other, so each search is one call of one
+        # of them
         elements = list(elements)
         r = len(elements)
         if r == 0 or r > self.nvars:
@@ -662,60 +656,55 @@ class KContext:
         for x in elements:
             if x.is_zero():
                 raise ZeroEntry("cannot certify a symbol with a zero entry")
-        d = self.nvars
-
-        def trial_stream():
-            produced = 0
-            straight = self._straightening_transform(elements)
-            pool = self._variable_pool(elements, r)
-            if deterministic_first:
-                zero_point = tuple(self.field.tower.zero() for _ in range(d))
-                first = [(tuple(range(r)), zero_point, False, None)]
-                if straight is not None:
-                    first.append((tuple(range(r)), zero_point, shifts, straight))
-                if shifts:
-                    for vars_ in itertools.islice(
-                            itertools.permutations(pool, r), 12):
-                        first.append((tuple(vars_), zero_point, True, None))
-                for t in first:
-                    if produced >= budget:
-                        return
-                    produced += 1
-                    yield t
-            rng = random.Random(repr(("certificate", seed, r)))
-            stream = self._center_stream(rng)
-            zero = self.field.tower.zero()
-            others = [i for i in range(d) if i not in pool]
-            mixed = any(len(x.vars_used()) > 1 for x in elements)
-            while produced < budget:
-                # zeros are over-represented: special position is where the
-                # coordinate chains see mixed entries
-                point = tuple(
-                    zero if rng.random() < 0.35 else next(stream)
-                    for _ in range(d))
-                transform = None
-                if mixed and rng.random() < 0.5:
-                    if straight is not None:
-                        transform = straight
-                        vars_ = list(range(r))
-                    else:
-                        transform = self._elementary_transform(rng)
-                        vars_ = rng.sample(range(d), r)
-                else:
-                    k = min(r, len(pool))
-                    vars_ = rng.sample(pool, k)
-                    if k < r:
-                        vars_ += rng.sample(others, r - k)
-                use_shift = shifts and (transform is not None
-                                        or rng.random() < 0.75)
-                produced += 1
-                yield (tuple(vars_), point, use_shift, transform)
-
-        for trial in trial_stream():
+        trials = self._trials(elements, seed, shifts, deterministic_first)
+        for trial in itertools.islice(trials, budget):
             cert = self._try_trial(elements, trial)
             if cert is not None:
                 return cert
         return UNKNOWN
+
+    def _trials(self, elements, seed, shifts, deterministic_first):
+        """The endless trial stream of a search: (variables, base point,
+        shift, transform) tuples."""
+        d, r = self.nvars, len(elements)
+        straight = self._straightening_transform(elements)
+        pool = self._variable_pool(elements, r)
+        zero = self.field.tower.zero()
+        if deterministic_first:
+            origin = (zero,) * d
+            if straight is not None:
+                yield tuple(range(r)), origin, shifts, straight
+            yield tuple(range(r)), origin, False, None
+            if shifts:
+                for vars_ in itertools.islice(
+                        itertools.permutations(pool, r), 12):
+                    yield vars_, origin, True, None
+        rng = random.Random(repr(("certificate", seed, r)))
+        stream = self._center_stream(rng)
+        others = [i for i in range(d) if i not in pool]
+        mixed = any(len(x.vars_used()) > 1 for x in elements)
+        while True:
+            # zeros are over-represented: special position is where the
+            # coordinate chains see mixed entries
+            point = tuple(
+                zero if rng.random() < 0.35 else next(stream)
+                for _ in range(d))
+            transform = None
+            if mixed and rng.random() < 0.5:
+                if straight is not None:
+                    transform = straight
+                    vars_ = list(range(r))
+                else:
+                    transform = self._elementary_transform(rng)
+                    vars_ = rng.sample(range(d), r)
+            else:
+                k = min(r, len(pool))
+                vars_ = rng.sample(pool, k)
+                if k < r:
+                    vars_ += rng.sample(others, r - k)
+            use_shift = shifts and (transform is not None
+                                    or rng.random() < 0.75)
+            yield tuple(vars_), point, use_shift, transform
 
     def _value_at_point(self, x, point):
         """Evaluate at a full point of affine space; None at poles."""
@@ -802,19 +791,6 @@ class KContext:
         except (ZeroEntry, ChainError, ZeroInputError, ZeroDivisionError):
             return 0
         return value.scalar() if value.is_scalar() else 0
-
-    def canonical_certificate(self, elements, budget=64, shifts=False):
-        """Deterministic, seed-free certificate enumeration; used whenever a
-        certificate is going to be serialized."""
-        elements = list(elements)
-        r = len(elements)
-        if r == 0 or r > self.nvars:
-            return UNKNOWN
-        for trial in self.canonical_trials(elements, r, budget, shifts=shifts):
-            cert = self._try_trial(elements, trial)
-            if cert is not None:
-                return cert
-        return UNKNOWN
 
     # -- dimension -----------------------------------------------------------
 

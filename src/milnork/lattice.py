@@ -72,17 +72,6 @@ class RationalSubgroup:
             raise ZeroInput("members are nonzero")
         return g.compose([self.gen])
 
-    def member_from_points(self, zeros, poles):
-        """The member with the given zeros and poles on the affine line."""
-        t = self.param.var(0)
-        num = self.param.one()
-        for a, m in zeros:
-            num = num * (t - self.param.const(a)) ** m
-        den = self.param.one()
-        for a, m in poles:
-            den = den * (t - self.param.const(a)) ** m
-        return num / den
-
     def pullback(self, f):
         """Express an ambient function in the parameter; NotMember if the
         generator is a coordinate and f involves other variables."""
@@ -143,11 +132,6 @@ class SubgroupFragment:
 
     def key(self):
         return tuple(sorted(g.key() for g in self.generators))
-
-    def contains_fragment(self, other):
-        if self.sources is None or other.sources is None:
-            raise ValueError("containment needs universe-sourced fragments")
-        return other.sources <= self.sources
 
 
 def omega(ctx, generators, label=None, budget=64):
@@ -585,9 +569,6 @@ class LatticeFragment:
                 if i != j and a.sources < b.sources:
                     out.append((i, j))
         return out
-
-    def rank_nodes(self, r):
-        return [n for n in self.nodes if n.rank == r]
 
     def to_json(self):
         from . import jsonio

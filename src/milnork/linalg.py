@@ -186,10 +186,6 @@ def wedge_dim(n):
     return n * (n - 1) // 2
 
 
-def wedge_pairs(n):
-    return list(combinations(range(n), 2))
-
-
 def wedge_index(i, j, n):
     if not 0 <= i < j < n:
         raise ValueError("wedge index wants i < j")

@@ -87,6 +87,10 @@ def test_certify_malformed_input_exits_3(tmp_path, capsys, payload):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+COMMANDS = ("symbol-eval", "certify", "dim", "lattice-build",
+            "lattice-reconstruct", "delta", "rigidity", "geometry-check",
+            "lcl-eval", "abc-verify", "duality-check", "kummer", "pipeline",
+            "roundtrip")
 GROUP = {"rank": 2, "ell": 3, "relations": []}
 CONFIG5 = {"p": 7, "ell": 3, "vars": 5,
            "universe": [{"var": i} for i in range(5)]}
@@ -165,10 +169,17 @@ X0 = {"num": {"vars": 2, "terms": [
     ("roundtrip", dict(CONFIG5, permutation=[0, 1])),
     ("roundtrip", dict(CONFIG5, permutation=[0, 0, 1, 2, 3])),
     ("roundtrip", dict(CONFIG5, permutation=[0, 1, 2, 3, "4"])),
+    # JSON that is no object
+    *((command, payload) for command in ("pipeline", "lattice-reconstruct",
+                                         "roundtrip")
+      for payload in ([], 3, "x")),
+    # no input file: None writes none
+    *((command, None) for command in COMMANDS),
 ])
 def test_malformed_input_exits_3(tmp_path, capsys, command, payload):
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps(payload))
+    if payload is not None:
+        path.write_text(json.dumps(payload))
     code = main(["--vars", "2", command, str(path)])
     captured = capsys.readouterr()
     assert code == EXIT_FAILURE and captured.out == ""
@@ -486,6 +497,27 @@ def test_pipeline_nonlinear_universe_pins_its_unknown_set(run, monkeypatch):
     assert len(answered) > 20
     for key, got in answered:
         assert got == _rank_over_q([exponents[i] for i in key]), sorted(key)
+
+
+def test_nonlinear_pipeline_certificates_ignore_the_config_seed(run):
+    # serialized certificates come from the search at the fixed seed 0; on
+    # pairs with the nonlinear entry xy the seeded trials decide, and the
+    # search at seeds 1 and 999 would certify them differently
+    ff = FunctionField(FieldTower(7, seed=0), 5)
+    xy = ff.var(0) * ff.var(1)
+    outs = []
+    for seed in (1, 999):
+        payload = {"p": 7, "ell": 3, "vars": 5, "budget": 32, "seed": seed,
+                   "universe": [{"var": i} for i in range(5)]
+                   + [{"linear": {"0": 1, "1": 1}},
+                      {"ratfunc": encode_ratfunc(xy)}]}
+        code, out = run("pipeline", payload, extra=["--verify"])
+        assert code == EXIT_OK
+        outs.append(out)
+    assert outs[0] == outs[1]
+    relations = {tuple(e["pair"]): e["relation"]
+                 for e in outs[0]["kring_fragment"]["pairs"]}
+    assert relations[(2, 6)] == relations[(4, 6)] == "independent"
 
 
 def _rank_over_q(rows):

@@ -292,6 +292,56 @@ def test_certificate_search_straightens_linear_entries(ctx5, ff5):
     assert cert.transform is not None
 
 
+@pytest.mark.parametrize("shifts", [False, True])
+@pytest.mark.parametrize("seed", [0, 5])
+def test_linear_search_wins_with_its_first_trial(ff5, monkeypatch, shifts,
+                                                 seed):
+    # one trial stream: the straightened trial at the origin comes first,
+    # and it certifies every independent linear tuple
+    ctx = KContext(ff5, 3)
+    t, c = [ff5.var(i) for i in range(5)], ff5.const
+    elements = [t[1] + c(2), t[0] + c(3) * t[2], t[0] + t[3] + c(1)]
+    trials = []
+    try_trial = ctx._try_trial
+
+    def spy(elements, trial):
+        trials.append(trial)
+        return try_trial(elements, trial)
+
+    monkeypatch.setattr(ctx, "_try_trial", spy)
+    cert = ctx.certificate_search(elements, budget=16, seed=seed,
+                                  shifts=shifts)
+    straight = ctx._straightening_transform(elements)
+    assert straight is not None and cert.transform == straight
+    assert trials == [((0, 1, 2), (ff5.tower.zero(),) * 5, shifts, straight)]
+    canonical = ctx.canonical_certificate(elements, budget=16, shifts=shifts)
+    assert len(trials) == 2
+    assert _outcome(canonical) == _outcome(cert)
+
+
+def test_canonical_certificate_is_the_search_at_seed_zero(ff5):
+    # a nonlinear pair that the origin trials miss, so the seeded trials
+    # decide it
+    t = [ff5.var(i) for i in range(5)]
+    elements = [t[2], t[0] * t[1]]
+    ctx = KContext(ff5, 3)
+    want = _outcome(ctx.certificate_search(elements, budget=32, seed=0))
+    assert want is not UNKNOWN and want[3] is not None
+    assert _outcome(ctx.canonical_certificate(elements, budget=32)) == want
+    assert _outcome(ctx.certificate_search(elements, budget=32,
+                                           seed=1)) != want
+
+
+def test_canonical_certificate_calls_no_certificate_search(ff5, monkeypatch):
+    def no_search(*args, **kw):
+        raise AssertionError("canonical_certificate called certificate_search")
+
+    monkeypatch.setattr(KContext, "certificate_search", no_search)
+    ctx = KContext(ff5, 3)
+    cert = ctx.canonical_certificate([ff5.var(1), ff5.var(0) + ff5.var(2)])
+    assert cert is not UNKNOWN and cert.replay()
+
+
 def test_parallel_search_matches_sequential(ctx5, ff5):
     ts = [ff5.var(i) for i in range(4)]
     seq = ctx5.certificate_search(ts, budget=32, seed=5, workers=1)
