@@ -536,16 +536,69 @@ class KContext:
             row[exp.index(1)] = c.coeffs[0]
         return tuple(row) if any(row) else None
 
-    def _straightening_transform(self, elements):
-        """For linear entries: the substitution sending entry k to the k-th
-        coordinate, as a matrix T with t_i -> sum_j T[i][j] t_j."""
-        p = self.field.p
+    def _inner_form(self, x):
+        """The prime-field linear form L of an entry that is a polynomial in
+        L over a constant denominator, else None.
+
+        The gradient proposes L: every partial derivative of the numerator,
+        Frobenius-stripped, must be a prime-field multiple of the first
+        nonzero one, the derivative in t_j, and L is scaled so that its t_j
+        coefficient is 1.  The proposal counts only after an exact check:
+        the numerator must equal g(L), where g is its restriction to the t_j
+        axis, on which L is the coordinate.  So the transform that sends L to
+        a coordinate leaves an entry that uses that coordinate alone.  The
+        gradient cannot tell x + y^3 at p = 3 from a polynomial in x, since
+        its y-derivative vanishes; the check can."""
+        if not x.den.is_constant() or x.is_constant():
+            return None
+        nv, tower = self.nvars, self.field.tower
+        num = x.frobenius_strip(self.field.p)[0].num
+        grads = [num.derivative(i) for i in range(nv)]
+        j, pivot = next((i, g) for i, g in enumerate(grads) if not g.is_zero())
+        e, lead = pivot.leading()
+        row = []
+        for g in grads:
+            c = g.terms.get(e)
+            if c is None:
+                if not g.is_zero():
+                    return None
+                row.append(0)
+                continue
+            c = (c / lead).compress()
+            if c.level != 1 or g != pivot * c:
+                return None
+            row.append(c.coeffs[0])
+        form = SparsePoly(nv, {_unit_exponent(nv, i): tower.from_int(a)
+                               for i, a in enumerate(row) if a})
+        power = SparsePoly.constant(nv, tower.one())
+        image = SparsePoly.zero(nv)
+        for m in range(num.degree_in(j) + 1):
+            c = num.terms.get(tuple(m if i == j else 0 for i in range(nv)))
+            if c is not None:
+                image = image + power * c
+            power = power * form
+        return tuple(row) if image == num else None
+
+    def _inner_forms(self, elements):
+        """The inner form of every entry, or None when some entry has none:
+        the coefficient vector of a linear entry (_linear_part), else the
+        form of _inner_form.  Entry k lies in the one-variable field of its
+        form, so the forms span the field the entries cut out."""
         rows = []
         for x in elements:
             row = self._linear_part(x)
             if row is None:
-                return None
+                row = self._inner_form(x)
+                if row is None:
+                    return None
             rows.append(row)
+        return rows
+
+    def _straightening_transform(self, rows):
+        """The substitution sending the k-th inner form to the k-th
+        coordinate, as a matrix T with t_i -> sum_j T[i][j] t_j; None when
+        the forms are dependent."""
+        p = self.field.p
         if linalg.rank(tuple(rows), p) < len(rows):
             return None
         # complete to a basis with unit vectors
@@ -559,7 +612,7 @@ class KContext:
         A = tuple(full)
         if not linalg.is_invertible(A, p):
             return None
-        # entry_k composed with T = A^{-1} is the k-th coordinate
+        # form_k composed with T = A^{-1} is the k-th coordinate
         return linalg.inverse(A, p)
 
     def _elementary_transform(self, rng):
@@ -583,11 +636,17 @@ class KContext:
         c t_i becomes the terms c T[i][j] t_j, merged in the same order and
         with the same zero-dropping additions as the generic composition, so
         the result agrees with it coefficient by coefficient, tower levels
-        included.  The denominator composes to itself.  Every other entry
-        goes through RatFunc.compose."""
+        included.  The denominator composes to itself.
+
+        Every other entry has its numerator and denominator substituted by
+        polynomial arithmetic, term by term in the order of RatFunc.compose
+        and with the same products, so again the result agrees with the
+        generic composition coefficient by coefficient; each power of an
+        image is computed once, and no intermediate fraction is formed."""
         nv, p = self.nvars, self.field.p
+        tower = self.field.tower
         if x.den.is_constant() and all(sum(e) <= 1 for e in x.num.terms):
-            from_int = self.field.tower.from_int
+            from_int = tower.from_int
             out = {}
             for exp, c in x.num.terms.items():
                 if any(exp):
@@ -603,16 +662,30 @@ class KContext:
                         del out[e]
             return RatFunc(SparsePoly(nv, out), x.den)
         images = []
-        for i in range(self.nvars):
-            poly = SparsePoly.zero(self.nvars)
-            for j, c in enumerate(T[i]):
-                if c % self.field.p:
-                    exp = [0] * self.nvars
-                    exp[j] = 1
+        for row in T:
+            poly = SparsePoly.zero(nv)
+            for j, c in enumerate(row):
+                if c % p:
                     poly = poly + SparsePoly(
-                        self.nvars, {tuple(exp): self.field.tower.from_int(c)})
-            images.append(RatFunc.from_poly(poly, self.field.tower))
-        return x.compose(images)
+                        nv, {_unit_exponent(nv, j): tower.from_int(c)})
+            images.append(poly)
+        one = SparsePoly.constant(nv, tower.one())
+        powers = {}
+
+        def substitute(poly):
+            out = None
+            for exp, c in poly.terms.items():
+                term = SparsePoly.constant(nv, c)
+                for i, k in enumerate(exp):
+                    if k:
+                        if (i, k) not in powers:
+                            powers[i, k] = _power(images[i], k, one)
+                        term = term * powers[i, k]
+                out = term if out is None else out + term
+            return out
+
+        # RatFunc.compose divides the two images as fractions over one
+        return RatFunc(substitute(x.num) * one, one * substitute(x.den))
 
     def certificate_search(self, elements, budget=64, seed=0, shifts=False,
                            deterministic_first=True, workers=1):
@@ -620,12 +693,24 @@ class KContext:
         symbol.  Returns a Certificate, or UNKNOWN when the budget runs out;
         non-vanishing is only semi-decided.
 
+        Every entry that is a polynomial in one prime-field linear form (its
+        inner form, _inner_forms) lies in a one-variable subfield.  When
+        every entry has one and the forms are dependent, the entries lie in
+        a field of transcendence degree below the length of the symbol,
+        where the symbol vanishes, so the search returns UNKNOWN without a
+        trial.  When they are independent, the straightening transform
+        sends entry k to a polynomial in t_k alone.
+
         The trials come in one order.  First, at the origin: the
-        straightening transform when every entry is linear, then the
-        entries as given, then (with shifts on) up to twelve shifted
-        variable tuples.  Then trials drawn from the seed: random base
-        points, variable tuples and, for entries in several variables,
-        transforms.  deterministic_first=False skips the origin trials.
+        straightened entries (shifted when shifts is on and every entry is
+        linear), then the entries as given, then up to twelve variable
+        tuples from the variables the entries use, shifted when shifts is
+        on.  Then trials drawn from the seed: random base points, variable
+        tuples and, for entries in several variables, transforms.
+        deterministic_first=False skips the origin trials.  In a trial
+        without shifts, a chain step whose entry uses the step's variable
+        alone is centred at a zero or pole of that entry (_snap_center), so
+        every straightened entry has a value prime to l at its step.
 
         With shifts off (the default) the certified statement is the direct
         symbol of the given elements, up to a recorded linear change of
@@ -656,29 +741,39 @@ class KContext:
         for x in elements:
             if x.is_zero():
                 raise ZeroEntry("cannot certify a symbol with a zero entry")
-        trials = self._trials(elements, seed, shifts, deterministic_first)
+        # the forms, the straightening and their rank once per search
+        rows = [self._linear_part(x) for x in elements]
+        linear = None not in rows
+        if not linear:
+            rows = self._inner_forms(elements)
+        straight = None if rows is None else self._straightening_transform(rows)
+        if rows is not None and straight is None:
+            # witnessed dependence: the symbol vanishes
+            return UNKNOWN
+        trials = self._trials(elements, straight, shifts and linear, seed,
+                              shifts, deterministic_first)
         for trial in itertools.islice(trials, budget):
             cert = self._try_trial(elements, trial)
             if cert is not None:
                 return cert
         return UNKNOWN
 
-    def _trials(self, elements, seed, shifts, deterministic_first):
+    def _trials(self, elements, straight, straight_shift, seed, shifts,
+                deterministic_first):
         """The endless trial stream of a search: (variables, base point,
         shift, transform) tuples."""
         d, r = self.nvars, len(elements)
-        straight = self._straightening_transform(elements)
         pool = self._variable_pool(elements, r)
         zero = self.field.tower.zero()
         if deterministic_first:
             origin = (zero,) * d
+            first = tuple(range(r))
             if straight is not None:
-                yield tuple(range(r)), origin, shifts, straight
-            yield tuple(range(r)), origin, False, None
-            if shifts:
-                for vars_ in itertools.islice(
-                        itertools.permutations(pool, r), 12):
-                    yield vars_, origin, True, None
+                yield first, origin, straight_shift, straight
+            yield first, origin, False, None
+            for vars_ in itertools.islice(itertools.permutations(pool, r), 12):
+                if shifts or vars_ != first:
+                    yield vars_, origin, shifts, None
         rng = random.Random(repr(("certificate", seed, r)))
         stream = self._center_stream(rng)
         others = [i for i in range(d) if i not in pool]
@@ -718,21 +813,26 @@ class KContext:
         return num.constant_value(self.field.tower) / dv
 
     def _snap_center(self, entry, var):
-        """A chain center in the vanishing or polar locus of the entry, when
-        the entry is affine in the single given variable; None otherwise."""
+        """A chain centre in the vanishing or polar locus of the entry, when
+        its numerator or denominator uses the given variable alone: the root
+        of an affine one, else its least root (by compress_key) of
+        multiplicity prime to l, at whatever tower level the root lives;
+        None otherwise."""
+        tower = self.field.tower
         for poly in (entry.num, entry.den):
-            if poly.vars_used() == {var} and poly.degree_in(var) == 1:
+            if poly.vars_used() != {var}:
+                continue
+            if poly.degree_in(var) == 1:
                 univ = poly.as_univariate(var)
-                a = univ[1]
                 b = univ.get(0)
-                if not a.is_constant():
-                    continue
-                av = a.constant_value(self.field.tower)
                 if b is None:
-                    return self.field.tower.zero()
-                if not b.is_constant():
-                    continue
-                return -(b.constant_value(self.field.tower) / av)
+                    return tower.zero()
+                return -(b.constant_value(tower)
+                         / univ[1].constant_value(tower))
+            roots = [z for z, m in self.field.univariate_roots(poly)
+                     if m % self.ell]
+            if roots:
+                return min(roots, key=lambda z: z.compress_key())
         return None
 
     def _try_trial(self, elements, trial):
@@ -830,16 +930,18 @@ class KContext:
     def trdeg_upper(self, gens):
         """An upper bound on the transcendence degree of the field the
         nonconstant generators cut out, each one backed by a witness: the
-        F_p rank of the coefficient vectors when every generator is linear
-        in the sense of _linear_part (exact, since an F_p relation between
-        the vectors is an affine relation between the generators), else the
-        number of generators or of variables they use, whichever is smaller.
+        F_p rank of the inner forms when every generator has one
+        (_inner_forms; exact, since each generator is algebraic over the
+        one-variable field of its form and generates it up to an algebraic
+        extension), else the number of generators or of variables they use,
+        whichever is smaller.
 
         The Jacobian rank is no such bound: in characteristic p it can fall
-        below the transcendence degree, as for x and x + y^p."""
+        below the transcendence degree, as for x and x + y^p.  Nor is the
+        gradient alone: an inner form counts only after its exact check."""
         gens = [g for g in gens if not g.is_constant()]
-        rows = [self._linear_part(g) for g in gens]
-        if None not in rows:
+        rows = self._inner_forms(gens)
+        if rows is not None:
             return linalg.rank(tuple(rows), self.field.p)
         used = set().union(*(g.vars_used() for g in gens))
         return min(len(gens), len(used))
@@ -907,6 +1009,18 @@ class KContext:
                 return EQUAL
             return DISTINCT
         return UNKNOWN
+
+
+def _power(base, k, one):
+    """base ** k by the square-and-multiply order of RatFunc.__pow__."""
+    result = one
+    while k:
+        if k & 1:
+            result = result * base
+        k >>= 1
+        if k:
+            base = base * base
+    return result
 
 
 def _unit_exponent(nvars, j):

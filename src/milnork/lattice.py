@@ -233,7 +233,15 @@ class Universe:
 
     def _extend(self, key):
         """The set enlarged, in index order, by the members that keep the
-        Jacobian at full rank, until it has nvars members."""
+        Jacobian at full rank, until it has nvars members.  A set whose own
+        Jacobian is rank-deficient is returned as it is: no enlargement of
+        it can have full rank.  Only a set with a nonlinear member is
+        checked; a linear set's Jacobian rank is the F_p rank that
+        trdeg_upper has already found full."""
+        gens = self._gens(key)
+        if (any(self.ctx._linear_part(g) is None for g in gens)
+                and self.ctx.jacobian_rank(gens) < len(key)):
+            return key
         out = set(key)
         for i in range(len(self.subgroups)):
             if len(out) >= self.ctx.nvars:

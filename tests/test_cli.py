@@ -500,9 +500,9 @@ def test_pipeline_nonlinear_universe_pins_its_unknown_set(run, monkeypatch):
 
 
 def test_nonlinear_pipeline_certificates_ignore_the_config_seed(run):
-    # serialized certificates come from the search at the fixed seed 0; on
-    # pairs with the nonlinear entry xy the seeded trials decide, and the
-    # search at seeds 1 and 999 would certify them differently
+    # serialized certificates come from the search at the fixed seed 0, so
+    # the config seed reaches none of them, not even on the pairs with the
+    # nonlinear entry xy
     ff = FunctionField(FieldTower(7, seed=0), 5)
     xy = ff.var(0) * ff.var(1)
     outs = []

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from milnork import kmilnor
+from milnork import kmilnor, linalg
 
 from milnork.groundfield import INF, CoordValuation, FieldTower, FunctionField
 from milnork.kmilnor import (
@@ -311,7 +311,7 @@ def test_linear_search_wins_with_its_first_trial(ff5, monkeypatch, shifts,
     monkeypatch.setattr(ctx, "_try_trial", spy)
     cert = ctx.certificate_search(elements, budget=16, seed=seed,
                                   shifts=shifts)
-    straight = ctx._straightening_transform(elements)
+    straight = ctx._straightening_transform(ctx._inner_forms(elements))
     assert straight is not None and cert.transform == straight
     assert trials == [((0, 1, 2), (ff5.tower.zero(),) * 5, shifts, straight)]
     canonical = ctx.canonical_certificate(elements, budget=16, shifts=shifts)
@@ -321,9 +321,9 @@ def test_linear_search_wins_with_its_first_trial(ff5, monkeypatch, shifts,
 
 def test_canonical_certificate_is_the_search_at_seed_zero(ff5):
     # a nonlinear pair that the origin trials miss, so the seeded trials
-    # decide it
+    # decide it; neither entry is a polynomial in one linear form
     t = [ff5.var(i) for i in range(5)]
-    elements = [t[2], t[0] * t[1]]
+    elements = [t[2] * t[3], t[2] + t[3] + ff5.const(1)]
     ctx = KContext(ff5, 3)
     want = _outcome(ctx.certificate_search(elements, budget=32, seed=0))
     assert want is not UNKNOWN and want[3] is not None
@@ -340,6 +340,76 @@ def test_canonical_certificate_calls_no_certificate_search(ff5, monkeypatch):
     ctx = KContext(ff5, 3)
     cert = ctx.canonical_certificate([ff5.var(1), ff5.var(0) + ff5.var(2)])
     assert cert is not UNKNOWN and cert.replay()
+
+
+def _spy_trials(ctx):
+    """Record every trial a context tries."""
+    trials = []
+    try_trial = ctx._try_trial
+
+    def spy(elements, trial):
+        trials.append(trial)
+        return try_trial(elements, trial)
+
+    ctx._try_trial = spy
+    return trials
+
+
+def test_unshifted_origin_trials_walk_the_pool(ff5):
+    # t2 is no unit on the chain of range(2); the pool tuple (0, 2) of the
+    # origin trials certifies the pair, so the seeded tail is never reached
+    t = [ff5.var(i) for i in range(5)]
+    zero = ff5.tower.zero()
+    ctx = KContext(ff5, 3)
+    trials = _spy_trials(ctx)
+    cert = ctx.certificate_search([t[2], t[0] * t[1]], budget=64, seed=0)
+    assert cert is not UNKNOWN and cert.replay()
+    assert trials == [((0, 1), (zero,) * 5, False, None),
+                      ((0, 2), (zero,) * 5, False, None)]
+    assert cert.transform is None
+
+
+def test_inner_form_needs_the_exact_check():
+    # the y-derivative of x + y^3 vanishes at p = 3, so the gradient alone
+    # takes it for a polynomial in x; the exact check refuses it
+    ff = FunctionField(FieldTower(3, seed=0), 2)
+    ctx = KContext(ff, 2)
+    x, y = ff.var(0), ff.var(1)
+    assert ctx._inner_form(x + y ** 3) is None
+    assert ctx._inner_forms([x, x + y ** 3]) is None
+    assert ctx.trdeg_upper([x, x + y ** 3]) == 2
+    # p-th powers and polynomials in one form keep their form
+    assert ctx._inner_form((x + y) ** 3) == (1, 1)
+    assert ctx._inner_form((x - y) ** 2 + ff.const(1)) == (1, 2)
+    assert ctx._inner_form(x * y) is None
+    assert ctx._inner_form(x / (x + ff.const(1))) is None
+
+
+def test_trdeg_upper_of_polynomials_in_one_form(ff2):
+    ctx = KContext(ff2, 3)
+    x, y, c = ff2.var(0), ff2.var(1), ff2.const
+    u = x + y
+    assert ctx.trdeg_upper([u, u * u + c(3)]) == 1
+    assert ctx.trdeg_upper([u ** 3 - c(2), (x - y) ** 2]) == 2
+    assert ctx.trdeg_upper([u * u, x * y]) == 2
+
+
+def test_nonlinear_straightening_centres_at_roots(ff5):
+    # (u + 1)^2 - 3 has its roots at level 2; straightened by u and v, the
+    # pair wins with its first trial, centred at such a root
+    t, c = [ff5.var(i) for i in range(5)], ff5.const
+    u, v = t[0] + c(2) * t[1], t[1] + t[3]
+    elements = [(u + c(1)) ** 2 - c(3), v ** 3 + v]
+    for shifts in (False, True):
+        ctx = KContext(ff5, 3)
+        trials = _spy_trials(ctx)
+        cert = ctx.certificate_search(elements, budget=16, seed=1,
+                                      shifts=shifts)
+        assert cert is not UNKNOWN and cert.replay()
+        straight = ctx._straightening_transform(ctx._inner_forms(elements))
+        assert len(trials) == 1 and trials[0][2:] == (False, straight)
+        assert cert.transform == straight
+        assert cert.chain.steps[0].center.compress().level == 2
 
 
 def test_parallel_search_matches_sequential(ctx5, ff5):
@@ -594,3 +664,90 @@ def test_warm_context_finds_the_fresh_certificate(case):
         got = _outcome(ctx.certificate_search(elements, budget=12, seed=seed,
                                               shifts=shifts))
         assert got == want
+
+
+# -- inner forms: property tests against replay ------------------------------
+
+_FORM_FIELDS = {}
+_FORM_VARS = 4
+
+
+def _form_field(p):
+    if p not in _FORM_FIELDS:
+        _FORM_FIELDS[p] = FunctionField(FieldTower(p, seed=0), _FORM_VARS)
+    return _FORM_FIELDS[p]
+
+
+@st.composite
+def _squarefree(draw, p):
+    """Coefficients of distinct linear factors u - a and, optionally, the
+    irreducible (u + b)^2 - n for a non-square n: a squarefree polynomial."""
+    roots = draw(st.lists(st.integers(0, p - 1), min_size=0, max_size=3,
+                          unique=True))
+    squares = {(a * a) % p for a in range(p)}
+    n = draw(st.sampled_from([a for a in range(1, p) if a not in squares]))
+    quad = draw(st.one_of(st.none(), st.integers(0, p - 1)))
+    if not roots and quad is None:
+        roots = [draw(st.integers(0, p - 1))]
+    return roots, None if quad is None else (quad, n)
+
+
+def _poly_of(ff, form, spec):
+    roots, quad = spec
+    u = ff.zero()
+    for i, a in enumerate(form):
+        u = u + ff.const(a) * ff.var(i)
+    g = ff.one()
+    for a in roots:
+        g = g * (u - ff.const(a))
+    if quad is not None:
+        b, n = quad
+        g = g * ((u + ff.const(b)) ** 2 - ff.const(n))
+    return g
+
+
+@st.composite
+def _form_tuples(draw, independent):
+    p = draw(st.sampled_from([7, 11, 13]))
+    ell = draw(st.sampled_from([3, 5]))
+    r = draw(st.sampled_from([2, 3]))
+    form = st.tuples(*[st.integers(0, p - 1)] * _FORM_VARS).filter(any)
+    if independent:
+        forms = draw(st.lists(form, min_size=r, max_size=r).filter(
+            lambda rows: linalg.rank(tuple(rows), p) == r))
+    else:
+        # every form in the span of r - 1 of them
+        base = draw(st.lists(form, min_size=r - 1, max_size=r - 1))
+        forms = [(draw(st.sampled_from(base)), draw(st.integers(1, p - 1)))
+                 for _ in range(r)]
+        forms = [tuple((c * a) % p for a in f) for f, c in forms]
+    specs = [draw(_squarefree(p)) for _ in range(r)]
+    ff = _form_field(p)
+    elements = [_poly_of(ff, f, s) for f, s in zip(forms, specs)]
+    return ff, ell, elements, draw(st.booleans()), draw(st.integers(0, 9))
+
+
+@settings(max_examples=30, deadline=None)
+@given(_form_tuples(independent=True))
+def test_polynomials_of_independent_forms_are_certified(case):
+    ff, ell, elements, shifts, seed = case
+    ctx = KContext(ff, ell)
+    trials = _spy_trials(ctx)
+    cert = ctx.certificate_search(elements, budget=8, seed=seed,
+                                  shifts=shifts)
+    assert cert is not UNKNOWN
+    assert len(cert.statement) == len(elements) and cert.replay()
+    assert len(trials) == 1
+    assert ctx.trdeg_upper(elements) == len(elements)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_form_tuples(independent=False))
+def test_tuples_inside_a_smaller_field_stop_without_a_trial(case):
+    ff, ell, elements, shifts, seed = case
+    ctx = KContext(ff, ell)
+    trials = _spy_trials(ctx)
+    assert ctx.certificate_search(elements, budget=8, seed=seed,
+                                  shifts=shifts) is UNKNOWN
+    assert trials == []
+    assert ctx.trdeg_upper(elements) < len(elements)

@@ -151,10 +151,11 @@ def test_independent_dependence_short_cuts(ctx5, subs, ff5, monkeypatch):
     assert calls == []
     assert uni.independent(frozenset([0, 2, 5])) is True
     assert uni.independent(frozenset(range(5))) is True
-    # dependence is decided without a Jacobian; {0, 2, 5} is extended
-    # before its search: t1 is rejected (t0*t1 is in the set already), t3
-    # and t4 are kept; range(5) has nvars members and is not extended
-    assert calls == [4, 4, 5]
+    # dependence is decided without a Jacobian; {0, 2, 5} has a nonlinear
+    # member, so its own Jacobian is checked, and it is extended before its
+    # search: t1 is rejected (t0*t1 is in the set already), t3 and t4 are
+    # kept; range(5) has nvars members and is not extended
+    assert calls == [3, 4, 4, 5]
 
 
 def test_p_power_mixtures_are_independent():
@@ -181,6 +182,43 @@ def test_dependence_without_witness_is_unknown(ff2):
                          for i, g in enumerate([xy, xy ** 2])], budget=16)
     with pytest.raises(DimUnknown):
         uni.independent(frozenset([0, 1]))
+
+
+def test_polynomials_in_one_form_are_dependent(ff2):
+    # x + y and (x + y)^2 + 3 both lie in k(x + y): the F_p rank of their
+    # inner forms witnesses the dependence, with no search
+    ctx = KContext(ff2, 3)
+    u = ff2.var(0) + ff2.var(1)
+    uni = Universe(ctx, [RationalSubgroup(ctx, g, "g%d" % i)
+                         for i, g in enumerate([u, u * u + ff2.const(3)])],
+                   budget=16)
+    assert uni.independent(frozenset([0, 1])) is False
+    assert uni.rank(frozenset([0, 1])) == 1
+    assert uni._unresolved == set()
+
+
+def test_rank_deficient_jacobian_is_not_extended(monkeypatch):
+    # {xy, (xy)^2}: its own Jacobian has rank 1, so no member can enlarge
+    # it to full rank, and none is probed before the search that fails
+    ff = FunctionField(FieldTower(7, seed=0), 3)
+    ctx = KContext(ff, 3)
+    t = [ff.var(i) for i in range(3)]
+    xy = t[0] * t[1]
+    gens = t + [t[0] + t[2], xy, xy ** 2]
+    uni = Universe(ctx, [RationalSubgroup(ctx, g, "g%d" % i)
+                         for i, g in enumerate(gens)], budget=16)
+    sizes = []
+    jacobian_rank = ctx.jacobian_rank
+
+    def spy(gens):
+        sizes.append(len(gens))
+        return jacobian_rank(gens)
+
+    monkeypatch.setattr(ctx, "jacobian_rank", spy)
+    with pytest.raises(DimUnknown) as err:
+        uni.independent(frozenset([4, 5]))
+    assert err.value.candidates == [frozenset([4, 5])]
+    assert sizes == [2]
 
 
 class SearchEverySet(Universe):
