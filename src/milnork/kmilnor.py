@@ -636,17 +636,11 @@ class KContext:
         c t_i becomes the terms c T[i][j] t_j, merged in the same order and
         with the same zero-dropping additions as the generic composition, so
         the result agrees with it coefficient by coefficient, tower levels
-        included.  The denominator composes to itself.
-
-        Every other entry has its numerator and denominator substituted by
-        polynomial arithmetic, term by term in the order of RatFunc.compose
-        and with the same products, so again the result agrees with the
-        generic composition coefficient by coefficient; each power of an
-        image is computed once, and no intermediate fraction is formed."""
+        included.  The denominator composes to itself.  Every other entry
+        goes through RatFunc.compose."""
         nv, p = self.nvars, self.field.p
-        tower = self.field.tower
         if x.den.is_constant() and all(sum(e) <= 1 for e in x.num.terms):
-            from_int = tower.from_int
+            from_int = self.field.tower.from_int
             out = {}
             for exp, c in x.num.terms.items():
                 if any(exp):
@@ -662,30 +656,16 @@ class KContext:
                         del out[e]
             return RatFunc(SparsePoly(nv, out), x.den)
         images = []
-        for row in T:
-            poly = SparsePoly.zero(nv)
-            for j, c in enumerate(row):
-                if c % p:
+        for i in range(self.nvars):
+            poly = SparsePoly.zero(self.nvars)
+            for j, c in enumerate(T[i]):
+                if c % self.field.p:
+                    exp = [0] * self.nvars
+                    exp[j] = 1
                     poly = poly + SparsePoly(
-                        nv, {_unit_exponent(nv, j): tower.from_int(c)})
-            images.append(poly)
-        one = SparsePoly.constant(nv, tower.one())
-        powers = {}
-
-        def substitute(poly):
-            out = None
-            for exp, c in poly.terms.items():
-                term = SparsePoly.constant(nv, c)
-                for i, k in enumerate(exp):
-                    if k:
-                        if (i, k) not in powers:
-                            powers[i, k] = _power(images[i], k, one)
-                        term = term * powers[i, k]
-                out = term if out is None else out + term
-            return out
-
-        # RatFunc.compose divides the two images as fractions over one
-        return RatFunc(substitute(x.num) * one, one * substitute(x.den))
+                        self.nvars, {tuple(exp): self.field.tower.from_int(c)})
+            images.append(RatFunc.from_poly(poly, self.field.tower))
+        return x.compose(images)
 
     def certificate_search(self, elements, budget=64, seed=0, shifts=False,
                            deterministic_first=True, workers=1):
@@ -1009,18 +989,6 @@ class KContext:
                 return EQUAL
             return DISTINCT
         return UNKNOWN
-
-
-def _power(base, k, one):
-    """base ** k by the square-and-multiply order of RatFunc.__pow__."""
-    result = one
-    while k:
-        if k & 1:
-            result = result * base
-        k >>= 1
-        if k:
-            base = base * base
-    return result
 
 
 def _unit_exponent(nvars, j):
