@@ -134,7 +134,7 @@ def _decode_generator(field, decl):
             g = g + field.const(coef) * field.var(int(var))
         return g
     if "ratfunc" in decl:
-        return jsonio.decode_ratfunc(field.tower, decl["ratfunc"])
+        return jsonio.decode_ratfunc(field, decl["ratfunc"])
     raise ValueError("unknown generator declaration %r" % (decl,))
 
 
@@ -345,7 +345,7 @@ def cmd_symbol_eval(args):
     ctx = _context(args)
     data = _load_input(args)
     what = "symbol-eval input"
-    sym = jsonio.decode_symbol(ctx.field.tower,
+    sym = jsonio.decode_symbol(ctx.field,
                                jsonio.field(data, "symbol", what, list))
     chain = jsonio.decode_chain(ctx.field,
                                 jsonio.field(data, "chain", what, dict))
@@ -363,7 +363,7 @@ def cmd_symbol_eval(args):
 def cmd_certify(args):
     ctx = _context(args)
     data = _load_input(args)
-    elements = [jsonio.decode_ratfunc(ctx.field.tower, e)
+    elements = [jsonio.decode_ratfunc(ctx.field, e)
                 for e in jsonio.field(data, "elements", "certify input", list)]
     cert = ctx.certificate_search(elements, budget=args.budget, seed=args.seed,
                                   workers=args.workers)
@@ -381,7 +381,7 @@ def cmd_certify(args):
 def cmd_dim(args):
     ctx = _context(args)
     data = _load_input(args)
-    gens = [jsonio.decode_ratfunc(ctx.field.tower, e)
+    gens = [jsonio.decode_ratfunc(ctx.field, e)
             for e in jsonio.field(data, "generators", "dim input", list)]
     lo, hi = ctx.milnor_dim_bounds(gens, budget=args.budget, seed=args.seed)
     _emit(args, {"lower": lo, "upper": hi})
@@ -398,7 +398,7 @@ def cmd_lattice_build(args):
     for i, gens_json in enumerate(subfields):
         if not isinstance(gens_json, list):
             raise jsonio.InputError("each subfield must be a list")
-        gens = [jsonio.decode_ratfunc(ctx.field.tower, g) for g in gens_json]
+        gens = [jsonio.decode_ratfunc(ctx.field, g) for g in gens_json]
         frag = omega(ctx, gens, label="L%d" % i, budget=args.budget)
         nodes.append({"label": frag.label, "rank": frag.rank,
                       "generators": [jsonio.encode_ratfunc(g)
@@ -433,7 +433,7 @@ def cmd_delta(args):
     ctx = _context(args)
     data = _load_input(args)
     what = "delta input"
-    gen = jsonio.decode_ratfunc(ctx.field.tower,
+    gen = jsonio.decode_ratfunc(ctx.field,
                                 jsonio.field(data, "generator", what, dict))
     A = RationalSubgroup(ctx, gen)
     vals = [ctx.field.valuation(

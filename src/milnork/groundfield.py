@@ -67,142 +67,8 @@ def _prime_factors(n):
 
 
 # ---------------------------------------------------------------------------
-# F_p[x] arithmetic on little-endian coefficient lists of ints.
-# ---------------------------------------------------------------------------
-
-def _ptrim(a):
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _pmul(a, b, p):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _ptrim(out)
-
-
-def _pmod(a, f, p):
-    # f monic
-    a = list(a)
-    df = len(f) - 1
-    while len(a) - 1 >= df:
-        c = a[-1] % p
-        if c:
-            k = len(a) - 1 - df
-            for i in range(df):
-                a[k + i] = (a[k + i] - c * f[i]) % p
-        a.pop()
-    return _ptrim(a)
-
-
-def _pdivmod(a, f, p):
-    # f monic
-    a = list(a)
-    df = len(f) - 1
-    q = [0] * max(0, len(a) - df)
-    while len(a) - 1 >= df:
-        c = a[-1] % p
-        k = len(a) - 1 - df
-        q[k] = c
-        if c:
-            for i in range(df):
-                a[k + i] = (a[k + i] - c * f[i]) % p
-        a.pop()
-    return _ptrim(q), _ptrim(a)
-
-
-def _pmonic(a, p):
-    if not a:
-        return []
-    inv = pow(a[-1], -1, p)
-    return [(x * inv) % p for x in a]
-
-
-def _pgcd(a, b, p):
-    a, b = _ptrim(list(a)), _ptrim(list(b))
-    while b:
-        bm = _pmonic(b, p)
-        r = _pmod(a, bm, p)
-        a, b = b, r
-    return _pmonic(a, p)
-
-
-def _ppowmod(base, e, f, p):
-    result = [1]
-    base = _pmod(base, f, p)
-    while e:
-        if e & 1:
-            result = _pmod(_pmul(result, base, p), f, p)
-        base = _pmod(_pmul(base, base, p), f, p)
-        e >>= 1
-    return result
-
-
-def _pxgcd(a, b, p):
-    # returns (g, s, t) with s*a + t*b = g, g monic
-    r0, r1 = _ptrim(list(a)), _ptrim(list(b))
-    s0, s1 = [1], []
-    t0, t1 = [], [1]
-    while r1:
-        r1m = _pmonic(r1, p)
-        lead_inv = pow(r1[-1], -1, p) if r1 else 1
-        q, r = _pdivmod(r0, r1m, p)
-        q = [(x * lead_inv) % p for x in q]
-        r0, r1 = r1, r
-        s0, s1 = s1, _ptrim([(x - y) % p for x, y in
-                             zip(s0 + [0] * len(_pmul(q, s1, p)), _pmul(q, s1, p) + [0] * len(s0))])
-        t0, t1 = t1, _ptrim([(x - y) % p for x, y in
-                             zip(t0 + [0] * len(_pmul(q, t1, p)), _pmul(q, t1, p) + [0] * len(t0))])
-    if not r0:
-        return [], s0, t0
-    inv = pow(r0[-1], -1, p)
-    scale = lambda v: [(x * inv) % p for x in v]
-    return scale(r0), scale(s0), scale(t0)
-
-
-def _is_irreducible(f, p):
-    # Rabin test; f monic of degree n >= 1.
-    n = len(f) - 1
-    if n == 1:
-        return True
-    x = [0, 1]
-    h = _ppowmod(x, p ** n, f, p)
-    if _ptrim([(a - b) % p for a, b in zip(h + [0] * 2, x + [0] * len(h))]):
-        return False
-    for q in _prime_factors(n):
-        h = _ppowmod(x, p ** (n // q), f, p)
-        d = _pgcd([(a - b) % p for a, b in zip(h + [0] * 2, x + [0] * len(h))], f, p)
-        if len(d) - 1 > 0:
-            return False
-    return True
-
-
-def _find_irreducible(p, n, rng):
-    if n == 1:
-        return [0, 1]
-    while True:
-        f = [rng.randrange(p) for _ in range(n)] + [1]
-        if _is_irreducible(f, p):
-            return f
-
-
-# ---------------------------------------------------------------------------
 # The tower.
 # ---------------------------------------------------------------------------
-
-class _Level:
-    __slots__ = ("degree", "modulus")
-
-    def __init__(self, degree, modulus):
-        self.degree = degree
-        self.modulus = modulus  # monic, little-endian int list, length degree+1
-
 
 class FieldTower:
     """A compatible tower of finite fields modelling the closure of F_p.
@@ -212,6 +78,9 @@ class FieldTower:
     needed, the top grows to lcm(top, m) first.  Each level m stores the
     image of its power-basis generator inside the top field, so embeddings
     between comparable levels are solved exactly through the top.
+
+    Level 1 is the prime field.  One dense polynomial stack over the levels
+    (the _lp_* methods) finds the moduli, grows the spine and finds roots.
     """
 
     def __init__(self, p, seed=0):
@@ -221,7 +90,8 @@ class FieldTower:
         self.seed = seed
         self._rng = random.Random(("tower", p, seed).__repr__())
         self._lock = threading.RLock()
-        self._levels = {1: _Level(1, [0, 1])}
+        # level m -> its monic modulus, a little-endian int list of length m+1
+        self._levels = {1: [0, 1]}
         self._spine = [1]
         self._gen_top = {1: (0,)}  # image of the level generator in the top
         self._embed_solvers = {}   # level -> (top, solver data)
@@ -246,11 +116,13 @@ class FieldTower:
         return GroundElem(self, 1, (k % self.p,))
 
     def element(self, level, coeffs):
-        self.ensure_level(level)
-        coeffs = tuple(c % self.p for c in coeffs)
+        # checked before the level is built: a large level is costly to build
         if len(coeffs) != level:
             raise ValueError("coefficient vector must have length %d" % level)
-        return GroundElem(self, level, coeffs)
+        if not all(type(c) is int for c in coeffs):
+            raise ValueError("coefficients must be integers")
+        self.ensure_level(level)
+        return GroundElem(self, level, tuple(c % self.p for c in coeffs))
 
     def generator(self, level):
         """The power-basis generator of F_{p^level}."""
@@ -282,9 +154,9 @@ class FieldTower:
                 self._grow_spine(_lcm(self.top, m))
             if m in self._levels:
                 return
-            f = _find_irreducible(self.p, m, self._rng)
+            f = [c for (c,) in self._find_irreducible_over(1, m)]
             root = self._root_in_top(f)
-            self._levels[m] = _Level(m, f)
+            self._levels[m] = f
             self._gen_top[m] = root
             self._construction_log.append({"level": m, "modulus": list(f)})
 
@@ -335,21 +207,29 @@ class FieldTower:
         return tuple((-x) % p for x in a)
 
     def _mul(self, level, a, b):
-        f = self._levels[level].modulus
-        out = _pmod(_pmul(list(a), list(b), self.p), f, self.p)
-        return tuple(out + [0] * (level - len(out)))
+        p = self.p
+        if level == 1:
+            return (a[0] * b[0] % p,)
+        # schoolbook product, then reduction by the monic modulus from the top
+        f = self._levels[level]
+        out = [0] * (2 * level - 1)
+        for i, ai in enumerate(a):
+            if ai:
+                for j, bj in enumerate(b):
+                    out[i + j] += ai * bj
+        for k in range(2 * level - 2, level - 1, -1):
+            c = out[k] % p
+            if c:
+                for i in range(level):
+                    out[k - level + i] -= c * f[i]
+        return tuple(x % p for x in out[:level])
 
     def _inv(self, level, a):
         if not any(a):
             raise ZeroError("inverse of zero")
-        f = self._levels[level].modulus
-        g, s, _ = _pxgcd(list(a), f, self.p)
-        if len(g) != 1:
-            raise ArithmeticError("non-unit in a field, modulus not irreducible?")
-        inv_c = pow(g[0], -1, self.p)
-        s = [(x * inv_c) % self.p for x in s]
-        s = _pmod(s, f, self.p)
-        return tuple(s + [0] * (level - len(s)))
+        if level == 1:
+            return (pow(a[0], -1, self.p),)
+        return self._pow(level, a, self.p ** level - 2)
 
     def _pow(self, level, a, e):
         if e < 0:
@@ -372,36 +252,19 @@ class FieldTower:
         # irreducible g of degree e over the old top field
         g = self._find_irreducible_over(old, e)
         # elements of the composite ring are length-e lists of old-top vectors
-        def rmul(a, b):
-            out = [tuple([0] * old) for _ in range(len(a) + len(b) - 1)]
-            for i, ai in enumerate(a):
-                if any(ai):
-                    for j, bj in enumerate(b):
-                        out[i + j] = self._add(old, out[i + j], self._mul(old, ai, bj))
-            # reduce mod g (monic over old top)
-            de = len(g) - 1
-            while len(out) - 1 >= de:
-                c = out[-1]
-                if any(c):
-                    k = len(out) - 1 - de
-                    for i in range(de):
-                        out[k + i] = self._sub(old, out[k + i], self._mul(old, c, g[i]))
-                out.pop()
-            while len(out) < e:
-                out.append(tuple([0] * old))
-            return out
-
+        zero_old = tuple([0] * old)
         one_old = tuple([1] + [0] * (old - 1))
         x_old = self._gen_vector(old)
         # search a primitive element z = y + c * x_old
         for idx in range(p ** old):
             c = self.element_from_index(old, idx).coeffs
-            z = [self._mul(old, c, x_old), one_old] + [tuple([0] * old)] * (e - 2)
+            z = [self._mul(old, c, x_old), one_old] + [zero_old] * (e - 2)
             flat_rows = []
-            power = [one_old] + [tuple([0] * old)] * (e - 1)
+            power = [one_old] + [zero_old] * (e - 1)
             for k in range(new_top):
                 flat_rows.append(tuple(v for blk in power for v in blk))
-                power = rmul(power, z)
+                power = self._lp_mod(self._lp_mul(power, z, old), g, old)
+                power += [zero_old] * (e - len(power))
             # minimal polynomial: solve flat(z^new_top) = sum c_k flat(z^k)
             target = tuple(v for blk in power for v in blk)
             from . import linalg
@@ -415,16 +278,14 @@ class FieldTower:
             minpoly = [(-s) % p for s in sol] + [1]
             zmat = A  # columns are z^k in the tensor basis
             zinv = linalg.inverse(zmat, p)
-            self._levels[new_top] = _Level(new_top, minpoly)
+            self._levels[new_top] = minpoly
             self._construction_log.append({"level": new_top, "modulus": list(minpoly)})
             # refresh generator images: everything factored through the old top
             new_gen = {}
             for m, v in self._gen_top.items():
                 flat = tuple(list(v) + [0] * (new_top - old))
                 new_gen[m] = tuple(linalg.mat_vec(zinv, flat, p))
-            new_gen[new_top] = tuple(1 if i == 1 else 0 for i in range(new_top))
-            if new_top == 1:
-                new_gen[new_top] = (0,)
+            new_gen[new_top] = self._gen_vector(new_top)
             self._gen_top = new_gen
             self._spine.append(new_top)
             self._embed_solvers.clear()
@@ -438,8 +299,6 @@ class FieldTower:
 
     def _find_irreducible_over(self, level, degree):
         """Random monic irreducible of given degree over F_{p^level}."""
-        if degree == 1:
-            return [self._gen_vector(level), tuple([1] + [0] * (level - 1))]
         one = tuple([1] + [0] * (level - 1))
         q = self.p ** level
         while True:
@@ -448,7 +307,8 @@ class FieldTower:
             if self._lpoly_irreducible(g, level):
                 return g
 
-    # polynomials over a level: lists of coefficient tuples, little endian
+    # dense polynomials over a level: little-endian lists of coefficient
+    # tuples; level 1 is F_p, so this is the one polynomial stack
 
     def _lp_trim(self, a):
         while a and not any(a[-1]):
@@ -472,22 +332,9 @@ class FieldTower:
         inv = self._inv(level, a[-1])
         return [self._mul(level, inv, c) for c in a]
 
-    def _lp_mod(self, a, f, level):
-        # f monic
+    def _lp_divmod(self, a, f, level):
+        """Quotient and remainder of a by the monic f."""
         a = list(a)
-        df = len(f) - 1
-        while len(a) - 1 >= df:
-            c = a[-1]
-            if any(c):
-                k = len(a) - 1 - df
-                for i in range(df):
-                    a[k + i] = self._sub(level, a[k + i], self._mul(level, c, f[i]))
-            a.pop()
-        return self._lp_trim(a)
-
-    def _lp_divexact(self, a, f, level):
-        a = list(a)
-        f = self._lp_monic(list(f), level)
         df = len(f) - 1
         q = [tuple([0] * level)] * max(0, len(a) - df)
         while len(a) - 1 >= df:
@@ -498,7 +345,13 @@ class FieldTower:
                 for i in range(df):
                     a[k + i] = self._sub(level, a[k + i], self._mul(level, c, f[i]))
             a.pop()
-        return self._lp_trim(q)
+        return self._lp_trim(q), self._lp_trim(a)
+
+    def _lp_mod(self, a, f, level):
+        return self._lp_divmod(a, f, level)[1]
+
+    def _lp_divexact(self, a, f, level):
+        return self._lp_divmod(a, self._lp_monic(list(f), level), level)[0]
 
     def _lp_gcd(self, a, b, level):
         a, b = self._lp_trim(list(a)), self._lp_trim(list(b))
@@ -542,52 +395,160 @@ class FieldTower:
                 return False
         return True
 
+    # -- roots of dense polynomials over a level -----------------------------
+
     def _root_in_top(self, f):
         """A root in the top field of an F_p-irreducible f splitting there."""
         T = self.top
-        g = [tuple([c % self.p] + [0] * (T - 1)) for c in f]
-        root = self._lp_root(g, T)
-        return root
+        return self._lp_root([tuple([c % self.p] + [0] * (T - 1)) for c in f], T)
+
+    def _cz_probe(self, h, d, level):
+        """A Cantor-Zassenhaus splitting polynomial for h, all of whose
+        irreducible factors over F_q, q = p^level, have degree d: for a
+        random a, the absolute trace of a*x modulo h at p = 2, and
+        (x + a)^((q^d - 1)/2) - 1 modulo h otherwise."""
+        q = self.p ** level
+        one = tuple([1] + [0] * (level - 1))
+        zero = tuple([0] * level)
+        a = tuple(self.element_from_index(level, self._rng.randrange(q)).coeffs)
+        if self.p != 2:
+            s = self._lp_powmod([a, one], (q ** d - 1) // 2, h, level)
+            return self._lp_sub(s, [one], level)
+        cur = acc = [zero, a]
+        for _ in range(level * d - 1):
+            cur = self._lp_powmod(cur, 2, h, level)
+            acc = self._lp_sub(acc, cur, level)  # in characteristic 2, + is -
+        return acc
 
     def _lp_root(self, g, level):
         """A root of g in F_{p^level}; g must split over that field."""
-        p = self.p
-        q = p ** level
         one = tuple([1] + [0] * (level - 1))
         zero = tuple([0] * level)
         g = self._lp_monic(self._lp_trim(list(g)), level)
         # restrict to roots living in the field
         x = [zero, one]
-        xq = self._lp_powmod(x, q, g, level)
+        xq = self._lp_powmod(x, self.p ** level, g, level)
         g = self._lp_gcd(self._lp_sub(xq, x, level), g, level)
         if len(g) - 1 < 1:
             raise ArithmeticError("polynomial has no root in the requested field")
         while len(g) - 1 > 1:
-            a = tuple(self.element_from_index(level, self._rng.randrange(q)).coeffs)
-            if p == 2:
-                # additive splitting by the absolute trace of a*x
-                t = [zero, a]
-                acc = [v for v in t]
-                cur = t
-                total_bits = level  # trace over F_2
-                for _ in range(total_bits - 1):
-                    cur = self._lp_powmod(cur, 2, g, level)
-                    acc = self._lp_trim([
-                        self._add(level, u, v)
-                        for u, v in zip(
-                            acc + [zero] * max(0, len(cur) - len(acc)),
-                            cur + [zero] * max(0, len(acc) - len(cur)),
-                        )
-                    ])
-                h = acc
-            else:
-                h = self._lp_powmod([a, one], (q - 1) // 2, g, level)
-                h = self._lp_sub(h, [one], level)
-            d = self._lp_gcd(h, g, level)
+            d = self._lp_gcd(self._cz_probe(g, 1, level), g, level)
             if 0 < len(d) - 1 < len(g) - 1:
                 g = d if len(d) <= (len(g) + 1) // 2 + 1 else self._lp_divexact(g, d, level)
-        root = self._neg(level, g[0])
-        return root
+        return self._neg(level, g[0])
+
+    def _dense_roots(self, dense, level):
+        """All roots of a dense polynomial over F_{p^level} in the closure,
+        each at its minimal level, with multiplicities."""
+        dense = self._lp_trim(list(dense))
+        out = []
+        for z in self._distinct_roots(dense, level):
+            m = self._root_multiplicity(dense, z, level)
+            out.append((z.compress(), m))
+        return out
+
+    def _distinct_roots(self, dense, level):
+        """Distinct roots only; multiplicities are recounted by the caller.
+
+        When the derivative vanishes the polynomial is a p-th power of the
+        polynomial with p-th-rooted coefficients, which has the same roots.
+        Otherwise the separable part is split, and the gcd with the
+        derivative is recursed into so that factors of multiplicity
+        divisible by p are not lost."""
+        p = self.p
+        dense = self._lp_trim(list(dense))
+        if len(dense) - 1 <= 0:
+            return []
+        deriv = self._lp_trim([tuple((k * x) % p for x in dense[k])
+                               for k in range(1, len(dense))])
+        if not deriv:
+            return self._distinct_roots(
+                [GroundElem(self, level, dense[k]).pth_root().coeffs
+                 for k in range(0, len(dense), p)], level)
+        g = self._lp_gcd(list(dense), deriv, level)
+        roots = self._squarefree_roots(self._lp_divexact(list(dense), g, level), level)
+        if len(g) - 1 >= 1:
+            seen = {z.compress_key() for z in roots}
+            for z in self._distinct_roots(g, level):
+                if z.compress_key() not in seen:
+                    seen.add(z.compress_key())
+                    roots.append(z)
+        return roots
+
+    def _root_multiplicity(self, dense, z, level):
+        lv = _lcm(level, z.level)
+        self.ensure_level(lv)
+        zl = self._lift(z, lv).coeffs
+        poly = [self._lift(GroundElem(self, level, c), lv).coeffs for c in dense]
+        mult = 0
+        while True:
+            # synthetic division by (x - z)
+            q = [tuple([0] * lv)] * (len(poly) - 1)
+            carry = tuple([0] * lv)
+            for k in range(len(poly) - 1, 0, -1):
+                carry = self._add(lv, poly[k], self._mul(lv, carry, zl))
+                q[k - 1] = carry
+            rem = self._add(lv, poly[0], self._mul(lv, carry, zl))
+            if any(rem):
+                return mult
+            mult += 1
+            poly = q
+            if len(poly) == 1:
+                # constant quotient: either done or z exhausts the polynomial
+                if not any(poly[0]):
+                    raise ArithmeticError("degenerate polynomial in multiplicity count")
+                return mult
+
+    def _squarefree_roots(self, sf, level):
+        """Roots of a squarefree dense polynomial over F_{p^level}, by
+        distinct-degree and then equal-degree factorization."""
+        q = self.p ** level
+        x = [tuple([0] * level), tuple([1] + [0] * (level - 1))]
+        sf = self._lp_monic(list(sf), level)
+        roots = []
+        d = 1
+        w = list(x)
+        while len(sf) - 1 >= 1:
+            if 2 * d > len(sf) - 1:
+                # the remaining factor is irreducible
+                roots.extend(self._roots_of_irreducible(sf, level, len(sf) - 1))
+                break
+            w = self._lp_powmod(w, q, sf, level)
+            gd = self._lp_gcd(self._lp_sub(w, x, level), sf, level)
+            if len(gd) - 1 > 0:
+                for factor in self._equal_degree_split(gd, d, level):
+                    roots.extend(self._roots_of_irreducible(factor, level, d))
+                sf = self._lp_divexact(sf, gd, level)
+                w = self._lp_mod(w, sf, level) if len(sf) - 1 >= 1 else w
+            d += 1
+        return roots
+
+    def _equal_degree_split(self, g, d, level):
+        """The irreducible factors of g, all of degree d over F_{p^level}."""
+        work, out = [g], []
+        while work:
+            h = work.pop()
+            if len(h) - 1 == d:
+                out.append(h)
+                continue
+            split = self._lp_gcd(self._cz_probe(h, d, level), h, level)
+            if 0 < len(split) - 1 < len(h) - 1:
+                work += [split, self._lp_divexact(h, split, level)]
+            else:
+                work.append(h)
+        return out
+
+    def _roots_of_irreducible(self, g, level, d):
+        if d == 1:
+            return [GroundElem(self, level, self._neg(level, self._lp_monic(list(g), level)[0]))]
+        target = level * d
+        self.ensure_level(target)
+        glift = [self._lift(GroundElem(self, level, c), target).coeffs for c in g]
+        roots = [GroundElem(self, target, self._lp_root(glift, target))]
+        q = self.p ** level
+        for _ in range(d - 1):
+            roots.append(roots[-1] ** q)
+        return roots
 
     def _root_at_level(self, x, ell):
         """An ell-th root of x at its own level, or None if there is none."""
@@ -690,14 +651,6 @@ class FieldTower:
         m = _lcm(x.level, y.level)
         self.ensure_level(m)
         return self._lift(x, m), self._lift(y, m)
-
-
-def tower_embed(x, target_level):
-    return x.tower.tower_embed(x, target_level)
-
-
-def ell_th_root(x, ell):
-    return x.tower.ell_th_root(x, ell)
 
 
 class GroundElem:
@@ -1370,167 +1323,4 @@ class FunctionField:
         dense = [tuple([0] * level) for _ in range(f.degree_in(i) + 1)]
         for e, c in f.terms.items():
             dense[e[i]] = self.tower._lift(c, level).coeffs
-        roots = self._dense_roots(dense, level)
-        return roots
-
-    def _dense_roots(self, dense, level):
-        tw = self.tower
-        dense = tw._lp_trim(list(dense))
-        distinct = self._distinct_roots(dense, level)
-        out = []
-        for z in distinct:
-            m = self._root_multiplicity(dense, z, level)
-            out.append((z.compress(), m))
-        return out
-
-    def _distinct_roots(self, dense, level):
-        """Distinct roots only; multiplicities are recounted by the caller.
-
-        When the derivative vanishes the polynomial is a p-th power of the
-        polynomial with p-th-rooted coefficients, which has the same roots.
-        Otherwise the separable part is split, and the gcd with the
-        derivative is recursed into so that factors of multiplicity
-        divisible by p are not lost."""
-        tw = self.tower
-        p = tw.p
-        dense = tw._lp_trim(list(dense))
-        if len(dense) - 1 <= 0:
-            return []
-        deriv = []
-        for k in range(1, len(dense)):
-            kc = k % p
-            deriv.append(tuple((kc * x) % p for x in dense[k]))
-        deriv = tw._lp_trim(deriv)
-        if not deriv:
-            u = []
-            for k in range(0, len(dense), p):
-                c = GroundElem(tw, level, dense[k])
-                u.append(c.pth_root().coeffs)
-            return self._distinct_roots(u, level)
-        g = tw._lp_gcd(list(dense), deriv, level)
-        sf = tw._lp_divexact(list(dense), g, level)
-        roots = list(self._squarefree_roots(sf, level))
-        if len(g) - 1 >= 1:
-            seen = {z.compress_key() for z in roots}
-            for z in self._distinct_roots(g, level):
-                if z.compress_key() not in seen:
-                    seen.add(z.compress_key())
-                    roots.append(z)
-        return roots
-
-    def _root_multiplicity(self, dense, z, level):
-        tw = self.tower
-        lv = _lcm(level, z.level)
-        tw.ensure_level(lv)
-        zl = tw._lift(z, lv).coeffs
-        poly = [tw._lift(GroundElem(tw, level, c), lv).coeffs for c in dense]
-        mult = 0
-        while True:
-            # synthetic division by (x - z)
-            q = [tuple([0] * lv)] * (len(poly) - 1)
-            carry = tuple([0] * lv)
-            for k in range(len(poly) - 1, 0, -1):
-                carry = tw._add(lv, poly[k], tw._mul(lv, carry, zl))
-                q[k - 1] = carry
-            rem = tw._add(lv, poly[0], tw._mul(lv, carry, zl))
-            if any(rem):
-                return mult
-            mult += 1
-            poly = q
-            if len(poly) == 1:
-                # constant quotient: either done or z exhausts the polynomial
-                if not any(poly[0]):
-                    raise ArithmeticError("degenerate polynomial in multiplicity count")
-                return mult
-
-    def _squarefree_roots(self, sf, level):
-        """Roots of a squarefree dense polynomial over F_{p^level}."""
-        tw = self.tower
-        p = tw.p
-        q = p ** level
-        one = tuple([1] + [0] * (level - 1))
-        zero = tuple([0] * level)
-        x = [zero, one]
-        sf = tw._lp_monic(list(sf), level)
-        roots = []
-        d = 1
-        w = list(x)
-        while len(sf) - 1 >= 1:
-            if 2 * d > len(sf) - 1:
-                # the remaining factor is irreducible
-                deg = len(sf) - 1
-                roots.extend(self._roots_of_irreducible(sf, level, deg))
-                break
-            w = tw._lp_powmod(w, q, sf, level)
-            gd = tw._lp_gcd(tw._lp_sub(w, x, level), sf, level)
-            if len(gd) - 1 > 0:
-                for factor in self._equal_degree_split(gd, d, level):
-                    roots.extend(self._roots_of_irreducible(factor, level, d))
-                sf = tw._lp_divexact(sf, gd, level)
-                w = tw._lp_mod(w, sf, level) if len(sf) - 1 >= 1 else w
-            d += 1
-        return roots
-
-    def _equal_degree_split(self, g, d, level):
-        tw = self.tower
-        p = tw.p
-        q = p ** level
-        one = tuple([1] + [0] * (level - 1))
-        zero = tuple([0] * level)
-        work = [g]
-        out = []
-        while work:
-            h = work.pop()
-            if len(h) - 1 == d:
-                out.append(h)
-                continue
-            while True:
-                a = tuple(tw.element_from_index(level, tw._rng.randrange(q)).coeffs)
-                if p == 2:
-                    t = [zero, a]
-                    acc = list(t)
-                    cur = list(t)
-                    for _ in range(level * d - 1):
-                        cur = tw._lp_powmod(cur, 2, h, level)
-                        n = max(len(acc), len(cur))
-                        acc = tw._lp_trim([
-                            tw._add(level, u, v)
-                            for u, v in zip(acc + [zero] * (n - len(acc)),
-                                            cur + [zero] * (n - len(cur)))
-                        ])
-                    split = acc
-                else:
-                    split = tw._lp_powmod([a, one], (q ** d - 1) // 2, h, level)
-                    split = tw._lp_sub(split, [one], level)
-                dd = tw._lp_gcd(split, h, level)
-                if 0 < len(dd) - 1 < len(h) - 1:
-                    work.append(dd)
-                    work.append(tw._lp_divexact(h, dd, level))
-                    break
-        return out
-
-    def _roots_of_irreducible(self, g, level, d):
-        tw = self.tower
-        if d == 1:
-            gm = tw._lp_monic(list(g), level)
-            z = tw._neg(level, gm[0])
-            return [GroundElem(tw, level, z)]
-        target = level * d
-        tw.ensure_level(target)
-        glift = [tw._lift(GroundElem(tw, level, c), target).coeffs for c in g]
-        z0 = tw._lp_root(glift, target)
-        roots = [GroundElem(tw, target, z0)]
-        q = tw.p ** level
-        cur = roots[0]
-        for _ in range(d - 1):
-            cur = cur ** q
-            roots.append(cur)
-        return roots
-
-
-def univariate_roots(field, f):
-    return field.univariate_roots(f)
-
-
-def order_and_residue(field, f, v):
-    return field.order_and_residue(f, v)
+        return self.tower._dense_roots(dense, level)

@@ -25,7 +25,8 @@ def field(data, name, what, kind=None):
         value = data[name]
     except (KeyError, TypeError):
         raise InputError("%s has no %r field" % (what, name)) from None
-    if kind is not None and not isinstance(value, kind):
+    if kind is not None and (not isinstance(value, kind)
+                             or kind is int and isinstance(value, bool)):
         raise InputError("the %r field of %s must be a %s"
                          % (name, what, kind.__name__))
     return value
@@ -75,21 +76,30 @@ def encode_poly(f):
     return {"vars": f.nvars, "terms": terms}
 
 
-def decode_poly(tower, data):
+def decode_poly(ff, data):
+    nvars = field(data, "vars", "a polynomial", int)
+    if nvars != ff.nvars:
+        raise InputError("a polynomial must have %d vars, not %d"
+                         % (ff.nvars, nvars))
     terms = {}
     for t in field(data, "terms", "a polynomial", list):
-        exp = tuple(field(t, "exp", "a polynomial term", list))
-        terms[exp] = decode_ground(tower, field(t, "coef", "a polynomial term"))
-    return SparsePoly(field(data, "vars", "a polynomial", int), terms)
+        exp = field(t, "exp", "a polynomial term", list)
+        if len(exp) != nvars or not all(type(k) is int and k >= 0
+                                        for k in exp):
+            raise InputError("an exponent must be a list of %d non-negative "
+                             "integers" % nvars)
+        terms[tuple(exp)] = decode_ground(ff.tower,
+                                          field(t, "coef", "a polynomial term"))
+    return SparsePoly(nvars, terms)
 
 
 def encode_ratfunc(f):
     return {"num": encode_poly(f.num), "den": encode_poly(f.den)}
 
 
-def decode_ratfunc(tower, data):
-    num = decode_poly(tower, field(data, "num", "a rational function"))
-    den = decode_poly(tower, field(data, "den", "a rational function"))
+def decode_ratfunc(ff, data):
+    num = decode_poly(ff, field(data, "num", "a rational function"))
+    den = decode_poly(ff, field(data, "den", "a rational function"))
     if den.is_zero():
         raise InputError("a rational function needs a nonzero denominator")
     return RatFunc(num, den)
@@ -99,8 +109,8 @@ def encode_symbol(s):
     return [encode_ratfunc(e) for e in s.entries]
 
 
-def decode_symbol(tower, data):
-    return Symbol([decode_ratfunc(tower, e) for e in data])
+def decode_symbol(ff, data):
+    return Symbol([decode_ratfunc(ff, e) for e in data])
 
 
 def encode_center(c):
@@ -131,7 +141,7 @@ def decode_chain(ff, data):
              for s in field(data, "steps", what, list)]
     if len({v.var for v in steps}) != len(steps):
         raise ValueError("chain steps must use distinct variables")
-    unis = [decode_ratfunc(ff.tower, u)
+    unis = [decode_ratfunc(ff, u)
             for u in field(data, "uniformizers", what, list)]
     covers = [(field(c, "var", "a cover", int), field(c, "exp", "a cover", int),
                decode_center(ff.tower, field(c, "center", "a cover")))
@@ -155,7 +165,7 @@ def encode_certificate(cert):
 
 def decode_certificate(ff, data):
     what = "a certificate"
-    statement = decode_symbol(ff.tower, field(data, "statement", what, list))
+    statement = decode_symbol(ff, field(data, "statement", what, list))
     chain = decode_chain(ff, field(data, "chain", what, dict))
     transform = data.get("transform")
     if transform is not None:

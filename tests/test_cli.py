@@ -1,9 +1,16 @@
 """End-to-end exercise of every subcommand through the argument parser."""
 
+import contextlib
+import copy
+import io
 import json
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from milnork.cli import EXIT_FAILURE, EXIT_OK, EXIT_UNKNOWN, main
 from milnork.groundfield import FieldTower, FunctionField
@@ -98,6 +105,14 @@ X0 = {"num": {"vars": 2, "terms": [
     {"exp": [1, 0], "coef": {"level": 1, "coeffs": [1]}}]},
     "den": {"vars": 2, "terms": [
         {"exp": [0, 0], "coef": {"level": 1, "coeffs": [1]}}]}}
+ONE = {"level": 1, "coeffs": [1]}
+
+
+def _certify_term(exp, coef, nvars=2):
+    """certify input whose one element is the term coef * t^exp."""
+    return {"elements": [{
+        "num": {"vars": nvars, "terms": [{"exp": exp, "coef": coef}]},
+        "den": {"vars": nvars, "terms": [{"exp": [0] * nvars, "coef": ONE}]}}]}
 
 
 @pytest.mark.parametrize("command, payload", [
@@ -175,6 +190,15 @@ X0 = {"num": {"vars": 2, "terms": [
       for payload in ([], 3, "x")),
     # no input file: None writes none
     *((command, None) for command in COMMANDS),
+    # exponents of the wrong length, negative or no integers, coefficients
+    # that are no integers, a polynomial in another number of variables,
+    # and a level too large to build, caught before it is built
+    ("certify", _certify_term([1], ONE)),
+    ("certify", _certify_term([1, -1], ONE)),
+    ("certify", _certify_term([1.5, 0], ONE)),
+    ("certify", _certify_term([1, 0], {"level": 1, "coeffs": ["a"]})),
+    ("certify", _certify_term([1, 0, 0], ONE, nvars=3)),
+    ("certify", _certify_term([1, 0], {"level": 1000000, "coeffs": [1]})),
 ])
 def test_malformed_input_exits_3(tmp_path, capsys, command, payload):
     path = tmp_path / "bad.json"
@@ -185,6 +209,73 @@ def test_malformed_input_exits_3(tmp_path, capsys, command, payload):
     assert code == EXIT_FAILURE and captured.out == ""
     assert captured.err.startswith("error: ")
     assert "Traceback" not in captured.err
+
+
+# t1 + g, with g the generator of F_49: a coefficient at level 2
+X1_PLUS_G = {"num": {"vars": 2, "terms": [
+    {"exp": [0, 0], "coef": {"level": 2, "coeffs": [0, 1]}},
+    {"exp": [0, 1], "coef": ONE}]},
+    "den": {"vars": 2, "terms": [{"exp": [0, 0], "coef": ONE}]}}
+FUZZ_BASES = {"certify": {"elements": [X0, X1_PLUS_G]},
+              "dim": {"generators": [X0, X1_PLUS_G]}}
+JSON_VALUES = (None, True, 0, -1, 2.5, "x", [], {})
+
+
+def _slots(obj):
+    """(container, key) of every value nested in a JSON value."""
+    items = (obj.items() if isinstance(obj, dict)
+             else enumerate(obj) if isinstance(obj, list) else ())
+    for key, value in list(items):
+        yield obj, key
+        yield from _slots(value)
+
+
+@st.composite
+def mutated_payloads(draw):
+    """A valid certify or dim payload with up to three mutations: a key
+    dropped, a value of another JSON type, an exponent of the wrong
+    length or with a negative entry, a coefficient list of the wrong
+    length for its level."""
+    command = draw(st.sampled_from(sorted(FUZZ_BASES)))
+    payload = copy.deepcopy(FUZZ_BASES[command])
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(("drop", "retype", "exp", "coeffs")))
+        slots = [(c, k) for c, k in _slots(payload)
+                 if kind == "retype"
+                 or kind == "drop" and isinstance(c, dict)
+                 or k == kind and isinstance(c[k], list)]
+        if not slots:
+            continue
+        container, key = draw(st.sampled_from(slots))
+        old = container[key]
+        if kind == "drop":
+            del container[key]
+        elif kind == "retype":
+            container[key] = draw(st.sampled_from(
+                [v for v in JSON_VALUES if type(v) is not type(old)]))
+        elif kind == "exp" and draw(st.booleans()) and old:
+            i = draw(st.integers(0, len(old) - 1))
+            container[key] = old[:i] + [draw(st.integers(-3, -1))] + old[i + 1:]
+        else:
+            container[key] = draw(st.lists(st.integers(-3, 9), max_size=4)
+                                  .filter(lambda v: len(v) != len(old)))
+    return command, payload
+
+
+@settings(max_examples=150, deadline=None)
+@given(mutated_payloads())
+def test_mutated_payloads_exit_cleanly(case):
+    command, payload = case
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "in.json"
+        path.write_text(json.dumps(payload))
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["--vars", "2", "--budget", "4", command, str(path)])
+    assert code in (EXIT_OK, EXIT_UNKNOWN, EXIT_FAILURE)
+    assert "Traceback" not in err.getvalue()
+    if code == EXIT_FAILURE:
+        assert err.getvalue().startswith("error: ")
 
 
 @pytest.mark.parametrize("command, payload", [

@@ -1,8 +1,14 @@
 """Ground field: tower arithmetic, embeddings, roots, orders and residues."""
 
+import functools
+import hashlib
+import itertools
+import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from milnork.groundfield import (
     INF,
@@ -268,6 +274,39 @@ def test_ratfunc_canonical_form_and_equality(ff2, tower7):
     assert h == t1
 
 
+def _tower_record(p):
+    """Tower choices, ell-th roots and polynomial roots of a p tower grown
+    to levels 2, 3, 4 and 6 in turn; each consumes the tower's draws."""
+    tw = FieldTower(p, seed=0)
+    ff = FunctionField(tw, 1)
+    t = ff.var(0)
+
+    def enc(x):
+        return [x.level, list(x.coeffs)]
+
+    record = []
+    for m in (2, 3, 4, 6):
+        tw.ensure_level(m)
+        g = tw.generator(m)
+        roots = [enc(tw.ell_th_root(z ** ell, ell))
+                 for ell in (2, 3)
+                 for z in (g, g + tw.one(), tw.element_from_index(m, p ** m - 1))]
+        if m == 2:
+            roots.append(enc(tw.ell_th_root(g, 3)))
+        c = ff.const(g)
+        polys = [t * t + c * t + ff.one(),
+                 t * t - c,
+                 (t - c) ** 2 * (t + ff.one()),
+                 t ** p - c]
+        if m in (2, 4):
+            polys.append(t ** 3 + c * t + ff.one())
+        found = [[[enc(z), k] for z, k in ff.univariate_roots(f.num)]
+                 for f in polys]
+        record.append({"level": m, "roots": roots, "found": found,
+                       "snapshot": tw.snapshot()})
+    return record
+
+
 def test_tower_snapshot_deterministic():
     a = FieldTower(5, seed=9)
     b = FieldTower(5, seed=9)
@@ -276,9 +315,100 @@ def test_tower_snapshot_deterministic():
     a.ensure_level(3)
     b.ensure_level(3)
     assert a.snapshot() == b.snapshot()
-    c = FieldTower(5, seed=10)
-    c.ensure_level(4)
-    assert c.snapshot()["levels"] != a.snapshot()["levels"] or True
+    # the draw order and the choice of roots are pinned: any change in
+    # either moves the digest
+    text = json.dumps([_tower_record(p) for p in (2, 3, 5)],
+                      sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "65993e125a0e1815c70ff3dec52744183b093307ed4f05785240c6ec5110444b")
+
+
+@functools.lru_cache(maxsize=None)
+def _grown(p, top):
+    """A p tower whose spine goes 1 | top, with every level dividing top."""
+    tw = FieldTower(p, seed=0)
+    for m in sorted((d for d in range(2, top + 1) if top % d == 0), reverse=True):
+        tw.ensure_level(m)
+    return tw
+
+
+def _modulus(tw, level):
+    (f,) = [e["modulus"] for e in tw.snapshot()["levels"] if e["level"] == level]
+    return f
+
+
+def _oracle_mul(a, b, f, p):
+    """a*b modulo the monic f, as plain ints: the product's x^k, k >= m,
+    are replaced by x^k mod f, built by shifting x^(k-1) mod f."""
+    m = len(f) - 1
+    prod = [0] * (2 * m - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += x * y
+    out = prod[:m] + [0] * (m - len(prod[:m]))
+    xk = [0] * (m - 1) + [1]  # x^(m-1)
+    for k in range(m, 2 * m - 1):
+        top = xk[-1]
+        xk = [0] + xk[:-1]
+        xk = [(v - top * c) % p for v, c in zip(xk, f)]
+        out = [(v + prod[k] * w) for v, w in zip(out, xk)]
+    return tuple(v % p for v in out)
+
+
+TOWER_CASES = [(p, top, m) for p in (2, 3, 5, 7, 13) for top in (4, 6)
+               for m in range(1, top + 1) if top % m == 0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(TOWER_CASES), st.data())
+def test_level_arithmetic_matches_plain_int_oracle(case, data):
+    p, top, m = case
+    tw = _grown(p, top)
+    f = _modulus(tw, m)
+    vec = st.lists(st.integers(0, p - 1), min_size=m, max_size=m)
+    a, b = data.draw(vec), data.draw(vec)
+    x, y = tw.element(m, a), tw.element(m, b)
+    one = tuple([1] + [0] * (m - 1))
+    assert (x * y).coeffs == _oracle_mul(a, b, f, p)
+    e = data.draw(st.integers(0, 40))
+    power = one
+    for _ in range(e):
+        power = _oracle_mul(power, a, f, p)
+    assert (x ** e).coeffs == power
+    if any(a):
+        assert _oracle_mul(x.inverse().coeffs, a, f, p) == one
+        assert _oracle_mul((x ** -e).coeffs, power, f, p) == one
+    else:
+        with pytest.raises(ZeroError):
+            x.inverse()
+
+
+def _monic_factor(f, p):
+    """A monic factor of the monic f of degree 1 .. deg(f)/2, found by trial
+    division by every such polynomial, or None."""
+    m = len(f) - 1
+    for d in range(1, m // 2 + 1):
+        for low in itertools.product(range(p), repeat=d):
+            g = list(low) + [1]
+            r = list(f)
+            for k in range(m - d, -1, -1):
+                c = r[k + d]
+                for i in range(d + 1):
+                    r[k + i] = (r[k + i] - c * g[i]) % p
+            if not any(r[:d]):
+                return g
+    return None
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 7, 13))
+def test_recorded_moduli_are_irreducible(p):
+    # (x^2 + 1)(x^2 + x + 1), a planted reducible quartic
+    assert _monic_factor([1, 1, 2, 1, 1], p) is not None
+    for top in (4, 6):
+        for entry in _grown(p, top).snapshot()["levels"]:
+            f = entry["modulus"]
+            assert len(f) - 1 == entry["level"] and f[-1] == 1
+            assert _monic_factor(f, p) is None, entry
 
 
 def test_univariate_roots_characteristic_two():
