@@ -740,6 +740,8 @@ class GroundElem:
         best = self
         for d in sorted(d for d in range(1, m) if m % d == 0):
             if self ** (p ** d) == self:
+                # a subfield of the level need not be built yet
+                self.tower.ensure_level(d)
                 val = self.tower._eval_gen(self)
                 sol = self.tower._embed_solver(d)(val)
                 if sol is not None:

@@ -450,7 +450,7 @@ class KContext:
     """Ambient data for mod-l K-theory computations: the function field, the
     prime l, and seeded samplers.
 
-    Two caches are kept.  Under threads their reads and writes need no
+    Three caches are kept.  Under threads their reads and writes need no
     lock: a value is only ever stored under its own key, and an entry lost
     to a race or an emptied cache is recomputed.
 
@@ -466,7 +466,11 @@ class KContext:
     parts through _key_parts.  The cache is emptied when it reaches
     TRIAL_CACHE_LIMIT entries.  Only search trials read it: evaluate,
     tame_chain and Certificate.replay never do, so a replay recomputes
-    independently."""
+    independently.
+
+    _chains maps the variables of a search trial and the (level,
+    coefficients) of its centres to its coordinate chain (_chain), and is
+    emptied when it reaches TRIAL_CACHE_LIMIT entries."""
 
     def __init__(self, field, ell):
         if not is_prime(ell):
@@ -480,6 +484,7 @@ class KContext:
         self._jacobian_cache = {}
         self._trial_values = {}
         self._key_parts = {}
+        self._chains = {}
 
     @property
     def nvars(self):
@@ -597,21 +602,21 @@ class KContext:
     def _straightening_transform(self, rows):
         """The substitution sending the k-th inner form to the k-th
         coordinate, as a matrix T with t_i -> sum_j T[i][j] t_j; None when
-        the forms are dependent."""
-        p = self.field.p
-        if linalg.rank(tuple(rows), p) < len(rows):
+        the forms are dependent.
+
+        The forms are completed to a basis A by the unit vectors e_i, in
+        index order, that leave the span so far, and T = A^{-1}.  e_i is
+        in the span of the forms and e_0, ..., e_{i-1} exactly when some
+        combination of the forms has its last nonzero entry at i, a
+        trailing pivot: a pivot of the forms with their columns reversed.
+        So one reduction finds both the rank and the completion."""
+        n, p = self.nvars, self.field.p
+        _, pivots = linalg.rref(tuple(row[::-1] for row in rows), p)
+        if len(pivots) < len(rows):
             return None
-        # complete to a basis with unit vectors
-        full = list(rows)
-        for i in range(self.nvars):
-            e = tuple(1 if j == i else 0 for j in range(self.nvars))
-            if linalg.rank(tuple(full + [e]), p) > len(full):
-                full.append(e)
-            if len(full) == self.nvars:
-                break
-        A = tuple(full)
-        if not linalg.is_invertible(A, p):
-            return None
+        trailing = {n - 1 - c for c in pivots}
+        A = tuple(rows) + tuple(_unit_exponent(n, i) for i in range(n)
+                                if i not in trailing)
         # form_k composed with T = A^{-1} is the k-th coordinate
         return linalg.inverse(A, p)
 
@@ -730,10 +735,11 @@ class KContext:
         if rows is not None and straight is None:
             # witnessed dependence: the symbol vanishes
             return UNKNOWN
+        search = _Search(elements, straight if linear else None)
         trials = self._trials(elements, straight, shifts and linear, seed,
                               shifts, deterministic_first)
         for trial in itertools.islice(trials, budget):
-            cert = self._try_trial(elements, trial)
+            cert = self._try_trial(search, trial)
             if cert is not None:
                 return cert
         return UNKNOWN
@@ -815,35 +821,79 @@ class KContext:
                 return min(roots, key=lambda z: z.compress_key())
         return None
 
-    def _try_trial(self, elements, trial):
+    def _straightened_entries(self, elements, T, shift):
+        """The entries and chain centres of the straightened trial of a
+        linear tuple at the origin, in closed form: the terms, levels and
+        order that apply_transform, the shift and _snap_center give.
+
+        Row k of T^{-1} is the k-th form L_k, so (L_k + c)/d becomes
+        (t_k + c)/d, centred at its root -c; shifted by its value c/d at
+        the origin, it is t_k/d, centred at the origin.  apply_transform
+        places the t_k term each time the running t_k coefficient turns
+        nonzero, so the constant comes first when it was read before the
+        last such turn."""
+        nv, p, tower = self.nvars, self.field.p, self.field.tower
+        entries, centers = [], []
+        for k, x in enumerate(elements):
+            const, const_first, coeff = None, False, 0
+            for exp, c in x.num.terms.items():
+                if not any(exp):
+                    const = c
+                    continue
+                a = c.coeffs[0] * T[exp.index(1)][k] % p
+                if a and not coeff:
+                    const_first = const is not None
+                coeff = (coeff + a) % p
+            tk = _unit_exponent(nv, k)
+            if shift or const is None:
+                terms = {tk: tower.one()}
+                centers.append(tower.zero())
+            else:
+                terms = ({(0,) * nv: const, tk: tower.one()} if const_first
+                         else {tk: tower.one(), (0,) * nv: const})
+                centers.append(-const)
+            entries.append(RatFunc(SparsePoly(nv, terms), x.den))
+        return entries, centers
+
+    def _try_trial(self, search, trial):
         vars_, point, use_shift, transform = trial
-        centers = [point[i] for i in vars_]
-        entries = []
-        for x in elements:
-            if transform is not None:
-                x = self.apply_transform(x, transform)
+        if search.straight is not None and transform is search.straight \
+                and not any(point):
+            # the straightened trial of a linear tuple, on range(r)
+            entries, centers = self._straightened_entries(
+                search.elements, transform, use_shift)
+            keys = tuple(x.key() for x in entries)
+        else:
+            centers = [point[i] for i in vars_]
+            entries = []
+            for x in search.elements:
+                if transform is not None:
+                    x = self.apply_transform(x, transform)
+                    if x.is_zero():
+                        return None
+                if use_shift:
+                    c = self._value_at_point(x, point)
+                    if c is not None and not c.is_zero():
+                        x = x - self.field.const(c)
                 if x.is_zero():
                     return None
-            if use_shift:
-                c = self._value_at_point(x, point)
-                if c is not None and not c.is_zero():
-                    x = x - self.field.const(c)
-            if x.is_zero():
-                return None
-            entries.append(x)
-        if not use_shift:
-            # aim each slot's chain step at a zero or pole of its entry
-            for k, v in enumerate(vars_):
-                if k < len(entries):
-                    snapped = self._snap_center(entries[k], v)
-                    if snapped is not None:
-                        centers[k] = snapped
+                entries.append(x)
+            keys = tuple(x.key() for x in entries)
+            if not use_shift:
+                # aim each slot's chain step at a zero or pole of its entry
+                snaps = search.snaps
+                for k, (x, v) in enumerate(zip(entries, vars_)):
+                    at = (keys[k], v)
+                    if at not in snaps:
+                        snaps[at] = self._snap_center(x, v)
+                    if snaps[at] is not None:
+                        centers[k] = snaps[at]
         try:
             sym = Symbol(entries)
-            chain = coordinate_chain(self.field, vars_, centers)
+            chain = self._chain(tuple(vars_), centers)
         except (ZeroEntry, ChainError):
             return None
-        key = (sym.key(), chain.steps)
+        key = (keys, chain.steps)
         v = self._trial_values.get(key)
         if v is None:
             v = self._chain_value(sym, chain)
@@ -851,6 +901,20 @@ class KContext:
         if v == 0:
             return None
         return Certificate(sym, chain, v, self.ell, transform=transform)
+
+    def _chain(self, variables, centers):
+        """coordinate_chain, memoized by the variables and the level and
+        coefficients of each centre: a chain is serialized with its
+        centres as given, so centres equal in value at different levels
+        keep their own chains.  A full memo is emptied first."""
+        key = (variables, tuple((c.level, c.coeffs) for c in centers))
+        chain = self._chains.get(key)
+        if chain is None:
+            chain = coordinate_chain(self.field, variables, centers)
+            if len(self._chains) >= TRIAL_CACHE_LIMIT:
+                self._chains.clear()
+            self._chains[key] = chain
+        return chain
 
     def _remember(self, key, value):
         """Store a trial value under a key whose parts are shared with the
@@ -989,6 +1053,20 @@ class KContext:
                 return EQUAL
             return DISTINCT
         return UNKNOWN
+
+
+class _Search:
+    """What the trials of one search share: its elements, the
+    straightening of a linear tuple (None otherwise), and the chain centre
+    _snap_center gave each (entry key, variable), so that the roots of an
+    entry are found once per search."""
+
+    __slots__ = ("elements", "straight", "snaps")
+
+    def __init__(self, elements, straight):
+        self.elements = elements
+        self.straight = straight
+        self.snaps = {}
 
 
 def _unit_exponent(nvars, j):

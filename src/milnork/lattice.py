@@ -179,6 +179,9 @@ class Universe:
         self._unresolved = set()
         self._certified = []
         self._failed = set()
+        # each member's linear row (KContext._linear_part), None if it has
+        # none; read by _extend
+        self._rows = [ctx._linear_part(s.gen) for s in self.subgroups]
 
     def __len__(self):
         return len(self.subgroups)
@@ -237,18 +240,33 @@ class Universe:
         Jacobian is rank-deficient is returned as it is: no enlargement of
         it can have full rank.  Only a set with a nonlinear member is
         checked; a linear set's Jacobian rank is the F_p rank that
-        trdeg_upper has already found full."""
-        gens = self._gens(key)
-        if (any(self.ctx._linear_part(g) is None for g in gens)
-                and self.ctx.jacobian_rank(gens) < len(key)):
+        trdeg_upper has already found full.
+
+        While the set is linear, the Jacobian of the set plus a linear
+        member has full rank exactly when the member's row leaves the span
+        of the set's rows, so that is tested against the reduced rows."""
+        rows = [self._rows[i] for i in sorted(key)]
+        if (None in rows
+                and self.ctx.jacobian_rank(self._gens(key)) < len(key)):
             return key
+        nvars, p = self.ctx.nvars, self.ctx.field.p
+        span = None if None in rows else linalg.Subspace(nvars, rows, p)
         out = set(key)
-        for i in range(len(self.subgroups)):
-            if len(out) >= self.ctx.nvars:
+        for i, row in enumerate(self._rows):
+            if len(out) >= nvars:
                 break
-            if i not in out and self.ctx.jacobian_rank(
-                    self._gens(out | {i})) == len(out) + 1:
+            if i in out:
+                continue
+            if span is not None and row is not None:
+                grows = not span.contains(row)
+            else:
+                grows = self.ctx.jacobian_rank(
+                    self._gens(out | {i})) == len(out) + 1
+            if grows:
                 out.add(i)
+                if span is not None:
+                    span = (None if row is None else
+                            linalg.Subspace(nvars, span.basis + (row,), p))
         return frozenset(out)
 
     def _certify(self, key):

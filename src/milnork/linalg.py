@@ -127,7 +127,8 @@ def presolve(A, l):
 
 def inverse(A, l):
     n = len(A)
-    aug = tuple(tuple(A[i]) + tuple(identity(n)[i]) for i in range(n))
+    unit = identity(n)
+    aug = tuple(tuple(A[i]) + unit[i] for i in range(n))
     R, pivots = rref(aug, l)
     if tuple(pivots)[:n] != tuple(range(n)):
         raise ValueError("matrix not invertible mod %d" % l)

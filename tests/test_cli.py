@@ -199,6 +199,9 @@ def _certify_term(exp, coef, nvars=2):
     ("certify", _certify_term([1, 0], {"level": 1, "coeffs": ["a"]})),
     ("certify", _certify_term([1, 0, 0], ONE, nvars=3)),
     ("certify", _certify_term([1, 0], {"level": 1000000, "coeffs": [1]})),
+    # a level above MAX_INPUT_LEVEL with the right number of coefficients,
+    # which would take minutes to build
+    ("certify", _certify_term([1, 0], {"level": 200, "coeffs": [1] * 200})),
 ])
 def test_malformed_input_exits_3(tmp_path, capsys, command, payload):
     path = tmp_path / "bad.json"
@@ -209,6 +212,26 @@ def test_malformed_input_exits_3(tmp_path, capsys, command, payload):
     assert code == EXIT_FAILURE and captured.out == ""
     assert captured.err.startswith("error: ")
     assert "Traceback" not in captured.err
+
+
+def test_certify_entry_with_a_constant_from_a_subfield(tmp_path, capsys):
+    # t0 + c with c in F_49 but given at level 6, and t1: the straightened
+    # trial centres t0 at -c, whose compress_key needs level 2, which the
+    # tower had not built; this ended in a KeyError traceback
+    tw = FieldTower(7, seed=0)
+    tw.ensure_level(6)
+    powers = (tw.element_from_index(6, k) ** ((7 ** 6 - 1) // 48)
+              for k in range(2, 50))
+    c = next(x for x in powers if x ** 7 != x)
+    ff = FunctionField(tw, 2)
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps({"elements": [
+        encode_ratfunc(ff.var(0) + ff.const(c)), encode_ratfunc(ff.var(1))]}))
+    code = main(["--vars", "2", "--verify", "certify", str(path)])
+    captured = capsys.readouterr()
+    assert code in (EXIT_OK, EXIT_UNKNOWN)
+    assert "Traceback" not in captured.err
+    assert json.loads(captured.out)["result"] in ("certified", "unknown")
 
 
 # t1 + g, with g the generator of F_49: a coefficient at level 2

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from milnork import linalg
+from milnork import kmilnor, linalg
 from milnork.groundfield import INF, FieldTower, FunctionField, RatFunc, SparsePoly
-from milnork.kmilnor import KContext, _poly_matrix_rank
+from milnork.jsonio import canonical_json, encode_certificate
+from milnork.kmilnor import UNKNOWN, KContext, _poly_matrix_rank, _Search
 
 P = 7
 NV = 3
@@ -156,3 +157,133 @@ def test_jacobian_rank_mixed_generators_take_generic_path():
     c2 = FIELD.const(TOWER.element(2, (1, 1)))
     for gens in ([t0, t0 + t1 ** P], [t0 + c2 * t1, t1], [t0 * t1, t2]):
         assert CTX.jacobian_rank(gens) == _generic_jacobian_rank(gens)
+
+
+# -- the straightened trial of a linear tuple --------------------------------
+
+SEARCH_FIELDS = {}
+for _p, _ell in ((2, 3), (3, 2), (7, 3)):
+    _tower = FieldTower(_p, seed=0)
+    _tower.ensure_level(2)
+    SEARCH_FIELDS[_p] = (FunctionField(_tower, NV), _ell)
+
+
+class GenericTrials(KContext):
+    """Every trial through the generic branch of _try_trial: substitution
+    by apply_transform, the shift by _value_at_point, centres by
+    _snap_center."""
+
+    def _try_trial(self, search, trial):
+        return super()._try_trial(_Search(search.elements, None), trial)
+
+
+@st.composite
+def linear_tuples(draw):
+    """r = 1..NV independent prime-field forms, each with an optional
+    nonzero constant at level one or two, over a constant denominator
+    other than 1, terms in a drawn order; and the search options."""
+    p = draw(st.sampled_from(sorted(SEARCH_FIELDS)))
+    ff, ell = SEARCH_FIELDS[p]
+    tower = ff.tower
+    r = draw(st.integers(1, NV))
+    rows = [tuple(draw(st.integers(0, p - 1)) for _ in range(NV))
+            for _ in range(r)]
+    assume(linalg.rank(tuple(rows), p) == r)
+    constant = st.one_of(
+        st.integers(1, p - 1).map(tower.from_int),
+        st.integers(1, p * p - 1).map(lambda k: tower.element_from_index(2, k)))
+    elements = []
+    for row in rows:
+        terms = [(_unit(j), tower.from_int(a)) for j, a in enumerate(row) if a]
+        if draw(st.booleans()):
+            terms.append(((0,) * NV, draw(constant)))
+        terms = draw(st.permutations(terms))
+        den = tower.from_int(draw(st.integers(1, p - 1)))
+        elements.append(RatFunc(SparsePoly(NV, dict(terms)),
+                                SparsePoly.constant(NV, den)))
+    return ff, ell, elements, draw(st.booleans()), draw(st.integers(0, 3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(linear_tuples())
+def test_straightened_trial_matches_the_generic_trial(case):
+    ff, ell, elements, shifts, seed = case
+    fast, generic = KContext(ff, ell), GenericTrials(ff, ell)
+    got = fast.certificate_search(elements, budget=4, seed=seed,
+                                  shifts=shifts)
+    want = generic.certificate_search(elements, budget=4, seed=seed,
+                                      shifts=shifts)
+    assert got is not UNKNOWN and want is not UNKNOWN
+    assert (canonical_json(encode_certificate(got))
+            == canonical_json(encode_certificate(want)))
+    for a, b in zip(got.statement, want.statement):
+        _same(a, b)
+    assert list(fast._trial_values) == list(generic._trial_values)
+
+
+def test_straightened_trial_skips_the_substitution(monkeypatch):
+    calls = []
+    monkeypatch.setattr(KContext, "apply_transform",
+                        lambda self, x, T: calls.append(x))
+    t0, t1, t2 = (FIELD.var(i) for i in range(NV))
+    c = FIELD.const
+    cert = KContext(FIELD, 3).certificate_search(
+        [t0 + t1 + c(2), t1 + c(3) * t2], shifts=False)
+    assert cert.replay() and cert.transform is not None
+    assert calls == []
+
+
+def _greedy_completion(rows, n, p):
+    """The forms completed by every unit vector that raises the rank, in
+    index order."""
+    full = list(rows)
+    for i in range(n):
+        e = tuple(1 if j == i else 0 for j in range(n))
+        if linalg.rank(tuple(full + [e]), p) > len(full):
+            full.append(e)
+    return tuple(full)
+
+
+@st.composite
+def row_sets(draw):
+    p = draw(st.sampled_from((2, 3, 7)))
+    n = draw(st.integers(1, 5))
+    rows = draw(st.lists(st.tuples(*[st.integers(0, p - 1)] * n),
+                         min_size=1, max_size=n))
+    return p, n, rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(row_sets())
+def test_one_pass_completion_is_the_greedy_completion(case):
+    p, n, rows = case
+    tower = FieldTower(p, seed=0)
+    ctx = KContext(FunctionField(tower, n), 3 if p != 3 else 2)
+    got = ctx._straightening_transform(rows)
+    if linalg.rank(tuple(rows), p) < len(rows):
+        assert got is None
+    else:
+        assert got == linalg.inverse(_greedy_completion(rows, n, p), p)
+
+
+def test_completion_takes_e0_beside_a_form_in_both_coordinates():
+    # (1, 1): e_0 leaves its span and is taken; e_1 then lies in the span
+    # of (1, 1) and e_0, though 1 is the form's first (leading) pivot
+    ctx = KContext(FunctionField(FieldTower(7, seed=0), 2), 3)
+    assert _greedy_completion([(1, 1)], 2, 7) == ((1, 1), (1, 0))
+    assert ctx._straightening_transform([(1, 1)]) == linalg.inverse(
+        ((1, 1), (1, 0)), 7)
+
+
+def test_chain_memo_stays_within_its_bound(monkeypatch):
+    monkeypatch.setattr(kmilnor, "TRIAL_CACHE_LIMIT", 4)
+    ctx = KContext(FIELD, 3)
+    for k in range(12):
+        centers = [TOWER.from_int(k % P), TOWER.element_from_index(2, k)]
+        chain = ctx._chain((0, 1), centers)
+        assert ctx._chain((0, 1), centers) is chain
+        assert len(ctx._chains) <= 4
+    # equal in value, at two levels: each keeps the centre it was given
+    one, one2 = TOWER.from_int(1), TOWER.element(2, (1, 0))
+    assert ctx._chain((0,), [one]).steps[0].center.level == 1
+    assert ctx._chain((0,), [one2]).steps[0].center.level == 2

@@ -75,6 +75,24 @@ def test_embed_then_project_is_identity():
         assert x.compress().level in (1, 2)
 
 
+def test_compress_builds_an_unbuilt_subfield():
+    # levels {1, 6}: an element of F_49 held at level 6 compresses to level
+    # 2, which compress builds first; it raised KeyError: 2 before
+    tw = FieldTower(7, seed=0)
+    tw.ensure_level(6)
+    assert tw.levels() == [1, 6]
+    powers = (tw.element_from_index(6, k) ** ((7 ** 6 - 1) // 48)
+              for k in range(2, 50))
+    z = next(x for x in powers if x ** 7 != x)
+    level, coeffs = z.compress_key()
+    assert level == 2 and tw.levels() == [1, 2, 6]
+    assert tw.tower_embed(tw.element(2, list(coeffs)), 6) == z
+    # an element at its minimal level builds nothing
+    before = tw.snapshot()
+    assert tw.element_from_index(6, 8).compress_key()[0] == 6
+    assert tw.snapshot() == before
+
+
 def test_ell_th_root_trivial_cases():
     tw = FieldTower(7, seed=0)
     assert tw.ell_th_root(tw.one(), 3).is_one()

@@ -751,3 +751,23 @@ def test_tuples_inside_a_smaller_field_stop_without_a_trial(case):
                                   shifts=shifts) is UNKNOWN
     assert trials == []
     assert ctx.trdeg_upper(elements) < len(elements)
+
+
+def test_roots_of_an_entry_are_found_once_per_search(monkeypatch):
+    # (t0^2 + 3)^3 is an l-th power, so the symbol vanishes and the search
+    # spends its whole budget; at seed 0 its roots were found 35 times,
+    # once per unshifted trial that put it on t0
+    ff = FunctionField(FieldTower(7, seed=0), 2)
+    t0, t1 = ff.var(0), ff.var(1)
+    calls = []
+    roots = ff.univariate_roots
+
+    def spy(poly):
+        calls.append(poly.key())
+        return roots(poly)
+
+    monkeypatch.setattr(ff, "univariate_roots", spy)
+    ctx = KContext(ff, 3)
+    entries = [(t0 * t0 + ff.const(3)) ** 3, t1]
+    assert ctx.certificate_search(entries, budget=64, seed=0) is UNKNOWN
+    assert calls and len(calls) == len(set(calls))

@@ -573,3 +573,48 @@ def test_pullback_membership(ctx5, ff5):
     with pytest.raises(NotMember):
         B = RationalSubgroup(ctx5, ff5.var(0) + ff5.var(1), "mixed")
         B.pullback(ff5.var(0))
+
+
+def _extend_by_jacobian(uni, key):
+    """Universe._extend as it read with a Jacobian rank per candidate."""
+    ctx = uni.ctx
+    gens = uni._gens(key)
+    if (any(ctx._linear_part(g) is None for g in gens)
+            and ctx.jacobian_rank(gens) < len(key)):
+        return key
+    out = set(key)
+    for i in range(len(uni.subgroups)):
+        if len(out) >= ctx.nvars:
+            break
+        if i not in out and ctx.jacobian_rank(uni._gens(out | {i})) == len(out) + 1:
+            out.add(i)
+    return frozenset(out)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(*[st.integers(0, 6)] * 4).filter(any),
+                min_size=2, max_size=7),
+       st.sampled_from([None, 0, 3]), st.data())
+def test_extension_by_rows_is_the_jacobian_extension(rows, nonlinear_at,
+                                                     data):
+    # linear members, one of them replaced by a product when drawn; the
+    # row test must choose the extension the Jacobian ranks chose
+    ff = FunctionField(FieldTower(7, seed=0), 4)
+    t = [ff.var(i) for i in range(4)]
+    gens = [sum((ff.const(a) * t[i] for i, a in enumerate(row) if a),
+                ff.const(1)) for row in rows]
+    if nonlinear_at is not None and nonlinear_at < len(gens):
+        gens[nonlinear_at] = t[0] * t[1] + t[2]
+    ctx = KContext(ff, 3)
+    uni = Universe(ctx, [RationalSubgroup(ctx, g, "g%d" % i)
+                         for i, g in enumerate(gens)])
+    size = data.draw(st.integers(1, min(3, len(gens))))
+    key = frozenset(data.draw(st.permutations(range(len(gens))))[:size])
+    if ctx.trdeg_upper(uni._gens(key)) == len(key):
+        assert uni._extend(key) == _extend_by_jacobian(uni, key)
+
+
+def test_linear_extension_needs_no_jacobian(ctx5, subs, monkeypatch):
+    uni = Universe(ctx5, subs)
+    monkeypatch.setattr(ctx5, "jacobian_rank", None)
+    assert uni._extend(frozenset([3])) == frozenset([0, 1, 2, 3, 4])
