@@ -204,7 +204,13 @@ def _quadratic_fragment(ctx, gens, budget):
             # where every degree-two symbol dies
             entry["relation"] = "vanishes-by-dimension"
         else:
-            cert = ctx.canonical_certificate([gens[a], gens[b]], budget=budget)
+            # the straightened trial, first in the search of a linear pair,
+            # certifies it; with no budget the search has no trial at all
+            pair = [gens[a], gens[b]]
+            cert = (ctx.straightened_certificate(pair, False) if budget
+                    else None)
+            if cert is None:
+                cert = ctx.canonical_certificate(pair, budget=budget)
             if cert is UNKNOWN:
                 entry["relation"] = "unknown"
             else:
@@ -597,6 +603,11 @@ def cmd_pipeline(args):
                 _emit(args, {"error": "certificate-replay-failed",
                              "pair": entry["pair"]})
                 return EXIT_FAILURE
+        failed = extras[1].replay()
+        if failed:
+            _emit(args, {"error": "record-replay-failed",
+                         "key": sorted(failed[0])})
+            return EXIT_FAILURE
     if args.dot:
         lat = extras[2]
         with open(args.dot, "w") as fh:

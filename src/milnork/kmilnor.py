@@ -855,42 +855,67 @@ class KContext:
             entries.append(RatFunc(SparsePoly(nv, terms), x.den))
         return entries, centers
 
+    def straightened_certificate(self, elements, shift, transform=None):
+        """The certificate of the straightened trial at the origin, the
+        first trial of every search of a linear tuple, or None when an entry
+        is not linear (_linear_part) or the forms are dependent.  transform
+        is the straightening, when the caller has it.  Entry k becomes
+        (t_k + c_k)/d_k at the step t_k = -c_k, or t_k/d_k at t_k = 0 when
+        shifted, so the value is a unit of Z/l: the trial never misses."""
+        if transform is None:
+            rows = [self._linear_part(x) for x in elements]
+            if None in rows:
+                return None
+            transform = self._straightening_transform(rows)
+            if transform is None:
+                return None
+        entries, centers = self._straightened_entries(elements, transform,
+                                                      shift)
+        return self._trial_certificate(
+            entries, tuple(x.key() for x in entries),
+            tuple(range(len(entries))), centers, transform)
+
     def _try_trial(self, search, trial):
         vars_, point, use_shift, transform = trial
         if search.straight is not None and transform is search.straight \
                 and not any(point):
             # the straightened trial of a linear tuple, on range(r)
-            entries, centers = self._straightened_entries(
-                search.elements, transform, use_shift)
-            keys = tuple(x.key() for x in entries)
-        else:
-            centers = [point[i] for i in vars_]
-            entries = []
-            for x in search.elements:
-                if transform is not None:
-                    x = self.apply_transform(x, transform)
-                    if x.is_zero():
-                        return None
-                if use_shift:
-                    c = self._value_at_point(x, point)
-                    if c is not None and not c.is_zero():
-                        x = x - self.field.const(c)
+            return self.straightened_certificate(search.elements, use_shift,
+                                                 transform)
+        centers = [point[i] for i in vars_]
+        entries = []
+        for x in search.elements:
+            if transform is not None:
+                x = self.apply_transform(x, transform)
                 if x.is_zero():
                     return None
-                entries.append(x)
-            keys = tuple(x.key() for x in entries)
-            if not use_shift:
-                # aim each slot's chain step at a zero or pole of its entry
-                snaps = search.snaps
-                for k, (x, v) in enumerate(zip(entries, vars_)):
-                    at = (keys[k], v)
-                    if at not in snaps:
-                        snaps[at] = self._snap_center(x, v)
-                    if snaps[at] is not None:
-                        centers[k] = snaps[at]
+            if use_shift:
+                c = self._value_at_point(x, point)
+                if c is not None and not c.is_zero():
+                    x = x - self.field.const(c)
+            if x.is_zero():
+                return None
+            entries.append(x)
+        keys = tuple(x.key() for x in entries)
+        if not use_shift:
+            # aim each slot's chain step at a zero or pole of its entry
+            snaps = search.snaps
+            for k, (x, v) in enumerate(zip(entries, vars_)):
+                at = (keys[k], v)
+                if at not in snaps:
+                    snaps[at] = self._snap_center(x, v)
+                if snaps[at] is not None:
+                    centers[k] = snaps[at]
+        return self._trial_certificate(entries, keys, tuple(vars_), centers,
+                                       transform)
+
+    def _trial_certificate(self, entries, keys, variables, centers,
+                           transform):
+        """The certificate of one trial, its value read from and stored in
+        the trial-value cache; None when the value is 0."""
         try:
             sym = Symbol(entries)
-            chain = self._chain(tuple(vars_), centers)
+            chain = self._chain(variables, centers)
         except (ZeroEntry, ChainError):
             return None
         key = (keys, chain.steps)
@@ -904,10 +929,12 @@ class KContext:
 
     def _chain(self, variables, centers):
         """coordinate_chain, memoized by the variables and the level and
-        coefficients of each centre: a chain is serialized with its
-        centres as given, so centres equal in value at different levels
-        keep their own chains.  A full memo is emptied first."""
-        key = (variables, tuple((c.level, c.coeffs) for c in centers))
+        coefficients of each centre (INF for a centre at infinity): a chain
+        is serialized with its centres as given, so centres equal in value
+        at different levels keep their own chains.  A full memo is emptied
+        first."""
+        key = (variables, tuple(c if c is INF else (c.level, c.coeffs)
+                                for c in centers))
         chain = self._chains.get(key)
         if chain is None:
             chain = coordinate_chain(self.field, variables, centers)

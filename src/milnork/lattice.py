@@ -9,6 +9,7 @@ logic is three-valued (certified lower bound, axiom-backed upper bound,
 unknown in between).
 """
 
+import collections
 import itertools
 import random
 
@@ -151,6 +152,41 @@ def omega(ctx, generators, label=None, budget=64):
     return SubgroupFragment(label or "omega", gens, rank)
 
 
+class Record(collections.namedtuple("Record", "answer how witness")):
+    """What Universe.independent answered for one set, and why: answer is
+    True, False or None (unresolved), how names the reason, and witness is
+    what Universe.replay checks it by.
+
+    Independent:
+      RANK       linear members whose rows have full F_p rank; no witness
+                 is kept, as the straightened certificate at the origin
+                 (KContext.straightened_certificate) is built on replay
+      CERTIFIED  the Certificate a search won for the set
+      SUPERSET   the key of a certified set containing it
+    Dependent:
+      RELATION   F_p coefficients of a vanishing combination of the inner
+                 forms (KContext._inner_forms; the rows of linear members)
+      CONTAINS   the key of a dependent set it contains
+      VARIABLES  the variables the members use, fewer than the members
+    Unresolved:
+      SEARCHED   the budget of the search that ran out"""
+
+    __slots__ = ()
+
+
+RANK, CERTIFIED, SUPERSET = "rank", "certified", "superset"
+RELATION, CONTAINS, VARIABLES = "relation", "contains", "variables"
+SEARCHED = "searched"
+_ANSWER = {RANK: True, CERTIFIED: True, SUPERSET: True, RELATION: False,
+           CONTAINS: False, VARIABLES: False, SEARCHED: None}
+
+
+def _relation(rows, p):
+    """A nonzero vector c with sum c_k rows[k] = 0 mod p, else None."""
+    kernel = linalg.nullspace(linalg.transpose(tuple(rows)), p)
+    return kernel[0] if kernel else None
+
+
 class Universe:
     """A declared finite family of rational subgroups with a memoized rank
     function; the recipes are evaluated relative to it.
@@ -161,75 +197,99 @@ class Universe:
     shared across the sets the recipes probe.  The flats of each rank are
     found as covers of the flats one rank down (Universe.flats).
 
-    One certificate answers many queries.  A nonzero symbol has nonzero
-    sub-symbols, {a,b,c} = {a,b}.{c}, so every subset of a certified set is
-    independent.  A set that needs a search is therefore first extended
-    towards a basis of the universe and the extension is certified in its
-    place; its subsets are then answered without a further search."""
+    Every answer is kept as one Record per set in _records, with the
+    witness that Universe.replay checks.  A set of linear members is
+    decided by the F_p rank of their rows, with no search: linear forms
+    over F_p are algebraically independent exactly when their rows are
+    linearly independent.
+
+    For sets with a nonlinear member, one certificate answers many queries.
+    A nonzero symbol has nonzero sub-symbols, {a,b,c} = {a,b}.{c}, so every
+    subset of a certified set is independent.  A set that needs a search is
+    therefore first extended towards a basis of the universe and the
+    extension is certified in its place; its subsets are then answered
+    without a further search."""
 
     def __init__(self, ctx, subgroups, budget=64):
         self.ctx = ctx
         self.subgroups = list(subgroups)
         self.budget = budget
         self._basis_cache = {}
-        self._indep_cache = {}
+        self._records = {}
         self._closure_cache = {}
         self._flats_by_rank = {}
         self._layers = {}
-        self._unresolved = set()
-        self._certified = []
-        self._failed = set()
         # each member's linear row (KContext._linear_part), None if it has
-        # none; read by _extend
+        # none
         self._rows = [ctx._linear_part(s.gen) for s in self.subgroups]
 
     def __len__(self):
         return len(self.subgroups)
 
     def independent(self, indices):
-        """Certified algebraic independence of the generators: dependence is
-        decided by a witnessed transcendence bound (KContext.trdeg_upper),
-        independence by one certified symbol of full length built from
-        subfield translates.  A set with neither is unresolved.
+        """Certified algebraic independence of the generators, kept with
+        its witness as the set's Record.
 
-        Two dependent answers need no bound.  A set with more members than
-        variables exceeds the transcendence degree of the field.  A set that
-        contains a cached dependent set minus one member is dependent too,
-        as every superset of a dependent set is (Oxley, Matroid Theory,
-        ch. 1).
+        A set of linear members is independent exactly when its rows have
+        full F_p rank; a dependent one keeps the F_p relation among them.
 
-        A subset of a certified set is independent without a search.  A set
-        that needs one is first extended: universe members are scanned in
-        index order and kept while the Jacobian of the enlarged set has full
-        rank, up to nvars members.  Full Jacobian rank proves independence
-        in every characteristic, but here it only chooses the candidate; the
-        extension is certified with the search the set itself would get, and
-        only when that search runs out of budget is the set searched on its
-        own.  So the extension changes no answer, except that a set whose
-        own search would run out of budget can be certified through it."""
+        Any other set is decided in this order.  A set that contains a
+        dependent set minus one member is dependent too, as every superset
+        of a dependent set is (Oxley, Matroid Theory, ch. 1).  So is a set
+        whose members use fewer variables than it has members, say more
+        members than the field has variables.  A subset of a certified set
+        is independent without a search.  A relation among the inner forms
+        proves dependence (the witnesses are those of
+        KContext.trdeg_upper), and one certified symbol of full length
+        built from subfield translates proves independence.  A set with
+        neither is unresolved and raises DimUnknown.
+
+        A set that needs a search is first extended: universe members are
+        scanned in index order and kept while the Jacobian of the enlarged
+        set has full rank, up to nvars members.  Full Jacobian rank proves
+        independence in every characteristic, but here it only chooses the
+        candidate; the extension is certified with the search the set
+        itself would get, and only when that search runs out of budget is
+        the set searched on its own.  So the extension changes no answer,
+        except that a set whose own search would run out of budget can be
+        certified through it."""
         key = frozenset(indices)
-        cached = self._indep_cache.get(key)
-        if cached is not None:
-            return cached
-        if key in self._unresolved:
+        rec = self._records.get(key)
+        if rec is None:
+            rec = self._records[key] = self._decide(key)
+        if rec.answer is None:
             raise DimUnknown([key])
-        if len(key) > self.ctx.nvars or any(
-                self._indep_cache.get(key - {i}) is False for i in key):
-            self._indep_cache[key] = False
-            return False
-        if any(key <= s for s in self._certified):
-            out = True
-        elif self.ctx.trdeg_upper(self._gens(key)) < len(key):
-            out = False
-        else:
-            extended = self._extend(key)
-            if extended == key or not self._certify(extended):
-                if not self._certify(key):
-                    self._unresolved.add(key)
-                    raise DimUnknown([key])
-            out = True
-        self._indep_cache[key] = out
-        return out
+        return rec.answer
+
+    def _decide(self, key):
+        """The Record of a set without one, by the rules of independent."""
+        p = self.ctx.field.p
+        rows = [self._rows[i] for i in sorted(key)]
+        if None not in rows:
+            relation = _relation(rows, p)
+            if relation is None:
+                return Record(True, RANK, None)
+            return Record(False, RELATION, relation)
+        for i in key:
+            sub = self._records.get(key - {i})
+            if sub is not None and sub.answer is False:
+                return Record(False, CONTAINS, key - {i})
+        gens = self._gens(key)
+        used = set().union(*(g.vars_used() for g in gens))
+        if len(used) < len(key):
+            return Record(False, VARIABLES, tuple(sorted(used)))
+        for other, rec in self._records.items():
+            if rec.how == CERTIFIED and key <= other:
+                return Record(True, SUPERSET, other)
+        rows = self.ctx._inner_forms(gens)
+        relation = None if rows is None else _relation(rows, p)
+        if relation is not None:
+            return Record(False, RELATION, relation)
+        extended = self._extend(key)
+        if extended != key and self._certify(extended):
+            return Record(True, SUPERSET, extended)
+        self._certify(key)
+        return self._records[key]
 
     def _gens(self, key):
         return [self.subgroups[i].gen for i in sorted(key)]
@@ -239,49 +299,73 @@ class Universe:
         Jacobian at full rank, until it has nvars members.  A set whose own
         Jacobian is rank-deficient is returned as it is: no enlargement of
         it can have full rank.  Only a set with a nonlinear member is
-        checked; a linear set's Jacobian rank is the F_p rank that
-        trdeg_upper has already found full.
-
-        While the set is linear, the Jacobian of the set plus a linear
-        member has full rank exactly when the member's row leaves the span
-        of the set's rows, so that is tested against the reduced rows."""
-        rows = [self._rows[i] for i in sorted(key)]
-        if (None in rows
-                and self.ctx.jacobian_rank(self._gens(key)) < len(key)):
+        extended."""
+        jacobian_rank = self.ctx.jacobian_rank
+        if jacobian_rank(self._gens(key)) < len(key):
             return key
-        nvars, p = self.ctx.nvars, self.ctx.field.p
-        span = None if None in rows else linalg.Subspace(nvars, rows, p)
         out = set(key)
-        for i, row in enumerate(self._rows):
-            if len(out) >= nvars:
+        for i in range(len(self.subgroups)):
+            if len(out) >= self.ctx.nvars:
                 break
-            if i in out:
-                continue
-            if span is not None and row is not None:
-                grows = not span.contains(row)
-            else:
-                grows = self.ctx.jacobian_rank(
-                    self._gens(out | {i})) == len(out) + 1
-            if grows:
+            if i not in out and jacobian_rank(
+                    self._gens(out | {i})) == len(out) + 1:
                 out.add(i)
-                if span is not None:
-                    span = (None if row is None else
-                            linalg.Subspace(nvars, span.basis + (row,), p))
         return frozenset(out)
 
     def _certify(self, key):
-        """One certificate search for the set; a certified set is recorded
-        so that its subsets need none.  The search is seeded by the set, so
-        one that ran out of budget would do so again and is not rerun."""
-        if key in self._failed:
+        """One certificate search for the set, kept as its Record: the
+        Certificate it won, or the budget it spent.  The search is seeded
+        by the set, so one that ran out of budget would do so again and is
+        not rerun."""
+        rec = self._records.get(key)
+        if rec is None:
+            cert = self.ctx.certificate_search(
+                self._gens(key), budget=self.budget, seed=repr(sorted(key)),
+                shifts=True)
+            rec = self._records[key] = (
+                Record(None, SEARCHED, self.budget) if cert is UNKNOWN
+                else Record(True, CERTIFIED, cert))
+        return rec.answer is True
+
+    def replay(self):
+        """The keys of the records that do not replay, in sorted order; an
+        empty list when every answer is backed by its witness.
+
+        A record replays when its answer is the one its reason gives and
+        its witness holds: a certificate, the one kept or the straightened
+        one built for a linear set, evaluates to its nonzero value; a
+        relation is nonzero and vanishes mod p on the inner forms,
+        recomputed from the generators; a superset is certified and a
+        contained set dependent by their own records; the members use only
+        the recorded variables, fewer than the members."""
+        return sorted((key for key, rec in self._records.items()
+                       if not self._replays(key, rec)), key=sorted)
+
+    def _replays(self, key, rec):
+        how, witness = rec.how, rec.witness
+        if how not in _ANSWER or _ANSWER[how] is not rec.answer:
             return False
-        cert = self.ctx.certificate_search(
-            self._gens(key), budget=self.budget, seed=repr(sorted(key)),
-            shifts=True)
-        if cert is UNKNOWN:
-            self._failed.add(key)
-            return False
-        self._certified.append(key)
+        nvars, p = self.ctx.nvars, self.ctx.field.p
+        if how == RANK:
+            cert = self.ctx.straightened_certificate(self._gens(key), True)
+            return cert is not None and cert.replay()
+        if how == CERTIFIED:
+            return witness.replay()
+        if how in (SUPERSET, CONTAINS):
+            other = self._records.get(witness)
+            inside = key < witness if how == SUPERSET else witness < key
+            return (inside and other is not None
+                    and other.answer is _ANSWER[how])
+        if how == RELATION:
+            rows = self.ctx._inner_forms(self._gens(key))
+            return (rows is not None and len(witness) == len(rows)
+                    and any(c % p for c in witness)
+                    and not any(sum(c * row[j] for c, row in
+                                    zip(witness, rows)) % p
+                                for j in range(nvars)))
+        if how == VARIABLES:
+            used = set().union(*(g.vars_used() for g in self._gens(key)))
+            return used <= set(witness) and len(witness) < len(key)
         return True
 
     def rank(self, indices):

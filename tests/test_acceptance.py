@@ -224,9 +224,9 @@ def test_criterion_5_recipe_roundtrip():
     truth_points = {dirv: frozenset(by_dir[dirv]) for dirv in directions}
     # every cached independence answer is the prime-field rank test
     assert len(universe) == len(decls)
-    for key, indep in universe._indep_cache.items():
+    for key, rec in universe._records.items():
         rows = tuple(_direction(decls[i]) for i in key)
-        assert indep == (linalg.rank(rows, 7) == len(key)), sorted(key)
+        assert rec.answer == (linalg.rank(rows, 7) == len(key)), sorted(key)
     # the recovered points must be exactly the ground-truth source groups
     recovered = {pt.sources for pt in points}
     assert recovered == set(truth_points.values())

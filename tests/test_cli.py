@@ -649,3 +649,61 @@ def _rank_over_q(rows):
             rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
         rank += 1
     return rank
+
+
+def test_linear_pipeline_runs_no_search(run, monkeypatch):
+    # the universe decides linear sets by F_p rank, and an independent
+    # linear kring pair is certified by its straightened trial
+    searches = []
+    for name in ("certificate_search", "canonical_certificate"):
+        monkeypatch.setattr(KContext, name,
+                            lambda *a, _n=name, **kw: searches.append(_n))
+    payload = {"p": 7, "ell": 3, "vars": 5, "seed": 4,
+               "universe": PIPELINE_UNIVERSE}
+    code, out = run("pipeline", payload, extra=["--verify"])
+    assert code == EXIT_OK and searches == []
+    assert [e["relation"] for e in out["kring_fragment"]["pairs"]] == [
+        "independent"] * 21
+
+
+@pytest.mark.parametrize("mutation", ["answer", "relation", "certificate"])
+def test_verify_rejects_a_corrupted_universe_record(tmp_path, capsys,
+                                                    monkeypatch, mutation):
+    from milnork import cli, lattice
+
+    ff = FunctionField(FieldTower(7, seed=0), 5)
+    xy = ff.var(0) * ff.var(1)
+    payload = {"p": 7, "ell": 3, "vars": 5, "budget": 32,
+               "universe": [{"var": i} for i in range(5)]
+               + [{"linear": {"0": 1, "1": 1}},
+                  {"ratfunc": encode_ratfunc(xy)}]}
+    how = {"answer": lattice.RANK, "relation": lattice.RELATION,
+           "certificate": lattice.CERTIFIED}[mutation]
+    corrupted = []
+    run_pipeline = cli.run_pipeline
+
+    def corrupt(config):
+        artifacts, extras = run_pipeline(config)
+        records = extras[1]._records
+        assert extras[1].replay() == []
+        key = min((k for k, r in records.items() if r.how == how), key=sorted)
+        rec = records[key]
+        if mutation == "answer":
+            rec = rec._replace(answer=False)
+        elif mutation == "relation":
+            rec = rec._replace(witness=(rec.witness[0] + 1,)
+                               + tuple(rec.witness[1:]))
+        else:
+            rec.witness.value = rec.witness.ell - rec.witness.value
+        records[key] = rec
+        corrupted.append(sorted(key))
+        return artifacts, extras
+
+    monkeypatch.setattr(cli, "run_pipeline", corrupt)
+    path = tmp_path / "pipeline.json"
+    path.write_text(json.dumps(payload))
+    code = main(["--verify", "pipeline", str(path)])
+    captured = capsys.readouterr()
+    assert code == EXIT_FAILURE and captured.err == ""
+    assert json.loads(captured.out) == {"error": "record-replay-failed",
+                                        "key": corrupted[0]}

@@ -221,6 +221,30 @@ def test_straightened_trial_matches_the_generic_trial(case):
     assert list(fast._trial_values) == list(generic._trial_values)
 
 
+@settings(max_examples=100, deadline=None)
+@given(linear_tuples())
+def test_straightened_certificate_is_the_first_trial(case):
+    # the certificate the search of an independent linear tuple wins with
+    # its first trial, byte for byte, without the search
+    ff, ell, elements, shifts, _ = case
+    got = KContext(ff, ell).straightened_certificate(elements, shifts)
+    want = KContext(ff, ell).canonical_certificate(elements, budget=1,
+                                                   shifts=shifts)
+    assert want is not UNKNOWN and got.replay()
+    assert (canonical_json(encode_certificate(got))
+            == canonical_json(encode_certificate(want)))
+
+
+def test_straightened_certificate_needs_independent_linear_entries():
+    ctx = KContext(FIELD, 3)
+    t0, t1, t2 = (FIELD.var(i) for i in range(NV))
+    c = FIELD.const
+    for elements in ([t0 + t1, c(2) * t0 + c(2) * t1 + c(1)], [t0 * t1, t2],
+                     [t0, t1, t2, t0 + t1]):
+        for shift in (False, True):
+            assert ctx.straightened_certificate(elements, shift) is None
+
+
 def test_straightened_trial_skips_the_substitution(monkeypatch):
     calls = []
     monkeypatch.setattr(KContext, "apply_transform",
@@ -287,3 +311,14 @@ def test_chain_memo_stays_within_its_bound(monkeypatch):
     one, one2 = TOWER.from_int(1), TOWER.element(2, (1, 0))
     assert ctx._chain((0,), [one]).steps[0].center.level == 1
     assert ctx._chain((0,), [one2]).steps[0].center.level == 2
+
+
+def test_chain_memo_keys_a_centre_at_infinity():
+    ctx = KContext(FIELD, 3)
+    zero = TOWER.zero()
+    chain = ctx._chain((0, 1), [INF, zero])
+    assert chain.steps == kmilnor.coordinate_chain(FIELD, (0, 1),
+                                                   [INF, zero]).steps
+    assert chain.steps[0].at_infinity
+    assert ctx._chain((0, 1), [INF, zero]) is chain
+    assert ctx._chain((0, 1), [zero, zero]).steps != chain.steps

@@ -11,6 +11,10 @@ from milnork import linalg
 from milnork.groundfield import INF, CoordValuation, FieldTower, FunctionField
 from milnork.kmilnor import UNKNOWN, KContext
 from milnork.lattice import (
+    CERTIFIED,
+    RANK,
+    SEARCHED,
+    SUPERSET,
     CounterexampleReport,
     DimUnknown,
     NotPreserving,
@@ -194,7 +198,7 @@ def test_polynomials_in_one_form_are_dependent(ff2):
                    budget=16)
     assert uni.independent(frozenset([0, 1])) is False
     assert uni.rank(frozenset([0, 1])) == 1
-    assert uni._unresolved == set()
+    assert all(rec.answer is not None for rec in uni._records.values())
 
 
 def test_rank_deficient_jacobian_is_not_extended(monkeypatch):
@@ -222,32 +226,33 @@ def test_rank_deficient_jacobian_is_not_extended(monkeypatch):
 
 
 class SearchEverySet(Universe):
-    """The oracle without the subset rule: every set that passes the
-    Jacobian is searched on its own, and an UNKNOWN search is final."""
+    """The oracle with neither the rank rule nor the certified-superset
+    rule: every set that passes the Jacobian is searched on its own, and
+    an UNKNOWN search is final.  Its answers, None for unresolved, are in
+    answers."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.answers = {}
 
     def independent(self, indices):
         key = frozenset(indices)
-        cached = self._indep_cache.get(key)
-        if cached is not None:
-            return cached
-        if key in self._unresolved:
+        if key not in self.answers:
+            self.answers[key] = self._search_every_set(key)
+        if self.answers[key] is None:
             raise DimUnknown([key])
+        return self.answers[key]
+
+    def _search_every_set(self, key):
         if len(key) > self.ctx.nvars or any(
-                self._indep_cache.get(key - {i}) is False for i in key):
-            self._indep_cache[key] = False
+                self.answers.get(key - {i}) is False for i in key):
             return False
         gens = [self.subgroups[i].gen for i in sorted(key)]
         if self.ctx.jacobian_rank(gens) < len(key):
-            out = False
-        else:
-            cert = self.ctx.certificate_search(
-                gens, budget=self.budget, seed=repr(sorted(key)), shifts=True)
-            if cert is UNKNOWN:
-                self._unresolved.add(key)
-                raise DimUnknown([key])
-            out = True
-        self._indep_cache[key] = out
-        return out
+            return False
+        cert = self.ctx.certificate_search(
+            gens, budget=self.budget, seed=repr(sorted(key)), shifts=True)
+        return None if cert is UNKNOWN else True
 
 
 _LINEAR_CONTEXTS = {}
@@ -301,18 +306,42 @@ def test_universe_matches_prime_field_rank(case):
         for uni in (new, old):
             assert uni.rank(key) == r
             assert uni.closure(key) == closed
-    for uni in (new, old):
-        for key, indep in uni._indep_cache.items():
+    answers = {key: rec.answer for key, rec in new._records.items()}
+    for got in (answers, old.answers):
+        for key, indep in got.items():
             assert indep == (truth(key) == len(key)), sorted(key)
-    for key in set(new._indep_cache) & set(old._indep_cache):
-        assert new._indep_cache[key] == old._indep_cache[key]
+    for key in set(answers) & set(old.answers):
+        assert answers[key] == old.answers[key]
+    # every record replays, checked here against the drawn rows: an
+    # independent set's certificate has a nonzero value, and a dependent
+    # set's relation vanishes mod p
+    assert new.replay() == []
+    for key, rec in new._records.items():
+        if rec.answer:
+            cert = ctx.straightened_certificate(new._gens(key), True)
+            assert cert.value % ctx.ell and cert.replay(), sorted(key)
+        else:
+            members = [rows[i] for i in sorted(key)]
+            assert any(rec.witness) and not any(
+                sum(c * row[j] for c, row in zip(rec.witness, members)) % p
+                for j in range(nvars)), sorted(key)
 
 
-def test_subset_of_certified_set_needs_no_search(ctx5, subs, monkeypatch):
-    uni = Universe(ctx5, subs, budget=48)
-    assert uni.independent(frozenset([1, 3])) is True
-    # the search ran on the extension of {1, 3} to a full basis
-    assert uni._certified == [frozenset(range(5))]
+def _nonlinear_universe(ctx5, ff5, budget=48):
+    """t0*t1 and t2*t3 + 1, which take the search path, then t0, t2, t4."""
+    t = [ff5.var(i) for i in range(5)]
+    gens = [t[0] * t[1], t[2] * t[3] + ff5.const(1), t[0], t[2], t[4]]
+    return Universe(ctx5, [RationalSubgroup(ctx5, g, "g%d" % i)
+                           for i, g in enumerate(gens)], budget=budget)
+
+
+def test_subset_of_certified_set_needs_no_search(ctx5, ff5, monkeypatch):
+    uni = _nonlinear_universe(ctx5, ff5)
+    full = frozenset(range(5))
+    assert uni.independent(frozenset([0, 1])) is True
+    # the search ran on the extension of {0, 1} to a full basis
+    assert uni._records[full].how == CERTIFIED
+    assert uni._records[frozenset([0, 1])] == (True, SUPERSET, full)
     searches = []
     search = ctx5.certificate_search
 
@@ -325,10 +354,11 @@ def test_subset_of_certified_set_needs_no_search(ctx5, subs, monkeypatch):
         for key in itertools.combinations(range(5), r):
             assert uni.independent(frozenset(key)) is True
     assert searches == []
+    assert uni.replay() == []
 
 
-def test_failed_extension_falls_back_to_the_set(ctx5, subs, monkeypatch):
-    uni = Universe(ctx5, subs, budget=48)
+def test_failed_extension_falls_back_to_the_set(ctx5, ff5, monkeypatch):
+    uni = _nonlinear_universe(ctx5, ff5)
     full = frozenset(range(5))
     searched = []
     search = ctx5.certificate_search
@@ -342,11 +372,13 @@ def test_failed_extension_falls_back_to_the_set(ctx5, subs, monkeypatch):
     monkeypatch.setattr(ctx5, "certificate_search", stub)
     assert uni.independent(frozenset([0, 2])) is True
     assert searched == [repr(sorted(full)), repr([0, 2])]
-    assert uni._certified == [frozenset([0, 2])]
-    assert full not in uni._indep_cache and full not in uni._unresolved
+    assert uni._records[frozenset([0, 2])].how == CERTIFIED
+    # the failed extension answers nothing true: its record keeps the
+    # budget its search spent
+    assert uni._records[full] == (None, SEARCHED, 48)
     # the fallback is the search a set gets on its own, so a set that
-    # fails both is unresolved, and the failed extension still leaves no
-    # trace; the extension, already failed once, is not searched again
+    # fails both is unresolved; the extension, already failed once, is not
+    # searched again, nor is it when asked for itself
     searched.clear()
 
     def fail(elements, **kw):
@@ -357,8 +389,11 @@ def test_failed_extension_falls_back_to_the_set(ctx5, subs, monkeypatch):
     with pytest.raises(DimUnknown):
         uni.independent(frozenset([1, 3]))
     assert searched == [repr([1, 3])]
-    assert uni._unresolved == {frozenset([1, 3])}
-    assert full not in uni._indep_cache
+    assert uni._records[frozenset([1, 3])] == (None, SEARCHED, 48)
+    with pytest.raises(DimUnknown):
+        uni.independent(full)
+    assert searched == [repr([1, 3])]
+    assert uni.replay() == []
 
 
 def test_recover_rank_r_against_brute_force(ctx5, ff5):
@@ -442,8 +477,8 @@ def test_recover_rank_1_needs_witness(ctx5, ff5):
     assert recover_rank_1(uni, r2, r3) == []
 
 
-def test_dim_unknown_reported(ctx5, subs):
-    uni = Universe(ctx5, subs[:3], budget=0)
+def test_dim_unknown_reported(ctx5, ff5):
+    uni = _nonlinear_universe(ctx5, ff5, budget=0)
     with pytest.raises(DimUnknown):
         recover_rank_r(uni, 2)
 
@@ -614,7 +649,25 @@ def test_extension_by_rows_is_the_jacobian_extension(rows, nonlinear_at,
         assert uni._extend(key) == _extend_by_jacobian(uni, key)
 
 
-def test_linear_extension_needs_no_jacobian(ctx5, subs, monkeypatch):
-    uni = Universe(ctx5, subs)
-    monkeypatch.setattr(ctx5, "jacobian_rank", None)
-    assert uni._extend(frozenset([3])) == frozenset([0, 1, 2, 3, 4])
+def test_coordinate_universe_at_budget_zero_is_decided_by_rank(
+        ctx5, subs, monkeypatch):
+    # linear sets take no search, Jacobian, transcendence bound or
+    # extension: the F_p rank decides them, whatever the budget
+    searches = []
+    search = ctx5.certificate_search
+
+    def spy(elements, **kw):
+        searches.append(len(elements))
+        return search(elements, **kw)
+
+    monkeypatch.setattr(ctx5, "certificate_search", spy)
+    for name in ("jacobian_rank", "trdeg_upper"):
+        monkeypatch.setattr(ctx5, name, None)
+    uni = Universe(ctx5, subs, budget=0)
+    assert [sorted(f.sources) for f in recover_rank_r(uni, 2)] == [
+        list(pair) for pair in itertools.combinations(range(5), 2)]
+    assert uni.rank(frozenset(range(5))) == 5
+    assert uni.independent(frozenset()) is True
+    assert all(rec.how == RANK for rec in uni._records.values())
+    assert searches == []
+    assert uni.replay() == []
