@@ -74,7 +74,8 @@ class PipelineConfig:
         self.budget = integer("budget", 64)
         self.workers = integer("workers", 1)
         self.max_rank = integer("max_rank", 3)
-        self.universe_decl = list(data.get("universe", []))
+        self.universe_decl = (jsonio.field(data, "universe", what, list)
+                              if "universe" in data else [])
         self.auto_universe = data.get("auto_universe")
         if self.p == self.ell:
             raise ValueError("p and ell must differ")
@@ -82,6 +83,8 @@ class PipelineConfig:
             raise ValueError("need at least two variables")
         if not 3 <= self.max_rank < self.vars:
             raise ValueError("max_rank must lie between 3 and vars - 1")
+        for decl in self.universe_decl:
+            _check_decl(decl, self.vars)
 
     def require_vars(self, k, what):
         if self.vars < k:
@@ -125,6 +128,30 @@ def build_universe(ctx, config):
     return subs
 
 
+def _check_decl(decl, nvars):
+    """InputError unless decl declares a generator in nvars variables:
+    {"var": i}, {"linear": {"i": c, ...}} with an optional "const" c, all
+    integers, or {"ratfunc": f}, which jsonio checks as it decodes f."""
+    what = "a universe declaration"
+
+    def index(i):
+        if not 0 <= i < nvars:
+            raise jsonio.InputError("%s names a variable outside 0..%d"
+                                    % (what, nvars - 1))
+
+    if isinstance(decl, dict) and "var" in decl:
+        index(jsonio.field(decl, "var", what, int))
+    elif isinstance(decl, dict) and "linear" in decl:
+        linear = jsonio.field(decl, "linear", what, dict)
+        for var in linear:
+            index(int(var) if var.isdecimal() else -1)
+            jsonio.field(linear, var, "a linear declaration", int)
+        if "const" in decl:
+            jsonio.field(decl, "const", what, int)
+    elif not (isinstance(decl, dict) and "ratfunc" in decl):
+        raise jsonio.InputError("unknown generator declaration %r" % (decl,))
+
+
 def _decode_generator(field, decl):
     if "var" in decl:
         return field.var(decl["var"])
@@ -133,9 +160,7 @@ def _decode_generator(field, decl):
         for var, coef in sorted(decl["linear"].items()):
             g = g + field.const(coef) * field.var(int(var))
         return g
-    if "ratfunc" in decl:
-        return jsonio.decode_ratfunc(field, decl["ratfunc"])
-    raise ValueError("unknown generator declaration %r" % (decl,))
+    return jsonio.decode_ratfunc(field, decl["ratfunc"])
 
 
 def run_pipeline(config):

@@ -201,7 +201,10 @@ class Universe:
     witness that Universe.replay checks.  A set of linear members is
     decided by the F_p rank of their rows, with no search: linear forms
     over F_p are algebraically independent exactly when their rows are
-    linearly independent.
+    linearly independent.  Each independent linear set keeps its F_p
+    echelon, so a set that adds one member to such a set is decided by
+    reducing that member's row against it alone, and a dependent one gets
+    its relation from the same reduction.
 
     For sets with a nonlinear member, one certificate answers many queries.
     A nonzero symbol has nonzero sub-symbols, {a,b,c} = {a,b}.{c}, so every
@@ -216,6 +219,9 @@ class Universe:
         self.budget = budget
         self._basis_cache = {}
         self._records = {}
+        # the F_p echelon of each set recorded RANK, as (pivot column,
+        # reduced row, that row as a combination of the members) triples
+        self._echelons = {frozenset(): ()}
         self._closure_cache = {}
         self._flats_by_rank = {}
         self._layers = {}
@@ -266,10 +272,7 @@ class Universe:
         p = self.ctx.field.p
         rows = [self._rows[i] for i in sorted(key)]
         if None not in rows:
-            relation = _relation(rows, p)
-            if relation is None:
-                return Record(True, RANK, None)
-            return Record(False, RELATION, relation)
+            return self._decide_linear(key, rows)
         for i in key:
             sub = self._records.get(key - {i})
             if sub is not None and sub.answer is False:
@@ -290,6 +293,43 @@ class Universe:
             return Record(True, SUPERSET, extended)
         self._certify(key)
         return self._records[key]
+
+    def _decide_linear(self, key, rows):
+        """The Record of a set of linear members.  Where the set less one
+        member i, the largest such, has a kept echelon, row i is reduced
+        against it alone: a nonzero remainder extends the echelon to the
+        set's, and a zero one gives the set's only relation, scaled to 1 at
+        the largest member it uses, as _relation would give it.  Any other
+        linear set is reduced from scratch by _relation; the queries of
+        basis and closure never are."""
+        p = self.ctx.field.p
+        for i in sorted(key, reverse=True):
+            echelon = self._echelons.get(key - {i})
+            if echelon is not None:
+                break
+        else:
+            relation = _relation(rows, p)
+            return (Record(True, RANK, None) if relation is None
+                    else Record(False, RELATION, relation))
+        row = self._rows[i]
+        comb = [0] * len(self.subgroups)
+        comb[i] = 1
+        for pivot, erow, ecomb in echelon:
+            f = row[pivot]
+            if f:
+                row = [(a - f * b) % p for a, b in zip(row, erow)]
+                comb = [(a - f * b) % p for a, b in zip(comb, ecomb)]
+        lead = next((j for j, a in enumerate(row) if a), None)
+        if lead is not None:
+            inv = pow(row[lead], -1, p)
+            self._echelons[key] = echelon + ((
+                lead, [a * inv % p for a in row],
+                [a * inv % p for a in comb]),)
+            return Record(True, RANK, None)
+        members = sorted(key)
+        inv = pow(comb[max(j for j in members if comb[j])], -1, p)
+        return Record(False, RELATION,
+                      tuple(comb[j] * inv % p for j in members))
 
     def _gens(self, key):
         return [self.subgroups[i].gen for i in sorted(key)]
@@ -393,6 +433,11 @@ class Universe:
     def closure(self, indices):
         """All universe subgroups that do not raise the rank of the set.
 
+        A member i outside the set lies in its closure exactly when a basis
+        B of the set plus i is dependent: by exchange (Oxley, Matroid Theory,
+        ch. 1) the set plus i has the rank of B plus i, so each member costs
+        one independence answer rather than a greedy basis.
+
         A computed flat of the same rank containing the set already is its
         closure, so the covers that Universe.flats and the pipeline geometry
         ask for collapse onto the finitely many flats."""
@@ -400,18 +445,14 @@ class Universe:
         cached = self._closure_cache.get(base)
         if cached is not None:
             return cached
-        r = self.rank(base)
+        b = self.basis(base)
+        r = len(b)
         for flat in self._flats_by_rank.get(r, ()):
             if base <= flat:
                 self._closure_cache[base] = flat
                 return flat
-        out = set(base)
-        for i in range(len(self.subgroups)):
-            if i in out:
-                continue
-            if self.rank(base | {i}) == r:
-                out.add(i)
-        out = frozenset(out)
+        out = frozenset(i for i in range(len(self.subgroups))
+                        if i in base or not self.independent(b + (i,)))
         self._closure_cache[base] = out
         self._closure_cache[out] = out
         self._flats_by_rank.setdefault(r, []).append(out)

@@ -424,6 +424,38 @@ def test_criterion_11_pipeline_determinism():
           % (time.time() - t0))
 
 
+
+# sha256 of the whole canonical JSON of run_pipeline at budget 32 on the
+# coordinates plus these members, pinned because no benchmark workload takes
+# the search path of Universe.closure on a nonlinear universe
+NONLINEAR_PIPELINE_SHA256 = {
+    "t0+t1, t0*t1":
+        "cca57f821cc9ff6351cae0cf19aca9f397e08db8ece952a1d50e9272ab986cac",
+    "t1*t2, t3+t4^2":
+        "a7043c9f936ea742c818f13e116da8ac9fb763aab8fc1031251c595079eb95d4",
+    "t0+t1, t0*t1, t2*t3+1":
+        "9d084e450cfbaea234aab8c4358195207866be11c605144ec3c59d648c537540",
+}
+
+
+@pytest.mark.parametrize("name", sorted(NONLINEAR_PIPELINE_SHA256))
+def test_nonlinear_pipeline_artifacts_are_pinned(name):
+    from milnork.cli import PipelineConfig, run_pipeline
+    from milnork.jsonio import encode_ratfunc
+
+    ff = FunctionField(FieldTower(7, seed=0), 5)
+    t, one = [ff.var(i) for i in range(5)], ff.const(1)
+    members = {"t0+t1, t0*t1": [t[0] + t[1], t[0] * t[1]],
+               "t1*t2, t3+t4^2": [t[1] * t[2], t[3] + t[4] ** 2],
+               "t0+t1, t0*t1, t2*t3+1": [t[0] + t[1], t[0] * t[1],
+                                         t[2] * t[3] + one]}[name]
+    cfg = PipelineConfig({"p": 7, "ell": 3, "vars": 5, "budget": 32,
+                          "universe": [{"var": i} for i in range(5)]
+                          + [{"ratfunc": encode_ratfunc(g)} for g in members]})
+    artifacts, _ = run_pipeline(cfg)
+    digest = hashlib.sha256(canonical_json(artifacts).encode()).hexdigest()
+    assert digest == NONLINEAR_PIPELINE_SHA256[name]
+
 def test_tower_seed_invariance():
     # the declared open question: results must not depend on the tower model
     outcomes = []

@@ -239,9 +239,27 @@ X1_PLUS_G = {"num": {"vars": 2, "terms": [
     {"exp": [0, 0], "coef": {"level": 2, "coeffs": [0, 1]}},
     {"exp": [0, 1], "coef": ONE}]},
     "den": {"vars": 2, "terms": [{"exp": [0, 0], "coef": ONE}]}}
-FUZZ_BASES = {"certify": {"elements": [X0, X1_PLUS_G]},
-              "dim": {"generators": [X0, X1_PLUS_G]}}
+# t0*t1 in five variables, a nonlinear pipeline member
+X0_X1 = {"num": {"vars": 5, "terms": [{"exp": [1, 1, 0, 0, 0], "coef": ONE}]},
+         "den": {"vars": 5, "terms": [{"exp": [0, 0, 0, 0, 0], "coef": ONE}]}}
+FUZZ_BASES = {
+    "certify": {"elements": [X0, X1_PLUS_G]},
+    "dim": {"generators": [X0, X1_PLUS_G]},
+    "pipeline": dict(CONFIG5, universe=CONFIG5["universe"] + [
+        {"linear": {"0": 1, "1": 1}, "const": 2}, {"ratfunc": X0_X1}]),
+    "roundtrip": dict(CONFIG5, permutation=[1, 0, 2, 3, 4],
+                      universe=CONFIG5["universe"] + [
+                          {"linear": {"0": 1, "1": 1}, "const": 2}]),
+}
 JSON_VALUES = (None, True, 0, -1, 2.5, "x", [], {})
+BAD_DECLS = ({}, {"var": 5}, {"var": -1}, {"var": "0"}, {"var": 2.0},
+             {"linear": {}}, {"linear": {"9": 1}}, {"linear": {"x": 1}},
+             {"linear": {"0": "1"}}, {"linear": {"0": 7}},
+             {"linear": [1, 0]}, {"linear": {"0": 1}, "const": "c"},
+             {"ratfunc": X0}, {"ratfunc": 1}, {"const": 1})
+BAD_PERMUTATIONS = ([0, 0, 1, 2, 3], [0, 1, 2, 3], [1, 2, 3, 4, 5],
+                    [0, 1, 2, 3, -1], [4, 3, 2, 1, "0"],
+                    [0, 1, 2, 3, 4.0], "01234", {"0": 1})
 
 
 def _slots(obj):
@@ -255,17 +273,20 @@ def _slots(obj):
 
 @st.composite
 def mutated_payloads(draw):
-    """A valid certify or dim payload with up to three mutations: a key
-    dropped, a value of another JSON type, an exponent of the wrong
-    length or with a negative entry, a coefficient list of the wrong
-    length for its level."""
+    """A valid certify, dim, pipeline or roundtrip payload with up to three
+    mutations: a key dropped, a value of another JSON type, an exponent of
+    the wrong length or with a negative entry, a coefficient list of the
+    wrong length for its level, a bad universe declaration, a bad
+    permutation."""
     command = draw(st.sampled_from(sorted(FUZZ_BASES)))
     payload = copy.deepcopy(FUZZ_BASES[command])
     for _ in range(draw(st.integers(0, 3))):
-        kind = draw(st.sampled_from(("drop", "retype", "exp", "coeffs")))
+        kind = draw(st.sampled_from(("drop", "retype", "exp", "coeffs",
+                                     "decl", "permutation")))
         slots = [(c, k) for c, k in _slots(payload)
                  if kind == "retype"
                  or kind == "drop" and isinstance(c, dict)
+                 or kind == "decl" and c is payload.get("universe")
                  or k == kind and isinstance(c[k], list)]
         if not slots:
             continue
@@ -273,6 +294,10 @@ def mutated_payloads(draw):
         old = container[key]
         if kind == "drop":
             del container[key]
+        elif kind == "decl":
+            container[key] = copy.deepcopy(draw(st.sampled_from(BAD_DECLS)))
+        elif kind == "permutation":
+            container[key] = draw(st.sampled_from(BAD_PERMUTATIONS))
         elif kind == "retype":
             container[key] = draw(st.sampled_from(
                 [v for v in JSON_VALUES if type(v) is not type(old)]))
@@ -297,8 +322,13 @@ def test_mutated_payloads_exit_cleanly(case):
             code = main(["--vars", "2", "--budget", "4", command, str(path)])
     assert code in (EXIT_OK, EXIT_UNKNOWN, EXIT_FAILURE)
     assert "Traceback" not in err.getvalue()
-    if code == EXIT_FAILURE:
+    if code == EXIT_FAILURE and (err.getvalue()
+                                 or command in ("certify", "dim")):
         assert err.getvalue().startswith("error: ")
+    elif code == EXIT_FAILURE:
+        # pipeline and roundtrip report a too small universe, a failed
+        # axiom or a transfer mismatch as a JSON object on stdout
+        assert isinstance(json.loads(out.getvalue()), dict)
 
 
 @pytest.mark.parametrize("command, payload", [
@@ -584,8 +614,8 @@ def test_pipeline_config_validation():
 def test_pipeline_nonlinear_universe_pins_its_unknown_set(run, monkeypatch):
     # the coordinates plus xy and (xy)^2: {xy, (xy)^2} is dependent with no
     # witness, so the recovery stops at it.  Every generator is a monomial,
-    # so the transcendence degree of a set is the rank over Q of its
-    # exponent vectors, the oracle for every rank answered before that.
+    # so a set is independent exactly when the rank over Q of its exponent
+    # vectors is its size, the oracle for every answer given before that.
     from milnork import lattice
 
     ff = FunctionField(FieldTower(7, seed=0), 5)
@@ -593,14 +623,14 @@ def test_pipeline_nonlinear_universe_pins_its_unknown_set(run, monkeypatch):
     exponents = [[int(i == j) for j in range(5)] for i in range(5)]
     exponents += [[1, 1, 0, 0, 0], [2, 2, 0, 0, 0]]
     answered = []
-    rank = lattice.Universe.rank
+    independent = lattice.Universe.independent
 
     def spy(self, indices):
-        out = rank(self, indices)
+        out = independent(self, indices)
         answered.append((frozenset(indices), out))
         return out
 
-    monkeypatch.setattr(lattice.Universe, "rank", spy)
+    monkeypatch.setattr(lattice.Universe, "independent", spy)
     payload = {"p": 7, "ell": 3, "vars": 5, "budget": 16,
                "universe": [{"var": i} for i in range(5)]
                + [{"ratfunc": encode_ratfunc(xy)},
@@ -608,9 +638,10 @@ def test_pipeline_nonlinear_universe_pins_its_unknown_set(run, monkeypatch):
     code, out = run("pipeline", payload)
     assert code == EXIT_UNKNOWN
     assert out == {"error": "dim-unknown", "candidates": [[5, 6]]}
-    assert len(answered) > 20
+    assert len(answered) >= 40
     for key, got in answered:
-        assert got == _rank_over_q([exponents[i] for i in key]), sorted(key)
+        rank = _rank_over_q([exponents[i] for i in key])
+        assert got == (rank == len(key)), sorted(key)
 
 
 def test_nonlinear_pipeline_certificates_ignore_the_config_seed(run):

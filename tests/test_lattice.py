@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from milnork import linalg
+from milnork import lattice, linalg
 from milnork.groundfield import INF, CoordValuation, FieldTower, FunctionField
 from milnork.kmilnor import UNKNOWN, KContext
 from milnork.lattice import (
@@ -279,6 +279,17 @@ def linear_universes(draw):
     return p, nvars, [tuple(r) for r in rows], consts, queries
 
 
+def _linear_gens(ff, rows, consts):
+    """The linear forms sum_i row[i] t_i + c."""
+    gens = []
+    for row, c in zip(rows, consts):
+        g = ff.const(c)
+        for i, a in enumerate(row):
+            g = g + ff.const(a) * ff.var(i)
+        gens.append(g)
+    return gens
+
+
 @settings(max_examples=20, deadline=None)
 @given(linear_universes())
 def test_universe_matches_prime_field_rank(case):
@@ -286,13 +297,8 @@ def test_universe_matches_prime_field_rank(case):
     # when their coefficient vectors are linearly independent
     p, nvars, rows, consts, queries = case
     ctx = _linear_context(p, nvars)
-    ff = ctx.field
-    subs = []
-    for j, (row, c) in enumerate(zip(rows, consts)):
-        g = ff.const(c)
-        for i, a in enumerate(row):
-            g = g + ff.const(a) * ff.var(i)
-        subs.append(RationalSubgroup(ctx, g, "g%d" % j))
+    subs = [RationalSubgroup(ctx, g, "g%d" % j)
+            for j, g in enumerate(_linear_gens(ctx.field, rows, consts))]
 
     def truth(key):
         return linalg.rank(tuple(rows[i] for i in sorted(key)), p)
@@ -325,6 +331,51 @@ def test_universe_matches_prime_field_rank(case):
             assert any(rec.witness) and not any(
                 sum(c * row[j] for c, row in zip(rec.witness, members)) % p
                 for j in range(nvars)), sorted(key)
+
+
+@settings(max_examples=20, deadline=None)
+@given(linear_universes(), st.lists(st.tuples(st.integers(0, 9),
+                                              st.integers(0, 6)), max_size=2))
+def test_kept_echelons_match_fresh_reduction(case, squares):
+    # a linear universe with up to two members (L + c)^2 mixed in, L the
+    # linear form of a drawn member: each square has the inner form L, so
+    # the transcendence degree of any set is the F_p rank of its forms
+    p, nvars, rows, consts, queries = case
+    ctx = _linear_context(p, nvars)
+    ff = ctx.field
+    gens, forms = _linear_gens(ff, rows, consts), list(rows)
+    for j, c in squares:
+        gens.append((gens[j % len(rows)] + ff.const(c)) ** 2)
+        forms.append(rows[j % len(rows)])
+    subs = [RationalSubgroup(ctx, g, "g%d" % j) for j, g in enumerate(gens)]
+    uni, fresh = Universe(ctx, subs, budget=64), Universe(ctx, subs, budget=64)
+    for key in queries:
+        r = fresh.rank(key)
+        assert r == linalg.rank(tuple(forms[i] for i in key), p)
+        assert uni.closure(key) == frozenset(
+            i for i in range(len(subs)) if fresh.rank(key | {i}) == r)
+    assert uni.replay() == []
+    for key, rec in uni._records.items():
+        if any(i >= len(rows) for i in key):
+            continue
+        members = [rows[i] for i in sorted(key)]
+        # the witness of every linear record is the fresh kernel vector
+        assert rec.witness == lattice._relation(members, p), sorted(key)
+        echelon = uni._echelons.get(key)
+        assert (echelon is not None) == (rec.how == RANK), sorted(key)
+        if echelon is None:
+            continue
+        # an echelon of the set's rows: one row per member, each the
+        # combination of the members it records, 1 at its pivot and 0 at
+        # the pivots before it, and together of full rank
+        assert len(echelon) == len(key)
+        for k, (pivot, row, comb) in enumerate(echelon):
+            assert not any(c for i, c in enumerate(comb) if i not in key)
+            assert list(row) == [sum(comb[i] * rows[i][v] for i in key) % p
+                                 for v in range(nvars)]
+            assert row[pivot] == 1
+            assert not any(row[q] for q, _, _ in echelon[:k])
+        assert linalg.rank(tuple(row for _, row, _ in echelon), p) == len(key)
 
 
 def _nonlinear_universe(ctx5, ff5, budget=48):
