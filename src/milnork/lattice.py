@@ -204,7 +204,8 @@ class Universe:
     linearly independent.  Each independent linear set keeps its F_p
     echelon, so a set that adds one member to such a set is decided by
     reducing that member's row against it alone, and a dependent one gets
-    its relation from the same reduction.
+    its relation from the same reduction; in a universe of linear members,
+    Universe.closure asks one such set per member.
 
     For sets with a nonlinear member, one certificate answers many queries.
     A nonzero symbol has nonzero sub-symbols, {a,b,c} = {a,b}.{c}, so every
@@ -270,9 +271,8 @@ class Universe:
     def _decide(self, key):
         """The Record of a set without one, by the rules of independent."""
         p = self.ctx.field.p
-        rows = [self._rows[i] for i in sorted(key)]
-        if None not in rows:
-            return self._decide_linear(key, rows)
+        if all(self._rows[i] is not None for i in key):
+            return self._decide_linear(key)
         for i in key:
             sub = self._records.get(key - {i})
             if sub is not None and sub.answer is False:
@@ -294,42 +294,41 @@ class Universe:
         self._certify(key)
         return self._records[key]
 
-    def _decide_linear(self, key, rows):
+    def _decide_linear(self, key):
         """The Record of a set of linear members.  Where the set less one
-        member i, the largest such, has a kept echelon, row i is reduced
-        against it alone: a nonzero remainder extends the echelon to the
-        set's, and a zero one gives the set's only relation, scaled to 1 at
-        the largest member it uses, as _relation would give it.  Any other
-        linear set is reduced from scratch by _relation; the queries of
-        basis and closure never are."""
+        member i, the largest such, has a kept echelon, only row i is
+        reduced against it; otherwise the rows are reduced in index order
+        from the empty echelon.  A nonzero remainder for every row records
+        RANK and keeps the set's echelon.  The first row with a zero
+        remainder depends on the independent rows before it, and their one
+        relation, scaled to 1 at the largest member it uses, is the first
+        vector of _relation's nullspace basis."""
         p = self.ctx.field.p
-        for i in sorted(key, reverse=True):
-            echelon = self._echelons.get(key - {i})
-            if echelon is not None:
+        echelon, rest = (), sorted(key)
+        for i in reversed(rest):
+            if key - {i} in self._echelons:
+                echelon, rest = self._echelons[key - {i}], [i]
                 break
-        else:
-            relation = _relation(rows, p)
-            return (Record(True, RANK, None) if relation is None
-                    else Record(False, RELATION, relation))
-        row = self._rows[i]
-        comb = [0] * len(self.subgroups)
-        comb[i] = 1
-        for pivot, erow, ecomb in echelon:
-            f = row[pivot]
-            if f:
-                row = [(a - f * b) % p for a, b in zip(row, erow)]
-                comb = [(a - f * b) % p for a, b in zip(comb, ecomb)]
-        lead = next((j for j, a in enumerate(row) if a), None)
-        if lead is not None:
+        for i in rest:
+            row = self._rows[i]
+            comb = [0] * len(self.subgroups)
+            comb[i] = 1
+            for pivot, erow, ecomb in echelon:
+                f = row[pivot]
+                if f:
+                    row = [(a - f * b) % p for a, b in zip(row, erow)]
+                    comb = [(a - f * b) % p for a, b in zip(comb, ecomb)]
+            lead = next((j for j, a in enumerate(row) if a), None)
+            if lead is None:
+                members = sorted(key)
+                inv = pow(comb[max(j for j in members if comb[j])], -1, p)
+                return Record(False, RELATION,
+                              tuple(comb[j] * inv % p for j in members))
             inv = pow(row[lead], -1, p)
-            self._echelons[key] = echelon + ((
-                lead, [a * inv % p for a in row],
-                [a * inv % p for a in comb]),)
-            return Record(True, RANK, None)
-        members = sorted(key)
-        inv = pow(comb[max(j for j in members if comb[j])], -1, p)
-        return Record(False, RELATION,
-                      tuple(comb[j] * inv % p for j in members))
+            echelon += ((lead, [a * inv % p for a in row],
+                         [a * inv % p for a in comb]),)
+        self._echelons[key] = echelon
+        return Record(True, RANK, None)
 
     def _gens(self, key):
         return [self.subgroups[i].gen for i in sorted(key)]
@@ -433,10 +432,14 @@ class Universe:
     def closure(self, indices):
         """All universe subgroups that do not raise the rank of the set.
 
-        A member i outside the set lies in its closure exactly when a basis
-        B of the set plus i is dependent: by exchange (Oxley, Matroid Theory,
-        ch. 1) the set plus i has the rank of B plus i, so each member costs
-        one independence answer rather than a greedy basis.
+        In a universe of linear members, a member i outside the set lies in
+        its closure exactly when a basis B of the set plus i is dependent: by
+        exchange (Oxley, Matroid Theory, ch. 1) the set plus i has the rank
+        of B plus i, so each member costs one independence answer rather
+        than a greedy basis.  With a nonlinear member the answers come from
+        searches that can run out of budget, and which sets are asked
+        decides which searches run and which sets stay unknown; there each
+        member still costs the greedy rank of the set plus i.
 
         A computed flat of the same rank containing the set already is its
         closure, so the covers that Universe.flats and the pipeline geometry
@@ -451,8 +454,12 @@ class Universe:
             if base <= flat:
                 self._closure_cache[base] = flat
                 return flat
-        out = frozenset(i for i in range(len(self.subgroups))
-                        if i in base or not self.independent(b + (i,)))
+        if None not in self._rows:
+            out = frozenset(i for i in range(len(self.subgroups))
+                            if i in base or not self.independent(b + (i,)))
+        else:
+            out = frozenset(i for i in range(len(self.subgroups))
+                            if i in base or self.rank(base | {i}) == r)
         self._closure_cache[base] = out
         self._closure_cache[out] = out
         self._flats_by_rank.setdefault(r, []).append(out)

@@ -424,37 +424,79 @@ def test_criterion_11_pipeline_determinism():
           % (time.time() - t0))
 
 
-
-# sha256 of the whole canonical JSON of run_pipeline at budget 32 on the
-# coordinates plus these members, pinned because no benchmark workload takes
-# the search path of Universe.closure on a nonlinear universe
-NONLINEAR_PIPELINE_SHA256 = {
-    "t0+t1, t0*t1":
+# run_pipeline on the coordinates plus these members at these budgets: the
+# sha256 of the whole canonical JSON of its artifacts, or the candidates of
+# the DimUnknown it raises, and the sha256 of its universe's records (see
+# _record_rows).  Pinned because no benchmark workload takes the search path
+# of Universe.closure on a nonlinear universe, where which sets closure asks
+# decides which searches run and which records are kept.
+NONLINEAR_PIPELINES = {
+    ("t0+t1, t0*t1", 32): (
         "cca57f821cc9ff6351cae0cf19aca9f397e08db8ece952a1d50e9272ab986cac",
-    "t1*t2, t3+t4^2":
+        "3180af3952f5c801f4803e38d967cc93bf1b823dcd42ce9ef7612782687d19d4"),
+    ("t1*t2, t3+t4^2", 32): (
         "a7043c9f936ea742c818f13e116da8ac9fb763aab8fc1031251c595079eb95d4",
-    "t0+t1, t0*t1, t2*t3+1":
+        "73da85a7c653b1d7d6bd6b4bba1e0c0db4f51aff95ffe4c71057762194df67fd"),
+    ("t0+t1, t0*t1, t2*t3+1", 32): (
         "9d084e450cfbaea234aab8c4358195207866be11c605144ec3c59d648c537540",
+        "0d724cd9964341ab209014a824e008054c98f9fb9a8cc99436467ac4bc9870f8"),
+    ("t0+t1, t1*t2", 8): (
+        [[2, 3, 4, 5, 6]],
+        "b515bd016ebf12426ab7a9d6862562da43ad532de86076a5dc1deaf76458821b"),
+    ("t0+t1, t1*t2, t3+t4^2", 32): (
+        [[1, 5, 6, 7]],
+        "a2fc180d155f87808a1659ae9dc1cceb2a6a6f4d6adc568725f24856ab56bb6a"),
 }
 
 
-@pytest.mark.parametrize("name", sorted(NONLINEAR_PIPELINE_SHA256))
-def test_nonlinear_pipeline_artifacts_are_pinned(name):
+def _record_rows(universe):
+    """The universe's records as sorted [key, how, witness] rows, each set
+    of members as a sorted list and each certificate as null."""
+    def plain(witness):
+        if isinstance(witness, frozenset):
+            return sorted(witness)
+        if isinstance(witness, tuple):
+            return list(witness)
+        return witness if witness is None or isinstance(witness, int) else None
+    return sorted([sorted(key), rec.how, plain(rec.witness)]
+                  for key, rec in universe._records.items())
+
+
+@pytest.mark.parametrize("case", sorted(NONLINEAR_PIPELINES),
+                         ids=lambda case: "%s @%d" % case)
+def test_nonlinear_pipelines_are_pinned(case, monkeypatch):
+    from milnork import lattice
     from milnork.cli import PipelineConfig, run_pipeline
     from milnork.jsonio import encode_ratfunc
 
     ff = FunctionField(FieldTower(7, seed=0), 5)
     t, one = [ff.var(i) for i in range(5)], ff.const(1)
-    members = {"t0+t1, t0*t1": [t[0] + t[1], t[0] * t[1]],
-               "t1*t2, t3+t4^2": [t[1] * t[2], t[3] + t[4] ** 2],
-               "t0+t1, t0*t1, t2*t3+1": [t[0] + t[1], t[0] * t[1],
-                                         t[2] * t[3] + one]}[name]
-    cfg = PipelineConfig({"p": 7, "ell": 3, "vars": 5, "budget": 32,
+    named = {"t0+t1": t[0] + t[1], "t0*t1": t[0] * t[1],
+             "t1*t2": t[1] * t[2], "t3+t4^2": t[3] + t[4] ** 2,
+             "t2*t3+1": t[2] * t[3] + one}
+    names, budget = case
+    cfg = PipelineConfig({"p": 7, "ell": 3, "vars": 5, "budget": budget,
                           "universe": [{"var": i} for i in range(5)]
-                          + [{"ratfunc": encode_ratfunc(g)} for g in members]})
-    artifacts, _ = run_pipeline(cfg)
-    digest = hashlib.sha256(canonical_json(artifacts).encode()).hexdigest()
-    assert digest == NONLINEAR_PIPELINE_SHA256[name]
+                          + [{"ratfunc": encode_ratfunc(named[n])}
+                             for n in names.split(", ")]})
+    universes = []
+    init = lattice.Universe.__init__
+
+    def spy(self, *args, **kw):
+        init(self, *args, **kw)
+        universes.append(self)
+
+    monkeypatch.setattr(lattice.Universe, "__init__", spy)
+    try:
+        artifacts, _ = run_pipeline(cfg)
+        outcome = hashlib.sha256(
+            canonical_json(artifacts).encode()).hexdigest()
+    except lattice.DimUnknown as e:
+        outcome = sorted(sorted(c) for c in e.candidates)
+    records = hashlib.sha256(canonical_json(
+        _record_rows(universes[0])).encode()).hexdigest()
+    assert (outcome, records) == NONLINEAR_PIPELINES[case]
+
 
 def test_tower_seed_invariance():
     # the declared open question: results must not depend on the tower model

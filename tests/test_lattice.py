@@ -352,6 +352,9 @@ def test_kept_echelons_match_fresh_reduction(case, squares):
     for key in queries:
         r = fresh.rank(key)
         assert r == linalg.rank(tuple(forms[i] for i in key), p)
+        # asked directly, before its basis, a set is reduced from the empty
+        # echelon unless a set one member smaller has one
+        assert uni.independent(key) is (r == len(key))
         assert uni.closure(key) == frozenset(
             i for i in range(len(subs)) if fresh.rank(key | {i}) == r)
     assert uni.replay() == []
