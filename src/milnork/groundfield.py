@@ -66,6 +66,30 @@ def _prime_factors(n):
     return out
 
 
+def _sqrt_mod(a, p):
+    """A square root of a modulo the odd prime p, or None when a is not a
+    square: Tonelli-Shanks with the least non-residue, so deterministic."""
+    a %= p
+    if a == 0:
+        return 0
+    if pow(a, (p - 1) // 2, p) != 1:
+        return None
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q //= 2
+        s += 1
+    z = next(z for z in range(2, p) if pow(z, (p - 1) // 2, p) == p - 1)
+    c, t, r = pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
+    while t != 1:
+        i, t2 = 0, t
+        while t2 != 1:
+            t2 = t2 * t2 % p
+            i += 1
+        b = pow(c, 1 << (s - i - 1), p)
+        s, c, t, r = i, b * b % p, t * b * b % p, r * b % p
+    return r
+
+
 # ---------------------------------------------------------------------------
 # The tower.
 # ---------------------------------------------------------------------------
@@ -439,13 +463,65 @@ class FieldTower:
 
     def _dense_roots(self, dense, level):
         """All roots of a dense polynomial over F_{p^level} in the closure,
-        each at its minimal level, with multiplicities."""
+        each at its minimal level, with multiplicities.  A quadratic over
+        F_p, p odd, is solved in closed form (_quadratic_roots); every other
+        polynomial is split."""
         dense = self._lp_trim(list(dense))
+        if level == 1 and len(dense) == 3 and self.p != 2:
+            return self._quadratic_roots(*(c for (c,) in dense))
         out = []
         for z in self._distinct_roots(dense, level):
             m = self._root_multiplicity(dense, z, level)
             out.append((z.compress(), m))
         return out
+
+    def _quadratic_roots(self, c, b, a):
+        """The roots of a x^2 + b x + c over F_p, p odd, as (-b +- r)/2a
+        with r^2 = D = b^2 - 4ac, in the order the splitting lists them.  A
+        square D has r in F_p.  Otherwise the roots live at level 2: if
+        x^2 + m1 x + m0 is its modulus, with root alpha, then
+        (2 alpha + m1)^2 = m1^2 - 4 m0, a non-square, so r = s (2 alpha + m1)
+        with s^2 = D / (m1^2 - 4 m0) in F_p."""
+        p, e = self.p, (self.p - 1) // 2
+        half = pow(2 * a, -1, p)
+        d = (b * b - 4 * a * c) % p
+        if not d:
+            return [(GroundElem(self, 1, (-b * half % p,)), 2)]
+        s = _sqrt_mod(d, p)
+        if s is not None:
+            roots = [(r - b) * half % p for r in (s, -s)]
+            i = self._separating_draw(
+                roots, 1, lambda r, k: pow(r + k, e, p) == 1)
+            # the splitting lists the root its probe splits off last
+            return [(GroundElem(self, 1, (roots[j],)), 1) for j in (1 - i, i)]
+        self.ensure_level(2)
+        m0, m1, _ = self._levels[2]
+        s = _sqrt_mod(d * pow(m1 * m1 - 4 * m0, -1, p), p)
+        roots = [((r * m1 - b) * half % p, 2 * r * half % p) for r in (s, -s)]
+
+        def square(r, k):
+            # y^((p^2 - 1)/2) is the Legendre symbol of the norm of y, and
+            # the norm of y0 + y1 alpha is y0^2 - m1 y0 y1 + m0 y1^2
+            y0, y1 = r[0] + k % p, r[1] + k // p
+            return pow(y0 * y0 - m1 * y0 * y1 + m0 * y1 * y1, e, p) == 1
+
+        i = self._separating_draw(roots, 2, square)
+        # the splitting finds the root its probe splits off, then its
+        # conjugate
+        return [(GroundElem(self, 2, roots[j]), 1) for j in (i, 1 - i)]
+
+    def _separating_draw(self, roots, level, square):
+        """The draws of the Cantor-Zassenhaus probes that split a quadratic
+        with the two given roots over F_q, q = p^level, made without the
+        probes: the probe of a drawn a splits off the roots r with r + a a
+        nonzero square in F_q (square(r, index of a)), and the draws stop
+        when it splits off one root alone.  Returns that root's index.  So
+        the tower's later draws stay those of the splitting."""
+        while True:
+            k = self._rng.randrange(self.p ** level)
+            hits = [square(r, k) for r in roots]
+            if hits[0] != hits[1]:
+                return hits.index(True)
 
     def _distinct_roots(self, dense, level):
         """Distinct roots only; multiplicities are recounted by the caller.

@@ -684,7 +684,11 @@ class KContext:
         a field of transcendence degree below the length of the symbol,
         where the symbol vanishes, so the search returns UNKNOWN without a
         trial.  When they are independent, the straightening transform
-        sends entry k to a polynomial in t_k alone.
+        sends entry k to a polynomial in t_k alone, which is written down
+        (_straightened) rather than substituted.  With shifts off, an entry
+        in one variable that is a constant times an l-th power also makes
+        the symbol vanish and the search return UNKNOWN without a trial;
+        with shifts on it does not, since its translates are no l-th powers.
 
         The trials come in one order.  First, at the origin: the
         straightened entries (shifted when shifts is on and every entry is
@@ -726,6 +730,9 @@ class KContext:
         for x in elements:
             if x.is_zero():
                 raise ZeroEntry("cannot certify a symbol with a zero entry")
+        if not shifts and any(self._ell_th_power(x) for x in elements):
+            # the symbol vanishes
+            return UNKNOWN
         # the forms, the straightening and their rank once per search
         rows = [self._linear_part(x) for x in elements]
         linear = None not in rows
@@ -735,7 +742,7 @@ class KContext:
         if rows is not None and straight is None:
             # witnessed dependence: the symbol vanishes
             return UNKNOWN
-        search = _Search(elements, straight if linear else None)
+        search = _Search(elements, straight, linear)
         trials = self._trials(elements, straight, shifts and linear, seed,
                               shifts, deterministic_first)
         for trial in itertools.islice(trials, budget):
@@ -798,6 +805,21 @@ class KContext:
             return None
         return num.constant_value(self.field.tower) / dv
 
+    def _ell_th_power(self, x):
+        """Whether an entry in one variable is a constant times an l-th
+        power: every root of its numerator and denominator has multiplicity
+        divisible by l.  A degree prime to l rules that out without a root
+        find."""
+        used = x.vars_used()
+        if len(used) != 1:
+            return False
+        (v,) = used
+        polys = [f for f in (x.num, x.den) if not f.is_constant()]
+        if any(f.degree_in(v) % self.ell for f in polys):
+            return False
+        return all(m % self.ell == 0 for f in polys
+                   for _, m in self.field.univariate_roots(f))
+
     def _snap_center(self, entry, var):
         """A chain centre in the vanishing or polar locus of the entry, when
         its numerator or denominator uses the given variable alone: the root
@@ -821,47 +843,60 @@ class KContext:
                 return min(roots, key=lambda z: z.compress_key())
         return None
 
-    def _straightened_entries(self, elements, T, shift):
-        """The entries and chain centres of the straightened trial of a
-        linear tuple at the origin, in closed form: the terms, levels and
-        order that apply_transform, the shift and _snap_center give.
+    def _straightened(self, x, T, k, shift=False):
+        """The image of entry k under its tuple's straightening T, written
+        down: x is a polynomial in its inner form L_k (in L_k with its
+        variables raised to p^s, after a Frobenius strip) over a constant
+        denominator, and L_k T = e_k, so the image uses t_k alone.  It has
+        the terms, levels and term order of RatFunc.compose.
 
-        Row k of T^{-1} is the k-th form L_k, so (L_k + c)/d becomes
-        (t_k + c)/d, centred at its root -c; shifted by its value c/d at
-        the origin, it is t_k/d, centred at the origin.  apply_transform
-        places the t_k term each time the running t_k coefficient turns
-        nonzero, so the constant comes first when it was read before the
-        last such turn."""
-        nv, p, tower = self.nvars, self.field.p, self.field.tower
-        entries, centers = [], []
-        for k, x in enumerate(elements):
-            const, const_first, coeff = None, False, 0
-            for exp, c in x.num.terms.items():
-                if not any(exp):
-                    const = c
-                    continue
-                a = c.coeffs[0] * T[exp.index(1)][k] % p
-                if a and not coeff:
-                    const_first = const is not None
-                coeff = (coeff + a) % p
-            tk = _unit_exponent(nv, k)
-            if shift or const is None:
-                terms = {tk: tower.one()}
-                centers.append(tower.zero())
+        compose adds up the images of the terms of x in their order, and
+        the image of c t^e is homogeneous of degree |e|, with coefficient
+        c prod_i T[i][k]^e_i (at the level of c) on t_k^|e|; every other
+        monomial cancels in the sum.  So each t_k^m is placed where its
+        running coefficient last turned nonzero, and its level is the lcm
+        of the levels added since.  shift drops the constant term, as the
+        shift by the value at the origin does."""
+        nv, p = self.nvars, self.field.p
+        from_int = self.field.tower.from_int
+        column = [row[k] for row in T]
+        coeffs = {}
+        for exp, c in x.num.terms.items():
+            a, m = 1, 0
+            for t, e in zip(column, exp):
+                if e:
+                    a = a * t ** e % p
+                    m += e
+            if not a:
+                continue
+            v = c if a == 1 else c * from_int(a)
+            if m in coeffs:
+                s = coeffs[m] + v
+                if s:
+                    coeffs[m] = s
+                else:
+                    del coeffs[m]
             else:
-                terms = ({(0,) * nv: const, tk: tower.one()} if const_first
-                         else {tk: tower.one(), (0,) * nv: const})
-                centers.append(-const)
-            entries.append(RatFunc(SparsePoly(nv, terms), x.den))
-        return entries, centers
+                coeffs[m] = v
+        if shift:
+            coeffs.pop(0, None)
+        terms = {}
+        for m, c in coeffs.items():
+            exp = [0] * nv
+            exp[k] = m
+            terms[tuple(exp)] = c
+        return RatFunc(SparsePoly(nv, terms), x.den)
 
     def straightened_certificate(self, elements, shift, transform=None):
         """The certificate of the straightened trial at the origin, the
         first trial of every search of a linear tuple, or None when an entry
         is not linear (_linear_part) or the forms are dependent.  transform
-        is the straightening, when the caller has it.  Entry k becomes
-        (t_k + c_k)/d_k at the step t_k = -c_k, or t_k/d_k at t_k = 0 when
-        shifted, so the value is a unit of Z/l: the trial never misses."""
+        is the straightening, when the caller has it.
+
+        Entry k becomes (t_k + c_k)/d_k, centred at its root -c_k, as
+        _snap_center would centre it; shifted by its value c_k/d_k at the
+        origin, it is t_k/d_k, centred at the origin.  So the value is a
+        unit of Z/l: the trial never misses."""
         if transform is None:
             rows = [self._linear_part(x) for x in elements]
             if None in rows:
@@ -869,23 +904,35 @@ class KContext:
             transform = self._straightening_transform(rows)
             if transform is None:
                 return None
-        entries, centers = self._straightened_entries(elements, transform,
-                                                      shift)
+        origin = (0,) * self.nvars
+        zero = self.field.tower.zero()
+        entries, centers = [], []
+        for k, x in enumerate(elements):
+            y = self._straightened(x, transform, k, shift)
+            c = y.num.terms.get(origin)
+            entries.append(y)
+            centers.append(zero if c is None else -c)
         return self._trial_certificate(
             entries, tuple(x.key() for x in entries),
             tuple(range(len(entries))), centers, transform)
 
     def _try_trial(self, search, trial):
         vars_, point, use_shift, transform = trial
-        if search.straight is not None and transform is search.straight \
-                and not any(point):
-            # the straightened trial of a linear tuple, on range(r)
-            return self.straightened_certificate(search.elements, use_shift,
-                                                 transform)
+        straight = transform is not None and transform is search.straight
+        if straight:
+            if search.linear and not any(point):
+                # the straightened trial of a linear tuple, on range(r)
+                return self.straightened_certificate(search.elements,
+                                                     use_shift, transform)
+            if search.images is None:
+                search.images = [self._straightened(x, transform, k)
+                                 for k, x in enumerate(search.elements)]
         centers = [point[i] for i in vars_]
         entries = []
-        for x in search.elements:
-            if transform is not None:
+        for k, x in enumerate(search.elements):
+            if straight:
+                x = search.images[k]
+            elif transform is not None:
                 x = self.apply_transform(x, transform)
                 if x.is_zero():
                     return None
@@ -1083,16 +1130,20 @@ class KContext:
 
 
 class _Search:
-    """What the trials of one search share: its elements, the
-    straightening of a linear tuple (None otherwise), and the chain centre
-    _snap_center gave each (entry key, variable), so that the roots of an
-    entry are found once per search."""
+    """What the trials of one search share: its elements; the
+    straightening when every entry has an inner form (None otherwise) and
+    the straightened entries (_straightened), written down once; whether
+    every entry is linear; and the chain centre _snap_center gave each
+    (entry key, variable), so that the roots of an entry are found once per
+    search."""
 
-    __slots__ = ("elements", "straight", "snaps")
+    __slots__ = ("elements", "straight", "linear", "images", "snaps")
 
-    def __init__(self, elements, straight):
+    def __init__(self, elements, straight=None, linear=False):
         self.elements = elements
         self.straight = straight
+        self.linear = linear
+        self.images = None
         self.snaps = {}
 
 

@@ -498,6 +498,64 @@ def test_nonlinear_pipelines_are_pinned(case, monkeypatch):
     assert (outcome, records) == NONLINEAR_PIPELINES[case]
 
 
+# certificate_search at budget 64 over the five fields below, each on a fresh
+# tower, shifts off and on, on tuples of quadratics (u + a)^2 - n: u a
+# coordinate ("univariate") or one of independent forms in two or three
+# coordinates ("mixed"), n a non-square, a nonzero square or 0.  The sha256
+# of the canonical JSON of every answer and of each tower snapshot after its
+# requests.  Pinned because these searches take the closed-form quadratic
+# roots and straightened entries, which must give the certificates and the
+# tower of the root splitting and the substitution they replaced.
+CERTIFY_FIELDS = ((7, 3), (7, 5), (11, 3), (11, 5), (13, 3))
+CERTIFY_SHA256 = (
+    "5975906d1e82e43a7c871c89311f9a1c8ef41612f57504dbd718aa59f1381c07")
+
+
+def _quadratic_tuples(ff, rng):
+    """Two rounds of (length, kind, shifts) over lengths 2 and 3."""
+    p, nv = ff.p, ff.nvars
+    squares = sorted({x * x % p for x in range(1, p)})
+    classes = ([0], squares, [a for a in range(1, p) if a not in squares])
+    for _, r, kind, shifts in itertools.product(
+            range(2), (2, 3), ("univariate", "mixed"), (False, True)):
+        if kind == "univariate":
+            rows = [tuple(int(i == j) for j in range(nv))
+                    for i in rng.sample(range(nv), r)]
+        else:
+            rows = []
+            while len(rows) < r or linalg.rank(tuple(rows), p) < r:
+                rows = [tuple(rng.randrange(1, p) if i in support else 0
+                              for i in range(nv))
+                        for support in (rng.sample(range(nv), rng.choice((2, 3)))
+                                        for _ in range(r))]
+        entries = []
+        for row in rows:
+            u = ff.const(rng.randrange(p))
+            for i, c in enumerate(row):
+                if c:
+                    u = u + ff.const(c) * ff.var(i)
+            entries.append(u * u - ff.const(rng.choice(rng.choice(classes))))
+        yield entries, shifts
+
+
+def test_certify_answers_are_pinned():
+    from milnork.jsonio import encode_certificate
+
+    rng = random.Random("quadratic tuples")
+    lines = []
+    for p, ell in CERTIFY_FIELDS:
+        ff = FunctionField(FieldTower(p, seed=0), 4)
+        ctx = KContext(ff, ell)
+        for entries, shifts in _quadratic_tuples(ff, rng):
+            cert = ctx.certificate_search(entries, budget=64, seed=len(lines),
+                                          shifts=shifts)
+            lines.append("unknown" if cert is UNKNOWN else
+                         canonical_json(encode_certificate(cert)))
+        lines.append(canonical_json(ff.tower.snapshot()))
+    text = "\n".join(lines)
+    assert hashlib.sha256(text.encode()).hexdigest() == CERTIFY_SHA256
+
+
 def test_tower_seed_invariance():
     # the declared open question: results must not depend on the tower model
     outcomes = []

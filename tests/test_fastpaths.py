@@ -257,6 +257,88 @@ def test_straightened_trial_skips_the_substitution(monkeypatch):
     assert calls == []
 
 
+@st.composite
+def form_polynomial_tuples(draw):
+    """r = 1..NV independent prime-field forms, each in two or more
+    coordinates; entry k a quadratic or cubic in form k with coefficients
+    at levels one and two, over a constant denominator, terms in a drawn
+    order; and the search options."""
+    p = draw(st.sampled_from(sorted(SEARCH_FIELDS)))
+    ff, ell = SEARCH_FIELDS[p]
+    tower = ff.tower
+    r = draw(st.integers(1, NV))
+    row = st.tuples(*[st.integers(0, p - 1)] * NV).filter(
+        lambda row: sum(1 for a in row if a) >= 2)
+    rows = draw(st.lists(row, min_size=r, max_size=r))
+    assume(linalg.rank(tuple(rows), p) == r)
+    constant = st.one_of(
+        st.integers(0, p - 1).map(tower.from_int),
+        st.integers(0, p * p - 1).map(lambda k: tower.element_from_index(2, k)))
+    elements = []
+    for row in rows:
+        u = ff.zero()
+        for j, a in enumerate(row):
+            u = u + ff.const(a) * ff.var(j)
+        degree = draw(st.sampled_from((2, 3)))
+        g, power = ff.zero(), ff.one()
+        for m in range(degree + 1):
+            c = draw(constant.filter(bool) if m == degree else constant)
+            g = g + ff.const(c) * power
+            power = power * u
+        g = g / ff.const(draw(constant.filter(bool)))
+        terms = draw(st.permutations(list(g.num.terms.items())))
+        elements.append(RatFunc(SparsePoly(NV, dict(terms)), g.den))
+    return ff, ell, elements, draw(st.booleans()), draw(st.integers(0, 3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(form_polynomial_tuples())
+def test_straightened_polynomials_match_the_generic_trial(case):
+    ff, ell, elements, shifts, seed = case
+    fast, generic = KContext(ff, ell), GenericTrials(ff, ell)
+    T = fast._straightening_transform(fast._inner_forms(elements))
+    for k, x in enumerate(elements):
+        _same(fast._straightened(x, T, k), generic.apply_transform(x, T))
+    got = fast.certificate_search(elements, budget=4, seed=seed,
+                                  shifts=shifts)
+    want = generic.certificate_search(elements, budget=4, seed=seed,
+                                      shifts=shifts)
+    assert (got is UNKNOWN) == (want is UNKNOWN)
+    if got is not UNKNOWN:
+        assert (canonical_json(encode_certificate(got))
+                == canonical_json(encode_certificate(want)))
+        for a, b in zip(got.statement, want.statement):
+            _same(a, b)
+    assert list(fast._trial_values) == list(generic._trial_values)
+
+
+def test_straightened_polynomials_skip_the_substitution(monkeypatch):
+    # the first entry is a cube, so the symbol vanishes and all 64 trials
+    # run; those whose transform is the straightening, at the origin and at
+    # drawn points, take the written-down entries
+    calls = []
+    monkeypatch.setattr(RatFunc, "compose",
+                        lambda self, funcs: calls.append(self))
+    t0, t1, t2 = (FIELD.var(i) for i in range(NV))
+    c = FIELD.const
+    u, v = t0 + c(2) * t1, t1 + t2
+    ctx = KContext(FIELD, 3)
+    trials = []
+    try_trial = ctx._try_trial
+
+    def spy(search, trial):
+        trials.append(trial)
+        return try_trial(search, trial)
+
+    ctx._try_trial = spy
+    assert ctx.certificate_search([(u * u + c(3)) ** 3, v * v - c(3)],
+                                  budget=64, seed=1) is UNKNOWN
+    assert len(trials) == 64
+    straight = [trial for trial in trials if trial[3] is not None]
+    assert not any(straight[0][1]) and any(any(t[1]) for t in straight)
+    assert calls == []
+
+
 def _greedy_completion(rows, n, p):
     """The forms completed by every unit vector that raises the rank, in
     index order."""

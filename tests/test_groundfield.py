@@ -467,3 +467,66 @@ def test_univariate_roots_inseparable_polynomial():
     assert len(roots) == 1
     r, m = roots[0]
     assert m == 3 and r == g
+
+
+# -- closed-form quadratic roots ---------------------------------------------
+
+def _split_roots(tw, dense):
+    """The generic body of _dense_roots: Cantor-Zassenhaus splitting."""
+    return [(z.compress(), tw._root_multiplicity(dense, z, 1))
+            for z in tw._distinct_roots(dense, 1)]
+
+
+@st.composite
+def _prime_field_quadratics(draw):
+    """a x^2 + b x + c over F_p, p = 3 or p = 1 or 3 mod 4, its
+    discriminant drawn from 0, the nonzero squares or the non-squares; the
+    tower seed, and the spine level built before the roots are asked."""
+    p = draw(st.sampled_from((3, 5, 7, 11, 13)))
+    squares = sorted({x * x % p for x in range(1, p)})
+    disc = draw(st.sampled_from(
+        ([0], squares, [d for d in range(1, p) if d not in squares])))
+    a, b = draw(st.integers(1, p - 1)), draw(st.integers(0, p - 1))
+    c = (b * b - draw(st.sampled_from(disc))) * pow(4 * a, -1, p) % p
+    return p, (c, b, a), draw(st.integers(0, 3)), draw(st.sampled_from((1, 3, 4)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_prime_field_quadratics())
+def test_quadratic_roots_match_the_splitting(case):
+    # the same roots, in the same order and at the same levels, and the
+    # same draws, so that levels grown afterwards are the same as well
+    p, coeffs, seed, grown = case
+    fast, generic = FieldTower(p, seed=seed), FieldTower(p, seed=seed)
+    fast.ensure_level(grown)
+    generic.ensure_level(grown)
+    ff = FunctionField(fast, 1)
+    poly = SparsePoly(1, {(k,): fast.from_int(c) for k, c in enumerate(coeffs)})
+    got = ff.univariate_roots(poly)
+    want = _split_roots(generic, [(c,) for c in coeffs])
+    assert ([(z.level, z.coeffs, m) for z, m in got]
+            == [(z.level, z.coeffs, m) for z, m in want])
+    assert fast.snapshot() == generic.snapshot()
+    assert fast._rng.getstate() == generic._rng.getstate()
+
+
+@pytest.mark.parametrize("p, level, closed", [
+    (7, 1, True), (3, 1, True), (2, 1, False), (7, 2, False), (3, 2, False)])
+def test_only_odd_prime_field_quadratics_take_the_closed_form(p, level, closed):
+    tw = FieldTower(p, seed=0)
+    tw.ensure_level(2)
+    ff = FunctionField(tw, 1)
+    t = ff.var(0)
+    calls = []
+    split = tw._distinct_roots
+
+    def spy(dense, lv):
+        calls.append(lv)
+        return split(dense, lv)
+
+    tw._distinct_roots = spy
+    # 1 at the given level: the value is in F_p either way
+    one = tw.element(level, [1] + [0] * (level - 1))
+    roots = ff.univariate_roots((t * t + t + ff.const(one)).num)
+    assert sum(m for _, m in roots) == 2
+    assert (calls == []) == closed

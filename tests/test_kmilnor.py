@@ -754,9 +754,10 @@ def test_tuples_inside_a_smaller_field_stop_without_a_trial(case):
 
 
 def test_roots_of_an_entry_are_found_once_per_search(monkeypatch):
-    # (t0^2 + 3)^3 is an l-th power, so the symbol vanishes and the search
-    # spends its whole budget; at seed 0 its roots were found 35 times,
-    # once per unshifted trial that put it on t0
+    # (t0^2 + 3)^3 is an l-th power, so the symbol vanishes.  The search
+    # once spent its whole budget on it and found its roots 35 times at
+    # seed 0, once per unshifted trial that put it on t0; it now finds them
+    # once, to stop before any trial
     ff = FunctionField(FieldTower(7, seed=0), 2)
     t0, t1 = ff.var(0), ff.var(1)
     calls = []
@@ -771,3 +772,43 @@ def test_roots_of_an_entry_are_found_once_per_search(monkeypatch):
     entries = [(t0 * t0 + ff.const(3)) ** 3, t1]
     assert ctx.certificate_search(entries, budget=64, seed=0) is UNKNOWN
     assert calls and len(calls) == len(set(calls))
+
+
+def test_ell_th_power_entries_stop_before_any_trial():
+    ff = FunctionField(FieldTower(7, seed=0), 2)
+    t0, t1 = ff.var(0), ff.var(1)
+    cube = (t0 * t0 + ff.const(3)) ** 3
+    ctx = KContext(ff, 3)
+    trials = _spy_trials(ctx)
+    for entries in ([cube, t1], [t1, cube / (t0 + ff.const(1)) ** 3],
+                    [t1, t0 ** 3]):
+        assert ctx.certificate_search(entries, budget=64) is UNKNOWN
+    assert trials == []
+    # translates of a cube are no cubes: shifted searches run their trials
+    assert ctx.certificate_search([cube, t1], budget=64,
+                                  shifts=True) is not UNKNOWN
+    assert trials
+
+
+def test_a_degree_prime_to_l_needs_no_root_find(monkeypatch):
+    ff = FunctionField(FieldTower(7, seed=0), 2)
+    t0, t1 = ff.var(0), ff.var(1)
+    calls = []
+    roots = ff.univariate_roots
+
+    def spy(poly):
+        calls.append(poly.key())
+        return roots(poly)
+
+    monkeypatch.setattr(ff, "univariate_roots", spy)
+    ctx = KContext(ff, 3)
+    ctx._try_trial = lambda search, trial: None
+    for entries in ([t0 + ff.const(2), t1], [(t0 * t0 + ff.const(3)) ** 2, t1],
+                    [t0 ** 3 / (t0 + ff.const(1)), t1]):
+        ctx.certificate_search(entries, budget=1)
+    assert calls == []
+    # degree 6, but t0 - 1 is a simple root: searched, not stopped
+    entry = (t0 * t0 + ff.const(3)) ** 2 * (t0 * t0 - ff.const(1))
+    trials = _spy_trials(ctx)
+    assert ctx.certificate_search([entry, t1], budget=1) is UNKNOWN
+    assert len(calls) == 1 and len(trials) == 1
