@@ -197,12 +197,15 @@ def h2_brute_force(n, ell):
     coboundaries are divided out exactly.
 
     The system is built one block of rows per first argument g and reduced
-    into a running echelon basis in float64 (see `_echelon`).  Every entry
-    stays in 0..l-1 between steps, so no intermediate exceeds
-    ncols * (l - 1)^2 + (l - 1) with ncols = n * l^n; inside the budget
-    l^n <= 243 that is below 240^2 * 1215 + 240 < 2^53, and every float
-    operation is exact.  Raises ValueError for n < 0 or l not prime, and
-    TooLarge beyond the budget.
+    into a running echelon basis in float64 (see `_echelon`).  The blocks
+    are built unreduced: S has 0/1 entries, so a block row lies in -2..2,
+    and its product with the basis (entries in 0..l-1) stays within
+    ncols * 2 * (l - 1) + 2, with ncols = n * l^n.  Every other product is
+    of entries in 0..l-1 and stays within ncols * (l - 1)^2 + (l - 1), the
+    bound of the merge.  Inside the budget l^n <= 243 both are below
+    240^2 * 1215 + 240 < 2^52, so every float operation and every
+    reduction (`_mod`) is exact.  Raises ValueError for n < 0 or l not
+    prime, and TooLarge beyond the budget.
     """
     if not isinstance(n, int) or n < 0:
         raise ValueError("n must be a nonnegative integer, not %r" % (n,))
@@ -232,8 +235,9 @@ def h2_brute_force(n, ell):
     jj = np.tile(np.arange(n), size)
     # S[h] = P(0, h) sums the columns (p, j) of the steps p -> p + e_j on
     # the peeling path from 0 to h; the path to h is the path to h - e_j*
-    # followed by one step in the last nonzero coordinate j*
-    S = np.zeros((size, ncols), dtype=np.int64)
+    # followed by one step in the last nonzero coordinate j*; a path visits
+    # each step once, so S is 0/1 and int8 holds it and the blocks
+    S = np.zeros((size, ncols), dtype=np.int8)
     for h in range(1, size):
         last = n - 1 - int(np.flatnonzero(digits[h, ::-1])[0])
         prev = h - int(weights[last])
@@ -251,7 +255,6 @@ def h2_brute_force(n, ell):
             rows = (hat[:, None, :] - hat[step]).reshape(ncols, ncols)
             rows[hj, add[g, hh] * n + jj] += 1
             rows[hj, hj] -= 1
-            rows %= l
             yield rows[rows.any(axis=1)].astype(np.float64)
 
     R, pivots = _echelon(blocks(), ncols, l)
@@ -259,19 +262,19 @@ def h2_brute_force(n, ell):
     free = np.setdiff1d(np.arange(ncols), pivots)
     Z = np.zeros((len(free), ncols))
     Z[np.arange(len(free)), free] = 1
-    Z[:, pivots] = (-R[:, free].T) % l
+    Z[:, pivots] = _mod(-R[:, free].T, l)
     # coboundary columns: delta c (g, e_j) = c(g) + c(e_j) - c(g + e_j),
     # one per normalized 1-cochain c = [h], h != 0 (index 0)
     D = np.zeros((ncols, size), dtype=np.int64)
     np.add.at(D, (hj, hh), 1)
     np.add.at(D, (hj, weights[jj]), 1)
     np.add.at(D, (hj, step[hh, jj]), -1)
-    B, bpivots = _echelon([(D[:, 1:].T % l).astype(np.float64)], ncols, l)
+    B, bpivots = _echelon([D[:, 1:].T.astype(np.float64)], ncols, l)
     dim_h2 = len(Z) - len(B)
     # quotient basis: the cocycles that are independent of the coboundaries
     # and of the cocycles before them, i.e. the pivot columns of the
     # cocycles reduced modulo the coboundaries and set side by side
-    Y = (Z - Z[:, bpivots] @ B) % l
+    Y = _mod(Z - Z[:, bpivots] @ B, l)
     _, chosen = _echelon([Y.T.copy()], len(Z), l)
     basis = [tuple(int(x) for x in Z[i]) for i in chosen]
     col_index = {(g, j): i * n + j
@@ -281,13 +284,16 @@ def h2_brute_force(n, ell):
 
 def _echelon(blocks, ncols, l):
     """The reduced row echelon basis over F_l, and its pivot columns, of the
-    rows of a stream of float64 blocks with entries in 0..l-1.
+    rows of a stream of float64 blocks of integers.
 
-    The basis R is kept reduced.  Each block C is first reduced against it
-    as C - C[:, pivots] @ R, on the non-pivot columns only since the pivot
-    columns cancel; the rows left over go through Gauss-Jordan and are
-    merged back.  The reduced echelon form of a row space is unique, so the
-    order of the rows does not change the result.
+    The basis R is kept reduced, with entries in 0..l-1.  Each block C is
+    first reduced against it as C - C[:, pivots] @ R, on the non-pivot
+    columns only since the pivot columns cancel, and only then modulo l,
+    so a block needs no reduction of its own: with entries of absolute
+    value at most b, that product stays within ncols * b * (l - 1) + b,
+    which `_mod` must reduce exactly.  The rows left over go through
+    Gauss-Jordan and are merged back.  The reduced echelon form of a row
+    space is unique, so the order of the rows does not change the result.
     """
     import numpy as np
 
@@ -298,8 +304,7 @@ def _echelon(blocks, ncols, l):
     for C in blocks:
         if not len(free):
             break
-        C = C[:, free] - C[:, pivots] @ R_free
-        C %= l
+        C = _mod(C[:, free] - C[:, pivots] @ R_free, l)
         C = C[C.any(axis=1)]
         if not len(C):
             continue
@@ -307,7 +312,7 @@ def _echelon(blocks, ncols, l):
         new_pivots = free[at]
         N = np.zeros((len(new), ncols))
         N[:, free] = new
-        R = np.vstack([(R - R[:, new_pivots] @ N) % l, N])
+        R = np.vstack([_mod(R - R[:, new_pivots] @ N, l), N])
         pivots = np.concatenate([pivots, new_pivots])
         order = np.argsort(pivots)
         R, pivots = R[order], pivots[order]
@@ -335,14 +340,34 @@ def _gauss_jordan(A, l):
             A[[r, p]] = A[[p, r]]
         inv = pow(int(A[r, c]), -1, l)
         if inv != 1:
-            A[r, c:] = (A[r, c:] * inv) % l
+            A[r, c:] = _mod(A[r, c:] * inv, l)
         hits = np.flatnonzero(A[:, c])
         hits = hits[hits != r]
         if len(hits):
-            A[hits, c:] = (A[hits, c:] - np.outer(A[hits, c], A[r, c:])) % l
+            A[hits, c:] = _mod(A[hits, c:] - np.outer(A[hits, c], A[r, c:]), l)
         pivots.append(c)
         r += 1
     return A[:r], np.array(pivots, dtype=np.intp)
+
+
+def _mod(C, l):
+    """C mod l, in place, for a float64 array of integers x with
+    |x| <= 2^53 - 2l; returns C.
+
+    The quotient q = floor(x * (1/l)) is off by at most one, since the two
+    roundings err by less than |x / l| * 2^-52 < 1, so |q * l| < |x| + 2l
+    is exact, and one correction each way lands every entry in 0..l-1.
+    Float `%` calls fmod per entry; this is a few vector multiplies.
+    """
+    import numpy as np
+
+    q = C * (1.0 / l)
+    np.floor(q, out=q)
+    q *= l
+    C -= q
+    np.add(C, l, out=C, where=C < 0)
+    np.subtract(C, l, out=C, where=C >= l)
+    return C
 
 
 def h2_predicted_dim(n, ell):

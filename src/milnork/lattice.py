@@ -115,6 +115,10 @@ class SubgroupFragment:
         self.rank = rank
         self.sources = frozenset(sources) if sources is not None else None
         self.provenance = dict(provenance or {})
+        # points are hashed in every axiom scan; sources and generators are
+        # never reassigned, so the hash is taken once
+        self._hash = hash(self.sources if self.sources is not None
+                          else self.key())
 
     def __repr__(self):
         return "SubgroupFragment(%s, rank=%r)" % (self.label, self.rank)
@@ -127,9 +131,7 @@ class SubgroupFragment:
         return self.key() == other.key()
 
     def __hash__(self):
-        if self.sources is not None:
-            return hash(self.sources)
-        return hash(self.key())
+        return self._hash
 
     def key(self):
         return tuple(sorted(g.key() for g in self.generators))
@@ -731,13 +733,20 @@ class LatticeFragment:
     def to_json(self):
         from . import jsonio
 
+        # nodes share the universe's generator objects: encode each once
+        encoded = {}
+
+        def encode(g):
+            if id(g) not in encoded:
+                encoded[id(g)] = jsonio.encode_ratfunc(g)
+            return encoded[id(g)]
+
         return {
             "nodes": [
                 {
                     "label": n.label,
                     "rank": n.rank,
-                    "generators": [jsonio.encode_ratfunc(g)
-                                   for g in n.generators],
+                    "generators": [encode(g) for g in n.generators],
                     "sources": sorted(n.sources) if n.sources is not None else None,
                     "provenance": _jsonable(n.provenance),
                 }

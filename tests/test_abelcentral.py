@@ -3,9 +3,12 @@
 import hashlib
 import itertools
 import random
-from math import comb
+from math import comb, isqrt
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from milnork import linalg
 from milnork.abelcentral import (
@@ -27,6 +30,7 @@ from milnork.abelcentral import (
     upsilon,
     word_normal_form,
 )
+from milnork.abelcentral import _mod
 
 
 def test_word_normal_form_defining_commutator():
@@ -210,6 +214,9 @@ def test_h2_matches_row_by_row_solver(n, ell):
 H2_BASIS_SHA256 = {
     (3, 5): "34967214b858a392a29c95670512cffb8ec12f53db34f1cbc8e4302c3208a8ab",
     (4, 3): "5e587906d5e7e396700ac7d7349c8daa179749eecc8e94f8daa09ffab9d66f94",
+    (2, 13): "5d75a7fb09648188d87a8c86480dd3745a7820521187711ccecb3f2bce35cab9",
+    (1, 131): "fdfe71163c7a8113f2ba8a0a0d42b2994964f0a6c9bd65df396e6b4f90a0e7af",
+    (6, 2): "d09096df477f87ef4816427a16243e517d29ebd6c621313ecd0050171ee9d2d0",
 }
 
 
@@ -218,6 +225,31 @@ def test_h2_basis_pinned(n, ell):
     res = h2_brute_force(n, ell)
     digest = hashlib.sha256(repr(res.basis).encode()).hexdigest()
     assert digest == H2_BASIS_SHA256[(n, ell)]
+
+
+PRIMES_TO_241 = [p for p in range(2, 242)
+                 if all(p % q for q in range(2, isqrt(p) + 1))]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(PRIMES_TO_241), st.data())
+# a multiple of 3 near the negative end needs the upward correction, a
+# multiple of 103 near the positive end the downward one
+@example(3, None)
+@example(103, None)
+def test_mod_matches_python_remainder(ell, data):
+    # _mod is exact on integers x with |x| <= 2^53 - 2l; near both ends of
+    # that range the quotient floor(x * (1/l)) is off by one either way
+    bound = 2 ** 53 - 2 * ell
+    top = bound // ell
+    xs = [s * (k * ell + d) for k in (top - 2, top - 1, top, 0, 1, 2)
+          for d in (-1, 0, 1) for s in (1, -1)]
+    xs = [x for x in xs if abs(x) <= bound]
+    if data is not None:
+        xs += data.draw(st.lists(st.integers(-bound, bound), max_size=40))
+    arr = np.array(xs, dtype=np.float64)
+    assert arr.tolist() == xs
+    assert _mod(arr, ell).tolist() == [x % ell for x in xs]
 
 
 def test_h2_too_large():
