@@ -233,13 +233,13 @@ PRIMES_TO_241 = [p for p in range(2, 242)
 
 @settings(max_examples=150, deadline=None)
 @given(st.sampled_from(PRIMES_TO_241), st.data())
-# a multiple of 3 near the negative end needs the upward correction, a
-# multiple of 103 near the positive end the downward one
+# the quotient floor(x * (1/l)) is one too large at l = 3 for some
+# x = -(3k + 1) near -2^53, and one too small at l = 103 for x = 103 and 206
 @example(3, None)
 @example(103, None)
 def test_mod_matches_python_remainder(ell, data):
-    # _mod is exact on integers x with |x| <= 2^53 - 2l; near both ends of
-    # that range the quotient floor(x * (1/l)) is off by one either way
+    # _mod is exact on integers x with |x| <= 2^53 - 2l: k l - 1, k l and
+    # k l + 1 near both ends of that range and near 0, and drawn integers
     bound = 2 ** 53 - 2 * ell
     top = bound // ell
     xs = [s * (k * ell + d) for k in (top - 2, top - 1, top, 0, 1, 2)
