@@ -496,8 +496,7 @@ class MultFragment:
                 vec[linalg.wedge_index(a, b, n)] = 1
                 kernel.append(tuple(vec))
                 continue
-            cert = ctx.certificate_search([gens[a], gens[b]], budget=budget,
-                                          seed=(a, b))
+            cert = ctx.certificate_search([gens[a], gens[b]], budget=budget)
             if cert is UNKNOWN:
                 unknown.append((a, b))
             else:

@@ -4,8 +4,9 @@ The pipeline assembles the quadratic-algebra fragment from certified symbol
 values, recovers the graded lattice fragment relative to the declared
 universe, finds the flats of the closure geometry on its points, and emits
 the geometry with its axiom report.  All output JSON is canonical and
-byte-stable: the search seed only affects internal search order, never the
-artifacts.
+byte-stable.  Certificate searches are finite and deterministic: the search
+seed (--seed, the configuration's "seed") is accepted and ignored, as the
+worker count is.
 """
 
 import argparse
@@ -81,6 +82,8 @@ class PipelineConfig:
             raise ValueError("p and ell must differ")
         if self.vars < 2:
             raise ValueError("need at least two variables")
+        if self.budget < 0:
+            raise ValueError("budget must be at least 0")
         if not 3 <= self.max_rank < self.vars:
             raise ValueError("max_rank must lie between 3 and vars - 1")
         for decl in self.universe_decl:
@@ -414,7 +417,7 @@ def cmd_dim(args):
     data = _load_input(args)
     gens = [jsonio.decode_ratfunc(ctx.field, e)
             for e in jsonio.field(data, "generators", "dim input", list)]
-    lo, hi = ctx.milnor_dim_bounds(gens, budget=args.budget, seed=args.seed)
+    lo, hi = ctx.milnor_dim_bounds(gens, budget=args.budget)
     _emit(args, {"lower": lo, "upper": hi})
     return EXIT_OK if lo == hi else EXIT_UNKNOWN
 

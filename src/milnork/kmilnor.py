@@ -10,7 +10,6 @@ step by step, so full-length evaluations land in Z/l.
 """
 
 import itertools
-import random
 
 from . import linalg
 from .groundfield import INF, RatFunc, SparsePoly, ZeroInputError, is_prime
@@ -447,12 +446,11 @@ class Certificate:
 
 
 class KContext:
-    """Ambient data for mod-l K-theory computations: the function field, the
-    prime l, and seeded samplers.
+    """Ambient data for mod-l K-theory computations: the function field and
+    the prime l.
 
-    Three caches are kept.  Under threads their reads and writes need no
-    lock: a value is only ever stored under its own key, and an entry lost
-    to a race or an emptied cache is recomputed.
+    Three caches are kept.  A value is only ever stored under its own key,
+    and an entry lost to an emptied cache is recomputed.
 
     _jacobian_cache (grow-only) maps the sorted keys of a nonlinear
     generator list to its Jacobian rank.
@@ -502,18 +500,6 @@ class KContext:
 
     def evaluate(self, sym, chain):
         return tame_chain(self.field, sym, chain, self.ell)
-
-    # -- sampling ------------------------------------------------------------
-
-    def _center_stream(self, rng, levels=(1, 1, 2)):
-        """Ground elements drawn from small tower levels, cycling."""
-        i = 0
-        while True:
-            lv = levels[i % len(levels)]
-            self.field.tower.ensure_level(lv)
-            yield self.field.tower.element_from_index(
-                lv, rng.randrange(self.field.p ** lv))
-            i += 1
 
     def _variable_pool(self, elements, r):
         pool = set()
@@ -620,46 +606,10 @@ class KContext:
         # form_k composed with T = A^{-1} is the k-th coordinate
         return linalg.inverse(A, p)
 
-    def _elementary_transform(self, rng):
-        """Identity plus one random off-diagonal unit, a shear mixing two
-        coordinates."""
-        d = self.nvars
-        i = rng.randrange(d)
-        j = rng.randrange(d - 1)
-        if j >= i:
-            j += 1
-        c = rng.randrange(1, self.field.p)
-        T = [[1 if a == b else 0 for b in range(d)] for a in range(d)]
-        T[i][j] = c
-        return tuple(tuple(r) for r in T)
-
     def apply_transform(self, x, T):
-        """Substitute t_i -> sum_j T[i][j] t_j in a rational function.
-
-        A linear entry (constant denominator, numerator of total degree at
-        most one) has its image built directly: the constant term stays, and
-        c t_i becomes the terms c T[i][j] t_j, merged in the same order and
-        with the same zero-dropping additions as the generic composition, so
-        the result agrees with it coefficient by coefficient, tower levels
-        included.  The denominator composes to itself.  Every other entry
-        goes through RatFunc.compose."""
-        nv, p = self.nvars, self.field.p
-        if x.den.is_constant() and all(sum(e) <= 1 for e in x.num.terms):
-            from_int = self.field.tower.from_int
-            out = {}
-            for exp, c in x.num.terms.items():
-                if any(exp):
-                    image = [(_unit_exponent(nv, j), c * from_int(a))
-                             for j, a in enumerate(T[exp.index(1)]) if a % p]
-                else:
-                    image = [(exp, c)]
-                for e, v in image:
-                    s = out[e] + v if e in out else v
-                    if s:
-                        out[e] = s
-                    else:
-                        del out[e]
-            return RatFunc(SparsePoly(nv, out), x.den)
+        """Substitute t_i -> sum_j T[i][j] t_j in a rational function, by
+        RatFunc.compose.  No search substitutes: a straightened entry is
+        written down (_straightened), term for term what this gives."""
         images = []
         for i in range(self.nvars):
             poly = SparsePoly.zero(self.nvars)
@@ -673,10 +623,10 @@ class KContext:
         return x.compose(images)
 
     def certificate_search(self, elements, budget=64, seed=0, shifts=False,
-                           deterministic_first=True, workers=1):
-        """Search base points and coordinate chains certifying a nonzero
-        symbol.  Returns a Certificate, or UNKNOWN when the budget runs out;
-        non-vanishing is only semi-decided.
+                           workers=1):
+        """Search coordinate chains certifying a nonzero symbol.  Returns a
+        Certificate, or UNKNOWN when no trial within the budget certifies
+        it; non-vanishing is only semi-decided.
 
         Every entry that is a polynomial in one prime-field linear form (its
         inner form, _inner_forms) lies in a one-variable subfield.  When
@@ -690,39 +640,39 @@ class KContext:
         the symbol vanish and the search return UNKNOWN without a trial;
         with shifts on it does not, since its translates are no l-th powers.
 
-        The trials come in one order.  First, at the origin: the
+        The trials form one finite stream (_trials), all at the origin: the
         straightened entries (shifted when shifts is on and every entry is
-        linear), then the entries as given, then up to twelve variable
-        tuples from the variables the entries use, shifted when shifts is
-        on.  Then trials drawn from the seed: random base points, variable
-        tuples and, for entries in several variables, transforms.
-        deterministic_first=False skips the origin trials.  In a trial
-        without shifts, a chain step whose entry uses the step's variable
-        alone is centred at a zero or pole of that entry (_snap_center), so
-        every straightened entry has a value prime to l at its step.
+        linear), then the entries as given, then every tuple of distinct
+        variables from those the entries use, shifted when shifts is on.
+        The budget cuts the stream, and the search may end before it.  In
+        every trial a chain step is centred at a zero or pole of its entry
+        when it has one (_snap_center), at infinity included, so every
+        straightened entry has a value prime to l at its step.
 
         With shifts off (the default) the certified statement is the direct
         symbol of the given elements, up to a recorded linear change of
         coordinates.  With shifts on, each element may also be translated by
-        its value at the sampled base point; the translates lie in the same
-        one-variable subfields as the elements, so a shifted certificate
-        witnesses a nonzero symbol from the subfield tuple, the form the
-        subgroup recipes consume.
+        its value at the origin; the translates lie in the same one-variable
+        subfields as the elements, so a shifted certificate witnesses a
+        nonzero symbol from the subfield tuple, the form the subgroup
+        recipes consume.
 
-        workers is accepted and ignored: the trials run one after another.
+        seed and workers are accepted and ignored: the stream depends on
+        neither, and the trials run one after another.  A negative budget
+        raises ValueError.
         """
-        return self._search(elements, budget, seed, shifts,
-                            deterministic_first)
+        return self._search(elements, budget, shifts)
 
     def canonical_certificate(self, elements, budget=64, shifts=False):
-        """The certificate search with the fixed seed 0: seed-free and
-        replayable, used whenever a certificate is going to be serialized."""
-        return self._search(elements, budget, 0, shifts, True)
+        """The certificate search under the name used whenever a
+        certificate is going to be serialized."""
+        return self._search(elements, budget, shifts)
 
-    def _search(self, elements, budget, seed, shifts, deterministic_first):
+    def _search(self, elements, budget, shifts):
         # certificate_search and canonical_certificate share this body
         # rather than calling each other, so each search is one call of one
         # of them
+        _check_budget(budget)
         elements = list(elements)
         r = len(elements)
         if r == 0 or r > self.nvars:
@@ -743,67 +693,32 @@ class KContext:
             # witnessed dependence: the symbol vanishes
             return UNKNOWN
         search = _Search(elements, straight, linear)
-        trials = self._trials(elements, straight, shifts and linear, seed,
-                              shifts, deterministic_first)
+        trials = self._trials(elements, straight, shifts and linear, shifts)
         for trial in itertools.islice(trials, budget):
             cert = self._try_trial(search, trial)
             if cert is not None:
                 return cert
         return UNKNOWN
 
-    def _trials(self, elements, straight, straight_shift, seed, shifts,
-                deterministic_first):
-        """The endless trial stream of a search: (variables, base point,
+    def _trials(self, elements, straight, straight_shift, shifts):
+        """The trial stream of a search, all at the origin: (variables,
         shift, transform) tuples."""
-        d, r = self.nvars, len(elements)
-        pool = self._variable_pool(elements, r)
-        zero = self.field.tower.zero()
-        if deterministic_first:
-            origin = (zero,) * d
-            first = tuple(range(r))
-            if straight is not None:
-                yield first, origin, straight_shift, straight
-            yield first, origin, False, None
-            for vars_ in itertools.islice(itertools.permutations(pool, r), 12):
-                if shifts or vars_ != first:
-                    yield vars_, origin, shifts, None
-        rng = random.Random(repr(("certificate", seed, r)))
-        stream = self._center_stream(rng)
-        others = [i for i in range(d) if i not in pool]
-        mixed = any(len(x.vars_used()) > 1 for x in elements)
-        while True:
-            # zeros are over-represented: special position is where the
-            # coordinate chains see mixed entries
-            point = tuple(
-                zero if rng.random() < 0.35 else next(stream)
-                for _ in range(d))
-            transform = None
-            if mixed and rng.random() < 0.5:
-                if straight is not None:
-                    transform = straight
-                    vars_ = list(range(r))
-                else:
-                    transform = self._elementary_transform(rng)
-                    vars_ = rng.sample(range(d), r)
-            else:
-                k = min(r, len(pool))
-                vars_ = rng.sample(pool, k)
-                if k < r:
-                    vars_ += rng.sample(others, r - k)
-            use_shift = shifts and (transform is not None
-                                    or rng.random() < 0.75)
-            yield tuple(vars_), point, use_shift, transform
+        r = len(elements)
+        first = tuple(range(r))
+        if straight is not None:
+            yield first, straight_shift, straight
+        yield first, False, None
+        for vars_ in itertools.permutations(self._variable_pool(elements, r),
+                                            r):
+            if shifts or vars_ != first:
+                yield vars_, shifts, None
 
-    def _value_at_point(self, x, point):
-        """Evaluate at a full point of affine space; None at poles."""
-        num, den = x.num, x.den
-        for i in sorted(x.vars_used()):
-            num = num.eval_var(i, point[i])
-            den = den.eval_var(i, point[i])
-        dv = den.constant_value(self.field.tower)
-        if dv.is_zero():
-            return None
-        return num.constant_value(self.field.tower) / dv
+    def _value_at_origin(self, x):
+        """The value at the origin, read off the constant terms; None at a
+        zero or a pole."""
+        origin = (0,) * self.nvars
+        num, den = x.num.terms.get(origin), x.den.terms.get(origin)
+        return None if num is None or den is None else num / den
 
     def _ell_th_power(self, x):
         """Whether an entry in one variable is a constant times an l-th
@@ -821,11 +736,12 @@ class KContext:
                    for _, m in self.field.univariate_roots(f))
 
     def _snap_center(self, entry, var):
-        """A chain centre in the vanishing or polar locus of the entry, when
+        """A chain centre in the vanishing or polar locus of the entry.  When
         its numerator or denominator uses the given variable alone: the root
         of an affine one, else its least root (by compress_key) of
-        multiplicity prime to l, at whatever tower level the root lives;
-        None otherwise."""
+        multiplicity prime to l, at whatever tower level the root lives.
+        Failing that, INF when the entry's order at t_var = infinity,
+        deg den - deg num in t_var, is prime to l; None otherwise."""
         tower = self.field.tower
         for poly in (entry.num, entry.den):
             if poly.vars_used() != {var}:
@@ -841,6 +757,8 @@ class KContext:
                      if m % self.ell]
             if roots:
                 return min(roots, key=lambda z: z.compress_key())
+        if (entry.den.degree_in(var) - entry.num.degree_in(var)) % self.ell:
+            return INF
         return None
 
     def _straightened(self, x, T, k, shift=False):
@@ -917,43 +835,36 @@ class KContext:
             tuple(range(len(entries))), centers, transform)
 
     def _try_trial(self, search, trial):
-        vars_, point, use_shift, transform = trial
-        straight = transform is not None and transform is search.straight
-        if straight:
-            if search.linear and not any(point):
+        vars_, use_shift, transform = trial
+        elements = search.elements
+        if transform is not None:
+            if search.linear:
                 # the straightened trial of a linear tuple, on range(r)
-                return self.straightened_certificate(search.elements,
-                                                     use_shift, transform)
+                return self.straightened_certificate(elements, use_shift,
+                                                     transform)
             if search.images is None:
                 search.images = [self._straightened(x, transform, k)
-                                 for k, x in enumerate(search.elements)]
-        centers = [point[i] for i in vars_]
+                                 for k, x in enumerate(elements)]
+            elements = search.images
         entries = []
-        for k, x in enumerate(search.elements):
-            if straight:
-                x = search.images[k]
-            elif transform is not None:
-                x = self.apply_transform(x, transform)
-                if x.is_zero():
-                    return None
+        for x in elements:
             if use_shift:
-                c = self._value_at_point(x, point)
-                if c is not None and not c.is_zero():
+                c = self._value_at_origin(x)
+                if c is not None:
                     x = x - self.field.const(c)
             if x.is_zero():
                 return None
             entries.append(x)
         keys = tuple(x.key() for x in entries)
-        if not use_shift:
-            # aim each slot's chain step at a zero or pole of its entry
-            snaps = search.snaps
-            for k, (x, v) in enumerate(zip(entries, vars_)):
-                at = (keys[k], v)
-                if at not in snaps:
-                    snaps[at] = self._snap_center(x, v)
-                if snaps[at] is not None:
-                    centers[k] = snaps[at]
-        return self._trial_certificate(entries, keys, tuple(vars_), centers,
+        # aim each slot's chain step at a zero or pole of its entry
+        zero, snaps = self.field.tower.zero(), search.snaps
+        centers = []
+        for x, key, v in zip(entries, keys, vars_):
+            if (key, v) not in snaps:
+                snaps[key, v] = self._snap_center(x, v)
+            c = snaps[key, v]
+            centers.append(zero if c is None else c)
+        return self._trial_certificate(entries, keys, vars_, centers,
                                        transform)
 
     def _trial_certificate(self, entries, keys, variables, centers,
@@ -1064,7 +975,7 @@ class KContext:
         used = set().union(*(g.vars_used() for g in gens))
         return min(len(gens), len(used))
 
-    def milnor_dim_bounds(self, gens, trdeg=None, budget=64, seed=0):
+    def milnor_dim_bounds(self, gens, trdeg=None, budget=64):
         """(certified lower, witnessed upper) for the span of the given
         classes.  The upper bound is trdeg_upper of the generators, a bound
         on the transcendence degree of the field they cut out; degree-s
@@ -1073,6 +984,7 @@ class KContext:
         Subsets whose own trdeg_upper is below the target degree cannot
         carry a nonzero symbol of that degree and are skipped, so the search
         never burns its budget on provably dependent tuples."""
+        _check_budget(budget)
         d = self.nvars if trdeg is None else trdeg
         gens = [g for g in gens if not g.is_constant()]
         if not gens:
@@ -1089,9 +1001,8 @@ class KContext:
                     continue
                 # translates of each generator stay in its own subfield, so
                 # shifted certificates witness the subfield-span dimension
-                cert = self.certificate_search(
-                    chosen, budget=budget,
-                    seed=(seed, subset).__repr__(), shifts=True)
+                cert = self.certificate_search(chosen, budget=budget,
+                                               shifts=True)
                 if cert is not UNKNOWN:
                     found = True
                     break
@@ -1145,6 +1056,11 @@ class _Search:
         self.linear = linear
         self.images = None
         self.snaps = {}
+
+
+def _check_budget(budget):
+    if budget < 0:
+        raise ValueError("budget must be at least 0, got %d" % budget)
 
 
 def _unit_exponent(nvars, j):

@@ -171,7 +171,8 @@ class Record(collections.namedtuple("Record", "answer how witness")):
       CONTAINS   the key of a dependent set it contains
       VARIABLES  the variables the members use, fewer than the members
     Unresolved:
-      SEARCHED   the budget of the search that ran out"""
+      SEARCHED   the budget of the search that certified nothing; its
+                 finite trial stream may have ended before the budget"""
 
     __slots__ = ()
 
@@ -355,14 +356,13 @@ class Universe:
 
     def _certify(self, key):
         """One certificate search for the set, kept as its Record: the
-        Certificate it won, or the budget it spent.  The search is seeded
-        by the set, so one that ran out of budget would do so again and is
-        not rerun."""
+        Certificate it won, or the budget it was given.  The search is
+        deterministic, so one that certified nothing would do so again and
+        is not rerun."""
         rec = self._records.get(key)
         if rec is None:
             cert = self.ctx.certificate_search(
-                self._gens(key), budget=self.budget, seed=repr(sorted(key)),
-                shifts=True)
+                self._gens(key), budget=self.budget, shifts=True)
             rec = self._records[key] = (
                 Record(None, SEARCHED, self.budget) if cert is UNKNOWN
                 else Record(True, CERTIFIED, cert))
@@ -647,6 +647,16 @@ def _check_delta_index(A, ds):
             raise AssertionError("delta entry fails the index-l condition")
 
 
+def _center_stream(field, rng, levels=(1, 1, 2)):
+    """Ground elements drawn from small tower levels, cycling."""
+    i = 0
+    while True:
+        lv = levels[i % len(levels)]
+        field.tower.ensure_level(lv)
+        yield field.tower.element_from_index(lv, rng.randrange(field.p ** lv))
+        i += 1
+
+
 def very_general_search(ctx, x, y, budget, ambient_vals=(), seed=0):
     """Sample b then a and return the first pair making (x+a)/(y+b) pass the
     declared checks: the candidate is nonconstant (Bertini-style general
@@ -656,7 +666,7 @@ def very_general_search(ctx, x, y, budget, ambient_vals=(), seed=0):
         return UNKNOWN
     rng = random.Random(repr(("very-general", seed)))
     field = ctx.field
-    stream = ctx._center_stream(rng)
+    stream = _center_stream(field, rng)
     trials = [(field.tower.zero(), field.tower.zero())]
     while len(trials) < budget:
         b = next(stream)

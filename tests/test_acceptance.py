@@ -110,19 +110,18 @@ def test_criterion_2_ramification():
 def test_criterion_3_certificates():
     t0 = time.time()
     tw = FieldTower(7, seed=0)
+    # every coordinate tuple of every length and order, shifted or not
     for d in (2, 3, 4):
         ff = FunctionField(tw, d)
         ctx = KContext(ff, 3)
-        coords = [ff.var(i) for i in range(d)]
-        hits = 0
-        for run in range(100):
-            cert = ctx.certificate_search(coords, budget=50, seed=run,
-                                          shifts=True,
-                                          deterministic_first=False)
-            if cert is not UNKNOWN:
-                assert cert.replay()
-                hits += 1
-        assert hits >= 99, "d=%d found only %d/100" % (d, hits)
+        for r in range(1, d + 1):
+            for chosen in itertools.permutations(range(d), r):
+                for shifts in (False, True):
+                    cert = ctx.certificate_search(
+                        [ff.var(i) for i in chosen], budget=50,
+                        shifts=shifts)
+                    assert cert is not UNKNOWN, (d, chosen, shifts)
+                    assert cert.replay()
     # the desk instance: a member of a rank-one subfield against an outside
     # coordinate gives a certified nonzero pair
     ff = FunctionField(tw, 2)
@@ -426,26 +425,41 @@ def test_criterion_11_pipeline_determinism():
 
 # run_pipeline on the coordinates plus these members at these budgets: the
 # sha256 of the whole canonical JSON of its artifacts, or the candidates of
-# the DimUnknown it raises, and the sha256 of its universe's records (see
-# _record_rows).  Pinned because no benchmark workload takes the search path
-# of Universe.closure on a nonlinear universe, where which sets closure asks
-# decides which searches run and which records are kept.
+# the DimUnknown it raises; the sha256 of its universe's records (see
+# _record_rows); and its kring pairs left unknown, so that a regression
+# shows as a named pair.  Pinned because no benchmark workload takes the
+# search path of Universe.closure on a nonlinear universe, where which sets
+# closure asks decides which searches run and which records are kept.
+CANDIDATE = "t0+t1, t0*t1, t2*t3+1, t0/(t1+1), (t0+t1)^2+3, t3+t4^2"
 NONLINEAR_PIPELINES = {
     ("t0+t1, t0*t1", 32): (
-        "cca57f821cc9ff6351cae0cf19aca9f397e08db8ece952a1d50e9272ab986cac",
-        "3180af3952f5c801f4803e38d967cc93bf1b823dcd42ce9ef7612782687d19d4"),
+        "6d818491d5959c3087a9153e43b649cc14b896a453e35ba7787c5aaea68e4963",
+        "3180af3952f5c801f4803e38d967cc93bf1b823dcd42ce9ef7612782687d19d4",
+        []),
     ("t1*t2, t3+t4^2", 32): (
-        "a7043c9f936ea742c818f13e116da8ac9fb763aab8fc1031251c595079eb95d4",
-        "73da85a7c653b1d7d6bd6b4bba1e0c0db4f51aff95ffe4c71057762194df67fd"),
+        "29c1f0a9ba8613b59baed59efbb7982a6abd55c4d5efec559a4b04fefdbc50a7",
+        "73da85a7c653b1d7d6bd6b4bba1e0c0db4f51aff95ffe4c71057762194df67fd",
+        []),
     ("t0+t1, t0*t1, t2*t3+1", 32): (
-        "9d084e450cfbaea234aab8c4358195207866be11c605144ec3c59d648c537540",
-        "0d724cd9964341ab209014a824e008054c98f9fb9a8cc99436467ac4bc9870f8"),
+        "c8e3b3e8c92ba00dab907bb1500df140384624fb408711a7f55b69ddd304b16d",
+        "0d724cd9964341ab209014a824e008054c98f9fb9a8cc99436467ac4bc9870f8",
+        [[2, 7], [3, 7]]),
     ("t0+t1, t1*t2", 8): (
         [[2, 3, 4, 5, 6]],
-        "b515bd016ebf12426ab7a9d6862562da43ad532de86076a5dc1deaf76458821b"),
+        "b515bd016ebf12426ab7a9d6862562da43ad532de86076a5dc1deaf76458821b",
+        []),
     ("t0+t1, t1*t2, t3+t4^2", 32): (
-        [[1, 5, 6, 7]],
-        "a2fc180d155f87808a1659ae9dc1cceb2a6a6f4d6adc568725f24856ab56bb6a"),
+        "c2f34d8276e148c11f4b7cdc55965da4ad90f4baba7c4e2ac1b676c37a4543da",
+        "4cf2f7cf967db37d3784b3c774aeb90cf81a6936791248bd2fd21e37a1cd4c07",
+        []),
+    (CANDIDATE, 32): (
+        "42109f414a2f1546fa8a6d64b45ac345b10f1a803483c51079b719d8045770f7",
+        "d4d8153ee6310954782ca9989e9104f2c52eb7e01c1845f0fecae3b0d62288d3",
+        [[2, 7], [3, 7]]),
+    (CANDIDATE, 64): (
+        "b7cfca3b1cad7f73b1f3b9b30a069059d158dd60abf3421a3a9ff9f69e06dab2",
+        "d4d8153ee6310954782ca9989e9104f2c52eb7e01c1845f0fecae3b0d62288d3",
+        [[2, 7], [3, 7]]),
 }
 
 
@@ -462,40 +476,52 @@ def _record_rows(universe):
                   for key, rec in universe._records.items())
 
 
-@pytest.mark.parametrize("case", sorted(NONLINEAR_PIPELINES),
-                         ids=lambda case: "%s @%d" % case)
-def test_nonlinear_pipelines_are_pinned(case, monkeypatch):
-    from milnork import lattice
-    from milnork.cli import PipelineConfig, run_pipeline
+def _nonlinear_pipeline(case, monkeypatch):
+    from milnork import cli, lattice
     from milnork.jsonio import encode_ratfunc
 
     ff = FunctionField(FieldTower(7, seed=0), 5)
-    t, one = [ff.var(i) for i in range(5)], ff.const(1)
+    t, c = [ff.var(i) for i in range(5)], ff.const
     named = {"t0+t1": t[0] + t[1], "t0*t1": t[0] * t[1],
              "t1*t2": t[1] * t[2], "t3+t4^2": t[3] + t[4] ** 2,
-             "t2*t3+1": t[2] * t[3] + one}
+             "t2*t3+1": t[2] * t[3] + c(1), "t0/(t1+1)": t[0] / (t[1] + c(1)),
+             "(t0+t1)^2+3": (t[0] + t[1]) ** 2 + c(3)}
     names, budget = case
-    cfg = PipelineConfig({"p": 7, "ell": 3, "vars": 5, "budget": budget,
-                          "universe": [{"var": i} for i in range(5)]
-                          + [{"ratfunc": encode_ratfunc(named[n])}
-                             for n in names.split(", ")]})
-    universes = []
+    cfg = cli.PipelineConfig({"p": 7, "ell": 3, "vars": 5, "budget": budget,
+                              "universe": [{"var": i} for i in range(5)]
+                              + [{"ratfunc": encode_ratfunc(named[n])}
+                                 for n in names.split(", ")]})
+    universes, fragments = [], []
     init = lattice.Universe.__init__
+    quadratic_fragment = cli._quadratic_fragment
 
     def spy(self, *args, **kw):
         init(self, *args, **kw)
         universes.append(self)
 
+    def kring(*args):
+        fragments.append(quadratic_fragment(*args))
+        return fragments[-1]
+
     monkeypatch.setattr(lattice.Universe, "__init__", spy)
+    monkeypatch.setattr(cli, "_quadratic_fragment", kring)
     try:
-        artifacts, _ = run_pipeline(cfg)
+        artifacts, _ = cli.run_pipeline(cfg)
         outcome = hashlib.sha256(
             canonical_json(artifacts).encode()).hexdigest()
     except lattice.DimUnknown as e:
-        outcome = sorted(sorted(c) for c in e.candidates)
+        outcome = sorted(sorted(k) for k in e.candidates)
     records = hashlib.sha256(canonical_json(
         _record_rows(universes[0])).encode()).hexdigest()
-    assert (outcome, records) == NONLINEAR_PIPELINES[case]
+    unknown = [e["pair"] for e in fragments[0]["pairs"]
+               if e["relation"] == "unknown"]
+    return outcome, records, unknown
+
+
+@pytest.mark.parametrize("case", sorted(NONLINEAR_PIPELINES),
+                         ids=lambda case: "%s @%d" % case)
+def test_nonlinear_pipelines_are_pinned(case, monkeypatch):
+    assert _nonlinear_pipeline(case, monkeypatch) == NONLINEAR_PIPELINES[case]
 
 
 # certificate_search at budget 64 over the five fields below, each on a fresh

@@ -202,16 +202,28 @@ def _certify_term(exp, coef, nvars=2):
     # a level above MAX_INPUT_LEVEL with the right number of coefficients,
     # which would take minutes to build
     ("certify", _certify_term([1, 0], {"level": 200, "coeffs": [1] * 200})),
+    # a negative budget, on the command line or in the configuration of a
+    # linear and of a nonlinear universe
+    ("--budget=-1 certify", {"elements": [X0]}),
+    ("--budget=-1 dim", {"generators": [X0]}),
+    ("pipeline", dict(CONFIG5, budget=-1)),
+    ("pipeline", dict(CONFIG5, budget=-1, universe=CONFIG5["universe"] + [
+        {"ratfunc": {"num": {"vars": 5, "terms": [
+            {"exp": [1, 1, 0, 0, 0], "coef": ONE}]},
+            "den": {"vars": 5, "terms": [
+                {"exp": [0, 0, 0, 0, 0], "coef": ONE}]}}}])),
 ])
 def test_malformed_input_exits_3(tmp_path, capsys, command, payload):
     path = tmp_path / "bad.json"
     if payload is not None:
         path.write_text(json.dumps(payload))
-    code = main(["--vars", "2", command, str(path)])
+    code = main(["--vars", "2", *command.split(), str(path)])
     captured = capsys.readouterr()
     assert code == EXIT_FAILURE and captured.out == ""
     assert captured.err.startswith("error: ")
     assert "Traceback" not in captured.err
+    if "budget=-1" in command or '"budget": -1' in json.dumps(payload):
+        assert "budget" in captured.err
 
 
 def test_certify_entry_with_a_constant_from_a_subfield(tmp_path, capsys):
@@ -645,9 +657,9 @@ def test_pipeline_nonlinear_universe_pins_its_unknown_set(run, monkeypatch):
 
 
 def test_nonlinear_pipeline_certificates_ignore_the_config_seed(run):
-    # serialized certificates come from the search at the fixed seed 0, so
-    # the config seed reaches none of them, not even on the pairs with the
-    # nonlinear entry xy
+    # the certificate search is seed-free, so the config seed reaches no
+    # serialized certificate, not even on the pairs with the nonlinear
+    # entry xy
     ff = FunctionField(FieldTower(7, seed=0), 5)
     xy = ff.var(0) * ff.var(1)
     outs = []

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from milnork import kmilnor, linalg
 
 from milnork.groundfield import INF, CoordValuation, FieldTower, FunctionField
+from milnork.jsonio import decode_certificate, encode_certificate
 from milnork.kmilnor import (
     UNKNOWN,
     BadExponent,
@@ -313,23 +314,62 @@ def test_linear_search_wins_with_its_first_trial(ff5, monkeypatch, shifts,
                                   shifts=shifts)
     straight = ctx._straightening_transform(ctx._inner_forms(elements))
     assert straight is not None and cert.transform == straight
-    assert trials == [((0, 1, 2), (ff5.tower.zero(),) * 5, shifts, straight)]
+    assert trials == [((0, 1, 2), shifts, straight)]
     canonical = ctx.canonical_certificate(elements, budget=16, shifts=shifts)
     assert len(trials) == 2
     assert _outcome(canonical) == _outcome(cert)
 
 
-def test_canonical_certificate_is_the_search_at_seed_zero(ff5):
-    # a nonlinear pair that the origin trials miss, so the seeded trials
-    # decide it; neither entry is a polynomial in one linear form
+def test_the_search_is_seed_free(ff5):
+    # a nonlinear pair, neither entry a polynomial in one linear form: the
+    # seed is accepted and ignored, and canonical_certificate is the same
+    # search
     t = [ff5.var(i) for i in range(5)]
     elements = [t[2] * t[3], t[2] + t[3] + ff5.const(1)]
     ctx = KContext(ff5, 3)
-    want = _outcome(ctx.certificate_search(elements, budget=32, seed=0))
-    assert want is not UNKNOWN and want[3] is not None
-    assert _outcome(ctx.canonical_certificate(elements, budget=32)) == want
-    assert _outcome(ctx.certificate_search(elements, budget=32,
-                                           seed=1)) != want
+    want = _outcome(ctx.canonical_certificate(elements, budget=32))
+    assert want is not UNKNOWN
+    for seed in (0, 1, 999):
+        assert _outcome(KContext(ff5, 3).certificate_search(
+            elements, budget=32, seed=seed)) == want
+
+
+def test_hand_built_chains_with_steps_at_infinity(ff5):
+    # independent of any search: a step at t_v = infinity sees the pole
+    # there of an entry that has no zero or pole on a coordinate
+    # hyperplane.  Each chain takes its pair to 2, and its certificate
+    # survives the JSON encoding, where the centre is "inf"
+    t, c, zero = [ff5.var(i) for i in range(5)], ff5.const, ff5.tower.zero()
+    a, b = t[2] * t[3] + c(1), t[3] + t[4] ** 2
+    q = t[0] / (t[1] + c(1))
+    for entries, variables, centres in (
+            ([t[0], a], (0, 2), (zero, INF)),
+            ([t[0], b], (0, 3), (zero, INF)),
+            ([b, a], (4, 2), (INF, INF)),
+            ([t[0] + t[1], q], (1, 0), (INF, zero)),
+            ([a, q], (2, 0), (INF, zero)),
+            ([t[3], a], (2, 3), (INF, INF))):
+        chain = coordinate_chain(ff5, variables, centres)
+        cert = Certificate(Symbol(entries), chain, 2, 3)
+        assert decode_certificate(ff5, encode_certificate(cert)).replay()
+    # the order of the steps matters
+    chain = coordinate_chain(ff5, (3, 2), (zero, INF))
+    assert tame_chain(ff5, Symbol([t[3], a]), chain, 3).scalar() == 0
+
+
+def test_entries_without_inner_forms_step_to_infinity(ff5):
+    # t0*t1 and (t0+t1)^2 + 3 have no zero or pole on a coordinate
+    # hyperplane, and only the second has an inner form, so there is no
+    # straightened trial; their orders at t0 = infinity and t1 = infinity,
+    # -1 and -2, are prime to 3, and the entries as given win there
+    t, c = [ff5.var(i) for i in range(5)], ff5.const
+    ctx = KContext(ff5, 3)
+    trials = _spy_trials(ctx)
+    cert = ctx.certificate_search([t[0] * t[1], (t[0] + t[1]) ** 2 + c(3)],
+                                  budget=32)
+    assert cert is not UNKNOWN and cert.replay()
+    assert trials == [((0, 1), False, None)]
+    assert all(v.at_infinity for v in cert.chain.steps)
 
 
 def test_canonical_certificate_calls_no_certificate_search(ff5, monkeypatch):
@@ -356,16 +396,14 @@ def _spy_trials(ctx):
 
 
 def test_unshifted_origin_trials_walk_the_pool(ff5):
-    # t2 is no unit on the chain of range(2); the pool tuple (0, 2) of the
-    # origin trials certifies the pair, so the seeded tail is never reached
+    # t2 is no unit on the chain of range(2); the pool tuple (0, 2)
+    # certifies the pair
     t = [ff5.var(i) for i in range(5)]
-    zero = ff5.tower.zero()
     ctx = KContext(ff5, 3)
     trials = _spy_trials(ctx)
     cert = ctx.certificate_search([t[2], t[0] * t[1]], budget=64, seed=0)
     assert cert is not UNKNOWN and cert.replay()
-    assert trials == [((0, 1), (zero,) * 5, False, None),
-                      ((0, 2), (zero,) * 5, False, None)]
+    assert trials == [((0, 1), False, None), ((0, 2), False, None)]
     assert cert.transform is None
 
 
@@ -407,7 +445,7 @@ def test_nonlinear_straightening_centres_at_roots(ff5):
                                       shifts=shifts)
         assert cert is not UNKNOWN and cert.replay()
         straight = ctx._straightening_transform(ctx._inner_forms(elements))
-        assert len(trials) == 1 and trials[0][2:] == (False, straight)
+        assert len(trials) == 1 and trials[0][1:] == (False, straight)
         assert cert.transform == straight
         assert cert.chain.steps[0].center.compress().level == 2
 
