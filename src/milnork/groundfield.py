@@ -8,7 +8,6 @@ construction.  Elements never leave exact arithmetic.
 """
 
 import random
-import threading
 from math import gcd
 
 
@@ -113,7 +112,6 @@ class FieldTower:
         self.p = p
         self.seed = seed
         self._rng = random.Random(("tower", p, seed).__repr__())
-        self._lock = threading.RLock()
         # level m -> its monic modulus, a little-endian int list of length m+1
         self._levels = {1: [0, 1]}
         self._spine = [1]
@@ -171,18 +169,15 @@ class FieldTower:
     def ensure_level(self, m):
         if m in self._levels:
             return
-        with self._lock:
-            if m in self._levels:
-                return
-            if self.top % m:
-                self._grow_spine(_lcm(self.top, m))
-            if m in self._levels:
-                return
-            f = [c for (c,) in self._find_irreducible_over(1, m)]
-            root = self._root_in_top(f)
-            self._levels[m] = f
-            self._gen_top[m] = root
-            self._construction_log.append({"level": m, "modulus": list(f)})
+        if self.top % m:
+            self._grow_spine(_lcm(self.top, m))
+        if m in self._levels:
+            return
+        f = [c for (c,) in self._find_irreducible_over(1, m)]
+        root = self._root_in_top(f)
+        self._levels[m] = f
+        self._gen_top[m] = root
+        self._construction_log.append({"level": m, "modulus": list(f)})
 
     def tower_embed(self, x, target_level):
         """Image of x under the fixed embedding into F_{p^target_level}."""
@@ -708,20 +703,16 @@ class FieldTower:
         cached = self._embed_solvers.get(key)
         if cached is not None:
             return cached
-        with self._lock:
-            cached = self._embed_solvers.get(key)
-            if cached is not None:
-                return cached
-            g = self._gen_top[M]
-            cols = []
-            pw = tuple([1] + [0] * (T - 1))
-            for _ in range(M):
-                cols.append(pw)
-                pw = self._mul(T, pw, g)
-            A = linalg.transpose(tuple(cols))
-            solver = linalg.presolve(A, self.p)
-            self._embed_solvers[key] = solver
-            return solver
+        g = self._gen_top[M]
+        cols = []
+        pw = tuple([1] + [0] * (T - 1))
+        for _ in range(M):
+            cols.append(pw)
+            pw = self._mul(T, pw, g)
+        A = linalg.transpose(tuple(cols))
+        solver = linalg.presolve(A, self.p)
+        self._embed_solvers[key] = solver
+        return solver
 
     def common_level(self, x, y):
         m = _lcm(x.level, y.level)
@@ -1017,13 +1008,6 @@ class SparsePoly:
                 exp = [0] * self.nvars
                 exp[i] = j
                 out = out + coeff_poly * SparsePoly(self.nvars, {tuple(exp): c})
-        return out
-
-    def eval_var(self, i, a):
-        """Substitute t_i -> a (a ground element)."""
-        out = SparsePoly.zero(self.nvars)
-        for k, coeff_poly in self.as_univariate(i).items():
-            out = out + (coeff_poly if k == 0 else coeff_poly * (a ** k))
         return out
 
     def scale_exponent(self, i, e):

@@ -5,8 +5,9 @@ Tame symbols at coordinate valuations are computed by multilinear expansion:
 each entry splits into a uniformizer power and a unit, terms with two or more
 uniformizer slots die (every ground constant, -1 included, is an l-th power),
 terms with exactly one contribute a signed residue symbol, and pure unit
-terms are killed by the residue map.  Chains of such valuations are composed
-step by step, so full-length evaluations land in Z/l.
+terms are killed by the residue map.  A chain of such valuations is evaluated
+in one expansion and canonicalised once, so full-length evaluations land in
+Z/l.
 """
 
 import itertools
@@ -162,10 +163,6 @@ class FormalSum:
                 merged[k] = (c, s)
         self.terms = tuple(sorted(merged.values(), key=lambda t: t[1].key()))
 
-    @classmethod
-    def of(cls, sym, ell):
-        return cls(ell, [(1, sym)])
-
     def is_zero(self):
         return not self.terms
 
@@ -181,9 +178,6 @@ class FormalSum:
             total += c
         return total % self.ell
 
-    def __add__(self, other):
-        return FormalSum(self.ell, self.terms + other.terms)
-
     def __repr__(self):
         if self.is_scalar():
             return "FormalSum(%d mod %d)" % (self.scalar(), self.ell)
@@ -193,45 +187,16 @@ class FormalSum:
 def tame_step(field, sym, v, pi=None, ell=None):
     """One tame symbol: degree n+1 over K to degree n over the residue field.
 
-    In degree one the result is the valuation itself mod l.
+    This is tame_chain on the one-step chain v with uniformizer pi (the
+    coordinate uniformizer by default), without the cover pull-back.  In
+    degree one the result is the valuation itself mod l.
     """
     if ell is None:
         raise ValueError("ell is required")
-    if isinstance(sym, Symbol):
-        sym_terms = [(1, sym)]
-    else:
-        sym_terms = sym.terms
-    adjust = None
-    if pi is not None:
-        c_ord, c_res = field.order_and_residue(pi, v)
-        if c_ord != 1:
-            raise NotUniformizer("pi has value %d, not 1" % c_ord)
-        if not c_res.is_one():
-            adjust = c_res
-    out = []
-    for coeff, s in sym_terms:
-        if len(s) == 0:
-            raise ValueError("cannot take a tame symbol of a scalar")
-        datas = []
-        for x in s.entries:
-            if x.is_zero():
-                raise ZeroEntry("zero entry in symbol")
-            datas.append(field.order_and_residue(x, v))
-        for j, (nj, _) in enumerate(datas):
-            cj = (coeff * nj) % ell
-            if cj == 0:
-                continue
-            if j % 2:
-                cj = (-cj) % ell
-            rest = []
-            for m, (nm, rm) in enumerate(datas):
-                if m == j:
-                    continue
-                if adjust is not None and nm:
-                    rm = rm * adjust ** (-nm)
-                rest.append(rm)
-            out.append((cj, Symbol(rest)))
-    return FormalSum(ell, out)
+    if pi is None:
+        pi = field.uniformizer(v)
+    chain = ParshinChain(field, [v], [pi], validate=False)
+    return tame_chain(field, sym, chain, ell, pull=False)
 
 
 class ParshinChain:
@@ -385,34 +350,59 @@ def monomial_pullback(chain, exponents):
 
 
 def tame_chain(field, sym, chain, ell, pull=True):
-    """Iterate the tame symbol down the chain.
+    """Iterate the tame symbol down the chain in one expansion.
 
-    Returns a FormalSum over the residue field; when the symbol length equals
-    the chain length it reduces to a scalar via .scalar().
+    The tame symbol is multilinear and alternating, so a term is fixed by
+    the set J of entries its steps take, with coefficient (-1)^k n mod l
+    for each step that takes an entry of order n at position k among the
+    entries outside J.  A step takes each entry's order and residue once.
+    Returns one FormalSum over the residue field, built from the raw terms;
+    when the symbol length equals the chain length it reduces to a scalar
+    via .scalar().
     """
     if isinstance(sym, Symbol):
         if len(sym) < len(chain):
             raise ValueError("symbol shorter than the chain")
         if pull and chain.covers:
             sym = chain.pull_symbol(sym)
-        current = FormalSum.of(sym, ell)
+        sym_terms = [(1, sym)]
     else:
-        current = sym
-    unis = list(chain.uniformizers)
+        sym_terms = sym.terms
+    # the live terms, (input term k, J) -> coefficient; entries[k][m] is the
+    # residue of entry m down to the last step that a term left it untaken
+    entries = [list(s.entries) for _, s in sym_terms]
+    terms = {(k, frozenset()): c % ell
+             for k, (c, _) in enumerate(sym_terms) if c % ell}
     for idx, v in enumerate(chain.steps):
-        pi = unis[idx]
-        out = FormalSum(ell)
-        for coeff, s in current.terms:
-            step = tame_step(field, s, v, pi=pi, ell=ell)
-            out = out + FormalSum(ell, [((coeff * c) % ell, t) for c, t in step.terms])
-        current = out
-        if idx + 1 < len(chain.steps):
-            unis[idx + 1:] = [
-                field.order_and_residue(u, v)[1] for u in unis[idx + 1:]
-            ]
-        if current.is_zero():
+        if not terms:
             break
-    return current
+        pi = chain.uniformizers[idx]
+        for w in chain.steps[:idx]:
+            pi = field.order_and_residue(pi, w)[1]
+        c_ord, adjust = field.order_and_residue(pi, v)
+        if c_ord != 1:
+            raise NotUniformizer("pi has value %d, not 1" % c_ord)
+        coordinate = adjust.is_one()
+        out, orders = {}, {}
+        for (k, J), c in terms.items():
+            untaken = [m for m in range(len(entries[k])) if m not in J]
+            if not untaken:
+                raise ValueError("cannot take a tame symbol of a scalar")
+            for pos, m in enumerate(untaken):
+                if (k, m) not in orders:
+                    n, r = field.order_and_residue(entries[k][m], v)
+                    if n and not coordinate:
+                        r = r * adjust ** (-n)
+                    orders[k, m], entries[k][m] = n, r
+                cm = c * orders[k, m] * (-1) ** pos % ell
+                if cm:
+                    key = (k, J | {m})
+                    out[key] = (out.get(key, 0) + cm) % ell
+        terms = {key: c for key, c in out.items() if c}
+    return FormalSum(ell, [
+        (c, Symbol([x for m, x in enumerate(entries[k]) if m not in J]))
+        for (k, J), c in terms.items()
+    ])
 
 
 class Certificate:

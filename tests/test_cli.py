@@ -20,7 +20,7 @@ from milnork.jsonio import (
     encode_chain,
     encode_ratfunc,
 )
-from milnork.kmilnor import KContext, coordinate_chain
+from milnork.kmilnor import KContext, ParshinChain, coordinate_chain
 
 
 @pytest.fixture()
@@ -113,6 +113,17 @@ def _certify_term(exp, coef, nvars=2):
     return {"elements": [{
         "num": {"vars": nvars, "terms": [{"exp": exp, "coef": coef}]},
         "den": {"vars": nvars, "terms": [{"exp": [0] * nvars, "coef": ONE}]}}]}
+
+
+def _bad_later_uniformizer():
+    """{t0, t0} on the chain t0 = 0, t1 = 0 with uniformizers t0 and t1^2:
+    the symbol is zero, but its terms cancel only once canonicalised, so
+    the second step is reached, and t1^2 is no uniformizer there."""
+    ff = FunctionField(FieldTower(7, seed=0), 2)
+    t0, t1 = ff.var(0), ff.var(1)
+    chain = ParshinChain(ff, [ff.valuation(0, 0), ff.valuation(1, 0)],
+                         [t0, t1 ** 2], validate=False)
+    return {"symbol": [encode_ratfunc(t0)] * 2, "chain": encode_chain(chain)}
 
 
 @pytest.mark.parametrize("command, payload", [
@@ -212,6 +223,7 @@ def _certify_term(exp, coef, nvars=2):
             {"exp": [1, 1, 0, 0, 0], "coef": ONE}]},
             "den": {"vars": 5, "terms": [
                 {"exp": [0, 0, 0, 0, 0], "coef": ONE}]}}}])),
+    ("symbol-eval", _bad_later_uniformizer()),
 ])
 def test_malformed_input_exits_3(tmp_path, capsys, command, payload):
     path = tmp_path / "bad.json"
@@ -309,10 +321,11 @@ def mutated_payloads(draw):
         elif kind == "decl":
             container[key] = copy.deepcopy(draw(st.sampled_from(BAD_DECLS)))
         elif kind == "permutation":
-            container[key] = draw(st.sampled_from(BAD_PERMUTATIONS))
+            container[key] = copy.deepcopy(
+                draw(st.sampled_from(BAD_PERMUTATIONS)))
         elif kind == "retype":
-            container[key] = draw(st.sampled_from(
-                [v for v in JSON_VALUES if type(v) is not type(old)]))
+            container[key] = copy.deepcopy(draw(st.sampled_from(
+                [v for v in JSON_VALUES if type(v) is not type(old)])))
         elif kind == "exp" and draw(st.booleans()) and old:
             i = draw(st.integers(0, len(old) - 1))
             container[key] = old[:i] + [draw(st.integers(-3, -1))] + old[i + 1:]

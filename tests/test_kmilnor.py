@@ -9,12 +9,17 @@ from hypothesis import strategies as st
 from milnork import kmilnor, linalg
 
 from milnork.groundfield import INF, CoordValuation, FieldTower, FunctionField
-from milnork.jsonio import decode_certificate, encode_certificate
+from milnork.jsonio import (
+    decode_certificate,
+    encode_certificate,
+    encode_symbol,
+)
 from milnork.kmilnor import (
     UNKNOWN,
     BadExponent,
     Certificate,
     ChainError,
+    FormalSum,
     KContext,
     NotUniformizer,
     ParshinChain,
@@ -850,3 +855,179 @@ def test_a_degree_prime_to_l_needs_no_root_find(monkeypatch):
     trials = _spy_trials(ctx)
     assert ctx.certificate_search([entry, t1], budget=1) is UNKNOWN
     assert len(calls) == 1 and len(trials) == 1
+
+
+# -- chain evaluation: one expansion against the term-by-term oracle ---------
+
+def _reference_tame_step(field, sym, v, pi=None, ell=None):
+    """The tame symbol term by term, each term's entries taken again at
+    every step and the step's terms canonicalised on their own."""
+    sym_terms = [(1, sym)] if isinstance(sym, Symbol) else sym.terms
+    adjust = None
+    if pi is not None:
+        c_ord, c_res = field.order_and_residue(pi, v)
+        assert c_ord == 1
+        if not c_res.is_one():
+            adjust = c_res
+    out = []
+    for coeff, s in sym_terms:
+        datas = [field.order_and_residue(x, v) for x in s.entries]
+        for j, (nj, _) in enumerate(datas):
+            cj = (coeff * nj) % ell
+            if cj == 0:
+                continue
+            if j % 2:
+                cj = (-cj) % ell
+            rest = [rm * adjust ** (-nm) if adjust is not None and nm else rm
+                    for m, (nm, rm) in enumerate(datas) if m != j]
+            out.append((cj, Symbol(rest)))
+    return FormalSum(ell, out)
+
+
+def _reference_tame_chain(field, sym, chain, ell):
+    """tame_chain as a composition of tame steps, the terms gathered so far
+    canonicalised again after every step."""
+    if isinstance(sym, Symbol):
+        current = FormalSum(ell, [(1, chain.pull_symbol(sym))])
+    else:
+        current = sym
+    unis = list(chain.uniformizers)
+    for idx, v in enumerate(chain.steps):
+        out = FormalSum(ell)
+        for coeff, s in current.terms:
+            step = _reference_tame_step(field, s, v, pi=unis[idx], ell=ell)
+            step = FormalSum(ell, [((coeff * c) % ell, t) for c, t in step.terms])
+            out = FormalSum(ell, out.terms + step.terms)
+        current = out
+        unis[idx + 1:] = [field.order_and_residue(u, v)[1]
+                          for u in unis[idx + 1:]]
+        if current.is_zero():
+            break
+    return current
+
+
+def _terms(out):
+    return [(c, encode_symbol(s)) for c, s in out.terms]
+
+
+_CHAIN_FIELDS = {}
+
+
+def _chain_field(p):
+    if p not in _CHAIN_FIELDS:
+        _CHAIN_FIELDS[p] = FunctionField(FieldTower(p, seed=0), 4)
+    return _CHAIN_FIELDS[p]
+
+
+@st.composite
+def _chain_cases(draw):
+    """A symbol of 1 to 4 entries, a chain of coordinate steps at 0, 1 or
+    infinity, perhaps a first uniformizer that is not a coordinate one and
+    a monomial cover, and a step to take after a partial chain.  Entries
+    are a constant times powers of the steps' coordinate uniformizers and
+    up to two other factors; a few are constants, or copies of an earlier
+    entry up to a constant and orientation, so that every canonical rule is
+    met."""
+    p = draw(st.sampled_from([3, 5, 7, 11, 13]))
+    ell = draw(st.sampled_from([2, 3, 5]))
+    ff = _chain_field(p)
+    t = [ff.var(i) for i in range(4)]
+    const = st.integers(1, p - 1).map(ff.const)
+    size = draw(st.integers(1, 4))
+    order = draw(st.permutations(range(4)))
+    centers = [draw(st.sampled_from([0, 1, INF]))
+               for _ in range(draw(st.integers(1, size)))]
+    steps = [ff.valuation(i, c) for i, c in zip(order, centers)]
+    unis = [ff.uniformizer(v) for v in steps]
+
+    def factor():
+        i, j = draw(st.permutations(range(4)))[:2]
+        a = ff.const(draw(st.integers(0, p - 1)))
+        return draw(st.sampled_from([
+            t[i], t[i] - ff.one(), t[i] + t[j], t[i] * t[j] + a, t[i] + a,
+        ]))
+
+    def entry(earlier):
+        kind = draw(st.sampled_from(["product"] * 6 + ["constant", "copy"]))
+        if kind == "constant":
+            return draw(const)
+        if kind == "copy" and earlier:
+            x = draw(st.sampled_from(earlier)) * draw(const)
+            return x.inverse() if draw(st.booleans()) else x
+        x = draw(const)
+        for u in unis:
+            x = x * u ** draw(st.sampled_from([1, 0, -1, 2, 3, -2]))
+        for _ in range(draw(st.integers(0, 2))):
+            f = factor()
+            if not (f * x).is_zero():
+                x = x * f ** draw(st.sampled_from([1, -1, 2]))
+        return x
+
+    entries = []
+    for _ in range(size):
+        entries.append(entry(entries))
+    unit = draw(st.sampled_from([None, "constant", "other variable"]))
+    if unit == "constant":
+        unis[0] = unis[0] * draw(const)
+    elif unit == "other variable":
+        unis[0] = unis[0] * (t[draw(st.sampled_from(order[1:]))] + ff.one())
+    chain = ParshinChain(ff, steps, unis, validate=False)
+    if draw(st.booleans()):
+        exps = st.sampled_from([e for e in (1, 2, 3, 4) if e % p])
+        chain = monomial_pullback(chain, [draw(exps) for _ in steps])
+    then = None
+    if len(steps) < size:
+        then = ff.valuation(order[len(steps)],
+                            draw(st.sampled_from([0, 1, INF])))
+    return ff, ell, Symbol(entries), chain, then
+
+
+@settings(max_examples=150, deadline=None)
+@given(_chain_cases())
+def test_one_expansion_matches_the_term_by_term_chain(case):
+    ff, ell, sym, chain, then = case
+    want = _reference_tame_chain(ff, sym, chain, ell)
+    got = tame_chain(ff, sym, chain, ell)
+    assert _terms(got) == _terms(want)
+    if then is not None:
+        assert _terms(tame_step(ff, got, then, ell=ell)) == _terms(
+            _reference_tame_step(ff, want, then, ell=ell))
+
+
+def test_a_chain_builds_one_formal_sum(ff5, monkeypatch):
+    built = []
+
+    class Counted(FormalSum):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(kmilnor, "FormalSum", Counted)
+    t = [ff5.var(i) for i in range(5)]
+    one = ff5.one()
+    sym = Symbol([t[0] * t[1], t[1] + t[2], t[2] * t[3] + one, t[3] - one])
+    for variables, centers in (([0, 1, 2, 3], [0, 0, 0, 1]),
+                               ([1, 0], [0, 0]), ([3, 2, 1], [1, INF, 0])):
+        built.clear()
+        out = tame_chain(ff5, sym, coordinate_chain(ff5, variables, centers), 3)
+        assert len(built) == 1 and isinstance(out, Counted)
+    built.clear()
+    tame_step(ff5, out, ff5.valuation(0, 0), ell=3)
+    assert len(built) == 1
+
+
+def test_a_bad_later_uniformizer_raises_though_the_symbol_cancels(ff2):
+    # {t0, t0} is zero, but its raw expansion at t0 = 0 keeps two terms that
+    # cancel only once canonicalised, so the second step is reached and its
+    # uniformizer t1^2 is rejected, where the term-by-term reference stops
+    # at 0
+    t0, t1 = ff2.var(0), ff2.var(1)
+    steps = [ff2.valuation(0, 0), ff2.valuation(1, 0)]
+    chain = ParshinChain(ff2, steps, [t0, t1 ** 2], validate=False)
+    assert _reference_tame_chain(ff2, Symbol([t0, t0]), chain, 3).is_zero()
+    with pytest.raises(NotUniformizer):
+        tame_chain(ff2, Symbol([t0, t0]), chain, 3)
+    # a symbol whose every term dies at the first step never reaches it
+    assert tame_chain(ff2, Symbol([t1, t1 + ff2.one()]), chain, 3).is_zero()
