@@ -479,31 +479,26 @@ class MultFragment:
 
     @classmethod
     def from_symbols(cls, ctx, gens, budget=64):
-        """Assemble the fragment from certified symbol values: wedge basis
-        vectors whose symbols admit a nonzero certificate are outside the
-        kernel; pairs of generators with equal classes contribute kernel
-        vectors.  Pairs that stay unknown are reported, not guessed."""
-        from .kmilnor import EQUAL, UNKNOWN
-
+        """Assemble the fragment from KContext.pair_relation: a pair with a
+        nonzero-symbol certificate is outside the kernel, a vanishing pair
+        is a kernel vector, and an unknown pair is reported, not guessed."""
         n = len(gens)
-        ell = ctx.ell
         kernel = []
         certificates = {}
         unknown = []
         for a, b in itertools.combinations(range(n), 2):
-            if ctx.kclass_compare(gens[a], gens[b]) == EQUAL:
+            relation, cert = ctx.pair_relation(gens[a], gens[b], budget)
+            if cert is not None:
+                certificates[(a, b)] = cert
+            elif relation == "unknown":
+                unknown.append((a, b))
+            else:
                 vec = [0] * linalg.wedge_dim(n)
                 vec[linalg.wedge_index(a, b, n)] = 1
                 kernel.append(tuple(vec))
-                continue
-            cert = ctx.certificate_search([gens[a], gens[b]], budget=budget)
-            if cert is UNKNOWN:
-                unknown.append((a, b))
-            else:
-                certificates[(a, b)] = cert
         prov = {"certified": sorted(certificates),
                 "unknown": sorted(unknown)}
-        frag = cls(n, ell, kernel, provenance=prov)
+        frag = cls(n, ctx.ell, kernel, provenance=prov)
         frag.certificates = certificates
         frag.unknown_pairs = unknown
         return frag

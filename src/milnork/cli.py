@@ -71,19 +71,27 @@ class PipelineConfig:
         self.ell = jsonio.modulus(data, what)
         self.vars = integer("vars")
         self.seed = integer("seed", 0)
-        self.tower_seed = data.get("tower_seed", 0)
+        self.tower_seed = integer("tower_seed", 0)
         self.budget = integer("budget", 64)
         self.workers = integer("workers", 1)
         self.max_rank = integer("max_rank", 3)
         self.universe_decl = (jsonio.field(data, "universe", what, list)
                               if "universe" in data else [])
-        self.auto_universe = data.get("auto_universe")
+        self.auto_universe = (jsonio.field(data, "auto_universe", what, dict)
+                              if "auto_universe" in data else None)
+        auto = self.auto_universe or {}
+        if "coordinates" in auto:
+            jsonio.field(auto, "coordinates", "auto_universe", bool)
+        if "bertini_samples" in auto:
+            jsonio.field(auto, "bertini_samples", "auto_universe", int)
         if self.p == self.ell:
             raise ValueError("p and ell must differ")
         if self.vars < 2:
             raise ValueError("need at least two variables")
         if self.budget < 0:
             raise ValueError("budget must be at least 0")
+        if auto.get("bertini_samples", 0) < 0:
+            raise ValueError("bertini_samples must be at least 0")
         if not 3 <= self.max_rank < self.vars:
             raise ValueError("max_rank must lie between 3 and vars - 1")
         for decl in self.universe_decl:
@@ -218,32 +226,14 @@ def run_pipeline(config):
 
 
 def _quadratic_fragment(ctx, gens, budget):
-    """Degree-one generators with certified degree-two relations: every
-    generator pair carries either a nonzero-symbol certificate or an
-    equality witness; unknown pairs are reported as such."""
-    from .kmilnor import EQUAL
+    """Degree-one generators with the relation of every generator pair
+    (KContext.pair_relation), and its certificate when it has one."""
 
     def entry_for(a, b):
-        entry = {"pair": [a, b]}
-        if ctx.kclass_compare(gens[a], gens[b]) == EQUAL:
-            entry["relation"] = "equal-classes"
-        elif ctx.trdeg_upper([gens[a], gens[b]]) < 2:
-            # both classes provably live in a one-dimensional subfield,
-            # where every degree-two symbol dies
-            entry["relation"] = "vanishes-by-dimension"
-        else:
-            # the straightened trial, first in the search of a linear pair,
-            # certifies it; with no budget the search has no trial at all
-            pair = [gens[a], gens[b]]
-            cert = (ctx.straightened_certificate(pair, False) if budget
-                    else None)
-            if cert is None:
-                cert = ctx.canonical_certificate(pair, budget=budget)
-            if cert is UNKNOWN:
-                entry["relation"] = "unknown"
-            else:
-                entry["relation"] = "independent"
-                entry["certificate"] = jsonio.encode_certificate(cert)
+        relation, cert = ctx.pair_relation(gens[a], gens[b], budget)
+        entry = {"pair": [a, b], "relation": relation}
+        if cert is not None:
+            entry["certificate"] = jsonio.encode_certificate(cert)
         return entry
 
     return {

@@ -57,23 +57,22 @@ class ClosureGeometry:
         return out
 
     def _minimal(self, s):
-        """The minimal flats containing the set."""
-        minimal = []
-        for f in self._through[next(iter(s))] if s else self.flats:
-            if s <= f and not any(m <= f for m in minimal):
-                minimal.append(f)
+        """The minimal flats containing the set, memoized."""
+        minimal = self._memo.get(s)
+        if minimal is None:
+            minimal = self._memo[s] = []
+            for f in self._through[next(iter(s))] if s else self.flats:
+                if s <= f and not any(m <= f for m in minimal):
+                    minimal.append(f)
         return minimal
 
     def cl(self, subset):
         s = self._inside(subset)
-        got = self._memo.get(s)
-        if got is None:
-            minimal = self._minimal(s)
-            if len(minimal) != 1:
-                raise JoinUndefined("%s flat contains %r" % (
-                    "more than one minimal" if minimal else "no", s))
-            got = self._memo[s] = minimal[0]
-        return got
+        minimal = self._minimal(s)
+        if len(minimal) != 1:
+            raise JoinUndefined("%s flat contains %r" % (
+                "more than one minimal" if minimal else "no", s))
+        return minimal[0]
 
     def __len__(self):
         return len(self.points)

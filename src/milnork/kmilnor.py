@@ -478,16 +478,6 @@ class KContext:
     def nvars(self):
         return self.field.nvars
 
-    def symbol(self, entries):
-        return Symbol(entries)
-
-    def coordinate_chain(self, variables, centers):
-        centers = [
-            c if (c is INF or not isinstance(c, int)) else self.field.tower.from_int(c)
-            for c in centers
-        ]
-        return coordinate_chain(self.field, variables, centers)
-
     def evaluate(self, sym, chain):
         return tame_chain(self.field, sym, chain, self.ell)
 
@@ -651,17 +641,6 @@ class KContext:
         neither, and the trials run one after another.  A negative budget
         raises ValueError.
         """
-        return self._search(elements, budget, shifts)
-
-    def canonical_certificate(self, elements, budget=64, shifts=False):
-        """The certificate search under the name used whenever a
-        certificate is going to be serialized."""
-        return self._search(elements, budget, shifts)
-
-    def _search(self, elements, budget, shifts):
-        # certificate_search and canonical_certificate share this body
-        # rather than calling each other, so each search is one call of one
-        # of them
         _check_budget(budget)
         elements = list(elements)
         r = len(elements)
@@ -689,6 +668,28 @@ class KContext:
             if cert is not None:
                 return cert
         return UNKNOWN
+
+    canonical_certificate = certificate_search  # perfbench traces it apart
+
+    def pair_relation(self, x, y, budget):
+        """(relation, certificate or None) of a generator pair:
+        "equal-classes" (kclass_compare); "vanishes-by-dimension" when both
+        lie in a field of transcendence degree below 2 (trdeg_upper);
+        "independent" with a certificate of a nonzero {x, y}; or
+        "unknown"."""
+        _check_budget(budget)
+        if self.kclass_compare(x, y) == EQUAL:
+            return "equal-classes", None
+        if self.trdeg_upper([x, y]) < 2:
+            return "vanishes-by-dimension", None
+        # the straightened trial, first in the search of a linear pair,
+        # certifies it; with no budget the search has no trial at all
+        cert = self.straightened_certificate([x, y], False) if budget else None
+        if cert is None:
+            cert = self.certificate_search([x, y], budget=budget)
+        if cert is UNKNOWN:
+            return "unknown", None
+        return "independent", cert
 
     def _trials(self, elements, straight, straight_shift, shifts):
         """The trial stream of a search, all at the origin: (variables,

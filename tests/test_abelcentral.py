@@ -31,6 +31,8 @@ from milnork.abelcentral import (
     word_normal_form,
 )
 from milnork.abelcentral import _mod
+from milnork.groundfield import FunctionField
+from milnork.kmilnor import KContext
 
 
 def test_word_normal_form_defining_commutator():
@@ -332,6 +334,24 @@ def test_duality_from_symbols_detects_equal_classes(ctx5, ff5):
     assert mult.kernel.dim == 1
     G = abc_from_mult(mult)
     assert duality_check(mult, G)["passed"]
+
+
+def test_from_symbols_files_a_pair_in_one_variable_as_a_kernel_vector(
+        tower7):
+    # t0 and t0 + 1 lie in the one-variable field F_p(t0), where every
+    # degree-two symbol dies: the pair is a kernel vector, not unknown
+    ff = FunctionField(tower7, 3)
+    t0, t1 = ff.var(0), ff.var(1)
+    gens = [t0, t0 + ff.const(1), t1, t0 * t1]
+    mult = MultFragment.from_symbols(KContext(ff, 3), gens, budget=16)
+    assert mult.kernel.dim == 1 and mult.unknown_pairs == []
+    assert mult.kernel.contains((1, 0, 0, 0, 0, 0))
+    assert sorted(mult.certificates) == [(0, 2), (0, 3), (1, 2), (1, 3),
+                                         (2, 3)]
+    assert all(cert.replay() for cert in mult.certificates.values())
+    G = abc_from_mult(mult)
+    assert duality_check(mult, G)["passed"]
+    assert not any(G.commutator((1, 0, 0, 0), (0, 1, 0, 0)))
 
 
 def test_kummer_bridge_identity_and_scalars():

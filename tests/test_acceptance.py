@@ -476,8 +476,10 @@ def _record_rows(universe):
                   for key, rec in universe._records.items())
 
 
-def _nonlinear_pipeline(case, monkeypatch):
-    from milnork import cli, lattice
+def _nonlinear_config(names, budget):
+    """The pipeline configuration of the coordinates plus the named
+    members, at the budget."""
+    from milnork.cli import PipelineConfig
     from milnork.jsonio import encode_ratfunc
 
     ff = FunctionField(FieldTower(7, seed=0), 5)
@@ -486,11 +488,16 @@ def _nonlinear_pipeline(case, monkeypatch):
              "t1*t2": t[1] * t[2], "t3+t4^2": t[3] + t[4] ** 2,
              "t2*t3+1": t[2] * t[3] + c(1), "t0/(t1+1)": t[0] / (t[1] + c(1)),
              "(t0+t1)^2+3": (t[0] + t[1]) ** 2 + c(3)}
-    names, budget = case
-    cfg = cli.PipelineConfig({"p": 7, "ell": 3, "vars": 5, "budget": budget,
-                              "universe": [{"var": i} for i in range(5)]
-                              + [{"ratfunc": encode_ratfunc(named[n])}
-                                 for n in names.split(", ")]})
+    return PipelineConfig({"p": 7, "ell": 3, "vars": 5, "budget": budget,
+                           "universe": [{"var": i} for i in range(5)]
+                           + [{"ratfunc": encode_ratfunc(named[n])}
+                              for n in names.split(", ")]})
+
+
+def _nonlinear_pipeline(case, monkeypatch):
+    from milnork import cli, lattice
+
+    cfg = _nonlinear_config(*case)
     universes, fragments = [], []
     init = lattice.Universe.__init__
     quadratic_fragment = cli._quadratic_fragment
@@ -522,6 +529,41 @@ def _nonlinear_pipeline(case, monkeypatch):
                          ids=lambda case: "%s @%d" % case)
 def test_nonlinear_pipelines_are_pinned(case, monkeypatch):
     assert _nonlinear_pipeline(case, monkeypatch) == NONLINEAR_PIPELINES[case]
+
+
+@pytest.mark.parametrize("universe", ["acceptance", "candidate"])
+def test_mult_fragment_agrees_with_the_kring_stage(universe):
+    # MultFragment.from_symbols and the pipeline's kring stage decide each
+    # generator pair alike: a kernel vector exactly for the vanishing
+    # relations, the same certificates and the same unknown pairs
+    from milnork.abelcentral import MultFragment
+    from milnork.cli import PipelineConfig, _quadratic_fragment, build_universe
+    from milnork.jsonio import encode_certificate
+
+    if universe == "acceptance":
+        cfg = PipelineConfig({"p": 7, "ell": 3, "vars": 5, "budget": 64,
+                              "universe": list(ACCEPTANCE_UNIVERSE)})
+    else:
+        cfg = _nonlinear_config(CANDIDATE, 64)
+    ctx = cfg.context()
+    gens = [s.gen for s in build_universe(ctx, cfg)]
+    pairs = _quadratic_fragment(ctx, gens, cfg.budget)["pairs"]
+    mult = MultFragment.from_symbols(KContext(ctx.field, ctx.ell), gens,
+                                     budget=cfg.budget)
+    n = len(gens)
+    assert len(pairs) == n * (n - 1) // 2
+    for entry in pairs:
+        a, b = entry["pair"]
+        unit = [0] * linalg.wedge_dim(n)
+        unit[linalg.wedge_index(a, b, n)] = 1
+        assert mult.kernel.contains(tuple(unit)) == (entry["relation"] in (
+            "equal-classes", "vanishes-by-dimension")), entry["pair"]
+        cert = mult.certificates.get((a, b))
+        assert entry.get("certificate") == (
+            None if cert is None else encode_certificate(cert))
+    unknown = [e["pair"] for e in pairs if e["relation"] == "unknown"]
+    assert [list(p) for p in mult.unknown_pairs] == unknown
+    assert unknown == ([] if universe == "acceptance" else [[2, 7], [3, 7]])
 
 
 # certificate_search at budget 64 over the five fields below, each on a fresh

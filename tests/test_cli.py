@@ -224,6 +224,17 @@ def _bad_later_uniformizer():
             "den": {"vars": 5, "terms": [
                 {"exp": [0, 0, 0, 0, 0], "coef": ONE}]}}}])),
     ("symbol-eval", _bad_later_uniformizer()),
+    # an automatic universe that is no object, or whose fields have the
+    # wrong type or sign, and a tower seed that is no integer
+    *(("pipeline", dict(CONFIG5, **fields)) for fields in (
+        {"auto_universe": [1]}, {"auto_universe": "yes"},
+        {"auto_universe": None}, {"auto_universe": {"bertini_samples": "3"}},
+        {"auto_universe": {"bertini_samples": 2.5}},
+        {"auto_universe": {"bertini_samples": -1}},
+        {"auto_universe": {"bertini_samples": True}},
+        {"auto_universe": {"coordinates": 1}},
+        {"tower_seed": "x"}, {"tower_seed": [1, 2]}, {"tower_seed": 1.0},
+        {"tower_seed": True}, {"tower_seed": {"a": 1}})),
 ])
 def test_malformed_input_exits_3(tmp_path, capsys, command, payload):
     path = tmp_path / "bad.json"
@@ -274,6 +285,10 @@ FUZZ_BASES = {
     "roundtrip": dict(CONFIG5, permutation=[1, 0, 2, 3, 4],
                       universe=CONFIG5["universe"] + [
                           {"linear": {"0": 1, "1": 1}, "const": 2}]),
+    # a second pipeline payload, named by its command and a word
+    "pipeline auto": {"p": 7, "ell": 3, "vars": 5, "tower_seed": 3,
+                      "auto_universe": {"coordinates": True,
+                                        "bertini_samples": 2}},
 }
 JSON_VALUES = (None, True, 0, -1, 2.5, "x", [], {})
 BAD_DECLS = ({}, {"var": 5}, {"var": -1}, {"var": "0"}, {"var": 2.0},
@@ -302,8 +317,8 @@ def mutated_payloads(draw):
     the wrong length or with a negative entry, a coefficient list of the
     wrong length for its level, a bad universe declaration, a bad
     permutation."""
-    command = draw(st.sampled_from(sorted(FUZZ_BASES)))
-    payload = copy.deepcopy(FUZZ_BASES[command])
+    base = draw(st.sampled_from(sorted(FUZZ_BASES)))
+    payload = copy.deepcopy(FUZZ_BASES[base])
     for _ in range(draw(st.integers(0, 3))):
         kind = draw(st.sampled_from(("drop", "retype", "exp", "coeffs",
                                      "decl", "permutation")))
@@ -332,7 +347,7 @@ def mutated_payloads(draw):
         else:
             container[key] = draw(st.lists(st.integers(-3, 9), max_size=4)
                                   .filter(lambda v: len(v) != len(old)))
-    return command, payload
+    return base.split()[0], payload
 
 
 @settings(max_examples=150, deadline=None)
@@ -634,6 +649,16 @@ def test_pipeline_config_validation():
     cfg = PipelineConfig({"p": 7, "ell": 3, "vars": 4})
     with pytest.raises(ValueError):
         cfg.require_vars(5, "the full pipeline")
+
+
+def test_pipeline_auto_universe(run):
+    # the coordinates and three pencil samples t_i + t_j
+    payload = {"p": 7, "ell": 3, "vars": 5,
+               "auto_universe": {"bertini_samples": 3}}
+    code, out = run("pipeline", payload, extra=["--verify"])
+    assert code == EXIT_OK
+    assert out["config"]["universe_size"] == 8
+    assert all(v["pass"] for v in out["axiom_report"].values())
 
 
 def test_pipeline_nonlinear_universe_pins_its_unknown_set(run, monkeypatch):

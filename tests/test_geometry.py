@@ -453,3 +453,27 @@ def test_vector_geometry_flats_and_checks(config, data):
         transfer_isomorphism(lat1, lat2, node_map, g1, g2)
     assert exc.value.witness == {
         "reason": "closure broken", "A": sorted(n.label for n in extra)}
+
+
+def test_check_axioms_finds_the_minimal_flats_of_a_set_once():
+    # table_witness and cl ask for the same sets; each set's minimal flats
+    # are found by one scan of the flats through one of its points
+    points = _projective_points(2, 3)
+
+    def closure(subset):
+        rows = tuple(sorted(subset))
+        r = linalg.rank(rows, 2)
+        return frozenset(v for v in points if linalg.rank(rows + (v,), 2) == r)
+
+    geom = flats_by_covers(points, closure)
+    scans = []
+
+    class CountingScans(dict):
+        def __getitem__(self, point):
+            scans.append(point)
+            return dict.__getitem__(self, point)
+
+    geom._through = CountingScans(geom._through)
+    assert check_axioms(geom).all_pass()
+    asked = [s for s in geom._memo if s]
+    assert asked and len(scans) == len(asked)

@@ -387,6 +387,10 @@ def test_canonical_certificate_calls_no_certificate_search(ff5, monkeypatch):
     assert cert is not UNKNOWN and cert.replay()
 
 
+def test_canonical_certificate_is_the_certificate_search():
+    assert KContext.canonical_certificate is KContext.certificate_search
+
+
 def _spy_trials(ctx):
     """Record every trial a context tries."""
     trials = []
