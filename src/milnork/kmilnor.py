@@ -1008,11 +1008,15 @@ class KContext:
         """Three-valued equality in degree one, in closed form: EQUAL or
         DISTINCT when the ratio is constant, a monomial, or a function of one
         variable, else UNKNOWN.  No search is run: one could only certify
-        DISTINCT, and the callers act on EQUAL alone."""
+        DISTINCT, and the callers act on EQUAL alone.
+
+        RatFunc cancels only the monomial content, so a constant ratio is
+        one whose numerator is a constant multiple of its monic
+        denominator, as for (t0 + t1)/(2 t0 + 2 t1)."""
         if x.is_zero() or y.is_zero():
             raise ZeroEntry("classes of zero are undefined")
         ratio = x / y
-        if ratio.is_constant():
+        if ratio.num == ratio.den * ratio.num.leading()[1]:
             return EQUAL
         if len(ratio.num.terms) == 1 and len(ratio.den.terms) == 1:
             (en, _), = ratio.num.terms.items()

@@ -172,9 +172,10 @@ ACCEPTANCE_UNIVERSE = (
 # so that changes to the search or the arithmetic cannot move a byte of the
 # output unnoticed.  The tower is pinned on its own: the degree-two stage
 # reads only closed-form class equalities, runs no search, and so never
-# builds level 2.
+# builds level 2.  Pairs [8,14], [10,17], [11,15] and [12,19] have
+# proportional affine forms and read "equal-classes".
 CRITERION_5_SHA256 = (
-    "be6adab46b80a07db276334b90deaaf8791d4924acda64aad3c7ea58d9112852")
+    "fde6d1f746ccf82666f78508da41dcb5951142077987fc3b1976b3df186cc808")
 CRITERION_11_SHA256 = (
     "8cfd851933e7d5e8d15926ff9fb83e52ae34b42872a8b1be87e89f68a9456c35")
 PIPELINE_TOWER = {"levels": [{"level": 1, "modulus": [0, 1]}],

@@ -522,6 +522,23 @@ def test_kclass_compare(ctx2, ff2):
     assert ctx2.kclass_compare(t1, ff2.const(5) * t1) == EQUAL
 
 
+def test_proportional_polynomials_have_equal_classes(ctx2, ff2):
+    from milnork.kmilnor import EQUAL
+
+    # RatFunc cancels only the monomial content, so the quotient of
+    # t0 + t1 by 2 t0 + 2 t1 is kept as (4 t1 + 4 t0)/(t1 + t0); it is a
+    # constant all the same, and the pair's classes are equal, not merely
+    # vanishing by dimension
+    t0, t1 = ff2.var(0), ff2.var(1)
+    two = ff2.const(2)
+    x, y = t0 + t1, two * t0 + two * t1
+    assert not (x / y).is_constant()
+    assert ctx2.kclass_compare(x, y) == EQUAL
+    assert ctx2.kclass_compare(x + ff2.const(3), y + ff2.const(6)) == EQUAL
+    assert ctx2.pair_relation(x, y, 64) == ("equal-classes", None)
+    assert ctx2.kclass_compare(x, y + ff2.const(1)) is UNKNOWN
+
+
 def test_kclass_compare_runs_no_search(ctx2, ff2, monkeypatch):
     from milnork.kmilnor import DISTINCT, EQUAL
 
