@@ -114,7 +114,7 @@ def build_universe(ctx, config):
     gens = []
     for decl in config.universe_decl:
         gens.append(_decode_generator(field, decl))
-    if config.auto_universe:
+    if config.auto_universe is not None:
         if config.auto_universe.get("coordinates", True):
             for i in range(field.nvars):
                 gens.append(field.var(i))
@@ -276,7 +276,7 @@ def run_roundtrip(config, permutation):
             or sorted(permutation) != list(range(config.vars))):
         raise ValueError("the permutation must rearrange 0..%d"
                          % (config.vars - 1))
-    if config.auto_universe:
+    if config.auto_universe is not None:
         raise ValueError("roundtrip needs an explicit universe")
     config2 = PipelineConfig({
         "p": config.p, "ell": config.ell, "vars": config.vars,
@@ -345,7 +345,7 @@ def _pipeline_config(args, data):
     command-line values filling the fields it leaves out."""
     if not isinstance(data, dict):
         raise jsonio.InputError("the pipeline configuration must be an object")
-    for key in ("p", "ell", "vars", "seed", "budget", "workers"):
+    for key in "p ell vars seed tower_seed budget workers".split():
         data.setdefault(key, getattr(args, key))
     return PipelineConfig(data)
 

@@ -575,16 +575,22 @@ class KContext:
         in the span of the forms and e_0, ..., e_{i-1} exactly when some
         combination of the forms has its last nonzero entry at i, a
         trailing pivot: a pivot of the forms with their columns reversed.
-        So one reduction finds both the rank and the completion."""
-        n, p = self.nvars, self.field.p
-        _, pivots = linalg.rref(tuple(row[::-1] for row in rows), p)
-        if len(pivots) < len(rows):
+
+        So A^{-1} needs only the r x r minor M of the forms on the trailing
+        pivots Q: column k < r of T is M^{-1} e_k on Q, and the column of a
+        unit e_i is e_i - M^{-1} F_i, F_i the forms' entries at i.  Reduced
+        beside an identity, the forms leave M^{-1} there and M^{-1} F_i at i."""
+        n, p, r = self.nvars, self.field.p, len(rows)
+        reduced, pivots = linalg.rref(tuple(
+            tuple(row[::-1]) + e
+            for row, e in zip(rows, linalg.identity(r))), p)
+        if any(c >= n for c in pivots):
             return None
-        trailing = {n - 1 - c for c in pivots}
-        A = tuple(rows) + tuple(_unit_exponent(n, i) for i in range(n)
-                                if i not in trailing)
-        # form_k composed with T = A^{-1} is the k-th coordinate
-        return linalg.inverse(A, p)
+        free = [i for i in range(n) if n - 1 - i not in pivots]
+        T = {i: _unit_exponent(n, k) for k, i in enumerate(free, r)}
+        for row, c in zip(reduced, pivots):
+            T[n - 1 - c] = row[n:] + tuple(-row[n - 1 - i] % p for i in free)
+        return tuple(T[i] for i in range(n))
 
     def apply_transform(self, x, T):
         """Substitute t_i -> sum_j T[i][j] t_j in a rational function, by
@@ -676,15 +682,32 @@ class KContext:
         "equal-classes" (kclass_compare); "vanishes-by-dimension" when both
         lie in a field of transcendence degree below 2 (trdeg_upper);
         "independent" with a certificate of a nonzero {x, y}; or
-        "unknown"."""
+        "unknown".
+
+        A pair of linear entries (_linear_part) is decided by its rows and
+        constant terms alone: proportional rows vanish by dimension, with
+        equal classes when the constants are in the same ratio, and
+        independent rows give the straightened certificate."""
         _check_budget(budget)
-        if self.kclass_compare(x, y) == EQUAL:
-            return "equal-classes", None
-        if self.trdeg_upper([x, y]) < 2:
-            return "vanishes-by-dimension", None
+        rows = (self._linear_part(x), self._linear_part(y))
+        if None in rows:
+            if self.kclass_compare(x, y) == EQUAL:
+                return "equal-classes", None
+            if self.trdeg_upper([x, y]) < 2:
+                return "vanishes-by-dimension", None
+            transform = None
+        else:
+            transform = self._straightening_transform(rows)
+            if transform is None:
+                j = next(i for i, a in enumerate(rows[0]) if a)
+                origin = (0,) * self.nvars
+                cx, cy = (f.num.terms.get(origin, 0) for f in (x, y))
+                return ("equal-classes" if cx * rows[1][j] == cy * rows[0][j]
+                        else "vanishes-by-dimension"), None
         # the straightened trial, first in the search of a linear pair,
         # certifies it; with no budget the search has no trial at all
-        cert = self.straightened_certificate([x, y], False) if budget else None
+        cert = (self.straightened_certificate([x, y], False, transform)
+                if budget else None)
         if cert is None:
             cert = self.certificate_search([x, y], budget=budget)
         if cert is UNKNOWN:
@@ -1008,11 +1031,8 @@ class KContext:
         """Three-valued equality in degree one, in closed form: EQUAL or
         DISTINCT when the ratio is constant, a monomial, or a function of one
         variable, else UNKNOWN.  No search is run: one could only certify
-        DISTINCT, and the callers act on EQUAL alone.
-
-        RatFunc cancels only the monomial content, so a constant ratio is
-        one whose numerator is a constant multiple of its monic
-        denominator, as for (t0 + t1)/(2 t0 + 2 t1)."""
+        DISTINCT, and the callers act on EQUAL alone.  RatFunc cancels only
+        monomial content: (t0 + t1)/(2t0 + 2t1) is constant, yet unreduced."""
         if x.is_zero() or y.is_zero():
             raise ZeroEntry("classes of zero are undefined")
         ratio = x / y

@@ -224,7 +224,7 @@ class Universe:
         self._basis_cache = {}
         self._records = {}
         # the F_p echelon of each set recorded RANK, as (pivot column,
-        # reduced row, that row as a combination of the members) triples
+        # reduced row, that row as a {member: coefficient} combination)
         self._echelons = {frozenset(): ()}
         self._closure_cache = {}
         self._flats_by_rank = {}
@@ -313,23 +313,22 @@ class Universe:
                 echelon, rest = self._echelons[key - {i}], [i]
                 break
         for i in rest:
-            row = self._rows[i]
-            comb = [0] * len(self.subgroups)
-            comb[i] = 1
+            row, comb = self._rows[i], {i: 1}
             for pivot, erow, ecomb in echelon:
                 f = row[pivot]
                 if f:
                     row = [(a - f * b) % p for a, b in zip(row, erow)]
-                    comb = [(a - f * b) % p for a, b in zip(comb, ecomb)]
+                    for j, b in ecomb.items():
+                        comb[j] = (comb.get(j, 0) - f * b) % p
             lead = next((j for j, a in enumerate(row) if a), None)
             if lead is None:
                 members = sorted(key)
-                inv = pow(comb[max(j for j in members if comb[j])], -1, p)
-                return Record(False, RELATION,
-                              tuple(comb[j] * inv % p for j in members))
+                inv = pow(comb[max(j for j in comb if comb[j])], -1, p)
+                return Record(False, RELATION, tuple(
+                    comb.get(j, 0) * inv % p for j in members))
             inv = pow(row[lead], -1, p)
             echelon += ((lead, [a * inv % p for a in row],
-                         [a * inv % p for a in comb]),)
+                         {j: a * inv % p for j, a in comb.items()}),)
         self._echelons[key] = echelon
         return Record(True, RANK, None)
 

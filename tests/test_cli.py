@@ -661,6 +661,44 @@ def test_pipeline_auto_universe(run):
     assert all(v["pass"] for v in out["axiom_report"].values())
 
 
+def test_empty_auto_universe_takes_the_defaults(run, tmp_path, capsys):
+    # {} asks for the defaults, the coordinates and no pencil samples; it
+    # used to read as no automatic universe at all (exit 3)
+    config = {"p": 7, "ell": 3, "vars": 5, "auto_universe": {}}
+    code, out = run("pipeline", config, extra=["--verify"])
+    assert code == EXIT_OK
+    assert out["config"]["universe_size"] == 5
+    path = tmp_path / "roundtrip.json"
+    path.write_text(json.dumps(dict(config, permutation=[1, 0, 2, 3, 4])))
+    assert main(["roundtrip", str(path)]) == EXIT_FAILURE
+    assert "needs an explicit universe" in capsys.readouterr().err
+
+
+def test_tower_seed_flag_reaches_pipeline_and_roundtrip(run, monkeypatch):
+    # --tower-seed fills the configuration's tower_seed, and the
+    # configuration's own field wins over it
+    from milnork import cli
+
+    config = {"p": 7, "ell": 3, "vars": 5,
+              "universe": [{"var": i} for i in range(5)]}
+    for data, seed in ((config, 5), (dict(config, tower_seed=2), 2)):
+        code, out = run("pipeline", data, extra=["--tower-seed", "5"])
+        assert code == EXIT_OK and out["tower"]["seed"] == seed
+    seeds = []
+    roundtrip = cli.run_roundtrip
+
+    def spy(config, permutation):
+        seeds.append(config.tower_seed)
+        return roundtrip(config, permutation)
+
+    monkeypatch.setattr(cli, "run_roundtrip", spy)
+    for data in (config, dict(config, tower_seed=2)):
+        code, out = run("roundtrip", dict(data, permutation=[1, 0, 2, 3, 4]),
+                        extra=["--tower-seed", "5"])
+        assert code == EXIT_OK and out["lattices_isomorphic"]
+    assert seeds == [5, 2]
+
+
 def test_pipeline_nonlinear_universe_pins_its_unknown_set(run, monkeypatch):
     # the coordinates plus xy and (xy)^2: {xy, (xy)^2} is dependent with no
     # witness, so the recovery stops at it.  Every generator is a monomial,

@@ -314,6 +314,135 @@ def test_completion_takes_e0_beside_a_form_in_both_coordinates():
         ((1, 1), (1, 0)), 7)
 
 
+_MINOR_CONTEXTS = {}
+
+
+@st.composite
+def independent_row_sets(draw):
+    """r <= n <= 6 independent rows over F_p, p <= 13."""
+    p = draw(st.sampled_from((2, 3, 5, 7, 11, 13)))
+    n = draw(st.integers(1, 6))
+    r = draw(st.integers(1, n))
+    rows = draw(st.lists(st.tuples(*[st.integers(0, p - 1)] * n),
+                         min_size=r, max_size=r))
+    assume(linalg.rank(tuple(rows), p) == r)
+    return p, n, rows
+
+
+def _minor_context(p, n):
+    if (p, n) not in _MINOR_CONTEXTS:
+        _MINOR_CONTEXTS[p, n] = KContext(
+            FunctionField(FieldTower(p, seed=0), n), 3 if p != 3 else 2)
+    return _MINOR_CONTEXTS[p, n]
+
+
+@settings(max_examples=300, deadline=None)
+@given(independent_row_sets())
+def test_transform_from_the_minor_is_the_inverse_of_the_completed_basis(case):
+    # T, read off the r x r minor on the trailing pivots, is the n x n
+    # inverse of the forms completed by unit vectors
+    p, n, rows = case
+    A = _greedy_completion(rows, n, p)
+    T = _minor_context(p, n)._straightening_transform(rows)
+    assert T == linalg.inverse(A, p)
+    assert linalg.mat_mul(A, T, p) == linalg.identity(n)
+
+
+def _inverse_straightening(self, rows):
+    """The straightening as the n x n inverse of the greedy completion."""
+    n, p = self.nvars, self.field.p
+    if linalg.rank(tuple(rows), p) < len(rows):
+        return None
+    return linalg.inverse(_greedy_completion(rows, n, p), p)
+
+
+class GeneralPolicy(GenericTrials):
+    """The general per-pair policy, with the straightening inverted and
+    substituted rather than read off the minor and written down."""
+
+    _straightening_transform = _inverse_straightening
+
+    def pair_relation(self, x, y, budget):
+        if self.kclass_compare(x, y) == kmilnor.EQUAL:
+            return "equal-classes", None
+        if self.trdeg_upper([x, y]) < 2:
+            return "vanishes-by-dimension", None
+        cert = self.certificate_search([x, y], budget=budget)
+        return ("unknown", None) if cert is UNKNOWN else ("independent", cert)
+
+
+class ClosedForm(KContext):
+    """A context whose pair of linear entries must be decided without
+    kclass_compare or trdeg_upper."""
+
+    def kclass_compare(self, x, y):
+        raise AssertionError("kclass_compare on a linear pair")
+
+    def trdeg_upper(self, gens):
+        raise AssertionError("trdeg_upper on a linear pair")
+
+
+@st.composite
+def linear_pairs(draw):
+    """Two linear entries, forms over the prime field with an optional
+    constant at level one or two, over a constant denominator other than
+    1: the second a constant multiple of the first or of the same
+    direction with another constant, both in one coordinate or in any, or
+    two independent forms; and a budget of 0 or 64."""
+    p = draw(st.sampled_from(sorted(SEARCH_FIELDS)))
+    ff, ell = SEARCH_FIELDS[p]
+    tower = ff.tower
+    kind = draw(st.sampled_from(("proportional", "same direction",
+                                 "independent")))
+    support = tuple(range(NV))
+    if kind != "independent":
+        support = draw(st.sampled_from(((0,), (2,), support)))
+    constant = st.one_of(
+        st.just(tower.zero()),
+        st.integers(1, p - 1).map(tower.from_int),
+        st.integers(1, p * p - 1).map(lambda k: tower.element_from_index(2, k)))
+
+    def form():
+        row = [draw(st.integers(0, p - 1)) if j in support else 0
+               for j in range(NV)]
+        assume(any(row))
+        return row
+
+    def entry(row, c):
+        terms = {_unit(j): tower.from_int(a) for j, a in enumerate(row) if a}
+        if c:
+            terms[(0,) * NV] = c
+        den = tower.from_int(draw(st.integers(1, p - 1)))
+        return RatFunc(SparsePoly(NV, terms), SparsePoly.constant(NV, den))
+
+    rx, cx = form(), draw(constant)
+    if kind == "independent":
+        ry, cy = form(), draw(constant)
+        assume(linalg.rank((tuple(rx), tuple(ry)), p) == 2)
+    else:
+        a = draw(st.integers(1, p - 1))
+        ry = [a * b % p for b in rx]
+        cy = (cx * tower.from_int(a) if kind == "proportional"
+              else draw(constant))
+    return ff, ell, entry(rx, cx), entry(ry, cy), draw(st.sampled_from((0, 64)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(linear_pairs())
+def test_linear_pair_relation_matches_the_general_policy(case):
+    # two rows and two constant terms give the relation and the encoded
+    # certificate of equal classes, then dimension, then the search
+    ff, ell, x, y, budget = case
+    got = ClosedForm(ff, ell).pair_relation(x, y, budget)
+    want = GeneralPolicy(ff, ell).pair_relation(x, y, budget)
+    assert got[0] == want[0]
+    assert (got[1] is None) == (want[1] is None)
+    if got[1] is not None:
+        assert got[1].replay()
+        assert (canonical_json(encode_certificate(got[1]))
+                == canonical_json(encode_certificate(want[1])))
+
+
 def test_chain_memo_stays_within_its_bound(monkeypatch):
     monkeypatch.setattr(kmilnor, "TRIAL_CACHE_LIMIT", 4)
     ctx = KContext(FIELD, 3)

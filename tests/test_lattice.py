@@ -369,16 +369,36 @@ def test_kept_echelons_match_fresh_reduction(case, squares):
         if echelon is None:
             continue
         # an echelon of the set's rows: one row per member, each the
-        # combination of the members it records, 1 at its pivot and 0 at
-        # the pivots before it, and together of full rank
+        # combination of the members it records (a map from members to
+        # coefficients, over members of the set only), 1 at its pivot and
+        # 0 at the pivots before it, and together of full rank
         assert len(echelon) == len(key)
         for k, (pivot, row, comb) in enumerate(echelon):
-            assert not any(c for i, c in enumerate(comb) if i not in key)
-            assert list(row) == [sum(comb[i] * rows[i][v] for i in key) % p
-                                 for v in range(nvars)]
+            assert set(comb) <= key
+            assert list(row) == [sum(c * rows[i][v] for i, c in comb.items())
+                                 % p for v in range(nvars)]
             assert row[pivot] == 1
             assert not any(row[q] for q, _, _ in echelon[:k])
         assert linalg.rank(tuple(row for _, row, _ in echelon), p) == len(key)
+
+
+@settings(max_examples=20, deadline=None)
+@given(linear_universes())
+def test_kept_echelon_records_match_a_fresh_universe(case):
+    # every record a universe kept while it answered rank and closure
+    # queries, most of them from a kept echelon one member smaller, is the
+    # record a fresh universe gives the set alone, reduced from the empty
+    # echelon in index order
+    p, nvars, rows, consts, queries = case
+    ctx = _linear_context(p, nvars)
+    subs = [RationalSubgroup(ctx, g, "g%d" % j)
+            for j, g in enumerate(_linear_gens(ctx.field, rows, consts))]
+    uni = Universe(ctx, subs, budget=64)
+    for key in queries:
+        uni.closure(key)
+    for key, rec in uni._records.items():
+        fresh = Universe(ctx, subs, budget=64)
+        assert fresh._decide_linear(key) == rec, sorted(key)
 
 
 def _nonlinear_universe(ctx5, ff5, budget=48):
