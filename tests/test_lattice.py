@@ -362,8 +362,11 @@ def test_kept_echelons_match_fresh_reduction(case, squares):
         if any(i >= len(rows) for i in key):
             continue
         members = [rows[i] for i in sorted(key)]
-        # the witness of every linear record is the fresh kernel vector
+        # the witness of every linear record is the fresh kernel vector,
+        # and the record is the one a fresh universe gives the set alone,
+        # reduced from the empty echelon in index order
         assert rec.witness == lattice._relation(members, p), sorted(key)
+        assert Universe(ctx, subs)._decide_linear(key) == rec, sorted(key)
         echelon = uni._echelons.get(key)
         assert (echelon is not None) == (rec.how == RANK), sorted(key)
         if echelon is None:
@@ -380,25 +383,6 @@ def test_kept_echelons_match_fresh_reduction(case, squares):
             assert row[pivot] == 1
             assert not any(row[q] for q, _, _ in echelon[:k])
         assert linalg.rank(tuple(row for _, row, _ in echelon), p) == len(key)
-
-
-@settings(max_examples=20, deadline=None)
-@given(linear_universes())
-def test_kept_echelon_records_match_a_fresh_universe(case):
-    # every record a universe kept while it answered rank and closure
-    # queries, most of them from a kept echelon one member smaller, is the
-    # record a fresh universe gives the set alone, reduced from the empty
-    # echelon in index order
-    p, nvars, rows, consts, queries = case
-    ctx = _linear_context(p, nvars)
-    subs = [RationalSubgroup(ctx, g, "g%d" % j)
-            for j, g in enumerate(_linear_gens(ctx.field, rows, consts))]
-    uni = Universe(ctx, subs, budget=64)
-    for key in queries:
-        uni.closure(key)
-    for key, rec in uni._records.items():
-        fresh = Universe(ctx, subs, budget=64)
-        assert fresh._decide_linear(key) == rec, sorted(key)
 
 
 def _nonlinear_universe(ctx5, ff5, budget=48):
