@@ -10,6 +10,7 @@ worker count is.
 """
 
 import argparse
+import copy
 import itertools
 import json
 import sys
@@ -36,6 +37,7 @@ from .lattice import (
     delta_set,
     div_ell,
     epsilon_rigidity_check,
+    milnor_dim_bounds,
     recover_rank_1,
     recover_rank_r,
 )
@@ -278,12 +280,9 @@ def run_roundtrip(config, permutation):
                          % (config.vars - 1))
     if config.auto_universe is not None:
         raise ValueError("roundtrip needs an explicit universe")
-    config2 = PipelineConfig({
-        "p": config.p, "ell": config.ell, "vars": config.vars,
-        "seed": config.seed, "tower_seed": config.tower_seed,
-        "budget": config.budget, "workers": config.workers,
-        "universe": [_permute_decl(d, permutation) for d in config.universe_decl],
-    })
+    config2 = copy.copy(config)
+    config2.universe_decl = [_permute_decl(d, permutation)
+                             for d in config.universe_decl]
     artifacts1, (ctx1, uni1, lat1, g1) = run_pipeline(config)
     artifacts2, (ctx2, uni2, lat2, g2) = run_pipeline(config2)
     # declaration i maps to declaration i, so sources correspond by index
@@ -407,7 +406,7 @@ def cmd_dim(args):
     data = _load_input(args)
     gens = [jsonio.decode_ratfunc(ctx.field, e)
             for e in jsonio.field(data, "generators", "dim input", list)]
-    lo, hi = ctx.milnor_dim_bounds(gens, budget=args.budget)
+    lo, hi = milnor_dim_bounds(ctx, gens, budget=args.budget)
     _emit(args, {"lower": lo, "upper": hi})
     return EXIT_OK if lo == hi else EXIT_UNKNOWN
 
@@ -496,18 +495,10 @@ def cmd_rigidity(args):
     out = epsilon_rigidity_check(phi, inst)
     if isinstance(out, CounterexampleReport):
         _emit(args, {"result": "rejected", "kind": out.kind,
-                     "details": _plain(out.details)})
+                     "details": jsonio.plain(out.details)})
         return EXIT_FAILURE
     _emit(args, {"result": "epsilon", "epsilon": out})
     return EXIT_OK
-
-
-def _plain(obj):
-    if isinstance(obj, dict):
-        return {str(k): _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple, set, frozenset)):
-        return [_plain(x) for x in obj]
-    return obj
 
 
 def cmd_geometry_check(args):
@@ -567,7 +558,7 @@ def cmd_duality_check(args):
     try:
         rep = duality_check(mult, G)
     except Mismatch as e:
-        _emit(args, {"passed": False, "witness": _plain(e.witness)})
+        _emit(args, {"passed": False, "witness": jsonio.plain(e.witness)})
         return EXIT_FAILURE
     _emit(args, {"passed": True, "kernel_dim": rep["kernel_dim"]})
     return EXIT_OK
@@ -643,14 +634,24 @@ def cmd_roundtrip(args):
     try:
         out = run_roundtrip(config, perm)
     except TransferMismatch as e:
-        _emit(args, {"error": "transfer-mismatch", "witness": _plain(e.witness)})
+        _emit(args, {"error": "transfer-mismatch",
+                     "witness": jsonio.plain(e.witness)})
         return EXIT_FAILURE
     _emit(args, out)
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """A malformed command line is malformed input, exit 3 with one
+    error: line, where argparse would exit 2, the code of an unknown
+    answer; --help still exits 0."""
+
+    def error(self, message):
+        raise jsonio.InputError(message)
+
+
 def build_parser():
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="milnork",
         description="Exact mod-l Milnor K-theory and reconstruction recipes "
                     "over rational function fields on a closure of F_p.")
@@ -691,8 +692,8 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (ValueError, RuntimeError) as e:
         sys.stderr.write("error: %s\n" % e)

@@ -1360,9 +1360,6 @@ class FunctionField:
                 out[tuple(ne)] = c
         return SparsePoly(self.nvars, out)
 
-    def value(self, f, v):
-        return self.order_and_residue(f, v)[0]
-
     def univariate_roots(self, f):
         """All roots of a one-variable polynomial in the closure, with
         multiplicities.  The sum of the multiplicities is the degree."""

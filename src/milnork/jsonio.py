@@ -66,6 +66,16 @@ def canonical_json(obj):
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
+def plain(obj):
+    """obj with every dict key a string and every tuple or set a list, as
+    canonical_json takes it."""
+    if isinstance(obj, dict):
+        return {str(k): plain(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple, set, frozenset)):
+        return [plain(x) for x in obj]
+    return obj
+
+
 def encode_ground(x):
     return {"level": x.level, "coeffs": list(x.coeffs)}
 

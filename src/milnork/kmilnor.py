@@ -667,7 +667,7 @@ class KContext:
         if rows is not None and straight is None:
             # witnessed dependence: the symbol vanishes
             return UNKNOWN
-        search = _Search(elements, straight, linear)
+        search = _Search(elements, linear)
         trials = self._trials(elements, straight, shifts and linear, shifts)
         for trial in itertools.islice(trials, budget):
             cert = self._try_trial(search, trial)
@@ -941,16 +941,7 @@ class KContext:
         """Transcendence degree lower bound via the rank of the Jacobian of
         the Frobenius-stripped generators; exact fraction-free elimination.
         Full rank proves independence; a rank below the number of
-        generators proves nothing in characteristic p (see trdeg_upper).
-
-        When every nonconstant generator is linear in the sense of
-        _linear_part, its Jacobian row is its prime-field coefficient vector
-        divided by its constant denominator, and a linear form is never a
-        p-th power, so the rank is the F_p rank of those vectors: a matrix
-        over F_p has the same rank over every extension field."""
-        rows = [self._linear_part(g) for g in gens if not g.is_constant()]
-        if None not in rows:
-            return linalg.rank(tuple(rows), self.field.p)
+        generators proves nothing in characteristic p (see trdeg_upper)."""
         key = tuple(sorted(g.key() for g in gens))
         cached = self._jacobian_cache.get(key)
         if cached is not None:
@@ -989,42 +980,6 @@ class KContext:
         used = set().union(*(g.vars_used() for g in gens))
         return min(len(gens), len(used))
 
-    def milnor_dim_bounds(self, gens, trdeg=None, budget=64):
-        """(certified lower, witnessed upper) for the span of the given
-        classes.  The upper bound is trdeg_upper of the generators, a bound
-        on the transcendence degree of the field they cut out; degree-s
-        symbols vanish above it.
-
-        Subsets whose own trdeg_upper is below the target degree cannot
-        carry a nonzero symbol of that degree and are skipped, so the search
-        never burns its budget on provably dependent tuples."""
-        _check_budget(budget)
-        d = self.nvars if trdeg is None else trdeg
-        gens = [g for g in gens if not g.is_constant()]
-        if not gens:
-            return 0, 0
-        upper = min(d, self.trdeg_upper(gens))
-        if upper == 0:
-            return 0, 0
-        lower = 0
-        for r in range(upper, 0, -1):
-            found = False
-            for subset in itertools.combinations(range(len(gens)), r):
-                chosen = [gens[i] for i in subset]
-                if r > 1 and self.trdeg_upper(chosen) < r:
-                    continue
-                # translates of each generator stay in its own subfield, so
-                # shifted certificates witness the subfield-span dimension
-                cert = self.certificate_search(chosen, budget=budget,
-                                               shifts=True)
-                if cert is not UNKNOWN:
-                    found = True
-                    break
-            if found:
-                lower = r
-                break
-        return lower, upper
-
     # -- degree-1 class comparison --------------------------------------------
 
     def kclass_compare(self, x, y):
@@ -1056,18 +1011,15 @@ class KContext:
 
 
 class _Search:
-    """What the trials of one search share: its elements; the
-    straightening when every entry has an inner form (None otherwise) and
-    the straightened entries (_straightened), written down once; whether
-    every entry is linear; and the chain centre _snap_center gave each
-    (entry key, variable), so that the roots of an entry are found once per
-    search."""
+    """What the trials of one search share: its elements; whether every
+    entry is linear; the straightened entries (_straightened), written down
+    once; and the chain centre _snap_center gave each (entry key,
+    variable), so that the roots of an entry are found once per search."""
 
-    __slots__ = ("elements", "straight", "linear", "images", "snaps")
+    __slots__ = ("elements", "linear", "images", "snaps")
 
-    def __init__(self, elements, straight=None, linear=False):
+    def __init__(self, elements, linear=False):
         self.elements = elements
-        self.straight = straight
         self.linear = linear
         self.images = None
         self.snaps = {}

@@ -15,7 +15,7 @@ import random
 
 from . import geometry, linalg
 from .groundfield import INF, CoordValuation, FunctionField, RatFunc
-from .kmilnor import UNKNOWN, _univariate_divisor
+from .kmilnor import UNKNOWN, _check_budget, _univariate_divisor
 
 
 class ZeroInput(ValueError):
@@ -149,9 +149,37 @@ def omega(ctx, generators, label=None, budget=64):
             raise ZeroInput("omega of zero")
         if not g.is_constant():
             gens.append(g)
-    lo, hi = ctx.milnor_dim_bounds(gens, budget=budget)
+    lo, hi = milnor_dim_bounds(ctx, gens, budget=budget)
     rank = lo if lo == hi else None
     return SubgroupFragment(label or "omega", gens, rank)
+
+
+def milnor_dim_bounds(ctx, gens, budget=64):
+    """(certified lower, witnessed upper) for the span of the classes of
+    the nonconstant generators, read off a Universe on them.
+
+    The generators are walked in order, each kept when independent of
+    those kept before.  The kept ones are certified independent, so their
+    number is the lower bound.  A member with a witnessed dependence on
+    those kept before it raises no rank, and each member left unknown
+    raises it by at most one, so the upper bound is the basis plus the
+    unknown members; when there are any, it is capped by
+    KContext.trdeg_upper of the generators.  A negative budget raises
+    ValueError, as linear members never reach a search that would."""
+    _check_budget(budget)
+    universe = Universe(ctx, [RationalSubgroup(ctx, g) for g in gens
+                              if not g.is_constant()], budget=budget)
+    basis, unknown = [], 0
+    for i in range(len(universe)):
+        try:
+            if universe.independent(basis + [i]):
+                basis.append(i)
+        except DimUnknown:
+            unknown += 1
+    upper = len(basis) + unknown
+    if unknown:
+        upper = min(upper, ctx.trdeg_upper(gens))
+    return len(basis), upper
 
 
 class Record(collections.namedtuple("Record", "answer how witness")):
@@ -207,8 +235,8 @@ class Universe:
     linearly independent.  Each independent linear set keeps its F_p
     echelon, so a set that adds one member to such a set is decided by
     reducing that member's row against it alone, and a dependent one gets
-    its relation from the same reduction; in a universe of linear members,
-    Universe.closure asks one such set per member.
+    its relation from the same reduction.  Universe.closure asks one set per
+    member, a basis of the set plus that member.
 
     For sets with a nonlinear member, one certificate answers many queries.
     A nonzero symbol has nonzero sub-symbols, {a,b,c} = {a,b}.{c}, so every
@@ -433,14 +461,10 @@ class Universe:
     def closure(self, indices):
         """All universe subgroups that do not raise the rank of the set.
 
-        In a universe of linear members, a member i outside the set lies in
-        its closure exactly when a basis B of the set plus i is dependent: by
-        exchange (Oxley, Matroid Theory, ch. 1) the set plus i has the rank
-        of B plus i, so each member costs one independence answer rather
-        than a greedy basis.  With a nonlinear member the answers come from
-        searches that can run out of budget, and which sets are asked
-        decides which searches run and which sets stay unknown; there each
-        member still costs the greedy rank of the set plus i.
+        A member i outside the set lies in its closure exactly when a basis
+        B of the set plus i is dependent: by exchange (Oxley, Matroid
+        Theory, ch. 1) the set plus i has the rank of B plus i, so each
+        member costs one independence answer rather than a greedy basis.
 
         A computed flat of the same rank containing the set already is its
         closure, so the covers that Universe.flats and the pipeline geometry
@@ -455,12 +479,8 @@ class Universe:
             if base <= flat:
                 self._closure_cache[base] = flat
                 return flat
-        if None not in self._rows:
-            out = frozenset(i for i in range(len(self.subgroups))
-                            if i in base or not self.independent(b + (i,)))
-        else:
-            out = frozenset(i for i in range(len(self.subgroups))
-                            if i in base or self.rank(base | {i}) == r)
+        out = frozenset(i for i in range(len(self.subgroups))
+                        if i in base or not self.independent(b + (i,)))
         self._closure_cache[base] = out
         self._closure_cache[out] = out
         self._flats_by_rank.setdefault(r, []).append(out)
@@ -757,7 +777,7 @@ class LatticeFragment:
                     "rank": n.rank,
                     "generators": [encode(g) for g in n.generators],
                     "sources": sorted(n.sources) if n.sources is not None else None,
-                    "provenance": _jsonable(n.provenance),
+                    "provenance": jsonio.plain(n.provenance),
                 }
                 for n in self.nodes
             ],
@@ -777,14 +797,6 @@ class LatticeFragment:
             lines.append("  n%d -> n%d;" % (i, j))
         lines.append("}")
         return "\n".join(lines)
-
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in sorted(obj.items(), key=lambda kv: str(kv[0]))}
-    if isinstance(obj, (list, tuple, set, frozenset)):
-        return [_jsonable(v) for v in obj]
-    return obj
 
 
 # ---------------------------------------------------------------------------

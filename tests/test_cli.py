@@ -235,6 +235,12 @@ def _bad_later_uniformizer():
         {"auto_universe": {"coordinates": 1}},
         {"tower_seed": "x"}, {"tower_seed": [1, 2]}, {"tower_seed": 1.0},
         {"tower_seed": True}, {"tower_seed": {"a": 1}})),
+    # a malformed command line: argparse's own exit would be 2, the code
+    # of an unknown answer
+    ("--budget=x dim", {"generators": [X0]}),
+    ("--no-such-flag dim", {"generators": [X0]}),
+    ("dim --no-such-flag", {"generators": [X0]}),
+    ("no-such-command", {}),
 ])
 def test_malformed_input_exits_3(tmp_path, capsys, command, payload):
     path = tmp_path / "bad.json"
@@ -425,6 +431,22 @@ def test_dim(run, enc2):
     code, out = run("dim", payload, extra=["--vars", "2"])
     assert code == EXIT_OK
     assert out == {"lower": 2, "upper": 2}
+    # x and x + 1 have an F_p relation, a witnessed dependence, so x, x + 1
+    # and y*z span 2, below the 3 variables they use
+    ff3 = FunctionField(tw, 3)
+    x, y, z = (ff3.var(i) for i in range(3))
+    payload = {"generators": [encode_ratfunc(g)
+                              for g in (x, x + ff3.const(1), y * z)]}
+    code, out = run("dim", payload, extra=["--vars", "3"])
+    assert code == EXIT_OK
+    assert out == {"lower": 2, "upper": 2}
+
+
+def test_help_exits_0(capsys):
+    # malformed command lines exit 3, but asking for help is no error
+    with pytest.raises(SystemExit) as e:
+        main(["--help"])
+    assert e.value.code == 0 and "usage:" in capsys.readouterr().out
 
 
 def test_lattice_build(run, enc2):
@@ -627,6 +649,18 @@ def test_out_flag_writes_canonical_json(tmp_path):
     assert code == EXIT_OK
     text = dst.read_text()
     assert text.endswith("\n") and '"lower":0' in text.replace(" ", "")
+
+
+def test_roundtrip_keeps_max_rank(run):
+    # both runs recover the rank-4 layer: a permuted run that dropped
+    # max_rank would miss its flat [0, 1, 2, 3, 5, 6] (exit 3)
+    payload = {"p": 7, "ell": 3, "vars": 5, "max_rank": 4,
+               "universe": [{"var": i} for i in range(5)]
+               + [{"linear": {"0": 1, "1": 1}}, {"linear": {"2": 1, "3": 1}}],
+               "permutation": [4, 0, 1, 2, 3]}
+    code, out = run("roundtrip", payload)
+    assert code == EXIT_OK, out
+    assert out["lattices_isomorphic"] and out["points_transferred"] == 7
 
 
 def test_roundtrip_identity_permutation(run):

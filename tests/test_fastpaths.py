@@ -40,27 +40,6 @@ def _generic_jacobian_rank(gens):
     return _poly_matrix_rank(rows)
 
 
-ground = st.one_of(
-    st.integers(0, P - 1).map(TOWER.from_int),
-    st.integers(0, P * P - 1).map(lambda k: TOWER.element_from_index(2, k)))
-nonzero_ground = ground.filter(bool)
-
-
-@st.composite
-def prime_linear_entries(draw):
-    """A nonconstant linear form over the prime field, over a constant."""
-    terms = {}
-    for j in range(NV):
-        c = draw(st.integers(0, P - 1))
-        if c:
-            terms[_unit(j)] = TOWER.from_int(c)
-    assume(terms)
-    if draw(st.booleans()):
-        terms[(0,) * NV] = draw(nonzero_ground)
-    return RatFunc(SparsePoly(NV, terms),
-                   SparsePoly.constant(NV, draw(nonzero_ground)))
-
-
 @pytest.mark.parametrize("center", [
     0, 3, TOWER.from_int(5), TOWER.element(2, (0, 0)),
     TOWER.element(2, (4, 1)), TOWER.element(2, (0, 6)), INF])
@@ -72,14 +51,6 @@ def test_uniformizer_matches_generic(var, center):
     else:
         expected = FIELD.var(var) - FIELD.const(v.center)
     _same(FIELD.uniformizer(v), expected)
-
-
-@settings(max_examples=150, deadline=None)
-@given(st.lists(prime_linear_entries(), min_size=1, max_size=4),
-       st.lists(ground.map(FIELD.const), max_size=1))
-def test_linear_jacobian_rank_matches_fraction_free(gens, consts):
-    gens = gens + consts
-    assert CTX.jacobian_rank(gens) == _generic_jacobian_rank(gens)
 
 
 def test_jacobian_rank_mixed_generators_take_generic_path():
@@ -104,9 +75,9 @@ class GenericTrials(KContext):
     the shift by _value_at_origin, centres by _snap_center."""
 
     def _try_trial(self, search, trial):
-        generic = _Search(search.elements, search.straight)
-        if search.straight is not None:
-            generic.images = [self.apply_transform(x, search.straight)
+        generic, transform = _Search(search.elements), trial[2]
+        if transform is not None:
+            generic.images = [self.apply_transform(x, transform)
                               for x in search.elements]
         return super()._try_trial(generic, trial)
 

@@ -459,8 +459,10 @@ def test_failed_extension_falls_back_to_the_set(ctx5, ff5, monkeypatch):
 
 
 def test_recover_rank_r_against_brute_force(ctx5, ff5):
-    # oracle: enumerate all subsets, compute dimensions, keep the maximal
-    # ones of each dimension
+    # oracle: enumerate all subsets, take the F_p rank of their rows (the
+    # generators are linear forms), keep the maximal ones of each dimension
+    rows = [(1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 1, 0, 0),
+            (1, 1, 0, 0, 0), (0, 1, 1, 0, 0)]
     gens = [ff5.var(0), ff5.var(1), ff5.var(2),
             ff5.var(0) + ff5.var(1), ff5.var(1) + ff5.var(2)]
     subs = [RationalSubgroup(ctx5, g, "g%d" % i) for i, g in enumerate(gens)]
@@ -471,9 +473,8 @@ def test_recover_rank_r_against_brute_force(ctx5, ff5):
     dims = {}
     for r in range(1, 6):
         for sub in itertools.combinations(range(5), r):
-            lo, hi = ctx5.milnor_dim_bounds([gens[i] for i in sub], budget=48)
-            assert lo == hi
-            dims[frozenset(sub)] = lo
+            dims[frozenset(sub)] = linalg.rank(
+                tuple(rows[i] for i in sub), ff5.p)
     for r, got in ((2, got2), (3, got3)):
         expected = set()
         with_dim = [s for s, d in dims.items() if d == r]
