@@ -459,10 +459,7 @@ def cmd_delta(args):
     gen = jsonio.decode_ratfunc(ctx.field,
                                 jsonio.field(data, "generator", what, dict))
     A = RationalSubgroup(ctx, gen)
-    vals = [ctx.field.valuation(
-                jsonio.field(v, "var", "a valuation", int),
-                jsonio.decode_center(ctx.field.tower,
-                                     jsonio.field(v, "center", "a valuation")))
+    vals = [jsonio.decode_valuation(ctx.field, v, "a valuation")
             for v in jsonio.field(data, "valuations", what, list)]
     ds = delta_set(A, vals)
     _emit(args, {
@@ -520,8 +517,10 @@ def cmd_lcl_eval(args):
         raise jsonio.InputError(
             "the closure table is not a closure operator: %s"
             % json.dumps(geom_mod.encode_witness(witness)))
-    free, rows = geom_mod.eval_lcl(geometry, jsonio.field(data, "formula", what),
-                                   params=data.get("params"))
+    params = (jsonio.field(data, "params", what, dict) if "params" in data
+              else None)
+    free, rows = geom_mod.eval_lcl(
+        geometry, jsonio.field(data, "formula", what, str), params=params)
     _emit(args, {"free": free, "tuples": sorted(map(list, rows))})
     return EXIT_OK
 

@@ -286,10 +286,10 @@ def parse_formula(text):
         pos += 1
         if tok == "(":
             items = []
-            while tokens[pos] != ")":
+            while pos < len(tokens) and tokens[pos] != ")":
                 items.append(read())
-                if pos >= len(tokens):
-                    raise ValueError("unbalanced formula")
+            if pos >= len(tokens) or not items:
+                raise ValueError("unbalanced or empty formula")
             pos += 1
             return tuple(items)
         if tok == ")":
@@ -368,7 +368,7 @@ def eval_lcl(geom, formula, params=None):
     ast = parse_formula(formula) if isinstance(formula, str) else formula
     env = dict(params or {})
     point_set = set(geom.points)
-    for v in env.values():
+    for v in _point_list(list(env.values()), "the parameter values"):
         if v not in point_set:
             raise ValueError("parameter %r outside the universe" % (v,))
     free = sorted(v for v in _free_vars(ast, set(env))

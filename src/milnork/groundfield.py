@@ -10,6 +10,8 @@ construction.  Elements never leave exact arithmetic.
 import random
 from math import gcd
 
+from . import linalg
+
 
 class LevelError(ValueError):
     """Embedding requested between incomparable tower levels."""
@@ -286,17 +288,14 @@ class FieldTower:
                 power += [zero_old] * (e - len(power))
             # minimal polynomial: solve flat(z^new_top) = sum c_k flat(z^k)
             target = tuple(v for blk in power for v in blk)
-            from . import linalg
-
-            A = linalg.transpose(tuple(flat_rows))
-            if linalg.rank(flat_rows, p) < new_top:
+            # columns are z^k in the tensor basis; singular when z is not
+            # primitive
+            try:
+                zinv = linalg.inverse(linalg.transpose(tuple(flat_rows)), p)
+            except ValueError:
                 continue
-            sol = linalg.solve(A, target, p)
-            if sol is None:
-                continue
+            sol = linalg.mat_vec(zinv, target, p)
             minpoly = [(-s) % p for s in sol] + [1]
-            zmat = A  # columns are z^k in the tensor basis
-            zinv = linalg.inverse(zmat, p)
             self._levels[new_top] = minpoly
             self._construction_log.append({"level": new_top, "modulus": list(minpoly)})
             # refresh generator images: everything factored through the old top
@@ -696,8 +695,6 @@ class FieldTower:
         return acc
 
     def _embed_solver(self, M):
-        from . import linalg
-
         T = self.top
         key = (M, T)
         cached = self._embed_solvers.get(key)

@@ -7,7 +7,7 @@ newline; byte-identical output is part of the pipeline contract.
 import json
 
 from . import linalg
-from .groundfield import INF, CoordValuation, RatFunc, SparsePoly
+from .groundfield import INF, RatFunc, SparsePoly, is_prime
 from .kmilnor import Certificate, ParshinChain, Symbol
 
 
@@ -40,10 +40,10 @@ def field(data, name, what, kind=None):
 
 
 def modulus(data, what):
-    """The 'ell' field: an integer of at least 2; InputError otherwise."""
+    """The 'ell' field: a prime; InputError otherwise."""
     ell = field(data, "ell", what, int)
-    if ell < 2:
-        raise InputError("the 'ell' field of %s must be at least 2" % what)
+    if not is_prime(ell):
+        raise InputError("the 'ell' field of %s must be a prime" % what)
     return ell
 
 
@@ -150,20 +150,35 @@ def encode_chain(chain):
     }
 
 
+def decode_valuation(ff, data, what):
+    """The valuation t_var = center that data names, its variable in
+    0..vars-1; InputError otherwise."""
+    var = field(data, "var", what, int)
+    if not 0 <= var < ff.nvars:
+        raise InputError("%s names a variable outside 0..%d"
+                         % (what, ff.nvars - 1))
+    return ff.valuation(var, decode_center(ff.tower,
+                                           field(data, "center", what)))
+
+
 def decode_chain(ff, data):
     what = "a Parshin chain"
-    steps = [CoordValuation(field(s, "var", "a chain step", int),
-                            decode_center(ff.tower,
-                                          field(s, "center", "a chain step")),
-                            ff.nvars)
+    steps = [decode_valuation(ff, s, "a chain step")
              for s in field(data, "steps", what, list)]
     if len({v.var for v in steps}) != len(steps):
         raise ValueError("chain steps must use distinct variables")
     unis = [decode_ratfunc(ff, u)
             for u in field(data, "uniformizers", what, list)]
-    covers = [(field(c, "var", "a cover", int), field(c, "exp", "a cover", int),
-               decode_center(ff.tower, field(c, "center", "a cover")))
-              for c in data.get("covers", [])]
+    if len(unis) != len(steps):
+        raise InputError("%s needs one uniformizer per step" % what)
+    covers = []
+    for c in field(data, "covers", what, list) if "covers" in data else []:
+        v = decode_valuation(ff, c, "a cover")
+        e = field(c, "exp", "a cover", int)
+        if e <= 0 or e % ff.p == 0:
+            raise InputError("a cover exponent must be positive and prime "
+                             "to %d" % ff.p)
+        covers.append((v.var, e, v.center))
     return ParshinChain(ff, steps, unis,
                         tuple(field(data, "ram_indices", what, list)),
                         covers=covers, validate=False)

@@ -439,26 +439,25 @@ class KContext:
     """Ambient data for mod-l K-theory computations: the function field and
     the prime l.
 
-    Three caches are kept.  A value is only ever stored under its own key,
+    Two caches are kept.  A value is only ever stored under its own key,
     and an entry lost to an emptied cache is recomputed.
 
     _jacobian_cache (grow-only) maps the sorted keys of a nonlinear
     generator list to its Jacobian rank.
 
-    _trial_values maps (symbol key, chain steps) to the scalar the symbol
-    takes along the chain, 0 for no certificate.  Searches evaluate only
-    coordinate chains, fixed by their steps and without covers, and
-    tame_chain depends on the field, the symbol, the chain and l alone, so
-    one evaluation serves every repeat.  Keys are plain tuples, since
-    hashing a Symbol recomputes its entry keys; stored keys share their
-    parts through _key_parts.  The cache is emptied when it reaches
-    TRIAL_CACHE_LIMIT entries.  Only search trials read it: evaluate,
-    tame_chain and Certificate.replay never do, so a replay recomputes
-    independently.
-
-    _chains maps the variables of a search trial and the (level,
-    coefficients) of its centres to its coordinate chain (_chain), and is
-    emptied when it reaches TRIAL_CACHE_LIMIT entries."""
+    _trial_values maps a search trial, by its entry keys, its variables
+    and the (level, coefficients) of each centre (INF for a centre at
+    infinity), to its coordinate chain and the scalar the entries take
+    along it, 0 for no certificate.  A chain is serialized with its
+    centres as given, so centres equal in value at different levels keep
+    their own entries.  Searches evaluate only coordinate chains, without
+    covers, and tame_chain depends on the field, the symbol, the chain and
+    l alone, so one evaluation serves every repeat.  Keys are plain
+    tuples, since hashing a Symbol recomputes its entry keys; stored keys
+    share their parts through _key_parts.  The cache is emptied when it
+    reaches TRIAL_CACHE_LIMIT entries.  Only search trials read it:
+    evaluate, tame_chain and Certificate.replay never do, so a replay
+    recomputes independently."""
 
     def __init__(self, field, ell):
         if not is_prime(ell):
@@ -472,7 +471,6 @@ class KContext:
         self._jacobian_cache = {}
         self._trial_values = {}
         self._key_parts = {}
-        self._chains = {}
 
     @property
     def nvars(self):
@@ -667,7 +665,7 @@ class KContext:
         if rows is not None and straight is None:
             # witnessed dependence: the symbol vanishes
             return UNKNOWN
-        search = _Search(elements, linear)
+        search = elements, {}
         trials = self._trials(elements, straight, shifts and linear, shifts)
         for trial in itertools.islice(trials, budget):
             cert = self._try_trial(search, trial)
@@ -756,17 +754,14 @@ class KContext:
         multiplicity prime to l, at whatever tower level the root lives.
         Failing that, INF when the entry's order at t_var = infinity,
         deg den - deg num in t_var, is prime to l; None otherwise."""
-        tower = self.field.tower
         for poly in (entry.num, entry.den):
             if poly.vars_used() != {var}:
                 continue
             if poly.degree_in(var) == 1:
-                univ = poly.as_univariate(var)
-                b = univ.get(0)
-                if b is None:
-                    return tower.zero()
-                return -(b.constant_value(tower)
-                         / univ[1].constant_value(tower))
+                # a t_var + b, read off its two terms
+                b = poly.terms.get((0,) * self.nvars)
+                a = poly.terms[_unit_exponent(self.nvars, var)]
+                return self.field.tower.zero() if b is None else -(b / a)
             roots = [z for z, m in self.field.univariate_roots(poly)
                      if m % self.ell]
             if roots:
@@ -825,10 +820,9 @@ class KContext:
         is not linear (_linear_part) or the forms are dependent.  transform
         is the straightening, when the caller has it.
 
-        Entry k becomes (t_k + c_k)/d_k, centred at its root -c_k, as
-        _snap_center would centre it; shifted by its value c_k/d_k at the
-        origin, it is t_k/d_k, centred at the origin.  So the value is a
-        unit of Z/l: the trial never misses."""
+        Entry k becomes (t_k + c_k)/d_k, which _snap_center centres at its
+        root -c_k; shifted, it is t_k/d_k, centred at the origin.  So the
+        value is a unit of Z/l: the trial never misses."""
         if transform is None:
             rows = [self._linear_part(x) for x in elements]
             if None in rows:
@@ -836,33 +830,28 @@ class KContext:
             transform = self._straightening_transform(rows)
             if transform is None:
                 return None
-        origin = (0,) * self.nvars
-        zero = self.field.tower.zero()
-        entries, centers = [], []
-        for k, x in enumerate(elements):
-            y = self._straightened(x, transform, k, shift)
-            c = y.num.terms.get(origin)
-            entries.append(y)
-            centers.append(zero if c is None else -c)
-        return self._trial_certificate(
-            entries, tuple(x.key() for x in entries),
-            tuple(range(len(entries))), centers, transform)
+        return self._try_trial((elements, {}),
+                               (tuple(range(len(elements))), shift, transform))
 
     def _try_trial(self, search, trial):
-        vars_, use_shift, transform = trial
-        elements = search.elements
-        if transform is not None:
-            if search.linear:
-                # the straightened trial of a linear tuple, on range(r)
-                return self.straightened_certificate(elements, use_shift,
-                                                     transform)
-            if search.images is None:
-                search.images = [self._straightened(x, transform, k)
-                                 for k, x in enumerate(elements)]
-            elements = search.images
+        """The certificate of one trial of a search, or None when its value
+        is 0.  search is (elements, snaps), what the trials of one search
+        share; trial is (variables, shift, transform).
+
+        With a transform, entry k is written down straightened
+        (_straightened), its constant term dropped when the trial shifts;
+        without one, a shifted entry is translated by its value at the
+        origin.  Step k is centred at a zero or pole of entry k
+        (_snap_center), kept in snaps by (entry key, variable) so that the
+        roots of an entry are found once per search.  The chain and its
+        value are read from and stored in the trial cache."""
+        elements, snaps = search
+        vars_, shift, transform = trial
         entries = []
-        for x in elements:
-            if use_shift:
+        for k, x in enumerate(elements):
+            if transform is not None:
+                x = self._straightened(x, transform, k, shift)
+            elif shift:
                 c = self._value_at_origin(x)
                 if c is not None:
                     x = x - self.field.const(c)
@@ -870,62 +859,37 @@ class KContext:
                 return None
             entries.append(x)
         keys = tuple(x.key() for x in entries)
-        # aim each slot's chain step at a zero or pole of its entry
-        zero, snaps = self.field.tower.zero(), search.snaps
-        centers = []
+        zero, centers = self.field.tower.zero(), []
         for x, key, v in zip(entries, keys, vars_):
             if (key, v) not in snaps:
                 snaps[key, v] = self._snap_center(x, v)
             c = snaps[key, v]
             centers.append(zero if c is None else c)
-        return self._trial_certificate(entries, keys, vars_, centers,
-                                       transform)
-
-    def _trial_certificate(self, entries, keys, variables, centers,
-                           transform):
-        """The certificate of one trial, its value read from and stored in
-        the trial-value cache; None when the value is 0."""
-        try:
-            sym = Symbol(entries)
-            chain = self._chain(variables, centers)
-        except (ZeroEntry, ChainError):
+        key = (keys, (vars_, tuple(c if c is INF else (c.level, c.coeffs)
+                                   for c in centers)))
+        hit = self._trial_values.get(key)
+        if hit is None:
+            chain = coordinate_chain(self.field, vars_, centers)
+            hit = chain, self._chain_value(Symbol(entries), chain)
+            self._remember(key, hit)
+        chain, value = hit
+        if value == 0:
             return None
-        key = (keys, chain.steps)
-        v = self._trial_values.get(key)
-        if v is None:
-            v = self._chain_value(sym, chain)
-            self._remember(key, v)
-        if v == 0:
-            return None
-        return Certificate(sym, chain, v, self.ell, transform=transform)
+        return Certificate(Symbol(entries), chain, value, self.ell,
+                           transform=transform)
 
-    def _chain(self, variables, centers):
-        """coordinate_chain, memoized by the variables and the level and
-        coefficients of each centre (INF for a centre at infinity): a chain
-        is serialized with its centres as given, so centres equal in value
-        at different levels keep their own chains.  A full memo is emptied
+    def _remember(self, key, hit):
+        """Store a trial's chain and value under a key whose parts are
+        shared with the keys already stored; a full cache is emptied
         first."""
-        key = (variables, tuple(c if c is INF else (c.level, c.coeffs)
-                                for c in centers))
-        chain = self._chains.get(key)
-        if chain is None:
-            chain = coordinate_chain(self.field, variables, centers)
-            if len(self._chains) >= TRIAL_CACHE_LIMIT:
-                self._chains.clear()
-            self._chains[key] = chain
-        return chain
-
-    def _remember(self, key, value):
-        """Store a trial value under a key whose parts are shared with the
-        keys already stored; a full cache is emptied first."""
         if len(self._trial_values) >= TRIAL_CACHE_LIMIT:
             self._trial_values.clear()
             self._key_parts.clear()
         parts = self._key_parts
-        sym_key, steps = key
-        key = (tuple(parts.setdefault(k, k) for k in sym_key),
-               parts.setdefault(steps, steps))
-        self._trial_values[key] = value
+        keys, chain_key = key
+        key = (tuple(parts.setdefault(k, k) for k in keys),
+               parts.setdefault(chain_key, chain_key))
+        self._trial_values[key] = hit
 
     def _chain_value(self, sym, chain):
         """The scalar of a full-length evaluation, 0 when there is none."""
@@ -1008,21 +972,6 @@ class KContext:
                 return EQUAL
             return DISTINCT
         return UNKNOWN
-
-
-class _Search:
-    """What the trials of one search share: its elements; whether every
-    entry is linear; the straightened entries (_straightened), written down
-    once; and the chain centre _snap_center gave each (entry key,
-    variable), so that the roots of an entry are found once per search."""
-
-    __slots__ = ("elements", "linear", "images", "snaps")
-
-    def __init__(self, elements, linear=False):
-        self.elements = elements
-        self.linear = linear
-        self.images = None
-        self.snaps = {}
 
 
 def _check_budget(budget):

@@ -143,15 +143,11 @@ def omega(ctx, generators, label=None, budget=64):
     Ground constants die modulo l-th powers and are dropped; the rank is the
     certified dimension when the bounds agree, else None.
     """
-    gens = []
-    for g in generators:
-        if g.is_zero():
-            raise ZeroInput("omega of zero")
-        if not g.is_constant():
-            gens.append(g)
-    lo, hi = milnor_dim_bounds(ctx, gens, budget=budget)
+    lo, hi = milnor_dim_bounds(ctx, generators, budget=budget)
     rank = lo if lo == hi else None
-    return SubgroupFragment(label or "omega", gens, rank)
+    return SubgroupFragment(label or "omega",
+                            [g for g in generators if not g.is_constant()],
+                            rank)
 
 
 def milnor_dim_bounds(ctx, gens, budget=64):
@@ -165,8 +161,11 @@ def milnor_dim_bounds(ctx, gens, budget=64):
     raises it by at most one, so the upper bound is the basis plus the
     unknown members; when there are any, it is capped by
     KContext.trdeg_upper of the generators.  A negative budget raises
-    ValueError, as linear members never reach a search that would."""
+    ValueError, as linear members never reach a search that would, and a
+    zero generator, whose class is undefined, raises ZeroInput."""
     _check_budget(budget)
+    if any(g.is_zero() for g in gens):
+        raise ZeroInput("the class of zero is undefined")
     universe = Universe(ctx, [RationalSubgroup(ctx, g) for g in gens
                               if not g.is_constant()], budget=budget)
     basis, unknown = [], 0

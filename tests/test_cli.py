@@ -13,14 +13,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from milnork.cli import EXIT_FAILURE, EXIT_OK, EXIT_UNKNOWN, main
-from milnork.groundfield import FieldTower, FunctionField
+from milnork.groundfield import INF, FieldTower, FunctionField
 from milnork.jsonio import (
     InputError,
     decode_certificate,
     encode_chain,
     encode_ratfunc,
 )
-from milnork.kmilnor import KContext, ParshinChain, coordinate_chain
+from milnork.kmilnor import (
+    KContext,
+    ParshinChain,
+    coordinate_chain,
+    monomial_pullback,
+)
 
 
 @pytest.fixture()
@@ -124,6 +129,28 @@ def _bad_later_uniformizer():
     chain = ParshinChain(ff, [ff.valuation(0, 0), ff.valuation(1, 0)],
                          [t0, t1 ** 2], validate=False)
     return {"symbol": [encode_ratfunc(t0)] * 2, "chain": encode_chain(chain)}
+
+
+def _step_at(var):
+    """{t1} on the chain t1 = infinity, its step's variable replaced by
+    var."""
+    ff = FunctionField(FieldTower(7, seed=0), 2)
+    payload = {"symbol": [encode_ratfunc(ff.var(1))],
+               "chain": encode_chain(coordinate_chain(ff, [1], [INF]))}
+    payload["chain"]["steps"][0]["var"] = var
+    return payload
+
+
+def _cover(**fields):
+    """{t0} on the chain t0 = 0 pulled back along t0 = s^2, with the given
+    fields of its cover replaced."""
+    ff = FunctionField(FieldTower(7, seed=0), 2)
+    chain = monomial_pullback(coordinate_chain(ff, [0], [ff.tower.zero()]),
+                              [2])
+    payload = {"symbol": [encode_ratfunc(ff.var(0))],
+               "chain": encode_chain(chain)}
+    payload["chain"]["covers"][0].update(fields)
+    return payload
 
 
 @pytest.mark.parametrize("command, payload", [
@@ -241,6 +268,43 @@ def _bad_later_uniformizer():
     ("--no-such-flag dim", {"generators": [X0]}),
     ("dim --no-such-flag", {"generators": [X0]}),
     ("no-such-command", {}),
+    # a chain step, a cover or a delta valuation naming a variable outside
+    # 0..vars-1 (-1 once read as the last variable), and a cover exponent
+    # that is not positive and prime to p
+    ("symbol-eval", _step_at(5)),
+    ("symbol-eval", _step_at(-1)),
+    ("symbol-eval", _cover(var=5)),
+    ("symbol-eval", _cover(var=-1)),
+    ("symbol-eval", _cover(exp=0)),
+    ("symbol-eval", _cover(exp=7)),
+    ("delta", {"generator": X0, "valuations": [{"var": 7, "center": "inf"}]}),
+    ("delta", {"generator": X0,
+               "valuations": [{"var": -1, "center": "inf"}]}),
+    # lcl-eval parameters that are no object or bind no point, formulas
+    # that are no string, unbalanced or empty, and chains whose covers are
+    # no list or with a uniformizer missing
+    *(("lcl-eval", {"geometry": {"points": ["a"],
+                                 "closed_sets": [[], ["a"]]}, **fields})
+      for fields in ({"formula": "(cl x a)", "params": [1]},
+                     {"formula": "(cl x y)", "params": {"y": [1]}},
+                     {"formula": None}, {"formula": "("},
+                     {"formula": "()"})),
+    ("symbol-eval", dict(_cover(), chain=dict(_cover()["chain"],
+                                              covers=None))),
+    ("symbol-eval", dict(_cover(), chain=dict(_cover()["chain"],
+                                              uniformizers=[]))),
+    # a modulus that is no prime
+    ("kummer", {"mult_k": {"n": 2, "ell": 6}, "mult_l": {"n": 2, "ell": 6},
+                "phi": [[1, 1], [0, 1]]}),
+    ("abc-verify", {"group": {"rank": 2, "ell": 4, "relations": []}}),
+    ("duality-check", {"group": {"rank": 2, "ell": 4, "relations": []},
+                       "mult": {"n": 2, "ell": 4}}),
+    ("rigidity", {"ell": 4, "ambient_dim": 2,
+                  "fragments": [{"name": "A", "members": [[1, 0], [0, 1]]}],
+                  "phi": [[3, 0], [0, 3]]}),
+    # a zero generator, whose class is undefined
+    ("dim", {"generators": [{"num": {"vars": 2, "terms": []},
+                             "den": X0["den"]}]}),
 ])
 def test_malformed_input_exits_3(tmp_path, capsys, command, payload):
     path = tmp_path / "bad.json"
@@ -253,6 +317,8 @@ def test_malformed_input_exits_3(tmp_path, capsys, command, payload):
     assert "Traceback" not in captured.err
     if "budget=-1" in command or '"budget": -1' in json.dumps(payload):
         assert "budget" in captured.err
+    if any('"ell": %d' % ell in json.dumps(payload) for ell in (4, 6)):
+        assert "prime" in captured.err
 
 
 def test_certify_entry_with_a_constant_from_a_subfield(tmp_path, capsys):
@@ -295,6 +361,12 @@ FUZZ_BASES = {
     "pipeline auto": {"p": 7, "ell": 3, "vars": 5, "tower_seed": 3,
                       "auto_universe": {"coordinates": True,
                                         "bertini_samples": 2}},
+    "symbol-eval": _cover(),
+    "delta": {"generator": X1_PLUS_G, "valuations": [
+        {"var": 0, "center": ONE}, {"var": 1, "center": "inf"}]},
+    "lcl-eval": {"geometry": {"points": ["a", "b"],
+                              "closed_sets": [[], ["a"], ["b"], ["a", "b"]]},
+                 "formula": "(cl x y)", "params": {"y": "a"}},
 }
 JSON_VALUES = (None, True, 0, -1, 2.5, "x", [], {})
 BAD_DECLS = ({}, {"var": 5}, {"var": -1}, {"var": "0"}, {"var": 2.0},
@@ -318,8 +390,8 @@ def _slots(obj):
 
 @st.composite
 def mutated_payloads(draw):
-    """A valid certify, dim, pipeline or roundtrip payload with up to three
-    mutations: a key dropped, a value of another JSON type, an exponent of
+    """A valid certify, dim, pipeline, roundtrip, symbol-eval, delta or
+    lcl-eval payload with up to three mutations: a key dropped, a value of another JSON type, an exponent of
     the wrong length or with a negative entry, a coefficient list of the
     wrong length for its level, a bad universe declaration, a bad
     permutation."""

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from milnork import kmilnor, linalg
 from milnork.groundfield import INF, FieldTower, FunctionField, RatFunc, SparsePoly
 from milnork.jsonio import canonical_json, encode_certificate
-from milnork.kmilnor import UNKNOWN, KContext, _poly_matrix_rank, _Search
+from milnork.kmilnor import UNKNOWN, KContext, _poly_matrix_rank
 
 P = 7
 NV = 3
@@ -70,16 +70,14 @@ for _p, _ell in ((2, 3), (3, 2), (7, 3)):
 
 
 class GenericTrials(KContext):
-    """Every trial through the generic path of _try_trial: the
-    straightening substituted by apply_transform rather than written down,
-    the shift by _value_at_origin, centres by _snap_center."""
+    """Every straightened entry substituted by apply_transform rather than
+    written down, and shifted by its value at the origin (_value_at_origin)
+    rather than by dropping its constant term."""
 
-    def _try_trial(self, search, trial):
-        generic, transform = _Search(search.elements), trial[2]
-        if transform is not None:
-            generic.images = [self.apply_transform(x, transform)
-                              for x in search.elements]
-        return super()._try_trial(generic, trial)
+    def _straightened(self, x, T, k, shift=False):
+        y = self.apply_transform(x, T)
+        c = self._value_at_origin(y) if shift else None
+        return y if c is None else y - self.field.const(c)
 
 
 @st.composite
@@ -384,26 +382,47 @@ def test_linear_pair_relation_matches_the_general_policy(case):
                 == canonical_json(encode_certificate(want[1])))
 
 
-def test_chain_memo_stays_within_its_bound(monkeypatch):
+def _trial(ctx, entries):
+    """The certificate of the unshifted trial of entries on t0, t1, ..."""
+    return ctx._try_trial((entries, {}),
+                          (tuple(range(len(entries))), False, None))
+
+
+def test_trial_cache_stays_within_its_bound(monkeypatch):
     monkeypatch.setattr(kmilnor, "TRIAL_CACHE_LIMIT", 4)
     ctx = KContext(FIELD, 3)
+    t0, t1 = FIELD.var(0), FIELD.var(1)
     for k in range(12):
-        centers = [TOWER.from_int(k % P), TOWER.element_from_index(2, k)]
-        chain = ctx._chain((0, 1), centers)
-        assert ctx._chain((0, 1), centers) is chain
-        assert len(ctx._chains) <= 4
+        # t0 - a and t1 - b, centred at a and b: a repeat finds the chain
+        a, b = TOWER.from_int(k % P), TOWER.element_from_index(2, k)
+        entries = [t0 - FIELD.const(a), t1 - FIELD.const(b)]
+        cert = _trial(ctx, entries)
+        assert cert.replay()
+        assert [v.center for v in cert.chain.steps] == [a, b]
+        assert _trial(ctx, entries).chain is cert.chain
+        assert 0 < len(ctx._trial_values) <= 4
     # equal in value, at two levels: each keeps the centre it was given
-    one, one2 = TOWER.from_int(1), TOWER.element(2, (1, 0))
-    assert ctx._chain((0,), [one]).steps[0].center.level == 1
-    assert ctx._chain((0,), [one2]).steps[0].center.level == 2
-
-
-def test_chain_memo_keys_a_centre_at_infinity():
     ctx = KContext(FIELD, 3)
+    one, one2 = TOWER.from_int(1), TOWER.element(2, (1, 0))
+    low = _trial(ctx, [t0 - FIELD.const(one)])
+    high = _trial(ctx, [t0 - FIELD.const(one2)])
+    assert low.chain.steps[0].center.level == 1
+    assert high.chain.steps[0].center.level == 2
+    assert [key[1][1] for key in ctx._trial_values] == [
+        ((1, one.coeffs),), ((2, one2.coeffs),)]
+
+
+def test_trial_cache_keys_a_centre_at_infinity():
+    # t0 t1 + 1 has order -1 at t0 = infinity and no zero or pole in t0
+    # alone, so its step goes to infinity; t1 is centred at 0
+    ctx = KContext(FIELD, 3)
+    t0, t1 = FIELD.var(0), FIELD.var(1)
+    entries = [t0 * t1 + FIELD.one(), t1]
+    cert = _trial(ctx, entries)
     zero = TOWER.zero()
-    chain = ctx._chain((0, 1), [INF, zero])
-    assert chain.steps == kmilnor.coordinate_chain(FIELD, (0, 1),
-                                                   [INF, zero]).steps
-    assert chain.steps[0].at_infinity
-    assert ctx._chain((0, 1), [INF, zero]) is chain
-    assert ctx._chain((0, 1), [zero, zero]).steps != chain.steps
+    assert cert.chain.steps == kmilnor.coordinate_chain(
+        FIELD, (0, 1), [INF, zero]).steps
+    (key, (chain, value)), = ctx._trial_values.items()
+    assert key[1] == ((0, 1), (INF, (zero.level, zero.coeffs)))
+    assert chain is cert.chain and value == cert.value
+    assert _trial(ctx, entries).chain is chain

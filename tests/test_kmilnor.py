@@ -655,12 +655,16 @@ def test_replay_recomputes_a_cached_pair(ff5, monkeypatch):
     ctx = KContext(ff5, 3)
     cert = ctx.certificate_search([ff5.var(1), ff5.var(0) + ff5.var(2)],
                                   budget=40, seed=0)
-    key = (cert.statement.key(), cert.chain.steps)
-    assert ctx._trial_values[key] == cert.value
+    steps = cert.chain.steps
+    key = (cert.statement.key(), (tuple(v.var for v in steps), tuple(
+        INF if v.at_infinity else (v.center.level, v.center.coeffs)
+        for v in steps)))
+    chain, value = ctx._trial_values[key]
+    assert chain is cert.chain and value == cert.value
     calls = _spy_tame_chain(monkeypatch)
     assert cert.replay()
     assert ctx.evaluate(cert.statement, cert.chain).scalar() == cert.value
-    assert calls == [key, key]
+    assert calls == [(cert.statement.key(), steps)] * 2
 
 
 def test_full_trial_cache_is_emptied(ff5, monkeypatch):
