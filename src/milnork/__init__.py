@@ -34,7 +34,6 @@ from .lattice import (
     omega,
     recover_rank_1,
     recover_rank_r,
-    very_general_search,
 )
 from .geometry import (
     ClosureGeometry,
@@ -46,7 +45,6 @@ from .geometry import (
 from .abelcentral import (
     AbcGroup,
     MultFragment,
-    commutator_form,
     duality_check,
     h2_brute_force,
     kummer_bridge,
@@ -61,10 +59,10 @@ __all__ = [
     "coordinate_chain", "monomial_pullback", "tame_chain", "tame_step",
     "DeltaSet", "LatticeFragment", "RationalSubgroup", "SubgroupFragment",
     "Universe", "delta_set", "div_ell", "epsilon_rigidity_check", "omega",
-    "recover_rank_1", "recover_rank_r", "very_general_search",
+    "recover_rank_1", "recover_rank_r",
     "ClosureGeometry", "check_axioms", "eval_lcl", "flats_by_covers",
     "transfer_isomorphism",
-    "AbcGroup", "MultFragment", "commutator_form", "duality_check",
+    "AbcGroup", "MultFragment", "duality_check",
     "h2_brute_force", "kummer_bridge", "upsilon", "word_normal_form",
 ]
 

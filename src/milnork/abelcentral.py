@@ -134,17 +134,10 @@ class CommutatorForm:
         # wedge basis, written as a linear map for kernel extraction
         self.matrix = tuple(rows)
 
-    def pair(self, u, v):
-        return self.G.commutator(u, v)
-
     def wedge_kernel(self):
         """Kernel of the induced map on the wedge square, as a subspace."""
         ker = linalg.nullspace(linalg.transpose(self.matrix), self.G.ell)
         return linalg.Subspace(self.G.wdim, ker, self.G.ell)
-
-
-def commutator_form(G):
-    return CommutatorForm(G)
 
 
 # ---------------------------------------------------------------------------
@@ -378,51 +371,18 @@ def h2_predicted_dim(n, ell):
     return comb(n, 2) + n
 
 
-class H2Presentation:
-    """The generators-and-relations description of degree-two cohomology of
-    an elementary abelian group: the decomposable part, the Bockstein part,
-    and the defining relation (x tensor x) + binom(l, 2) x.
-
-    Field-side fragments declare the Bockstein part to meet the decomposable
-    part trivially, which identifies the wedge square with the image of the
-    cup product.
-    """
-
-    def __init__(self, n, ell, field_side=False):
-        self.n = n
-        self.ell = ell
-        self.field_side = field_side
-
-    @property
-    def dec_dim(self):
-        return comb(self.n, 2) if self.ell != 2 else comb(self.n + 1, 2)
-
-    @property
-    def bockstein_dim(self):
-        return 0 if (self.ell == 2 or self.field_side) else self.n
-
-    @property
-    def total_dim(self):
-        return h2_predicted_dim(self.n, self.ell)
-
-    def relation(self):
-        return "(x tensor x) + C(%d, 2) x" % self.ell
-
-
 # ---------------------------------------------------------------------------
 # Upsilon and the duality with the multiplication fragment.
 # ---------------------------------------------------------------------------
 
 class UpsilonMap:
     """Dual of the commutator pairing: functionals on the central quotient
-    land in the wedge square of the dual of the abelianization."""
+    land in the wedge square of the dual of the abelianization.  The
+    commutator map on wedge coordinates is the quotient projection, so its
+    dual is composition, the transpose acting on functionals."""
 
     def __init__(self, G):
         self.G = G
-        form = CommutatorForm(G)
-        # the commutator map on wedge coordinates is the quotient projection;
-        # its dual is composition, i.e. the transpose acting on functionals
-        self.quotient_rows = form.matrix
 
     def apply(self, functional):
         """functional: coefficients on wedge coordinates, read modulo the
@@ -453,10 +413,6 @@ class UpsilonMap:
                     return False
         return True
 
-    def image(self):
-        """The image subspace: the annihilator of the relations."""
-        return self.G.relations.annihilator()
-
 
 def upsilon(G):
     return UpsilonMap(G)
@@ -466,42 +422,10 @@ class MultFragment:
     """A finite fragment of the degree-two multiplication: the wedge square
     of a declared span of degree-one classes, modulo a known kernel."""
 
-    def __init__(self, n, ell, kernel_vectors=(), provenance=None):
+    def __init__(self, n, ell, kernel_vectors=()):
         self.n = n
         self.ell = ell
-        self.wdim = linalg.wedge_dim(n)
-        self.kernel = linalg.Subspace(self.wdim, kernel_vectors, ell)
-        self.provenance = dict(provenance or {})
-
-    @classmethod
-    def from_kernel(cls, n, ell, kernel_vectors, provenance=None):
-        return cls(n, ell, kernel_vectors, provenance)
-
-    @classmethod
-    def from_symbols(cls, ctx, gens, budget=64):
-        """Assemble the fragment from KContext.pair_relation: a pair with a
-        nonzero-symbol certificate is outside the kernel, a vanishing pair
-        is a kernel vector, and an unknown pair is reported, not guessed."""
-        n = len(gens)
-        kernel = []
-        certificates = {}
-        unknown = []
-        for a, b in itertools.combinations(range(n), 2):
-            relation, cert = ctx.pair_relation(gens[a], gens[b], budget)
-            if cert is not None:
-                certificates[(a, b)] = cert
-            elif relation == "unknown":
-                unknown.append((a, b))
-            else:
-                vec = [0] * linalg.wedge_dim(n)
-                vec[linalg.wedge_index(a, b, n)] = 1
-                kernel.append(tuple(vec))
-        prov = {"certified": sorted(certificates),
-                "unknown": sorted(unknown)}
-        frag = cls(n, ctx.ell, kernel, provenance=prov)
-        frag.certificates = certificates
-        frag.unknown_pairs = unknown
-        return frag
+        self.kernel = linalg.Subspace(linalg.wedge_dim(n), kernel_vectors, ell)
 
 
 def duality_check(mult, G):
@@ -521,11 +445,6 @@ def duality_check(mult, G):
         if not R.contains(v):
             raise Mismatch(v)
     raise Mismatch(None)
-
-
-def abc_from_mult(mult):
-    """The group fragment dual to a multiplication fragment."""
-    return AbcGroup(mult.n, mult.ell, mult.kernel.basis)
 
 
 # ---------------------------------------------------------------------------
@@ -564,14 +483,3 @@ def kummer_bridge(phi, mult_K, mult_L, pairing_K=None, pairing_L=None):
     psi = linalg.transpose(
         linalg.mat_mul(linalg.mat_mul(BL, phi, l), linalg.inverse(BK, l), l))
     return psi
-
-
-def kummer_bridge_inverse(psi, mult_K, mult_L, pairing_K=None, pairing_L=None):
-    """Recover phi from the dual map; the round trip is the identity."""
-    n, l = mult_K.n, mult_K.ell
-    BK = linalg.mat(pairing_K, l) if pairing_K is not None else linalg.identity(n)
-    BL = linalg.mat(pairing_L, l) if pairing_L is not None else linalg.identity(n)
-    phi = linalg.mat_mul(
-        linalg.inverse(BL, l),
-        linalg.mat_mul(linalg.transpose(linalg.mat(psi, l)), BK, l), l)
-    return phi

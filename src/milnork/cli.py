@@ -18,7 +18,6 @@ import sys
 from . import geometry as geom_mod
 from . import jsonio, linalg
 from .abelcentral import (
-    AbcGroup,
     CommutatorForm,
     MultFragment,
     duality_check,
@@ -35,7 +34,6 @@ from .lattice import (
     RationalSubgroup,
     Universe,
     delta_set,
-    div_ell,
     epsilon_rigidity_check,
     milnor_dim_bounds,
     recover_rank_1,
@@ -480,13 +478,18 @@ def cmd_rigidity(args):
 
     what = "rigidity input"
     dim = jsonio.field(data, "ambient_dim", what, int)
+
+    def fragment(f):
+        name = jsonio.field(f, "name", "a fragment")
+        members = jsonio.int_matrix(jsonio.field(f, "members", "a fragment"),
+                                    "the members of a fragment", cols=dim)
+        if not members:
+            raise jsonio.InputError("a fragment needs at least one member")
+        return RationalFragmentData(name, members)
+
     inst = RigidityInstance(
         jsonio.modulus(data, what), dim,
-        [RationalFragmentData(
-            jsonio.field(f, "name", "a fragment"),
-            list(jsonio.int_matrix(jsonio.field(f, "members", "a fragment"),
-                                   "the members of a fragment", cols=dim)))
-         for f in jsonio.field(data, "fragments", what, list)])
+        [fragment(f) for f in jsonio.field(data, "fragments", what, list)])
     phi = jsonio.int_matrix(jsonio.field(data, "phi", what), "phi",
                             rows=dim, cols=dim)
     out = epsilon_rigidity_check(phi, inst)
@@ -533,11 +536,14 @@ def cmd_abc_verify(args):
            "kernel_dim": CommutatorForm(G).wedge_kernel().dim,
            "upsilon_pairing": upsilon(G).pairing_identity_holds()}
     if "words" in data:
-        out["normal_forms"] = [
-            {"word": w, "abelian": list(word_normal_form(w, G)[0]),
-             "central": list(word_normal_form(w, G)[1])}
-            for w in jsonio.field(data, "words", what, list)
-        ]
+        out["normal_forms"] = []
+        for w in jsonio.field(data, "words", what, list):
+            # a word is a string or a list of [index, sign] letters
+            letters = w if isinstance(w, str) else jsonio.int_matrix(
+                w, "a word that is no string", cols=2)
+            abelian, central = word_normal_form(letters, G)
+            out["normal_forms"].append(
+                {"word": w, "abelian": list(abelian), "central": list(central)})
     if "h2" in data:
         h2 = jsonio.field(data, "h2", what, dict)
         res = h2_brute_force(jsonio.field(h2, "n", "the h2 field", int),
@@ -568,7 +574,7 @@ def _decode_mult(data):
     n = jsonio.field(data, "n", what, int)
     if n < 0:
         raise jsonio.InputError("%s needs n of at least 0" % what)
-    return MultFragment.from_kernel(
+    return MultFragment(
         n, jsonio.modulus(data, what),
         jsonio.int_matrix(data.get("kernel", []), "the kernel of %s" % what,
                           cols=linalg.wedge_dim(n)))

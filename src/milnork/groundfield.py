@@ -148,13 +148,6 @@ class FieldTower:
         self.ensure_level(level)
         return GroundElem(self, level, tuple(c % self.p for c in coeffs))
 
-    def generator(self, level):
-        """The power-basis generator of F_{p^level}."""
-        self.ensure_level(level)
-        if level == 1:
-            return self.one()
-        return GroundElem(self, level, tuple(1 if i == 1 else 0 for i in range(level)))
-
     def element_from_index(self, level, k):
         """The k-th element of F_{p^level} in base-p digit order."""
         self.ensure_level(level)
@@ -163,10 +156,6 @@ class FieldTower:
             digits.append(k % self.p)
             k //= self.p
         return GroundElem(self, level, tuple(digits))
-
-    def elements(self, level):
-        for k in range(self.p ** level):
-            yield self.element_from_index(level, k)
 
     def ensure_level(self, m):
         if m in self._levels:
@@ -180,29 +169,6 @@ class FieldTower:
         self._levels[m] = f
         self._gen_top[m] = root
         self._construction_log.append({"level": m, "modulus": list(f)})
-
-    def tower_embed(self, x, target_level):
-        """Image of x under the fixed embedding into F_{p^target_level}."""
-        if target_level % x.level:
-            raise LevelError(
-                "level %d does not divide target level %d" % (x.level, target_level)
-            )
-        self.ensure_level(target_level)
-        return self._lift(x, target_level)
-
-    def ell_th_root(self, x, ell):
-        """Some y with y^ell = x, raising the level as needed."""
-        if x.is_zero():
-            raise ZeroError("zero has no multiplicative ell-th root")
-        if x.is_one():
-            return self.one()
-        level = x.level
-        while True:
-            y = self._root_at_level(self._lift(x, level), ell)
-            if y is not None:
-                return y
-            level *= ell
-            self.ensure_level(level)
 
     def snapshot(self):
         """Deterministic record of all tower choices made so far."""
@@ -620,54 +586,6 @@ class FieldTower:
             roots.append(roots[-1] ** q)
         return roots
 
-    def _root_at_level(self, x, ell):
-        """An ell-th root of x at its own level, or None if there is none."""
-        level = x.level
-        N = self.p ** level - 1
-        a = x.coeffs
-        if N % ell:
-            e = pow(ell, -1, N)
-            return GroundElem(self, level, self._pow(level, a, e))
-        s = 0
-        u = N
-        while u % ell == 0:
-            u //= ell
-            s += 1
-        if self._pow(level, a, N // ell) != tuple([1] + [0] * (level - 1)):
-            return None
-        # split x into its ell-part and prime-to-ell part
-        alpha = pow(u, -1, ell ** s)
-        beta = pow(ell ** s, -1, u)
-        part_l = self._pow(level, a, u * alpha)        # order a power of ell
-        part_u = self._pow(level, a, (ell ** s) * beta)  # order prime to ell
-        root_u = self._pow(level, part_u, pow(ell, -1, u))
-        # generator of the ell-Sylow subgroup
-        one = tuple([1] + [0] * (level - 1))
-        q = self.p ** level
-        while True:
-            z = tuple(self.element_from_index(level, self._rng.randrange(1, q)).coeffs)
-            zeta = self._pow(level, z, u)
-            if self._pow(level, zeta, ell ** (s - 1)) != one:
-                break
-        # digits of log_zeta(part_l) in base ell
-        gamma = self._pow(level, zeta, ell ** (s - 1))  # order ell
-        gamma_pows = {one: 0}
-        gp = one
-        for i in range(1, ell):
-            gp = self._mul(level, gp, gamma)
-            gamma_pows[gp] = i
-        T = 0
-        acc = part_l
-        for i in range(s):
-            c = self._pow(level, acc, ell ** (s - 1 - i))
-            d = gamma_pows[c]
-            T += d * ell ** i
-            acc = self._mul(level, acc, self._pow(level, zeta, (-d * ell ** i) % (ell ** s)))
-        if T % ell:
-            return None
-        root_l = self._pow(level, zeta, T // ell)
-        return GroundElem(self, level, self._mul(level, root_l, root_u))
-
     def _lift(self, x, M):
         m = x.level
         if m == M:
@@ -820,16 +738,6 @@ class GroundElem:
 
     def pth_root(self):
         return self ** (self.tower.p ** (self.level - 1))
-
-    def multiplicative_order(self):
-        if self.is_zero():
-            raise ZeroError("order of zero")
-        n = self.tower.p ** self.level - 1
-        order = n
-        for q in _prime_factors(n):
-            while order % q == 0 and (self ** (order // q)).is_one():
-                order //= q
-        return order
 
     def __repr__(self):
         return "GroundElem(level=%d, coeffs=%s)" % (self.level, list(self.coeffs))

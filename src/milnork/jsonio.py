@@ -179,9 +179,13 @@ def decode_chain(ff, data):
             raise InputError("a cover exponent must be positive and prime "
                              "to %d" % ff.p)
         covers.append((v.var, e, v.center))
-    return ParshinChain(ff, steps, unis,
-                        tuple(field(data, "ram_indices", what, list)),
-                        covers=covers, validate=False)
+    ram = field(data, "ram_indices", what, list)
+    if len(ram) != len(steps) or not all(type(e) is int and e > 0
+                                         for e in ram):
+        raise InputError("%s needs one positive integer ram index per step"
+                         % what)
+    return ParshinChain(ff, steps, unis, tuple(ram), covers=covers,
+                        validate=False)
 
 
 def encode_certificate(cert):
@@ -206,11 +210,6 @@ def decode_certificate(ff, data):
                                ff.nvars, ff.nvars)
     return Certificate(statement, chain, field(data, "value", what, int),
                        field(data, "ell", what, int), transform=transform)
-
-
-def encode_abc_group(G):
-    return {"rank": G.rank, "ell": G.ell,
-            "relations": [list(v) for v in G.relations.basis]}
 
 
 def decode_abc_group(data):

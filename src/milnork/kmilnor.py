@@ -259,20 +259,6 @@ class ParshinChain:
                 list(unis[: start + 1]) + reduced, start + 1
             )
 
-    def restricted(self, s):
-        """The head chain of length s and the tail chain on the residue field."""
-        head = ParshinChain(self.field, self.steps[:s], self.uniformizers[:s],
-                            self.ram_indices[:s], validate=False)
-        tail_unis = list(self.uniformizers[s:])
-        for v in self.steps[:s]:
-            tail_unis = [self.field.order_and_residue(u, v)[1] for u in tail_unis]
-        tail = ParshinChain(self.field, self.steps[s:], tail_unis,
-                            self.ram_indices[s:], validate=False)
-        return head, tail
-
-    def ell_ramified(self, ell):
-        return any(e % ell == 0 for e in self.ram_indices)
-
     def pull_symbol(self, sym):
         """Apply the recorded cover substitutions to a symbol over the base."""
         if not self.covers:
@@ -475,9 +461,6 @@ class KContext:
     @property
     def nvars(self):
         return self.field.nvars
-
-    def evaluate(self, sym, chain):
-        return tame_chain(self.field, sym, chain, self.ell)
 
     def _variable_pool(self, elements, r):
         pool = set()

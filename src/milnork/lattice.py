@@ -11,7 +11,6 @@ unknown in between).
 
 import collections
 import itertools
-import random
 
 from . import geometry, linalg
 from .groundfield import INF, CoordValuation, FunctionField, RatFunc
@@ -66,12 +65,6 @@ class RationalSubgroup:
             if sum(exp) == 1 and c.is_one():
                 return exp.index(1)
         return None
-
-    def member(self, g):
-        """Realize a univariate function of the parameter inside the field."""
-        if g.is_zero():
-            raise ZeroInput("members are nonzero")
-        return g.compose([self.gen])
 
     def pullback(self, f):
         """Express an ambient function in the parameter; NotMember if the
@@ -663,79 +656,6 @@ def _check_delta_index(A, ds):
             g = A.param.var(0) - A.param.const(entry.point)
         if entry.member_value(A, g) % A.ctx.ell == 0:
             raise AssertionError("delta entry fails the index-l condition")
-
-
-def _center_stream(field, rng, levels=(1, 1, 2)):
-    """Ground elements drawn from small tower levels, cycling."""
-    i = 0
-    while True:
-        lv = levels[i % len(levels)]
-        field.tower.ensure_level(lv)
-        yield field.tower.element_from_index(lv, rng.randrange(field.p ** lv))
-        i += 1
-
-
-def very_general_search(ctx, x, y, budget, ambient_vals=(), seed=0):
-    """Sample b then a and return the first pair making (x+a)/(y+b) pass the
-    declared checks: the candidate is nonconstant (Bertini-style general
-    declaration) and every declared ambient valuation restricting
-    nontrivially to its subfield is prime-to-l ramified."""
-    if budget <= 0:
-        return UNKNOWN
-    rng = random.Random(repr(("very-general", seed)))
-    field = ctx.field
-    stream = _center_stream(field, rng)
-    trials = [(field.tower.zero(), field.tower.zero())]
-    while len(trials) < budget:
-        b = next(stream)
-        a = next(stream)
-        trials.append((a, b))
-    for a, b in trials[:budget]:
-        den = y + field.const(b)
-        if den.is_zero():
-            continue
-        z = (x + field.const(a)) / den
-        if z.is_zero() or z.is_constant():
-            continue
-        if _fibers_ell_unramified(ctx, z, ambient_vals):
-            return a, b
-    return UNKNOWN
-
-
-def _fibers_ell_unramified(ctx, z, ambient_vals):
-    field = ctx.field
-    for v in ambient_vals:
-        ram = getattr(v, "ram", 1)
-        val = getattr(v, "valuation", v)
-        try:
-            n, res = field.order_and_residue(z, val)
-        except ZeroInput:
-            return False
-        if n != 0:
-            e = abs(n) * ram
-        else:
-            if not res.is_constant():
-                continue
-            c = res.constant_value(field.tower)
-            e, _ = field.order_and_residue(z - field.const(c), val)
-            e = abs(e) * ram
-        if e % ctx.ell == 0:
-            return False
-    return True
-
-
-class AmbientValuation:
-    """A declared ambient coordinate valuation together with the ramification
-    it acquired through recorded covers."""
-
-    __slots__ = ("valuation", "ram")
-
-    def __init__(self, valuation, ram=1):
-        self.valuation = valuation
-        self.ram = ram
-
-    def __repr__(self):
-        return "AmbientValuation(%r, ram=%d)" % (self.valuation, self.ram)
 
 
 class LatticeFragment:

@@ -168,9 +168,6 @@ class Subspace:
             and self.basis == other.basis
         )
 
-    def __le__(self, other):
-        return all(other.contains(v) for v in self.basis)
-
     def __repr__(self):
         return "Subspace(dim=%d, n=%d)" % (self.dim, self.n)
 

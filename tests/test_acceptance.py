@@ -97,13 +97,13 @@ def test_criterion_2_ramification():
         for e in exponents:
             factor *= e
         assert got == (factor * base) % ell
-        assert not pulled.ell_ramified(ell)
+        assert not any(e % ell == 0 for e in pulled.ram_indices)
         done += 1
     # covers divisible by ell kill the value and raise the flag
     for e in (3, 6):
         chain = coordinate_chain(ff, [0], [tw.zero()])
         pulled = monomial_pullback(chain, (e,))
-        assert pulled.ell_ramified(ell)
+        assert any(e % ell == 0 for e in pulled.ram_indices)
         assert tame_chain(ff, Symbol([ff.var(0)]), pulled, ell).scalar() == 0
     report(2, "ramification functoriality, 100 pullbacks", time.time() - t0, 10)
 
@@ -357,7 +357,6 @@ def test_criterion_9_duality():
         AbcGroup,
         CommutatorForm,
         MultFragment,
-        abc_from_mult,
         duality_check,
     )
 
@@ -368,8 +367,8 @@ def test_criterion_9_duality():
         wd = linalg.wedge_dim(n)
         W = [tuple(rng.randrange(3) for _ in range(wd))
              for _ in range(rng.randrange(0, wd + 1))]
-        mult = MultFragment.from_kernel(n, 3, W)
-        G = abc_from_mult(mult)
+        mult = MultFragment(n, 3, W)
+        G = AbcGroup(n, 3, mult.kernel.basis)
         assert duality_check(mult, G)["passed"]
         assert CommutatorForm(G).wedge_kernel() == mult.kernel
     for n in range(1, 9):
@@ -378,7 +377,7 @@ def test_criterion_9_duality():
 
 
 def test_criterion_10_kummer_bridge():
-    from milnork.abelcentral import MultFragment, kummer_bridge, kummer_bridge_inverse
+    from milnork.abelcentral import MultFragment, kummer_bridge
 
     t0 = time.time()
     rng = random.Random(10)
@@ -388,7 +387,7 @@ def test_criterion_10_kummer_bridge():
         wd = linalg.wedge_dim(n)
         W = [tuple(rng.randrange(l) for _ in range(wd))
              for _ in range(rng.randrange(0, wd))]
-        mult_K = MultFragment.from_kernel(n, l, W)
+        mult_K = MultFragment(n, l, W)
         while True:
             phi = tuple(tuple(rng.randrange(l) for _ in range(n))
                         for _ in range(n))
@@ -396,10 +395,12 @@ def test_criterion_10_kummer_bridge():
                 break
         wphi = linalg.wedge_map(phi, n, l)
         WL = [linalg.mat_vec(wphi, v, l) for v in mult_K.kernel.basis]
-        mult_L = MultFragment.from_kernel(n, l, WL)
+        mult_L = MultFragment(n, l, WL)
         psi = kummer_bridge(phi, mult_K, mult_L)
-        back = kummer_bridge_inverse(psi, mult_K, mult_L)
-        assert back == linalg.mat(phi, l)
+        # the defining identity <sigma, phi x> = <psi sigma, x> on basis
+        # vectors sigma = e_i, x = e_j: phi[i][j] = psi[j][i]
+        assert all(phi[i][j] % l == psi[j][i] % l
+                   for i in range(n) for j in range(n))
         for eps in range(1, l):
             scaled = tuple(tuple((eps * x) % l for x in row) for row in phi)
             expected = tuple(tuple((eps * x) % l for x in row) for row in psi)
@@ -533,41 +534,6 @@ def _nonlinear_pipeline(case, monkeypatch):
                          ids=lambda case: "%s @%d" % case)
 def test_nonlinear_pipelines_are_pinned(case, monkeypatch):
     assert _nonlinear_pipeline(case, monkeypatch) == NONLINEAR_PIPELINES[case]
-
-
-@pytest.mark.parametrize("universe", ["acceptance", "candidate"])
-def test_mult_fragment_agrees_with_the_kring_stage(universe):
-    # MultFragment.from_symbols and the pipeline's kring stage decide each
-    # generator pair alike: a kernel vector exactly for the vanishing
-    # relations, the same certificates and the same unknown pairs
-    from milnork.abelcentral import MultFragment
-    from milnork.cli import PipelineConfig, _quadratic_fragment, build_universe
-    from milnork.jsonio import encode_certificate
-
-    if universe == "acceptance":
-        cfg = PipelineConfig({"p": 7, "ell": 3, "vars": 5, "budget": 64,
-                              "universe": list(ACCEPTANCE_UNIVERSE)})
-    else:
-        cfg = _nonlinear_config(CANDIDATE, 64)
-    ctx = cfg.context()
-    gens = [s.gen for s in build_universe(ctx, cfg)]
-    pairs = _quadratic_fragment(ctx, gens, cfg.budget)["pairs"]
-    mult = MultFragment.from_symbols(KContext(ctx.field, ctx.ell), gens,
-                                     budget=cfg.budget)
-    n = len(gens)
-    assert len(pairs) == n * (n - 1) // 2
-    for entry in pairs:
-        a, b = entry["pair"]
-        unit = [0] * linalg.wedge_dim(n)
-        unit[linalg.wedge_index(a, b, n)] = 1
-        assert mult.kernel.contains(tuple(unit)) == (entry["relation"] in (
-            "equal-classes", "vanishes-by-dimension")), entry["pair"]
-        cert = mult.certificates.get((a, b))
-        assert entry.get("certificate") == (
-            None if cert is None else encode_certificate(cert))
-    unknown = [e["pair"] for e in pairs if e["relation"] == "unknown"]
-    assert [list(p) for p in mult.unknown_pairs] == unknown
-    assert unknown == ([] if universe == "acceptance" else [[2, 7], [3, 7]])
 
 
 # certificate_search at budget 64 over the five fields below, each on a fresh

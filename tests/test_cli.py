@@ -153,6 +153,16 @@ def _cover(**fields):
     return payload
 
 
+def _ram_indices(indices):
+    """{t0} on the chain t0 = infinity, its ram_indices replaced by
+    indices."""
+    ff = FunctionField(FieldTower(7, seed=0), 2)
+    payload = {"symbol": [encode_ratfunc(ff.var(0))],
+               "chain": encode_chain(coordinate_chain(ff, [0], [INF]))}
+    payload["chain"]["ram_indices"] = indices
+    return payload
+
+
 @pytest.mark.parametrize("command, payload", [
     ("dim", {}),
     ("dim", {"generators": 5}),
@@ -305,6 +315,18 @@ def _cover(**fields):
     # a zero generator, whose class is undefined
     ("dim", {"generators": [{"num": {"vars": 2, "terms": []},
                              "den": X0["den"]}]}),
+    # a fragment with no member, words that are neither a string nor a
+    # list of [index, sign] letters, and ram indices that are not one
+    # positive integer per chain step
+    ("rigidity", {"ell": 5, "ambient_dim": 2,
+                  "fragments": [{"name": "A", "members": []}],
+                  "phi": [[3, 0], [0, 3]]}),
+    ("abc-verify", {"group": GROUP, "words": [5]}),
+    ("abc-verify", {"group": GROUP, "words": [None]}),
+    ("abc-verify", {"group": GROUP, "words": [[["a", 1]]]}),
+    ("symbol-eval", _ram_indices(["x", None, 3])),
+    ("symbol-eval", _ram_indices([0])),
+    ("symbol-eval", _ram_indices([1, 1])),
 ])
 def test_malformed_input_exits_3(tmp_path, capsys, command, payload):
     path = tmp_path / "bad.json"

@@ -14,7 +14,6 @@ from milnork.groundfield import (
     INF,
     FieldTower,
     FunctionField,
-    LevelError,
     SparsePoly,
     ZeroError,
     ZeroInputError,
@@ -22,33 +21,46 @@ from milnork.groundfield import (
 )
 
 
+def _elements(tw, level):
+    """Every element of F_{p^level}."""
+    return (tw.element_from_index(level, k) for k in range(tw.p ** level))
+
+
+def _embed(tw, x, level):
+    """x at the given level, by the lift that every mixed-level operation
+    takes (FieldTower.common_level)."""
+    y = tw.common_level(x, tw.element(level, [0] * level))[0]
+    assert y.level == level
+    return y
+
+
+def _order(x):
+    """The multiplicative order of a nonzero x, by trying each divisor of
+    the order of its level's unit group."""
+    n = x.tower.p ** x.level - 1
+    return min(d for d in range(1, n + 1) if n % d == 0 and (x ** d).is_one())
+
+
+def _ell_th_roots(tw, x, ell):
+    """The roots of t^ell - x, with their multiplicities."""
+    ff = FunctionField(tw, 1)
+    return ff.univariate_roots((ff.var(0) ** ell - ff.const(x)).num)
+
+
 def test_embed_identity_and_zero():
     tw = FieldTower(3, seed=0)
-    one = tw.one()
-    e = tw.tower_embed(one, 6)
-    assert e.level == 6 and e.is_one()
-    z = tw.tower_embed(tw.element(2, [0, 0]), 4)
-    assert z.level == 4 and z.is_zero()
+    assert _embed(tw, tw.one(), 6).is_one()
+    assert _embed(tw, tw.element(2, [0, 0]), 4).is_zero()
 
 
 def test_embed_preserves_multiplicative_order():
-    # oracle: compute the order before and after embedding
     tw = FieldTower(3, seed=0)
-    g = next(x for x in tw.elements(2) if x and x.multiplicative_order() == 8)
-    image = tw.tower_embed(g, 4)
-    assert image.level == 4
-    assert image.multiplicative_order() == 8
-
-
-def test_embed_requires_divisibility():
-    tw = FieldTower(3, seed=0)
-    g = tw.generator(2)
-    with pytest.raises(LevelError):
-        tw.tower_embed(g, 3)
+    g = next(x for x in _elements(tw, 2) if x and _order(x) == 8)
+    assert _order(_embed(tw, g, 4)) == 8
 
 
 def test_embed_is_ring_homomorphism_mixed_levels():
-    # 500 random pairs across mixed levels
+    # 500 random pairs across mixed levels, each embedded into level 6
     tw = FieldTower(5, seed=1)
     rng = random.Random(10)
     levels = [1, 2, 3, 6]
@@ -58,11 +70,9 @@ def test_embed_is_ring_homomorphism_mixed_levels():
         la, lb = rng.choice(levels), rng.choice(levels)
         a = tw.element_from_index(la, rng.randrange(5 ** la))
         b = tw.element_from_index(lb, rng.randrange(5 ** lb))
-        lcm = 6 if (6 % la == 0 and 6 % lb == 0) else la * lb
-        ea = tw.tower_embed(a, lcm)
-        eb = tw.tower_embed(b, lcm)
-        assert tw.tower_embed(a + b, lcm) == ea + eb
-        assert tw.tower_embed(a * b, lcm) == ea * eb
+        ea, eb = _embed(tw, a, 6), _embed(tw, b, 6)
+        assert _embed(tw, a + b, 6) == ea + eb
+        assert _embed(tw, a * b, 6) == ea * eb
 
 
 def test_embed_then_project_is_identity():
@@ -70,8 +80,7 @@ def test_embed_then_project_is_identity():
     rng = random.Random(3)
     for _ in range(50):
         x = tw.element_from_index(2, rng.randrange(49))
-        up = tw.tower_embed(x, 4)
-        assert up.compress() == x
+        assert _embed(tw, x, 4).compress() == x
         assert x.compress().level in (1, 2)
 
 
@@ -86,53 +95,44 @@ def test_compress_builds_an_unbuilt_subfield():
     z = next(x for x in powers if x ** 7 != x)
     level, coeffs = z.compress_key()
     assert level == 2 and tw.levels() == [1, 2, 6]
-    assert tw.tower_embed(tw.element(2, list(coeffs)), 6) == z
+    assert _embed(tw, tw.element(2, list(coeffs)), 6) == z
     # an element at its minimal level builds nothing
     before = tw.snapshot()
     assert tw.element_from_index(6, 8).compress_key()[0] == 6
     assert tw.snapshot() == before
 
 
-def test_ell_th_root_trivial_cases():
-    tw = FieldTower(7, seed=0)
-    assert tw.ell_th_root(tw.one(), 3).is_one()
-    with pytest.raises(ZeroError):
-        tw.ell_th_root(tw.zero(), 3)
-
-
 def test_ell_th_root_of_order_six_element():
-    # the cube root of a generator of F_7^x lives three levels up and has
+    # the cube roots of a generator of F_7^x live three levels up and have
     # order 18; oracle = exhaustive search over the containing field
     tw = FieldTower(7, seed=0)
-    g = next(x for x in tw.elements(1) if x and x.multiplicative_order() == 6)
-    y = tw.ell_th_root(g, 3)
-    assert (y ** 3) == g
-    assert y.multiplicative_order() == 18
-    assert y.level == 3
-    found = [z for z in tw.elements(3) if (z ** 3) == g]
-    assert y in found and len(found) == 3
+    g = next(x for x in _elements(tw, 1) if x and _order(x) == 6)
+    roots = [y for y, k in _ell_th_roots(tw, g, 3) if k == 1]
+    assert all(y.level == 3 and _order(y) == 18 for y in roots)
+    found = [z for z in _elements(tw, 3) if (z ** 3) == g]
+    assert len(found) == 3 and sorted(roots, key=found.index) == found
 
 
 def test_ell_th_root_square_of_generator():
     tw = FieldTower(7, seed=0)
-    g = next(x for x in tw.elements(1) if x and x.multiplicative_order() == 6)
-    y = tw.ell_th_root(g * g, 3)
-    assert (y ** 3) == g * g
+    g = next(x for x in _elements(tw, 1) if x and _order(x) == 6)
+    roots = _ell_th_roots(tw, g * g, 3)
+    assert len(roots) == 3 and all((y ** 3) == g * g for y, _ in roots)
 
 
 @pytest.mark.parametrize("p", [2, 7, 11])
 @pytest.mark.parametrize("ell", [3, 5])
 def test_ell_th_root_random(p, ell):
-    if p == ell:
-        pytest.skip("characteristic equals ell")
     tw = FieldTower(p, seed=2)
     rng = random.Random(p * 1000 + ell)
     for _ in range(34):
         lv = rng.choice([1, 2])
         tw.ensure_level(lv)
         x = tw.element_from_index(lv, rng.randrange(1, p ** lv))
-        y = tw.ell_th_root(x, ell)
-        assert (y ** ell) == x
+        roots = _ell_th_roots(tw, x, ell)
+        # t^ell - x is separable and splits in the closure
+        assert sum(k for _, k in roots) == ell
+        assert all((y ** ell) == x for y, _ in roots)
 
 
 def test_univariate_roots_examples():
@@ -196,7 +196,7 @@ def test_univariate_roots_against_exhaustive_evaluation(p):
             assert value_at(r).is_zero()
         for m in (1, 2, 3):
             tw.ensure_level(m)
-            for z in tw.elements(m):
+            for z in _elements(tw, m):
                 assert value_at(z).is_zero() == (z.compress_key() in seen)
 
 
@@ -302,15 +302,17 @@ def _tower_record(p):
     def enc(x):
         return [x.level, list(x.coeffs)]
 
+    def ell_th_roots(x, ell):
+        return [[enc(y), k] for y, k in _ell_th_roots(tw, x, ell)]
+
     record = []
     for m in (2, 3, 4, 6):
-        tw.ensure_level(m)
-        g = tw.generator(m)
-        roots = [enc(tw.ell_th_root(z ** ell, ell))
+        g = tw.element(m, [0, 1] + [0] * (m - 2))
+        roots = [ell_th_roots(z ** ell, ell)
                  for ell in (2, 3)
                  for z in (g, g + tw.one(), tw.element_from_index(m, p ** m - 1))]
         if m == 2:
-            roots.append(enc(tw.ell_th_root(g, 3)))
+            roots.append(ell_th_roots(g, 3))
         c = ff.const(g)
         polys = [t * t + c * t + ff.one(),
                  t * t - c,
@@ -338,7 +340,7 @@ def test_tower_snapshot_deterministic():
     text = json.dumps([_tower_record(p) for p in (2, 3, 5)],
                       sort_keys=True, separators=(",", ":"))
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "65993e125a0e1815c70ff3dec52744183b093307ed4f05785240c6ec5110444b")
+        "21b17c10e42b5655afcf6a79b4d9b00a46d63451c155d0bdde5386b31ea4576c")
 
 
 @functools.lru_cache(maxsize=None)
@@ -461,7 +463,7 @@ def test_univariate_roots_inseparable_polynomial():
     tw = FieldTower(3, seed=0)
     ff = FunctionField(tw, 1)
     t = ff.var(0)
-    g = next(x for x in tw.elements(2) if x and x.compress().level == 2)
+    g = next(x for x in _elements(tw, 2) if x and x.compress().level == 2)
     f = (t ** 3 - ff.const(g ** 3)).num   # equals (t - g)^3
     roots = ff.univariate_roots(f)
     assert len(roots) == 1

@@ -174,10 +174,13 @@ def test_multilinearity_in_the_residue_group(ctx2, ff2):
 
 
 def test_chain_restriction_composes(ff5):
+    # the chain t0 = 1, t1 = 0, t2 = 2 split after s steps: its head, and
+    # its tail on the residue field, where each coordinate uniformizer is
+    # its own residue
     tw = ff5.tower
     rng = random.Random(9)
-    ch = coordinate_chain(ff5, [0, 1, 2],
-                          [tw.from_int(1), tw.zero(), tw.from_int(2)])
+    variables, centers = [0, 1, 2], [tw.from_int(1), tw.zero(), tw.from_int(2)]
+    ch = coordinate_chain(ff5, variables, centers)
     for _ in range(40):
         entries = []
         for i in range(3):
@@ -188,7 +191,8 @@ def test_chain_restriction_composes(ff5):
         sym = Symbol(entries)
         full = tame_chain(ff5, sym, ch, 3).scalar()
         for s in (1, 2):
-            head, tail = ch.restricted(s)
+            head = coordinate_chain(ff5, variables[:s], centers[:s])
+            tail = coordinate_chain(ff5, variables[s:], centers[s:])
             mid = tame_chain(ff5, sym, head, 3)
             assert tame_chain(ff5, mid, tail, 3).scalar() == full
 
@@ -200,7 +204,6 @@ def test_monomial_pullback_multiplies_values(ff2):
     sym = Symbol([ff2.var(0), ff2.var(1)])
     assert tame_chain(ff2, sym, pulled, 3).scalar() == 2
     assert pulled.ram_indices == (2, 1)
-    assert not pulled.ell_ramified(3)
     # trivial cover changes nothing
     trivial = monomial_pullback(ch, (1, 1))
     assert tame_chain(ff2, sym, trivial, 3).scalar() == 1
@@ -210,7 +213,7 @@ def test_monomial_pullback_ell_divisible_dies(ff2):
     ch = coordinate_chain(ff2, [0], [ff2.tower.zero()])
     pulled = monomial_pullback(ch, (3,))
     assert tame_chain(ff2, Symbol([ff2.var(0)]), pulled, 3).scalar() == 0
-    assert pulled.ell_ramified(3)
+    assert pulled.ram_indices == (3,)
 
 
 def test_monomial_pullback_unit_slots(ff2):
@@ -663,7 +666,8 @@ def test_replay_recomputes_a_cached_pair(ff5, monkeypatch):
     assert chain is cert.chain and value == cert.value
     calls = _spy_tame_chain(monkeypatch)
     assert cert.replay()
-    assert ctx.evaluate(cert.statement, cert.chain).scalar() == cert.value
+    assert kmilnor.tame_chain(ctx.field, cert.statement, cert.chain,
+                              ctx.ell).scalar() == cert.value
     assert calls == [(cert.statement.key(), steps)] * 2
 
 

@@ -29,7 +29,6 @@ from milnork.lattice import (
     omega,
     recover_rank_1,
     recover_rank_r,
-    very_general_search,
 )
 
 
@@ -544,30 +543,6 @@ def test_dim_unknown_reported(ctx5, ff5):
     uni = _nonlinear_universe(ctx5, ff5, budget=0)
     with pytest.raises(DimUnknown):
         recover_rank_r(uni, 2)
-
-
-def test_very_general_search_trivial_ambient(ctx5, ff5):
-    out = very_general_search(ctx5, ff5.var(0), ff5.var(1), budget=20)
-    assert out is not UNKNOWN
-    a, b = out
-    assert a.is_zero() and b.is_zero()
-    assert very_general_search(ctx5, ff5.var(0), ff5.var(1), budget=0) is UNKNOWN
-
-
-def test_very_general_search_rejects_ell_ramified_fiber(ctx5, ff5):
-    from milnork.lattice import AmbientValuation
-
-    # a recorded cover with e = l over the fiber at the origin: the first
-    # candidate pair is rejected, a later one accepted
-    bad = AmbientValuation(ff5.valuation(0, 0), ram=3)
-    out = very_general_search(ctx5, ff5.var(0), ff5.var(1), budget=30,
-                              ambient_vals=[bad])
-    assert out is not UNKNOWN
-    a, b = out
-    assert not (a.is_zero() and b.is_zero())
-    z = (ff5.var(0) + ff5.const(a)) / (ff5.var(1) + ff5.const(b))
-    n, res = ff5.order_and_residue(z, bad.valuation)
-    assert n == 0 and not res.is_constant()
 
 
 def _fragment(name, rows):
