@@ -189,16 +189,29 @@ def h2_brute_force(n, ell):
     for a general third argument follows by induction on its length.  The
     coboundaries are divided out exactly.
 
-    The system is built one block of rows per first argument g and reduced
-    into a running echelon basis in float64 (see `_echelon`).  The blocks
-    are built unreduced: S has 0/1 entries, so a block row lies in -2..2,
-    and its product with the basis (entries in 0..l-1) stays within
-    ncols * 2 * (l - 1) + 2, with ncols = n * l^n.  Every other product is
-    of entries in 0..l-1 and stays within ncols * (l - 1)^2 + (l - 1), the
-    bound of the merge.  Inside the budget l^n <= 243 both are below
-    240^2 * 1215 + 240 < 2^52, so every float operation and every
-    reduction (`_mod`) is exact.  Raises ValueError for n < 0 or l not
-    prime, and TooLarge beyond the budget.
+    The system is built one block of rows per generator e_k, plus the
+    normalization rows, and reduced into a running echelon basis in float64
+    (see `_echelon`); the blocks of the other first arguments g lie in the
+    span of these.  Read the column (p, j) as the edge p -> p + e_j of the
+    Cayley graph and T_g as the translation of 1-chains by g.  The row
+    (g, h, j) is then (T_g - 1) gamma_{h,j}, where gamma_{h,j} =
+    P_h + (h, j) - P_{h+e_j} and P_h is the peeling path from 0 to h.  The
+    peeling paths form a spanning tree, so the gamma_{h,j}, the fundamental
+    cycles of its non-tree edges, span the cycle space Z_1, and T_g maps
+    Z_1 to itself.  Block g thus spans (T_g - 1) Z_1, and from
+    (T_{g+e_k} - 1) z = (T_{e_k} - 1)(T_g z) + (T_g - 1) z, induction on the
+    word length of g puts every block in the span of the generator blocks.
+    The reduced echelon form of a row space is unique, so the result is
+    that of the full system.
+
+    The blocks are built unreduced: S has 0/1 entries, so a block row lies
+    in -2..2, and its product with the basis (entries in 0..l-1) stays
+    within ncols * 2 * (l - 1) + 2, with ncols = n * l^n.  Every other
+    product is of entries in 0..l-1 and stays within
+    ncols * (l - 1)^2 + (l - 1), the bound of the merge.  Inside the budget
+    l^n <= 243 both are below 240^2 * 1215 + 240 < 2^52, so every float
+    operation and every reduction (`_mod`) is exact.  Raises ValueError for
+    n < 0 or l not prime, and TooLarge beyond the budget.
     """
     if not isinstance(n, int) or n < 0:
         raise ValueError("n must be a nonnegative integer, not %r" % (n,))
@@ -240,7 +253,8 @@ def h2_brute_force(n, ell):
     def blocks():
         # f(0, e_j) = 0 for a normalized cocycle
         yield np.eye(n, ncols)
-        for g in range(size):
+        # g = e_0, ..., e_{n-1}: every other block lies in their span
+        for g in weights:
             # hat(g, h) = P(g, h) - P(0, h), where P(g, h) is P(0, h) with
             # every column (p, j) moved to (g + p, j)
             hat = S[:, add[hh, neg[g]] * n + jj] - S

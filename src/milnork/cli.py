@@ -478,6 +478,7 @@ def cmd_rigidity(args):
 
     what = "rigidity input"
     dim = jsonio.field(data, "ambient_dim", what, int)
+    ell = jsonio.modulus(data, what)
 
     def fragment(f):
         name = jsonio.field(f, "name", "a fragment")
@@ -485,10 +486,15 @@ def cmd_rigidity(args):
                                     "the members of a fragment", cols=dim)
         if not members:
             raise jsonio.InputError("a fragment needs at least one member")
+        # the check solves for coordinates in the member basis, which a
+        # dependent basis leaves ambiguous
+        if linalg.rank(members, ell) < len(members):
+            raise jsonio.InputError("the members of a fragment must be "
+                                    "independent mod %d" % ell)
         return RationalFragmentData(name, members)
 
     inst = RigidityInstance(
-        jsonio.modulus(data, what), dim,
+        ell, dim,
         [fragment(f) for f in jsonio.field(data, "fragments", what, list)])
     phi = jsonio.int_matrix(jsonio.field(data, "phi", what), "phi",
                             rows=dim, cols=dim)

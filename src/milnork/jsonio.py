@@ -48,11 +48,11 @@ def modulus(data, what):
 
 
 def int_matrix(value, what, rows=None, cols=None):
-    """A list of lists of integers as a tuple of tuples, with the given
-    number of rows and of columns when those are given; InputError
-    otherwise."""
+    """A list of lists of integers, booleans not among them, as a tuple of
+    tuples, with the given number of rows and of columns when those are
+    given; InputError otherwise."""
     if not (isinstance(value, list) and all(
-            isinstance(row, list) and all(isinstance(v, int) for v in row)
+            isinstance(row, list) and all(type(v) is int for v in row)
             for row in value)):
         raise InputError("%s must be a list of lists of integers" % what)
     if rows is not None and len(value) != rows:

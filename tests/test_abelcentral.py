@@ -97,12 +97,12 @@ def test_commutator_form_values():
     assert G.commutator(e[1], e[0]) == tuple((-x) % 5 for x in expected)
 
 
-# admissible (n, l) pairs, l^n <= 243; (5, 3) and (7, 2) are left out for time
+# admissible (n, l) pairs, l^n <= 243
 H2_PAIRS = (
     [(1, l) for l in (2, 3, 5, 7, 11, 13, 127, 131, 241)]
     + [(2, l) for l in (2, 3, 5, 7, 11, 13)]
     + [(3, l) for l in (2, 3, 5)]
-    + [(4, 2), (4, 3), (5, 2), (6, 2)]
+    + [(4, 2), (4, 3), (5, 2), (5, 3), (6, 2), (7, 2)]
 )
 
 
@@ -192,10 +192,13 @@ def _peeled_system(n, l):
     return sorted(rows), cobound
 
 
-@pytest.mark.parametrize("n, ell", [(1, 3), (2, 2), (2, 3), (2, 5), (3, 3)])
+@pytest.mark.parametrize("n, ell", [(1, 3), (2, 2), (2, 3), (2, 5), (2, 7),
+                                    (3, 3), (4, 2)])
 def test_h2_matches_row_by_row_solver(n, ell):
     # the same system solved with the pure-Python linear algebra; duplicate
-    # rows are dropped, which leaves the row space alone
+    # rows are dropped, which leaves the row space alone.  It keeps the rows
+    # of every first argument g, where h2_brute_force builds only those of
+    # the generators, so it also checks that these span the rest
     rows, cobound = _peeled_system(n, ell)
     Z = linalg.nullspace(rows, ell)
     B = linalg.rref(cobound, ell)[0]
@@ -217,6 +220,8 @@ H2_BASIS_SHA256 = {
     (2, 13): "5d75a7fb09648188d87a8c86480dd3745a7820521187711ccecb3f2bce35cab9",
     (1, 131): "fdfe71163c7a8113f2ba8a0a0d42b2994964f0a6c9bd65df396e6b4f90a0e7af",
     (6, 2): "d09096df477f87ef4816427a16243e517d29ebd6c621313ecd0050171ee9d2d0",
+    (5, 3): "14dadc3ce600d5092b339e9ec1150c87eaa0ff2d2703af948e7da627164b625a",
+    (7, 2): "d5dbe0ca5b28887090036f1f135353aa57f35110a7c4a553328cae88db22e346",
 }
 
 

@@ -327,6 +327,15 @@ def _ram_indices(indices):
     ("symbol-eval", _ram_indices(["x", None, 3])),
     ("symbol-eval", _ram_indices([0])),
     ("symbol-eval", _ram_indices([1, 1])),
+    # JSON booleans in a matrix field, which no integer field takes
+    ("abc-verify", {"group": GROUP, "words": [[[True, True]]]}),
+    ("kummer", {"mult_k": {"n": 2, "ell": 3}, "mult_l": {"n": 2, "ell": 3},
+                "phi": [[True, False], [False, True]]}),
+    # fragment members that are dependent mod ell, whose coordinates the
+    # check cannot solve for
+    ("rigidity", {"ell": 5, "ambient_dim": 2,
+                  "fragments": [{"name": "A", "members": [[1, 0], [2, 0]]}],
+                  "phi": [[3, 0], [0, 3]]}),
 ])
 def test_malformed_input_exits_3(tmp_path, capsys, command, payload):
     path = tmp_path / "bad.json"
