@@ -590,6 +590,10 @@ class FieldTower:
         m = x.level
         if m == M:
             return x
+        if m == 1:
+            # every level is F_p[z]/(f) in the power basis of z, so an
+            # element of F_p is its own constant coefficient
+            return GroundElem(self, M, x.coeffs + (0,) * (M - 1))
         T = self.top
         val = self._eval_gen(x)
         if M == T:
@@ -878,42 +882,54 @@ class SparsePoly:
         e = max(self.terms)
         return e, self.terms[e]
 
-    def as_univariate(self, i):
-        """Dict: exponent of variable i -> SparsePoly in the other variables."""
-        out = {}
-        for e, c in self.terms.items():
-            rest = list(e)
-            k = rest[i]
-            rest[i] = 0
-            out.setdefault(k, {})[tuple(rest)] = c
-        return {k: SparsePoly(self.nvars, t) for k, t in out.items()}
-
     def order_in(self, i):
         if not self.terms:
             raise ZeroInputError("order of the zero polynomial")
         return min(e[i] for e in self.terms)
 
+    def hasse_derivatives(self, i, a):
+        """D^0, D^1, ... up to the degree in t_i, where the Hasse derivative
+        D^k f(a) = sum_m C(m, k) f_m a^(m-k), f_m the coefficient of t_i^m,
+        is the t_i^k coefficient of f(t_i + a), from ground products alone.
+        A coefficient is summed over m in the order in which f first uses
+        t_i^m, and a running sum that cancels is dropped, so its level is
+        the lcm of the levels added since it last turned nonzero (f_m for
+        m = k, f_m and a for m > k): the level that expanding f(t_i + a)
+        by polynomial products gives, which residues and centres keep."""
+        tower = a.tower
+        groups = {}
+        for e, c in self.terms.items():
+            groups.setdefault(e[i], []).append((e[:i] + (0,) + e[i + 1:], c))
+        apow = [tower.one()]
+        for k in range(max(groups, default=-1) + 1):
+            out = {}
+            for m, group in groups.items():
+                b = _pascal_row(tower, m)[k] if m >= k else 0
+                if not b:
+                    continue
+                while len(apow) <= m - k:
+                    apow.append(apow[-1] * a)
+                scale = apow[m - k] if b == 1 else tower.from_int(b) * apow[m - k]
+                for r, c in group:
+                    v = c if m == k else c * scale
+                    if r in out:
+                        s = out[r] + v
+                        if s:
+                            out[r] = s
+                        else:
+                            del out[r]
+                    else:
+                        out[r] = v
+            yield SparsePoly(self.nvars, out)
+
     def shift_var(self, i, a):
-        """Substitute t_i -> t_i + a."""
+        """Substitute t_i -> t_i + a: the sum of t_i^k D^k f(a)."""
         if not a:
             return self
-        tower = a.tower
-        out = SparsePoly.zero(self.nvars)
-        univ = self.as_univariate(i)
-        kmax = max(univ)
-        apow = [tower.one()]
-        for _ in range(kmax):
-            apow.append(apow[-1] * a)
-        for k, coeff_poly in univ.items():
-            row = _pascal_row(tower, k)
-            for j in range(k + 1):
-                if row[j] == 0:
-                    continue
-                c = apow[k - j] if row[j] == 1 else tower.from_int(row[j]) * apow[k - j]
-                exp = [0] * self.nvars
-                exp[i] = j
-                out = out + coeff_poly * SparsePoly(self.nvars, {tuple(exp): c})
-        return out
+        return SparsePoly(self.nvars, {
+            r[:i] + (k,) + r[i + 1:]: c
+            for k, d in enumerate(self.hasse_derivatives(i, a))
+            for r, c in d.terms.items()})
 
     def scale_exponent(self, i, e):
         """Substitute t_i -> t_i^e."""
@@ -1183,6 +1199,22 @@ class CoordValuation:
         return "CoordValuation(t%d = %s)" % (self.var, c)
 
 
+def _lowest_hasse(poly, i, a):
+    """The order of a nonzero poly at t_i = a and its residue there: the
+    least k with D^k poly(a) != 0, and that derivative.  At a = 0 these are
+    the lowest power of t_i and its coefficient; a poly that does not use
+    t_i is its own residue, of order 0."""
+    if not a:
+        k = poly.order_in(i)
+        return k, SparsePoly(poly.nvars, {e[:i] + (0,) + e[i + 1:]: c
+                                          for e, c in poly.terms.items()
+                                          if e[i] == k})
+    if not any(e[i] for e in poly.terms):
+        return 0, poly
+    return next((k, d) for k, d in enumerate(poly.hasse_derivatives(i, a))
+                if d.terms)
+
+
 class FunctionField:
     """The rational function field over the tower in a fixed number of variables."""
 
@@ -1239,31 +1271,19 @@ class FunctionField:
         The residue is f / pi^n evaluated on the divisor, a nonzero element
         of the residue function field in the remaining variables.  The pole
         valuation is handled by the substitution t_i -> 1/s followed by s = 0.
+        At a centre a, the order of the numerator (and of the denominator) is
+        its least k with D^k(a) != 0, and that Hasse derivative is its
+        residue (_lowest_hasse).
         """
         if f.is_zero():
             raise ZeroInputError("the zero function has no order")
-        i = v.var
+        i, a, num, den, n = v.var, v.center, f.num, f.den, 0
         if v.at_infinity:
-            num = f.num.reverse_in(i)
-            den = f.den.reverse_in(i)
+            a, num, den = self.tower.zero(), num.reverse_in(i), den.reverse_in(i)
             n = f.den.degree_in(i) - f.num.degree_in(i)
-        else:
-            num = f.num if v.center.is_zero() else f.num.shift_var(i, v.center)
-            den = f.den if v.center.is_zero() else f.den.shift_var(i, v.center)
-            n = num.order_in(i) - den.order_in(i)
-        rnum = self._strip_and_eval(num, i)
-        rden = self._strip_and_eval(den, i)
-        return n, RatFunc(rnum, rden)
-
-    def _strip_and_eval(self, poly, i):
-        o = poly.order_in(i)
-        out = {}
-        for e, c in poly.terms.items():
-            if e[i] == o:
-                ne = list(e)
-                ne[i] = 0
-                out[tuple(ne)] = c
-        return SparsePoly(self.nvars, out)
+        k, rnum = _lowest_hasse(num, i, a)
+        d, rden = _lowest_hasse(den, i, a)
+        return n + k - d, RatFunc(rnum, rden)
 
     def univariate_roots(self, f):
         """All roots of a one-variable polynomial in the closure, with

@@ -19,6 +19,13 @@ SCHEMA_VERSION = 1
 # 24 and 6.5 s at 32.  Levels the tower reaches by itself (roots, lcms) are
 # not capped.
 MAX_INPUT_LEVEL = 16
+# The highest exponent an input polynomial may give a variable.  Root
+# finding, which places the chain centres of a certificate search, walks a
+# dense polynomial of that degree, and its time grows steeply at a root of
+# high multiplicity: for t^d at p = 7 on one core of a 2-core Linux host,
+# 0.05 s at d = 256, 1.0 s at 1024 and 11 s at 4096.  Exponents that
+# arithmetic reaches by itself (products, powers) are not capped.
+MAX_INPUT_DEGREE = 256
 
 
 class InputError(ValueError):
@@ -106,6 +113,9 @@ def decode_poly(ff, data):
                                         for k in exp):
             raise InputError("an exponent must be a list of %d non-negative "
                              "integers" % nvars)
+        if max(exp, default=0) > MAX_INPUT_DEGREE:
+            raise InputError("an exponent may not exceed %d"
+                             % MAX_INPUT_DEGREE)
         terms[tuple(exp)] = decode_ground(ff.tower,
                                           field(t, "coef", "a polynomial term"))
     return SparsePoly(nvars, terms)

@@ -11,6 +11,7 @@ Z/l.
 """
 
 import itertools
+import math
 
 from . import linalg
 from .groundfield import INF, RatFunc, SparsePoly, ZeroInputError, is_prime
@@ -497,13 +498,15 @@ class KContext:
         nonzero one, the derivative in t_j, and L is scaled so that its t_j
         coefficient is 1.  The proposal counts only after an exact check:
         the numerator must equal g(L), where g is its restriction to the t_j
-        axis, on which L is the coordinate.  So the transform that sends L to
-        a coordinate leaves an entry that uses that coordinate alone.  The
-        gradient cannot tell x + y^3 at p = 3 from a polynomial in x, since
-        its y-derivative vanishes; the check can."""
+        axis, on which L is the coordinate.  g(L) is written down term by
+        term from the multinomial expansion of each L^m mod p
+        (_power_terms).  So the transform that sends L to a coordinate
+        leaves an entry that uses that coordinate alone.  The gradient
+        cannot tell x + y^3 at p = 3 from a polynomial in x, since its
+        y-derivative vanishes; the check can."""
         if not x.den.is_constant() or x.is_constant():
             return None
-        nv, tower = self.nvars, self.field.tower
+        nv = self.nvars
         num = x.frobenius_strip(self.field.p)[0].num
         grads = [num.derivative(i) for i in range(nv)]
         j, pivot = next((i, g) for i, g in enumerate(grads) if not g.is_zero())
@@ -520,16 +523,17 @@ class KContext:
             if c.level != 1 or g != pivot * c:
                 return None
             row.append(c.coeffs[0])
-        form = SparsePoly(nv, {_unit_exponent(nv, i): tower.from_int(a)
-                               for i, a in enumerate(row) if a})
-        power = SparsePoly.constant(nv, tower.one())
-        image = SparsePoly.zero(nv)
+        # g(L) term by term; powers of L of distinct degrees share no term
+        form = [(i, a) for i, a in enumerate(row) if a]
+        image = {}
         for m in range(num.degree_in(j) + 1):
             c = num.terms.get(tuple(m if i == j else 0 for i in range(nv)))
             if c is not None:
-                image = image + power * c
-            power = power * form
-        return tuple(row) if image == num else None
+                for e, k in _power_terms(form, m, self.field.p, nv):
+                    image[e] = c if k == 1 else c * k
+        exact = image.keys() == num.terms.keys() and all(
+            num.terms[e] == c for e, c in image.items())
+        return tuple(row) if exact else None
 
     def _inner_forms(self, elements):
         """The inner form of every entry, or None when some entry has none:
@@ -744,7 +748,10 @@ class KContext:
                 # a t_var + b, read off its two terms
                 b = poly.terms.get((0,) * self.nvars)
                 a = poly.terms[_unit_exponent(self.nvars, var)]
-                return self.field.tower.zero() if b is None else -(b / a)
+                if b is None:
+                    return self.field.tower.zero()
+                # b / 1 is b at its own level when 1 is at level 1
+                return -b if a.level == 1 and a.is_one() else -(b / a)
             roots = [z for z, m in self.field.univariate_roots(poly)
                      if m % self.ell]
             if roots:
@@ -964,6 +971,24 @@ def _check_budget(budget):
 
 def _unit_exponent(nvars, j):
     return tuple(1 if k == j else 0 for k in range(nvars))
+
+
+def _power_terms(form, m, p, nvars):
+    """The exponent and the coefficient mod p of every nonzero term of L^m,
+    L the sum of a t_i over the (i, a) pairs of form: by the multinomial
+    theorem m!/prod(e_i!) prod(a_i^e_i), taken as C(m, e_1) a_1^e_1 times
+    C(m - e_1, e_2) a_2^e_2 and so on, so that a factor that vanishes mod p
+    drops every term below it."""
+    terms = [((0,) * nvars, m, 1)]
+    for i, a in form:
+        nxt = []
+        for e, left, c in terms:
+            for k in range(left + 1):
+                b = c * math.comb(left, k) * pow(a, k, p) % p
+                if b:
+                    nxt.append((e[:i] + (k,) + e[i + 1:], left - k, b))
+        terms = nxt
+    return [(e, c) for e, left, c in terms if not left]
 
 
 def _univariate_divisor(field, f, i):

@@ -336,6 +336,10 @@ def _ram_indices(indices):
     ("rigidity", {"ell": 5, "ambient_dim": 2,
                   "fragments": [{"name": "A", "members": [[1, 0], [2, 0]]}],
                   "phi": [[3, 0], [0, 3]]}),
+    # an exponent above MAX_INPUT_DEGREE: x/x^1000000, whose centre root
+    # finding walked a dense polynomial of degree 999,999
+    ("lattice-build", {"subfields": [[{"num": X0["num"], "den": {
+        "vars": 2, "terms": [{"exp": [1000000, 0], "coef": ONE}]}}]]}),
 ])
 def test_malformed_input_exits_3(tmp_path, capsys, command, payload):
     path = tmp_path / "bad.json"

@@ -4,6 +4,7 @@ import functools
 import hashlib
 import itertools
 import json
+import math
 import random
 
 import pytest
@@ -14,11 +15,13 @@ from milnork.groundfield import (
     INF,
     FieldTower,
     FunctionField,
+    RatFunc,
     SparsePoly,
     ZeroError,
     ZeroInputError,
     ZeroPolyError,
 )
+from milnork.kmilnor import _cover_substitute
 
 
 def _elements(tw, level):
@@ -241,8 +244,6 @@ def test_order_and_residue_is_a_valuation(ff2, tower7):
                 e = (rng.randrange(2), rng.randrange(2))
                 den = den + SparsePoly(2, {e: tower7.from_int(rng.randrange(7))})
             if not num.is_zero() and not den.is_zero():
-                from milnork.groundfield import RatFunc
-
                 return RatFunc(num, den)
 
     vals = [ff2.valuation(0, 0), ff2.valuation(0, 1), ff2.valuation(1, 0),
@@ -257,6 +258,118 @@ def test_order_and_residue_is_a_valuation(ff2, tower7):
         s = f + g
         if not s.is_zero():
             assert ff2.order_and_residue(s, v)[0] >= min(nf, ng)
+
+
+@functools.lru_cache(maxsize=None)
+def _tower_to_level_2(p):
+    tw = FieldTower(p, seed=0)
+    tw.ensure_level(2)
+    return tw
+
+
+def _shift_by_products(poly, i, a):
+    """t_i -> t_i + a by SparsePoly products: sum over the t_i^m parts f_m
+    of f_m * C(m, j) a^(m-j) t_i^j, added up one product at a time."""
+    tower, nv = a.tower, poly.nvars
+    univ = {}
+    for e, c in poly.terms.items():
+        rest = list(e)
+        m, rest[i] = rest[i], 0
+        univ.setdefault(m, {})[tuple(rest)] = c
+    apow = [tower.one()]
+    for _ in range(max(univ)):
+        apow.append(apow[-1] * a)
+    out = SparsePoly.zero(nv)
+    for m, coeffs in univ.items():
+        for j in range(m + 1):
+            b = math.comb(m, j) % tower.p
+            if b:
+                c = apow[m - j] if b == 1 else tower.from_int(b) * apow[m - j]
+                exp = [0] * nv
+                exp[i] = j
+                out = out + SparsePoly(nv, coeffs) * SparsePoly(nv, {tuple(exp): c})
+    return out
+
+
+def _order_and_residue_by_products(f, v):
+    """The read-off at a finite nonzero centre by shifting the centre to 0,
+    then keeping the lowest power of t_i with t_i set to 0."""
+    i = v.var
+
+    def strip(poly):
+        o = poly.order_in(i)
+        return SparsePoly(poly.nvars, {
+            tuple(0 if k == i else x for k, x in enumerate(e)): c
+            for e, c in poly.terms.items() if e[i] == o})
+
+    num = _shift_by_products(f.num, i, v.center)
+    den = _shift_by_products(f.den, i, v.center)
+    return (num.order_in(i) - den.order_in(i),
+            RatFunc(strip(num), strip(den)))
+
+
+@st.composite
+def _recentring_cases(draw):
+    """A fraction in 2 to 4 variables over the p = 2, 3 or 7 tower, a step
+    variable and a nonzero centre at level 1 or 2.  Coefficients sit at
+    level 1 or 2, some of the latter in F_p, so that running sums cancel
+    and levels mix; exponents in the step variable reach past p, where
+    binomials vanish mod p, and some polynomials leave it out."""
+    p = draw(st.sampled_from((2, 3, 7)))
+    tw = _tower_to_level_2(p)
+    nv = draw(st.integers(2, 4))
+    i = draw(st.integers(0, nv - 1))
+
+    def element():
+        level = draw(st.sampled_from((1, 2)))
+        coeffs = draw(st.lists(st.integers(0, p - 1), min_size=level,
+                               max_size=level))
+        if draw(st.booleans()):
+            coeffs[1:] = [0] * (level - 1)
+        if not any(coeffs):
+            coeffs[0] = 1
+        return tw.element(level, coeffs)
+
+    def poly():
+        top = 0 if draw(st.booleans()) else p + 2
+        terms = {}
+        for _ in range(draw(st.integers(1, 6))):
+            exp = [draw(st.integers(0, 2)) for _ in range(nv)]
+            exp[i] = draw(st.integers(0, top))
+            terms[tuple(exp)] = element()
+        return SparsePoly(nv, terms)
+
+    return FunctionField(tw, nv), RatFunc(poly(), poly()), i, element()
+
+
+@settings(max_examples=300, deadline=None)
+@given(_recentring_cases(), st.integers(1, 3))
+def test_hasse_read_off_matches_the_shift_by_products(case, e):
+    ff, f, i, a = case
+    v = ff.valuation(i, a)
+    n, res = ff.order_and_residue(f, v)
+    n_ref, res_ref = _order_and_residue_by_products(f, v)
+    assert n == n_ref and res.key() == res_ref.key()
+    # the Kummer cover substitution t_i - a -> s^e recentres the same way
+    cover = _cover_substitute(ff, f, i, e, a)
+    assert cover.key() == RatFunc(
+        _shift_by_products(f.num, i, a).scale_exponent(i, e),
+        _shift_by_products(f.den, i, a).scale_exponent(i, e)).key()
+
+
+def test_hasse_read_off_drops_a_cancelled_running_sum():
+    # 4 + t + t^2 at t = 3 over F_7, with 4 held at level 2: the running
+    # sum 4 + 3 cancels before 9 = 2 is added, so the value is 2 at level
+    # 1, as the shift by products gives it, not at the lcm level 2
+    tw = _tower_to_level_2(7)
+    ff = FunctionField(tw, 2)
+    one = tw.one()
+    f = RatFunc(SparsePoly(2, {(0, 0): tw.element(2, [4, 0]), (1, 0): one,
+                               (2, 0): one}), SparsePoly.constant(2, one))
+    v = ff.valuation(0, tw.from_int(3))
+    n, res = ff.order_and_residue(f, v)
+    assert n == 0 and res.num.terms[0, 0].level == 1
+    assert res.key() == _order_and_residue_by_products(f, v)[1].key()
 
 
 def test_sparsepoly_ring_axioms(tower7):

@@ -1,5 +1,6 @@
 """Symbols, tame steps, chains, pullbacks, certificates, dimension bounds."""
 
+import functools
 import random
 
 import pytest
@@ -8,7 +9,13 @@ from hypothesis import strategies as st
 
 from milnork import kmilnor, linalg
 
-from milnork.groundfield import INF, CoordValuation, FieldTower, FunctionField
+from milnork.groundfield import (
+    INF,
+    CoordValuation,
+    FieldTower,
+    FunctionField,
+    SparsePoly,
+)
 from milnork.jsonio import (
     decode_certificate,
     encode_certificate,
@@ -434,6 +441,96 @@ def test_inner_form_needs_the_exact_check():
     assert ctx._inner_form((x - y) ** 2 + ff.const(1)) == (1, 2)
     assert ctx._inner_form(x * y) is None
     assert ctx._inner_form(x / (x + ff.const(1))) is None
+    # the gradient of x^3 + 2 y^3 + x + y proposes x + y, and g(x + y) has
+    # the same terms, but 1 y^3 where the numerator has 2 y^3
+    lopsided = x ** 3 + y ** 3 * ff.const(2) + x + y
+    assert ctx._inner_form(lopsided) is None
+    for f in (x + y ** 3, (x + y) ** 3, (x - y) ** 2 + ff.const(1), x * y,
+              x / (x + ff.const(1)), lopsided):
+        assert ctx._inner_form(f) == _inner_form_by_products(ctx, f)
+
+
+def _inner_form_by_products(ctx, x):
+    """_inner_form with g(L) built by repeated SparsePoly products, the
+    check that the multinomial expansion replaces."""
+    if not x.den.is_constant() or x.is_constant():
+        return None
+    nv, tower = ctx.nvars, ctx.field.tower
+    num = x.frobenius_strip(ctx.field.p)[0].num
+    grads = [num.derivative(i) for i in range(nv)]
+    j, pivot = next((i, g) for i, g in enumerate(grads) if not g.is_zero())
+    e, lead = pivot.leading()
+    row = []
+    for g in grads:
+        c = g.terms.get(e)
+        if c is None:
+            if not g.is_zero():
+                return None
+            row.append(0)
+            continue
+        c = (c / lead).compress()
+        if c.level != 1 or g != pivot * c:
+            return None
+        row.append(c.coeffs[0])
+    form = SparsePoly(nv, {tuple(int(k == i) for k in range(nv)):
+                           tower.from_int(a) for i, a in enumerate(row) if a})
+    power = SparsePoly.constant(nv, tower.one())
+    image = SparsePoly.zero(nv)
+    for m in range(num.degree_in(j) + 1):
+        c = num.terms.get(tuple(m if i == j else 0 for i in range(nv)))
+        if c is not None:
+            image = image + power * c
+        power = power * form
+    return tuple(row) if image == num else None
+
+
+@functools.lru_cache(maxsize=None)
+def _inner_form_context(p, nv):
+    tower = FieldTower(p, seed=0)
+    tower.ensure_level(2)
+    return KContext(FunctionField(tower, nv), 2 if p != 2 else 3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_inner_form_matches_the_check_by_products(data):
+    # g(L) for a random prime-field form L and a random g with coefficients
+    # at levels 1 and 2 has the form L, scaled to a leading 1; with a mixed
+    # monomial of higher degree added it is a polynomial in no linear form
+    p = data.draw(st.sampled_from((2, 3, 5, 7)))
+    nv = data.draw(st.integers(2, 4))
+    ctx = _inner_form_context(p, nv)
+    ff, tower = ctx.field, ctx.field.tower
+    coeffs = st.lists(st.integers(0, p - 1), min_size=nv, max_size=nv)
+    a = data.draw(coeffs.filter(any))
+    L = ff.zero()
+    for i, c in enumerate(a):
+        L = L + ff.var(i) * tower.from_int(c)
+
+    def element():
+        level = data.draw(st.sampled_from((1, 2)))
+        return tower.element(level, data.draw(st.lists(
+            st.integers(0, p - 1), min_size=level, max_size=level)))
+
+    deg = data.draw(st.integers(1, p + 2))
+    g = ff.const(element())
+    for m in range(1, deg + 1):
+        g = g + L ** m * element()
+    if g.is_constant():
+        return
+    got = ctx._inner_form(g)
+    assert got == _inner_form_by_products(ctx, g)
+    j = next(i for i, c in enumerate(a) if c)
+    assert got == tuple(c * pow(a[j], -1, p) % p for c in a)
+    # t_u t_v^top, u != v: the one term of top degree of the sum is mixed,
+    # while every power L'^n of a linear form has a term t_k^n, so the sum
+    # is a polynomial in no linear form
+    top = max(sum(e) for e in g.num.terms)
+    u, v = data.draw(st.permutations(range(nv)))[:2]
+    extra = ff.var(u) * ff.var(v) ** top * ff.const(
+        data.draw(st.integers(1, p - 1)))
+    assert _inner_form_by_products(ctx, g + extra) is None
+    assert ctx._inner_form(g + extra) is None
 
 
 def test_trdeg_upper_of_polynomials_in_one_form(ff2):
