@@ -86,8 +86,9 @@ class PipelineConfig:
             jsonio.field(auto, "bertini_samples", "auto_universe", int)
         if self.p == self.ell:
             raise ValueError("p and ell must differ")
-        if self.vars < 2:
-            raise ValueError("need at least two variables")
+        if not 2 <= self.vars <= jsonio.MAX_INPUT_VARS:
+            raise ValueError("vars must run from 2 to %d"
+                             % jsonio.MAX_INPUT_VARS)
         if self.budget < 0:
             raise ValueError("budget must be at least 0")
         if auto.get("bertini_samples", 0) < 0:
@@ -357,6 +358,9 @@ def _emit(args, obj):
 
 
 def _context(args):
+    if args.vars > jsonio.MAX_INPUT_VARS:
+        raise jsonio.InputError("--vars may not exceed %d"
+                                % jsonio.MAX_INPUT_VARS)
     tower = FieldTower(args.p, seed=args.tower_seed)
     field = FunctionField(tower, args.vars)
     return KContext(field, args.ell)
@@ -481,7 +485,7 @@ def cmd_rigidity(args):
     ell = jsonio.modulus(data, what)
 
     def fragment(f):
-        name = jsonio.field(f, "name", "a fragment")
+        name = jsonio.field(f, "name", "a fragment", str)
         members = jsonio.int_matrix(jsonio.field(f, "members", "a fragment"),
                                     "the members of a fragment", cols=dim)
         if not members:

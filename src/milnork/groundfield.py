@@ -106,6 +106,9 @@ class FieldTower:
 
     Level 1 is the prime field.  One dense polynomial stack over the levels
     (the _lp_* methods) finds the moduli, grows the spine and finds roots.
+    The tower's own stream (_rng) draws only what building a level draws,
+    so its record depends only on the levels built and their order; each
+    root find draws its probes from a stream keyed by its polynomial.
     """
 
     def __init__(self, p, seed=0):
@@ -165,7 +168,9 @@ class FieldTower:
         if m in self._levels:
             return
         f = [c for (c,) in self._find_irreducible_over(1, m)]
-        root = self._root_in_top(f)
+        # the generator's image: a root of f in the top field
+        T = self.top
+        root = self._lp_root([(c,) + (0,) * (T - 1) for c in f], T, self._rng)
         self._levels[m] = f
         self._gen_top[m] = root
         self._construction_log.append({"level": m, "modulus": list(f)})
@@ -381,20 +386,15 @@ class FieldTower:
 
     # -- roots of dense polynomials over a level -----------------------------
 
-    def _root_in_top(self, f):
-        """A root in the top field of an F_p-irreducible f splitting there."""
-        T = self.top
-        return self._lp_root([tuple([c % self.p] + [0] * (T - 1)) for c in f], T)
-
-    def _cz_probe(self, h, d, level):
+    def _cz_probe(self, h, d, level, rng):
         """A Cantor-Zassenhaus splitting polynomial for h, all of whose
-        irreducible factors over F_q, q = p^level, have degree d: for a
-        random a, the absolute trace of a*x modulo h at p = 2, and
+        irreducible factors over F_q, q = p^level, have degree d: for an a
+        drawn from rng, the absolute trace of a*x modulo h at p = 2, and
         (x + a)^((q^d - 1)/2) - 1 modulo h otherwise."""
         q = self.p ** level
         one = tuple([1] + [0] * (level - 1))
         zero = tuple([0] * level)
-        a = tuple(self.element_from_index(level, self._rng.randrange(q)).coeffs)
+        a = tuple(self.element_from_index(level, rng.randrange(q)).coeffs)
         if self.p != 2:
             s = self._lp_powmod([a, one], (q ** d - 1) // 2, h, level)
             return self._lp_sub(s, [one], level)
@@ -404,7 +404,7 @@ class FieldTower:
             acc = self._lp_sub(acc, cur, level)  # in characteristic 2, + is -
         return acc
 
-    def _lp_root(self, g, level):
+    def _lp_root(self, g, level, rng):
         """A root of g in F_{p^level}; g must split over that field."""
         one = tuple([1] + [0] * (level - 1))
         zero = tuple([0] * level)
@@ -416,128 +416,78 @@ class FieldTower:
         if len(g) - 1 < 1:
             raise ArithmeticError("polynomial has no root in the requested field")
         while len(g) - 1 > 1:
-            d = self._lp_gcd(self._cz_probe(g, 1, level), g, level)
+            d = self._lp_gcd(self._cz_probe(g, 1, level, rng), g, level)
             if 0 < len(d) - 1 < len(g) - 1:
                 g = d if len(d) <= (len(g) + 1) // 2 + 1 else self._lp_divexact(g, d, level)
         return self._neg(level, g[0])
 
     def _dense_roots(self, dense, level):
         """All roots of a dense polynomial over F_{p^level} in the closure,
-        each at its minimal level, with multiplicities.  A quadratic over
-        F_p, p odd, is solved in closed form (_quadratic_roots); every other
-        polynomial is split."""
+        each at its minimal level, with multiplicities, in compress_key
+        order.  A quadratic over F_p, p odd, is solved in closed form
+        (_quadratic_roots).  Every other polynomial is split into its
+        squarefree parts, whose roots are split off by probes drawn from a
+        stream of this root find's own."""
         dense = self._lp_trim(list(dense))
         if level == 1 and len(dense) == 3 and self.p != 2:
-            return self._quadratic_roots(*(c for (c,) in dense))
-        out = []
-        for z in self._distinct_roots(dense, level):
-            m = self._root_multiplicity(dense, z, level)
-            out.append((z.compress(), m))
-        return out
+            roots = self._quadratic_roots(*(c for (c,) in dense))
+        else:
+            rng = random.Random(repr(("roots", self.p, self.seed, level, dense)))
+            roots = [(z.compress(), m)
+                     for g, m in self._squarefree_parts(dense, level)
+                     for z in self._squarefree_roots(g, level, rng)]
+        # compressed roots: (level, coeffs) is their compress_key
+        return sorted(roots, key=lambda r: (r[0].level, r[0].coeffs))
 
     def _quadratic_roots(self, c, b, a):
         """The roots of a x^2 + b x + c over F_p, p odd, as (-b +- r)/2a
-        with r^2 = D = b^2 - 4ac, in the order the splitting lists them.  A
-        square D has r in F_p.  Otherwise the roots live at level 2: if
-        x^2 + m1 x + m0 is its modulus, with root alpha, then
-        (2 alpha + m1)^2 = m1^2 - 4 m0, a non-square, so r = s (2 alpha + m1)
-        with s^2 = D / (m1^2 - 4 m0) in F_p."""
-        p, e = self.p, (self.p - 1) // 2
+        with r^2 = D = b^2 - 4ac.  A square D has r in F_p.  Otherwise the
+        roots live at level 2: if x^2 + m1 x + m0 is its modulus, with root
+        alpha, then (2 alpha + m1)^2 = m1^2 - 4 m0, a non-square, so
+        r = s (2 alpha + m1) with s^2 = D / (m1^2 - 4 m0) in F_p."""
+        p = self.p
         half = pow(2 * a, -1, p)
         d = (b * b - 4 * a * c) % p
         if not d:
             return [(GroundElem(self, 1, (-b * half % p,)), 2)]
         s = _sqrt_mod(d, p)
         if s is not None:
-            roots = [(r - b) * half % p for r in (s, -s)]
-            i = self._separating_draw(
-                roots, 1, lambda r, k: pow(r + k, e, p) == 1)
-            # the splitting lists the root its probe splits off last
-            return [(GroundElem(self, 1, (roots[j],)), 1) for j in (1 - i, i)]
+            return [(GroundElem(self, 1, ((r - b) * half % p,)), 1) for r in (s, -s)]
         self.ensure_level(2)
         m0, m1, _ = self._levels[2]
         s = _sqrt_mod(d * pow(m1 * m1 - 4 * m0, -1, p), p)
-        roots = [((r * m1 - b) * half % p, 2 * r * half % p) for r in (s, -s)]
+        return [(GroundElem(self, 2, ((r * m1 - b) * half % p, 2 * r * half % p)), 1)
+                for r in (s, -s)]
 
-        def square(r, k):
-            # y^((p^2 - 1)/2) is the Legendre symbol of the norm of y, and
-            # the norm of y0 + y1 alpha is y0^2 - m1 y0 y1 + m0 y1^2
-            y0, y1 = r[0] + k % p, r[1] + k // p
-            return pow(y0 * y0 - m1 * y0 * y1 + m0 * y1 * y1, e, p) == 1
-
-        i = self._separating_draw(roots, 2, square)
-        # the splitting finds the root its probe splits off, then its
-        # conjugate
-        return [(GroundElem(self, 2, roots[j]), 1) for j in (i, 1 - i)]
-
-    def _separating_draw(self, roots, level, square):
-        """The draws of the Cantor-Zassenhaus probes that split a quadratic
-        with the two given roots over F_q, q = p^level, made without the
-        probes: the probe of a drawn a splits off the roots r with r + a a
-        nonzero square in F_q (square(r, index of a)), and the draws stop
-        when it splits off one root alone.  Returns that root's index.  So
-        the tower's later draws stay those of the splitting."""
-        while True:
-            k = self._rng.randrange(self.p ** level)
-            hits = [square(r, k) for r in roots]
-            if hits[0] != hits[1]:
-                return hits.index(True)
-
-    def _distinct_roots(self, dense, level):
-        """Distinct roots only; multiplicities are recounted by the caller.
-
-        When the derivative vanishes the polynomial is a p-th power of the
-        polynomial with p-th-rooted coefficients, which has the same roots.
-        Otherwise the separable part is split, and the gcd with the
-        derivative is recursed into so that factors of multiplicity
-        divisible by p are not lost."""
+    def _squarefree_parts(self, dense, level):
+        """The squarefree decomposition of a nonconstant dense polynomial
+        over F_{p^level}: pairwise coprime monic squarefree factors g with
+        their multiplicities m, f = lc(f) prod g^m.  Yun's loop of gcds
+        (Yun, On square-free decomposition algorithms, SYMSAC 1976; von zur
+        Gathen and Gerhard, Modern Computer Algebra, ch. 14) peels off the
+        factors of multiplicity prime to p; what is left is a p-th power,
+        whose p-th root is decomposed in turn.  No probe, no draw."""
         p = self.p
-        dense = self._lp_trim(list(dense))
-        if len(dense) - 1 <= 0:
-            return []
-        deriv = self._lp_trim([tuple((k * x) % p for x in dense[k])
-                               for k in range(1, len(dense))])
-        if not deriv:
-            return self._distinct_roots(
-                [GroundElem(self, level, dense[k]).pth_root().coeffs
-                 for k in range(0, len(dense), p)], level)
-        g = self._lp_gcd(list(dense), deriv, level)
-        roots = self._squarefree_roots(self._lp_divexact(list(dense), g, level), level)
-        if len(g) - 1 >= 1:
-            seen = {z.compress_key() for z in roots}
-            for z in self._distinct_roots(g, level):
-                if z.compress_key() not in seen:
-                    seen.add(z.compress_key())
-                    roots.append(z)
-        return roots
+        f = self._lp_monic(list(dense), level)
+        deriv = [tuple(k * x % p for x in f[k]) for k in range(1, len(f))]
+        c = self._lp_gcd(f, deriv, level)
+        w = self._lp_divexact(f, c, level)
+        parts, i = [], 1
+        while len(w) > 1:
+            y = self._lp_gcd(w, c, level)
+            if len(y) < len(w):
+                parts.append((self._lp_divexact(w, y, level), i))
+            w, c, i = y, self._lp_divexact(c, y, level), i + 1
+        if len(c) > 1:
+            root = [GroundElem(self, level, c[k]).pth_root().coeffs
+                    for k in range(0, len(c), p)]
+            parts += [(g, m * p) for g, m in self._squarefree_parts(root, level)]
+        return parts
 
-    def _root_multiplicity(self, dense, z, level):
-        lv = _lcm(level, z.level)
-        self.ensure_level(lv)
-        zl = self._lift(z, lv).coeffs
-        poly = [self._lift(GroundElem(self, level, c), lv).coeffs for c in dense]
-        mult = 0
-        while True:
-            # synthetic division by (x - z)
-            q = [tuple([0] * lv)] * (len(poly) - 1)
-            carry = tuple([0] * lv)
-            for k in range(len(poly) - 1, 0, -1):
-                carry = self._add(lv, poly[k], self._mul(lv, carry, zl))
-                q[k - 1] = carry
-            rem = self._add(lv, poly[0], self._mul(lv, carry, zl))
-            if any(rem):
-                return mult
-            mult += 1
-            poly = q
-            if len(poly) == 1:
-                # constant quotient: either done or z exhausts the polynomial
-                if not any(poly[0]):
-                    raise ArithmeticError("degenerate polynomial in multiplicity count")
-                return mult
-
-    def _squarefree_roots(self, sf, level):
+    def _squarefree_roots(self, sf, level, rng):
         """Roots of a squarefree dense polynomial over F_{p^level}, by
-        distinct-degree and then equal-degree factorization."""
+        distinct-degree and then equal-degree factorization, with probes
+        drawn from rng."""
         q = self.p ** level
         x = [tuple([0] * level), tuple([1] + [0] * (level - 1))]
         sf = self._lp_monic(list(sf), level)
@@ -547,19 +497,19 @@ class FieldTower:
         while len(sf) - 1 >= 1:
             if 2 * d > len(sf) - 1:
                 # the remaining factor is irreducible
-                roots.extend(self._roots_of_irreducible(sf, level, len(sf) - 1))
+                roots.extend(self._roots_of_irreducible(sf, level, len(sf) - 1, rng))
                 break
             w = self._lp_powmod(w, q, sf, level)
             gd = self._lp_gcd(self._lp_sub(w, x, level), sf, level)
             if len(gd) - 1 > 0:
-                for factor in self._equal_degree_split(gd, d, level):
-                    roots.extend(self._roots_of_irreducible(factor, level, d))
+                for factor in self._equal_degree_split(gd, d, level, rng):
+                    roots.extend(self._roots_of_irreducible(factor, level, d, rng))
                 sf = self._lp_divexact(sf, gd, level)
                 w = self._lp_mod(w, sf, level) if len(sf) - 1 >= 1 else w
             d += 1
         return roots
 
-    def _equal_degree_split(self, g, d, level):
+    def _equal_degree_split(self, g, d, level, rng):
         """The irreducible factors of g, all of degree d over F_{p^level}."""
         work, out = [g], []
         while work:
@@ -567,20 +517,20 @@ class FieldTower:
             if len(h) - 1 == d:
                 out.append(h)
                 continue
-            split = self._lp_gcd(self._cz_probe(h, d, level), h, level)
+            split = self._lp_gcd(self._cz_probe(h, d, level, rng), h, level)
             if 0 < len(split) - 1 < len(h) - 1:
                 work += [split, self._lp_divexact(h, split, level)]
             else:
                 work.append(h)
         return out
 
-    def _roots_of_irreducible(self, g, level, d):
+    def _roots_of_irreducible(self, g, level, d, rng):
         if d == 1:
             return [GroundElem(self, level, self._neg(level, self._lp_monic(list(g), level)[0]))]
         target = level * d
         self.ensure_level(target)
         glift = [self._lift(GroundElem(self, level, c), target).coeffs for c in g]
-        roots = [GroundElem(self, target, self._lp_root(glift, target))]
+        roots = [GroundElem(self, target, self._lp_root(glift, target, rng))]
         q = self.p ** level
         for _ in range(d - 1):
             roots.append(roots[-1] ** q)
@@ -1287,7 +1237,22 @@ class FunctionField:
 
     def univariate_roots(self, f):
         """All roots of a one-variable polynomial in the closure, with
-        multiplicities.  The sum of the multiplicities is the degree."""
+        multiplicities, in compress_key order.  The sum of the
+        multiplicities is the degree."""
+        dense = self._dense(f)
+        return self.tower._dense_roots(*dense) if dense else []
+
+    def root_multiplicities(self, f):
+        """The multiplicity of each squarefree part of a one-variable
+        polynomial, read off its squarefree decomposition: every root of
+        the polynomial has one of them, and no root is found."""
+        dense = self._dense(f)
+        return [m for _, m in self.tower._squarefree_parts(*dense)] if dense else []
+
+    def _dense(self, f):
+        """A one-variable polynomial (or one over a constant denominator)
+        as a dense coefficient list over the lcm of its coefficients'
+        levels, with that level; None when it is constant."""
         if isinstance(f, RatFunc):
             if not f.den.is_constant():
                 raise ValueError("roots of a polynomial, not a fraction")
@@ -1298,7 +1263,7 @@ class FunctionField:
         if len(used) > 1:
             raise ValueError("univariate root finding needs one variable")
         if not used:
-            return []
+            return None
         (i,) = used
         level = 1
         for c in f.terms.values():
@@ -1307,4 +1272,4 @@ class FunctionField:
         dense = [tuple([0] * level) for _ in range(f.degree_in(i) + 1)]
         for e, c in f.terms.items():
             dense[e[i]] = self.tower._lift(c, level).coeffs
-        return self.tower._dense_roots(dense, level)
+        return dense, level

@@ -26,6 +26,18 @@ MAX_INPUT_LEVEL = 16
 # 0.05 s at d = 256, 1.0 s at 1024 and 11 s at 4096.  Exponents that
 # arithmetic reaches by itself (products, powers) are not capped.
 MAX_INPUT_DEGREE = 256
+# The highest rank an input abc group may declare.  Its wedge square has
+# rank * (rank - 1) / 2 coordinates, and abc-verify row-reduces the
+# annihilator of the relations, a basis of nearly that many vectors: with
+# one relation at l = 3 on one core of a 2-core Linux host, 0.13 s at rank
+# 16, 0.64 s at 20 and 1.6 s at 24.
+MAX_INPUT_RANK = 16
+# The most variables an input may declare (--vars, or the pipeline
+# configuration's vars).  The automatic universe of the coordinates is the
+# costliest run so small an input asks for: its pipeline took, at p = 7 on
+# one core of a 2-core Linux host, 0.25 s at 10 variables, 2.0 s at 12 and
+# 9 s at 13.  Five coordinates as the universe took 0.12 s at 256.
+MAX_INPUT_VARS = 10
 
 
 class InputError(ValueError):
@@ -227,8 +239,9 @@ def decode_abc_group(data):
 
     what = "a group fragment"
     rank = field(data, "rank", what, int)
-    if rank < 0:
-        raise InputError("%s needs a rank of at least 0" % what)
+    if not 0 <= rank <= MAX_INPUT_RANK:
+        raise InputError("%s needs a rank from 0 to %d"
+                         % (what, MAX_INPUT_RANK))
     return AbcGroup(rank, modulus(data, what),
                     int_matrix(data.get("relations", []),
                                "the relations of %s" % what,

@@ -722,8 +722,9 @@ class KContext:
     def _ell_th_power(self, x):
         """Whether an entry in one variable is a constant times an l-th
         power: every root of its numerator and denominator has multiplicity
-        divisible by l.  A degree prime to l rules that out without a root
-        find."""
+        divisible by l.  A degree prime to l rules that out at once; else
+        the multiplicities are read off a squarefree decomposition, with no
+        root find."""
         used = x.vars_used()
         if len(used) != 1:
             return False
@@ -732,12 +733,12 @@ class KContext:
         if any(f.degree_in(v) % self.ell for f in polys):
             return False
         return all(m % self.ell == 0 for f in polys
-                   for _, m in self.field.univariate_roots(f))
+                   for m in self.field.root_multiplicities(f))
 
     def _snap_center(self, entry, var):
         """A chain centre in the vanishing or polar locus of the entry.  When
         its numerator or denominator uses the given variable alone: the root
-        of an affine one, else its least root (by compress_key) of
+        of an affine one, else its first root in compress_key order of
         multiplicity prime to l, at whatever tower level the root lives.
         Failing that, INF when the entry's order at t_var = infinity,
         deg den - deg num in t_var, is prime to l; None otherwise."""
@@ -752,10 +753,9 @@ class KContext:
                     return self.field.tower.zero()
                 # b / 1 is b at its own level when 1 is at level 1
                 return -b if a.level == 1 and a.is_one() else -(b / a)
-            roots = [z for z, m in self.field.univariate_roots(poly)
-                     if m % self.ell]
-            if roots:
-                return min(roots, key=lambda z: z.compress_key())
+            for z, m in self.field.univariate_roots(poly):
+                if m % self.ell:
+                    return z
         if (entry.den.degree_in(var) - entry.num.degree_in(var)) % self.ell:
             return INF
         return None

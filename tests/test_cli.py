@@ -340,6 +340,21 @@ def _ram_indices(indices):
     # finding walked a dense polynomial of degree 999,999
     ("lattice-build", {"subfields": [[{"num": X0["num"], "den": {
         "vars": 2, "terms": [{"exp": [1000000, 0], "coef": ONE}]}}]]}),
+    # a fragment name that is no string: with three fragments whose
+    # epsilons differ, the report of a missing triangle sorted the names
+    *(("rigidity", {"ell": 5, "ambient_dim": 3, "fragments": [
+        {"name": "A", "members": [[1, 0, 0], [0, 1, 0]]},
+        {"name": "B", "members": [[0, 0, 1]]},
+        {"name": name, "members": [[1, 4, 0]]}],
+        "phi": [[3, 0, 0], [0, 3, 0], [0, 0, 2]]})
+      for name in (None, 7, ["C"], {"C": 1})),
+    # a group rank above MAX_INPUT_RANK, and vars above MAX_INPUT_VARS on
+    # the command line or in the pipeline configuration
+    ("abc-verify", {"group": {"rank": 2000, "ell": 3}, "words": ["x1 x2"]}),
+    ("duality-check", {"group": {"rank": 2000, "ell": 3},
+                       "mult": {"n": 2000, "ell": 3}}),
+    ("--vars=1000000 dim", {"generators": [X0]}),
+    ("pipeline", dict(CONFIG5, vars=1000000)),
 ])
 def test_malformed_input_exits_3(tmp_path, capsys, command, payload):
     path = tmp_path / "bad.json"
@@ -591,6 +606,28 @@ def test_delta(run, enc2):
     code, out = run("delta", payload, extra=["--vars", "2"])
     assert code == EXIT_OK
     assert len(out["entries"]) == 2
+
+
+def test_delta_at_a_centre_where_the_generator_is_constant(run, enc2):
+    # at t0 = 3 the generator t0 is a unit with the constant residue 3,
+    # and t0 - 3 vanishes there to order 1: the point 3 of k(t0), ram 1.
+    # At t1 = 2 its residue t0 is no constant, so that valuation is
+    # skipped
+    tw, ff = enc2
+    three = {"level": 1, "coeffs": [3]}
+    payload = {
+        "generator": encode_ratfunc(ff.var(0)),
+        "valuations": [
+            {"var": 0, "center": three},
+            {"var": 1, "center": {"level": 1, "coeffs": [2]}},
+            {"var": 0, "center": "inf"},
+        ],
+    }
+    code, out = run("delta", payload, extra=["--vars", "2"])
+    assert code == EXIT_OK
+    assert out == {"entries": [
+        {"var": 0, "center": three, "point": three, "ram": 1},
+        {"var": 0, "center": "inf", "point": "inf", "ram": 1}]}
 
 
 def test_rigidity(run):

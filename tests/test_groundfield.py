@@ -15,6 +15,7 @@ from milnork.groundfield import (
     INF,
     FieldTower,
     FunctionField,
+    GroundElem,
     RatFunc,
     SparsePoly,
     ZeroError,
@@ -407,7 +408,7 @@ def test_ratfunc_canonical_form_and_equality(ff2, tower7):
 
 def _tower_record(p):
     """Tower choices, ell-th roots and polynomial roots of a p tower grown
-    to levels 2, 3, 4 and 6 in turn; each consumes the tower's draws."""
+    to levels 2, 3, 4 and 6 in turn, root finds in between."""
     tw = FieldTower(p, seed=0)
     ff = FunctionField(tw, 1)
     t = ff.var(0)
@@ -448,12 +449,12 @@ def test_tower_snapshot_deterministic():
     a.ensure_level(3)
     b.ensure_level(3)
     assert a.snapshot() == b.snapshot()
-    # the draw order and the choice of roots are pinned: any change in
-    # either moves the digest
+    # the moduli drawn, the roots chosen and their order are pinned: any
+    # change in one of them moves the digest
     text = json.dumps([_tower_record(p) for p in (2, 3, 5)],
                       sort_keys=True, separators=(",", ":"))
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "21b17c10e42b5655afcf6a79b4d9b00a46d63451c155d0bdde5386b31ea4576c")
+        "00f3c2150bfb164c8c2328b728e78aef00e389793d05da558d9265313144694a")
 
 
 @functools.lru_cache(maxsize=None)
@@ -586,12 +587,6 @@ def test_univariate_roots_inseparable_polynomial():
 
 # -- closed-form quadratic roots ---------------------------------------------
 
-def _split_roots(tw, dense):
-    """The generic body of _dense_roots: Cantor-Zassenhaus splitting."""
-    return [(z.compress(), tw._root_multiplicity(dense, z, 1))
-            for z in tw._distinct_roots(dense, 1)]
-
-
 @st.composite
 def _prime_field_quadratics(draw):
     """a x^2 + b x + c over F_p, p = 3 or p = 1 or 3 mod 4, its
@@ -609,39 +604,176 @@ def _prime_field_quadratics(draw):
 @settings(max_examples=200, deadline=None)
 @given(_prime_field_quadratics())
 def test_quadratic_roots_match_the_splitting(case):
-    # the same roots, in the same order and at the same levels, and the
-    # same draws, so that levels grown afterwards are the same as well
+    # the closed form gives the roots that the generic path gives for the
+    # same quadratic over level 2, in the same order and at the same
+    # levels; and the tower's stream only draws the levels the roots need
     p, coeffs, seed, grown = case
-    fast, generic = FieldTower(p, seed=seed), FieldTower(p, seed=seed)
-    fast.ensure_level(grown)
-    generic.ensure_level(grown)
+    fast, generic, alone = (FieldTower(p, seed=seed) for _ in range(3))
+    for tw in (fast, generic, alone):
+        tw.ensure_level(grown)
     ff = FunctionField(fast, 1)
     poly = SparsePoly(1, {(k,): fast.from_int(c) for k, c in enumerate(coeffs)})
     got = ff.univariate_roots(poly)
-    want = _split_roots(generic, [(c,) for c in coeffs])
+    generic.ensure_level(2)
+    want = generic._dense_roots([(c, 0) for c in coeffs], 2)
     assert ([(z.level, z.coeffs, m) for z, m in got]
             == [(z.level, z.coeffs, m) for z, m in want])
-    assert fast.snapshot() == generic.snapshot()
-    assert fast._rng.getstate() == generic._rng.getstate()
+    for z, _ in got:
+        alone.ensure_level(z.level)
+    assert fast.snapshot() == alone.snapshot()
+    assert fast._rng.getstate() == alone._rng.getstate()
 
 
 @pytest.mark.parametrize("p, level, closed", [
     (7, 1, True), (3, 1, True), (2, 1, False), (7, 2, False), (3, 2, False)])
-def test_only_odd_prime_field_quadratics_take_the_closed_form(p, level, closed):
+def test_only_odd_prime_field_quadratics_take_the_closed_form(
+        monkeypatch, p, level, closed):
     tw = FieldTower(p, seed=0)
     tw.ensure_level(2)
     ff = FunctionField(tw, 1)
     t = ff.var(0)
     calls = []
-    split = tw._distinct_roots
+    parts = tw._squarefree_parts
 
     def spy(dense, lv):
         calls.append(lv)
-        return split(dense, lv)
+        return parts(dense, lv)
 
-    tw._distinct_roots = spy
+    monkeypatch.setattr(tw, "_squarefree_parts", spy)
     # 1 at the given level: the value is in F_p either way
     one = tw.element(level, [1] + [0] * (level - 1))
     roots = ff.univariate_roots((t * t + t + ff.const(one)).num)
     assert sum(m for _, m in roots) == 2
     assert (calls == []) == closed
+
+
+# -- one root-finding path: the tower record, Yun against root counting ------
+
+@st.composite
+def _tower_walks(draw):
+    """A p tower's requests of the levels dividing one top, 2 to 6, in a
+    drawn order, each after one or two root finds of products of
+    (t - a)^e, every a drawn from one level already built.  With coeffs,
+    the coefficients are taken at their minimal levels first, so that
+    factors of degree above 1 are split as well."""
+    p, top = draw(st.sampled_from((2, 3, 5, 7))), draw(st.integers(2, 6))
+    root_find = st.tuples(
+        st.integers(0, 5),
+        st.lists(st.tuples(st.integers(0, 10 ** 6), st.integers(1, 3)),
+                 min_size=2, max_size=3),
+        st.booleans())
+    levels = draw(st.permutations([d for d in range(2, top + 1) if top % d == 0]))
+    steps = [(m, draw(st.lists(root_find, min_size=1, max_size=2)))
+             for m in levels]
+    return p, draw(st.integers(0, 3)), steps
+
+
+def _walk(p, seed, steps, find_roots):
+    tw = FieldTower(p, seed=seed)
+    ff = FunctionField(tw, 1)
+    t = ff.var(0)
+    for level, finds in steps:
+        for which, factors, coeffs in finds if find_roots else ():
+            built = tw.levels()
+            m = built[which % len(built)]
+            f = ff.one()
+            for k, e in factors:
+                f = f * (t - ff.const(tw.element_from_index(m, k % p ** m))) ** e
+            poly = f.num
+            if coeffs:
+                poly = SparsePoly(1, {e: c.compress() for e, c in poly.terms.items()})
+            roots = ff.univariate_roots(poly)
+            assert sum(k for _, k in roots) == sum(e for _, e in factors)
+        tw.ensure_level(level)
+    return tw
+
+
+@settings(max_examples=40, deadline=None)
+@given(_tower_walks())
+def test_root_finds_leave_the_tower_record_alone(walk):
+    p, seed, steps = walk
+    with_roots = _walk(p, seed, steps, True)
+    alone = _walk(p, seed, steps, False)
+    assert with_roots.snapshot() == alone.snapshot()
+
+
+def _counted_roots(tw, dense, level):
+    """Roots with multiplicities by the route that Yun's decomposition
+    replaced: the distinct roots, found by recursing into gcd(f, f') and
+    through the p-th root of a polynomial with zero derivative, then each
+    root's multiplicity counted by synthetic division."""
+    p, rng = tw.p, random.Random(0)
+
+    def distinct(dense):
+        dense = tw._lp_trim(list(dense))
+        if len(dense) - 1 <= 0:
+            return []
+        deriv = tw._lp_trim([tuple((k * x) % p for x in dense[k])
+                             for k in range(1, len(dense))])
+        if not deriv:
+            return distinct([GroundElem(tw, level, dense[k]).pth_root().coeffs
+                             for k in range(0, len(dense), p)])
+        g = tw._lp_gcd(list(dense), deriv, level)
+        roots = tw._squarefree_roots(tw._lp_divexact(list(dense), g, level),
+                                     level, rng)
+        seen = {z.compress_key() for z in roots}
+        for z in distinct(g):
+            if z.compress_key() not in seen:
+                seen.add(z.compress_key())
+                roots.append(z)
+        return roots
+
+    def multiplicity(z):
+        lv = math.lcm(level, z.level)
+        tw.ensure_level(lv)
+        zl = tw._lift(z, lv).coeffs
+        poly = [tw._lift(GroundElem(tw, level, c), lv).coeffs for c in dense]
+        mult = 0
+        while True:
+            # synthetic division by (x - z)
+            q = [tuple([0] * lv)] * (len(poly) - 1)
+            carry = tuple([0] * lv)
+            for k in range(len(poly) - 1, 0, -1):
+                carry = tw._add(lv, poly[k], tw._mul(lv, carry, zl))
+                q[k - 1] = carry
+            if any(tw._add(lv, poly[0], tw._mul(lv, carry, zl))):
+                return mult
+            mult += 1
+            poly = q
+            if len(poly) == 1:
+                return mult
+
+    return {z.compress_key(): multiplicity(z) for z in distinct(dense)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from((2, 3, 5, 7)), st.sampled_from((1, 2)),
+       st.lists(st.tuples(st.integers(0, 10 ** 6), st.booleans(),
+                          st.integers(1, 9)), min_size=1, max_size=3))
+def test_squarefree_parts_count_the_multiplicities_that_roots_do(p, level, factors):
+    # products of linear and quadratic factors over F_{p^level}, each to a
+    # power up to 9, so that powers divisible by p take the p-th-root step
+    tw = FieldTower(p, seed=0)
+    tw.ensure_level(level)
+    ff = FunctionField(tw, 1)
+    t = ff.var(0)
+    f = ff.one()
+    for k, quadratic, e in factors:
+        a = ff.const(tw.element_from_index(level, k % p ** level))
+        f = f * (t * t + a * t + ff.const(1) if quadratic else t - a) ** e
+    dense, lv = ff._dense(f.num)
+    parts = tw._squarefree_parts(dense, lv)
+    # pairwise coprime, squarefree, and the product of their powers is f
+    product = [tw.one().coeffs + (0,) * (lv - 1)]
+    for g, m in parts:
+        assert m >= 1 and len(g) > 1
+        for _ in range(m):
+            product = tw._lp_mul(product, g, lv)
+    assert product == tw._lp_monic(dense, lv)
+    assert all(len(tw._lp_gcd(g, h, lv)) == 1
+               for (g, _), (h, _) in itertools.combinations(parts, 2))
+    counted = _counted_roots(tw, dense, lv)
+    assert sorted(m for g, m in parts for _ in range(len(g) - 1)) == sorted(
+        counted.values())
+    assert {z.compress_key(): m for z, m in ff.univariate_roots(f.num)} == counted
+    assert sorted({m for _, m in parts}) == sorted(ff.root_multiplicities(f.num))

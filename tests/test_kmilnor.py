@@ -923,25 +923,32 @@ def test_tuples_inside_a_smaller_field_stop_without_a_trial(case):
     assert ctx.trdeg_upper(elements) < len(elements)
 
 
-def test_roots_of_an_entry_are_found_once_per_search(monkeypatch):
-    # (t0^2 + 3)^3 is an l-th power, so the symbol vanishes.  The search
-    # once spent its whole budget on it and found its roots 35 times at
-    # seed 0, once per unshifted trial that put it on t0; it now finds them
-    # once, to stop before any trial
-    ff = FunctionField(FieldTower(7, seed=0), 2)
-    t0, t1 = ff.var(0), ff.var(1)
-    calls = []
-    roots = ff.univariate_roots
+def _spy_roots(monkeypatch, ff, name):
+    """The polynomials passed to each call of ff.name."""
+    calls, real = [], getattr(ff, name)
 
     def spy(poly):
         calls.append(poly.key())
-        return roots(poly)
+        return real(poly)
 
-    monkeypatch.setattr(ff, "univariate_roots", spy)
+    monkeypatch.setattr(ff, name, spy)
+    return calls
+
+
+def test_roots_of_an_entry_are_found_once_per_search(monkeypatch):
+    # (t0^2 + 3)^3 is an l-th power, so the symbol vanishes.  The search
+    # once spent its whole budget on it and found its roots 35 times at
+    # seed 0, once per unshifted trial that put it on t0; it now reads its
+    # multiplicities once, to stop before any trial, and finds no root
+    ff = FunctionField(FieldTower(7, seed=0), 2)
+    t0, t1 = ff.var(0), ff.var(1)
+    calls = _spy_roots(monkeypatch, ff, "root_multiplicities")
+    roots = _spy_roots(monkeypatch, ff, "univariate_roots")
     ctx = KContext(ff, 3)
     entries = [(t0 * t0 + ff.const(3)) ** 3, t1]
     assert ctx.certificate_search(entries, budget=64, seed=0) is UNKNOWN
     assert calls and len(calls) == len(set(calls))
+    assert roots == []
 
 
 def test_ell_th_power_entries_stop_before_any_trial():
@@ -963,14 +970,7 @@ def test_ell_th_power_entries_stop_before_any_trial():
 def test_a_degree_prime_to_l_needs_no_root_find(monkeypatch):
     ff = FunctionField(FieldTower(7, seed=0), 2)
     t0, t1 = ff.var(0), ff.var(1)
-    calls = []
-    roots = ff.univariate_roots
-
-    def spy(poly):
-        calls.append(poly.key())
-        return roots(poly)
-
-    monkeypatch.setattr(ff, "univariate_roots", spy)
+    calls = _spy_roots(monkeypatch, ff, "root_multiplicities")
     ctx = KContext(ff, 3)
     ctx._try_trial = lambda search, trial: None
     for entries in ([t0 + ff.const(2), t1], [(t0 * t0 + ff.const(3)) ** 2, t1],
