@@ -18,7 +18,6 @@ import sys
 from . import geometry as geom_mod
 from . import jsonio, linalg
 from .abelcentral import (
-    CommutatorForm,
     MultFragment,
     duality_check,
     h2_brute_force,
@@ -91,8 +90,15 @@ class PipelineConfig:
                              % jsonio.MAX_INPUT_VARS)
         if self.budget < 0:
             raise ValueError("budget must be at least 0")
-        if auto.get("bertini_samples", 0) < 0:
+        samples = auto.get("bertini_samples", 0)
+        if samples < 0:
             raise ValueError("bertini_samples must be at least 0")
+        if auto.get("coordinates", True):
+            samples += self.vars
+        if samples > jsonio.MAX_AUTO_UNIVERSE:
+            raise ValueError("auto_universe may ask for at most %d subgroups, "
+                             "its coordinates and bertini_samples together"
+                             % jsonio.MAX_AUTO_UNIVERSE)
         if not 3 <= self.max_rank < self.vars:
             raise ValueError("max_rank must lie between 3 and vars - 1")
         for decl in self.universe_decl:
@@ -543,7 +549,7 @@ def cmd_abc_verify(args):
     what = "abc-verify input"
     G = jsonio.decode_abc_group(jsonio.field(data, "group", what, dict))
     out = {"rank": G.rank, "ell": G.ell,
-           "kernel_dim": CommutatorForm(G).wedge_kernel().dim,
+           "kernel_dim": G.relations.dim,
            "upsilon_pairing": upsilon(G).pairing_identity_holds()}
     if "words" in data:
         out["normal_forms"] = []

@@ -660,9 +660,6 @@ class GroundElem:
         a, b = self.tower.common_level(self, other)
         return a.coeffs == b.coeffs
 
-    def __ne__(self, other):
-        return not self.__eq__(other)
-
     def __hash__(self):
         return hash(self.compress_key())
 
@@ -818,9 +815,6 @@ class SparsePoly:
             return False
         return all(c == other.terms[e] for e, c in self.terms.items())
 
-    def __ne__(self, other):
-        return not self.__eq__(other)
-
     def key(self):
         return tuple(sorted((e, c.level, c.coeffs) for e, c in self.terms.items()))
 
@@ -890,11 +884,12 @@ class SparsePoly:
             out[tuple(ne)] = c
         return SparsePoly(self.nvars, out)
 
-    def reverse_in(self, i, degree=None):
-        """Coefficient reversal in t_i: t_i^k -> t_i^(D-k)."""
+    def reverse_in(self, i):
+        """Coefficient reversal in t_i: t_i^k -> t_i^(D-k), D the degree in
+        t_i."""
         if not self.terms:
             return self
-        D = self.degree_in(i) if degree is None else degree
+        D = self.degree_in(i)
         out = {}
         for exp, c in self.terms.items():
             ne = list(exp)
@@ -1074,9 +1069,6 @@ class RatFunc:
             return NotImplemented
         return self.num * other.den == other.num * self.den
 
-    def __ne__(self, other):
-        return not self.__eq__(other)
-
     def key(self):
         return (self.num.key(), self.den.key())
 
@@ -1127,9 +1119,6 @@ class CoordValuation:
     @property
     def at_infinity(self):
         return self.center is INF
-
-    def residue_vars(self):
-        return frozenset(i for i in range(self.nvars) if i != self.var)
 
     def __eq__(self, other):
         if not isinstance(other, CoordValuation):

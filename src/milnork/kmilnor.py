@@ -17,10 +17,6 @@ from . import linalg
 from .groundfield import INF, RatFunc, SparsePoly, ZeroInputError, is_prime
 
 
-class NotUniformizer(ValueError):
-    """Supplied element does not have value one at the valuation."""
-
-
 class ZeroEntry(ValueError):
     """Symbols cannot contain the zero function."""
 
@@ -31,6 +27,10 @@ class BadExponent(ValueError):
 
 class ChainError(ValueError):
     """Malformed Parshin chain."""
+
+
+class NotUniformizer(ChainError):
+    """Supplied element does not have value one at the valuation."""
 
 
 class _Unknown:
@@ -194,71 +194,59 @@ def tame_step(field, sym, v, pi=None, ell=None):
     """
     if ell is None:
         raise ValueError("ell is required")
-    if pi is None:
-        pi = field.uniformizer(v)
-    chain = ParshinChain(field, [v], [pi], validate=False)
+    chain = ParshinChain(field, [v], None if pi is None else [pi])
     return tame_chain(field, sym, chain, ell, pull=False)
 
 
 class ParshinChain:
     """Discrete chain of coordinate valuations with a uniformizing system.
 
-    Step j acts on the residue field of step j-1; the recorded uniformizers
-    satisfy the inductive uniformizing-system conditions.  Monomial covers
-    are recorded on the chain and realized by substitution when a symbol is
-    pulled back.
+    Step j acts on the residue field of step j-1.  Uniformizer j, reduced
+    through the steps before it, is a unit at each of them and has order 1
+    at step j, where it is t_j times a unit whose residue is units[j]
+    (t_j the coordinate uniformizer).  The constructor checks this once;
+    the default coordinate uniformizers satisfy it by construction, with
+    every unit one.  Monomial covers are recorded on the chain and realized
+    by substitution when a symbol is pulled back.
     """
 
-    __slots__ = ("field", "steps", "uniformizers", "ram_indices", "covers")
+    __slots__ = ("field", "steps", "uniformizers", "units", "ram_indices",
+                 "covers")
 
     def __init__(self, field, steps, uniformizers=None, ram_indices=None,
-                 covers=None, validate=True):
+                 covers=None):
         self.field = field
         self.steps = tuple(steps)
-        if uniformizers is None:
-            uniformizers = tuple(field.uniformizer(v) for v in self.steps)
-        self.uniformizers = tuple(uniformizers)
+        if len({v.var for v in self.steps}) != len(self.steps):
+            raise ChainError("chain steps must use distinct variables")
         if ram_indices is None:
             ram_indices = tuple(1 for _ in self.steps)
         self.ram_indices = tuple(ram_indices)
+        if len(self.ram_indices) != len(self.steps):
+            raise ChainError("one ramification index per step required")
         self.covers = tuple(covers) if covers else ()
-        if validate:
-            self.validate()
+        if uniformizers is None:
+            self.uniformizers = tuple(field.uniformizer(v) for v in self.steps)
+            self.units = (field.one(),) * len(self.steps)
+            return
+        self.uniformizers = tuple(uniformizers)
+        if len(self.uniformizers) != len(self.steps):
+            raise ChainError("a Parshin chain needs one uniformizer per step")
+        units = []
+        for j, (pi, v) in enumerate(zip(self.uniformizers, self.steps)):
+            for i, w in enumerate(self.steps[:j]):
+                n, pi = field.order_and_residue(pi, w)
+                if n:
+                    raise ChainError("uniformizer %d is not a unit at step %d"
+                                     % (j, i))
+            n, unit = field.order_and_residue(pi, v)
+            if n != 1:
+                raise NotUniformizer("pi has value %d, not 1" % n)
+            units.append(unit)
+        self.units = tuple(units)
 
     def __len__(self):
         return len(self.steps)
-
-    def validate(self):
-        seen = set()
-        for j, v in enumerate(self.steps):
-            if v.var in seen:
-                raise ChainError("step %d reuses variable t%d" % (j, v.var))
-            if j > 0 and v.var not in self.steps[j - 1].residue_vars():
-                raise ChainError("step %d not supported on the residue field" % j)
-            seen.add(v.var)
-        if len(self.uniformizers) != len(self.steps):
-            raise ChainError("one uniformizer per step required")
-        if len(self.ram_indices) != len(self.steps):
-            raise ChainError("one ramification index per step required")
-        self._validate_uniformizing(list(self.uniformizers), 0)
-
-    def _validate_uniformizing(self, unis, start):
-        if start >= len(self.steps):
-            return
-        v = self.steps[start]
-        n0, _ = self.field.order_and_residue(unis[start], v)
-        if n0 != 1:
-            raise ChainError("uniformizer %d has value %d at its step" % (start, n0))
-        reduced = []
-        for j in range(start + 1, len(self.steps)):
-            nj, rj = self.field.order_and_residue(unis[j], v)
-            if nj != 0:
-                raise ChainError("uniformizer %d is not a unit at step %d" % (j, start))
-            reduced.append(rj)
-        if reduced:
-            self._validate_uniformizing(
-                list(unis[: start + 1]) + reduced, start + 1
-            )
 
     def pull_symbol(self, sym):
         """Apply the recorded cover substitutions to a symbol over the base."""
@@ -276,16 +264,9 @@ class ParshinChain:
 
 def coordinate_chain(field, variables, centers):
     """The chain of coordinate valuations t_{i_1} = a_1, t_{i_2} = a_2, ...
-
-    Coordinate uniformizers form a uniformizing system by construction, so
-    the expensive inductive validation is skipped."""
-    steps = [field.valuation(i, c) for i, c in zip(variables, centers)]
-    seen = set()
-    for v in steps:
-        if v.var in seen:
-            raise ChainError("chain reuses variable t%d" % v.var)
-        seen.add(v.var)
-    return ParshinChain(field, steps, validate=False)
+    with the coordinate uniformizers."""
+    return ParshinChain(field, [field.valuation(i, c)
+                                for i, c in zip(variables, centers)])
 
 
 def _cover_substitute(field, f, var, e, center):
@@ -333,7 +314,7 @@ def monomial_pullback(chain, exponents):
         steps.append(field.valuation(v.var, field.tower.zero()))
         unis.append(field.var(v.var))
     ram = tuple(r * e for r, e in zip(chain.ram_indices, exps))
-    return ParshinChain(field, steps, unis, ram, covers=covers, validate=False)
+    return ParshinChain(field, steps, unis, ram, covers=covers)
 
 
 def tame_chain(field, sym, chain, ell, pull=True):
@@ -363,12 +344,7 @@ def tame_chain(field, sym, chain, ell, pull=True):
     for idx, v in enumerate(chain.steps):
         if not terms:
             break
-        pi = chain.uniformizers[idx]
-        for w in chain.steps[:idx]:
-            pi = field.order_and_residue(pi, w)[1]
-        c_ord, adjust = field.order_and_residue(pi, v)
-        if c_ord != 1:
-            raise NotUniformizer("pi has value %d, not 1" % c_ord)
+        adjust = chain.units[idx]
         coordinate = adjust.is_one()
         out, orders = {}, {}
         for (k, J), c in terms.items():
@@ -885,7 +861,7 @@ class KContext:
         """The scalar of a full-length evaluation, 0 when there is none."""
         try:
             value = tame_chain(self.field, sym, chain, self.ell)
-        except (ZeroEntry, ChainError, ZeroInputError, ZeroDivisionError):
+        except (ZeroEntry, ZeroInputError, ZeroDivisionError):
             return 0
         return value.scalar() if value.is_scalar() else 0
 

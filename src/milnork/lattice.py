@@ -778,22 +778,22 @@ def epsilon_rigidity_check(phi, instance):
     """Solve for the scalar by which an invertible map acts on every declared
     good rational fragment, through the divisor intertwining constraint.
 
-    Returns the common unit when all fragments agree and the agreement graph
-    is connected; otherwise a CounterexampleReport naming the first violated
-    constraint or the missing connecting triangle.  Raises NotPreserving when
-    a fragment is not stabilized.
+    Returns the common unit when all fragments agree; otherwise a
+    CounterexampleReport naming the first violated constraint, or the
+    components that the connecting triangles leave.  Raises NotPreserving when
+    a fragment is not stabilized, and ValueError when the members of a
+    fragment are dependent.
     """
     l = instance.ell
     epsilons = []
     for frag in instance.fragments:
         M = frag.members
         k = len(M)
-        images = [linalg.mat_vec(phi, m, l) for m in M]
         # coordinates of each image in the member basis
-        A = linalg.transpose(M)
+        coordinates = linalg.presolve(linalg.transpose(M), l)
         P = []
-        for j, img in enumerate(images):
-            sol = linalg.solve(A, img, l)
+        for j, m in enumerate(M):
+            sol = coordinates(linalg.mat_vec(phi, m, l))
             if sol is None:
                 raise NotPreserving(frag.name, j)
             P.append(sol)
@@ -819,7 +819,10 @@ def epsilon_rigidity_check(phi, instance):
         return CounterexampleReport("no-fragments", {})
     if len(set(epsilons)) == 1:
         return epsilons[0]
-    # need the very-general triangles to glue the fragments together
+    # a triangle u - v = w glues its three fragments: phi(w) = e_C u - e_C v
+    # = e_A u - e_B v, with u and v independent, so they share one epsilon;
+    # as not all the epsilons agree, the triangles leave more than one
+    # component
     parent = list(range(len(instance.fragments)))
 
     def find(i):
@@ -828,22 +831,11 @@ def epsilon_rigidity_check(phi, instance):
             i = parent[i]
         return i
 
-    for ia, ib, ic, ju, jv, jw in instance.triangles():
-        ea, eb, ec = epsilons[ia], epsilons[ib], epsilons[ic]
-        if not (ea == eb == ec):
-            return CounterexampleReport(
-                "triangle-violated",
-                {"fragments": (instance.fragments[ia].name,
-                               instance.fragments[ib].name,
-                               instance.fragments[ic].name),
-                 "epsilons": (ea, eb, ec)})
+    for ia, ib, ic, _, _, _ in instance.triangles():
         for x, y in ((ia, ib), (ib, ic)):
             parent[find(x)] = find(y)
-    comps = {find(i) for i in range(len(instance.fragments))}
-    if len(comps) > 1:
-        groups = {}
-        for i in range(len(instance.fragments)):
-            groups.setdefault(find(i), []).append(instance.fragments[i].name)
-        return CounterexampleReport(
-            "missing-triangle", {"components": sorted(groups.values())})
-    return epsilons[0]
+    groups = {}
+    for i, frag in enumerate(instance.fragments):
+        groups.setdefault(find(i), []).append(frag.name)
+    return CounterexampleReport(
+        "missing-triangle", {"components": sorted(groups.values())})

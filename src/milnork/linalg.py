@@ -81,21 +81,6 @@ def nullspace(A, l):
     return tuple(basis)
 
 
-def solve(A, b, l):
-    """One solution x of A x = b, or None if inconsistent."""
-    if not A:
-        return None
-    ncols = len(A[0])
-    aug = [list(row) + [bv % l] for row, bv in zip(A, b)]
-    R, pivots = rref(tuple(map(tuple, aug)), l)
-    x = [0] * ncols
-    for row, p in zip(R, pivots):
-        if p == ncols:
-            return None
-        x[p] = row[-1]
-    return tuple(x)
-
-
 def presolve(A, l):
     """Factor the full-column-rank system A x = b once; the returned function
     solves for each right-hand side in quadratic time, returning None when b
@@ -146,20 +131,24 @@ class Subspace:
         self.n = n
         self.l = l
         rows = [v for v in vectors if any(x % l for x in v)]
-        self.basis = rref(tuple(rows), l)[0] if rows else ()
+        self.basis, self._pivots = rref(tuple(rows), l)
 
     @property
     def dim(self):
         return len(self.basis)
 
-    def contains(self, v):
+    def reduce(self, v):
+        """The canonical representative of v modulo the subspace: v with
+        the pivot coordinates of the basis cleared."""
         v = [x % self.l for x in v]
-        for row in self.basis:
-            p = next(i for i, x in enumerate(row) if x)
+        for row, p in zip(self.basis, self._pivots):
             if v[p]:
                 f = v[p]
                 v = [(a - f * b) % self.l for a, b in zip(v, row)]
-        return not any(v)
+        return tuple(v)
+
+    def contains(self, v):
+        return not any(self.reduce(v))
 
     def __eq__(self, other):
         return (

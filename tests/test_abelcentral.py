@@ -14,7 +14,6 @@ from milnork import linalg
 from milnork.abelcentral import (
     AbcGroup,
     BadSymbol,
-    CommutatorForm,
     Mismatch,
     MultFragment,
     NotCompatible,
@@ -76,15 +75,43 @@ def test_word_parsing_and_errors():
 
 
 def test_commutator_form_kernels():
-    # free: injective; fully abelian: everything; one relation: that line
-    assert CommutatorForm(AbcGroup(2, 3)).wedge_kernel().dim == 0
+    # free: injective; fully abelian: everything; one relation: that line.
+    # The commutator map on wedge coordinates is the reduction modulo the
+    # relations, so its kernel is the relation subspace
+    assert AbcGroup(2, 3).relations.dim == 0
     full = AbcGroup(2, 3, relations=linalg.identity(1))
-    assert CommutatorForm(full).wedge_kernel().dim == 1
+    assert full.relations.dim == 1
     w = [0] * linalg.wedge_dim(3)
     w[linalg.wedge_index(0, 1, 3)] = 1
     G = AbcGroup(3, 3, relations=[tuple(w)])
-    K = CommutatorForm(G).wedge_kernel()
-    assert K == G.relations
+    assert G.relations == linalg.Subspace(3, [w], 3)
+    assert not any(G.central_reduce(w))
+
+
+def _wedge_kernel(G):
+    """The kernel of the commutator map computed from its matrix: the
+    nullspace of the transposed matrix whose row i is the reduction of the
+    i-th wedge basis vector modulo the relations."""
+    rows = tuple(G.central_reduce(e) for e in linalg.identity(G.wdim))
+    return linalg.Subspace(
+        G.wdim, linalg.nullspace(linalg.transpose(rows), G.ell), G.ell)
+
+
+@st.composite
+def _abc_groups(draw):
+    n = draw(st.integers(0, 7))
+    ell = draw(st.sampled_from([2, 3, 5, 7]))
+    wd = linalg.wedge_dim(n)
+    rows = draw(st.lists(st.lists(st.integers(0, ell - 1), min_size=wd,
+                                  max_size=wd), max_size=wd + 1))
+    return AbcGroup(n, ell, rows)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_abc_groups())
+def test_commutator_kernel_is_the_relation_subspace(G):
+    K = _wedge_kernel(G)
+    assert K.basis == G.relations.basis and K.dim == G.relations.dim
 
 
 def test_commutator_form_values():
@@ -304,7 +331,8 @@ def test_upsilon_fully_abelian():
 @pytest.mark.parametrize("n", range(1, 9))
 def test_free_case_injectivity(n):
     G = AbcGroup(n, 3)
-    assert CommutatorForm(G).wedge_kernel().dim == 0
+    assert G.relations.dim == 0
+    assert _wedge_kernel(G).dim == 0
 
 
 def test_duality_random_relation_subspaces():
@@ -317,7 +345,7 @@ def test_duality_random_relation_subspaces():
         mult = MultFragment(n, 3, W)
         G = AbcGroup(n, 3, mult.kernel.basis)
         assert duality_check(mult, G)["passed"]
-        assert CommutatorForm(G).wedge_kernel() == mult.kernel
+        assert G.relations == mult.kernel
 
 
 def test_duality_mismatch_witnessed():

@@ -22,7 +22,6 @@ from milnork.jsonio import (
 )
 from milnork.kmilnor import (
     KContext,
-    ParshinChain,
     coordinate_chain,
     monomial_pullback,
 )
@@ -120,15 +119,22 @@ def _certify_term(exp, coef, nvars=2):
         "den": {"vars": nvars, "terms": [{"exp": [0] * nvars, "coef": ONE}]}}]}
 
 
+def _origin_chain(symbol, second):
+    """{t_i for i in symbol} on the chain t0 = 0, t1 = 0 with the
+    uniformizers t0 and t1^a t0^b, for second = (a, b)."""
+    ff = FunctionField(FieldTower(7, seed=0), 2)
+    t = [ff.var(0), ff.var(1)]
+    chain = encode_chain(coordinate_chain(ff, [0, 1], [0, 0]))
+    a, b = second
+    chain["uniformizers"][1] = encode_ratfunc(t[1] ** a * t[0] ** b)
+    return {"symbol": [encode_ratfunc(t[i]) for i in symbol], "chain": chain}
+
+
 def _bad_later_uniformizer():
     """{t0, t0} on the chain t0 = 0, t1 = 0 with uniformizers t0 and t1^2:
-    the symbol is zero, but its terms cancel only once canonicalised, so
-    the second step is reached, and t1^2 is no uniformizer there."""
-    ff = FunctionField(FieldTower(7, seed=0), 2)
-    t0, t1 = ff.var(0), ff.var(1)
-    chain = ParshinChain(ff, [ff.valuation(0, 0), ff.valuation(1, 0)],
-                         [t0, t1 ** 2], validate=False)
-    return {"symbol": [encode_ratfunc(t0)] * 2, "chain": encode_chain(chain)}
+    the symbol is zero, its terms cancelling at the first step, but t1^2
+    is no uniformizer at the second step."""
+    return _origin_chain([0, 0], (2, 0))
 
 
 def _step_at(var):
@@ -355,6 +361,14 @@ def _ram_indices(indices):
                        "mult": {"n": 2000, "ell": 3}}),
     ("--vars=1000000 dim", {"generators": [X0]}),
     ("pipeline", dict(CONFIG5, vars=1000000)),
+    # second uniformizers t0*t1 and t1*t0^3, which are no units at the step
+    # t0 = 0 before theirs: {t0, t1} once evaluated to 1 on both chains
+    ("symbol-eval", _origin_chain([0, 1], (1, 1))),
+    ("symbol-eval", _origin_chain([0, 1], (1, 3))),
+    # an automatic universe of more than MAX_AUTO_UNIVERSE subgroups: with
+    # 200 pencil samples it ran for minutes
+    ("pipeline", dict(CONFIG5, auto_universe={"coordinates": True,
+                                              "bertini_samples": 200})),
 ])
 def test_malformed_input_exits_3(tmp_path, capsys, command, payload):
     path = tmp_path / "bad.json"
@@ -641,6 +655,30 @@ def test_rigidity(run):
     payload["phi"] = [[0, 1], [1, 0]]
     code, out = run("rigidity", payload)
     assert code == EXIT_FAILURE and out["result"] == "rejected"
+
+
+@pytest.mark.parametrize("fragments, phi, components", [
+    # three fragments, each pair of members independent, no difference a
+    # member: every fragment is a component of its own
+    ([[[1, 0, 0]], [[0, 1, 0]], [[0, 0, 1]]], [2, 3, 4],
+     [["A"], ["B"], ["C"]]),
+    # e0 - e1 = (1, 4, 0) glues A, B and C, which share the epsilon 2
+    ([[[1, 0, 0]], [[0, 1, 0]], [[1, 4, 0]], [[0, 0, 1]]], [2, 2, 3],
+     [["A", "B", "C"], ["D"]]),
+])
+def test_rigidity_reports_the_components_the_triangles_leave(
+        run, fragments, phi, components):
+    payload = {
+        "ell": 5, "ambient_dim": 3,
+        "fragments": [{"name": "ABCD"[i], "members": m}
+                      for i, m in enumerate(fragments)],
+        "phi": [[phi[i] if i == j else 0 for j in range(3)]
+                for i in range(3)],
+    }
+    code, out = run("rigidity", payload)
+    assert code == EXIT_FAILURE
+    assert out == {"result": "rejected", "kind": "missing-triangle",
+                   "details": {"components": components}}
 
 
 def test_geometry_check_and_lcl(run):

@@ -6,6 +6,7 @@ import itertools
 import json
 import math
 import random
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -777,3 +778,16 @@ def test_squarefree_parts_count_the_multiplicities_that_roots_do(p, level, facto
         counted.values())
     assert {z.compress_key(): m for z, m in ff.univariate_roots(f.num)} == counted
     assert sorted({m for _, m in parts}) == sorted(ff.root_multiplicities(f.num))
+
+
+def test_not_equal_to_an_int_or_a_str(ff2, tower7):
+    # != is derived from __eq__: an explicit __ne__ once negated
+    # NotImplemented, so that x != 5 and x == 5 were both False
+    x, three = ff2.var(0), tower7.from_int(3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for a in (x, x.num, three):
+            assert a != "t0" and not a == "t0"
+        for a in (x, x.num):
+            assert a != 5 and not a == 5
+        assert three != 4 and not three != 3

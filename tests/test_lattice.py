@@ -593,6 +593,25 @@ def test_rigidity_triangle_glues_fragments():
         epsilon_rigidity_check(blocks, inst)
 
 
+def test_rigidity_triangle_forces_one_epsilon():
+    # every map of F_5^2 that stabilizes A, B and C = A - B scales them by
+    # one epsilon, so no triangle is ever violated
+    inst = RigidityInstance(5, 2, [
+        _fragment("A", [(1, 0)]),
+        _fragment("B", [(0, 1)]),
+        _fragment("C", [(1, 4)]),
+    ])
+    seen = set()
+    for a, b, c, d in itertools.product(range(5), repeat=4):
+        try:
+            out = epsilon_rigidity_check(((a, b), (c, d)), inst)
+        except NotPreserving:
+            continue
+        assert out in range(1, 5)
+        seen.add(out)
+    assert seen == {1, 2, 3, 4}
+
+
 def test_rigidity_missing_triangle_reported():
     inst = RigidityInstance(5, 2, [
         _fragment("A", [(1, 0)]),
