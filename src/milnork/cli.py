@@ -253,15 +253,27 @@ def _quadratic_fragment(ctx, gens, budget):
 def _universe_geometry(universe, rank1_nodes):
     """The geometry on the recovered points, found by covers: the closure
     of a point set is every point below the universe closure of its
-    sources."""
+    sources.  Each geometry flat f is mapped once to U_f, that closure of
+    its points, and each universe flat once to the points below it; as
+    cl(A | X) = cl(cl(A) | {b_x}), b_x the basis member of the sources X of
+    x, the cover of f by x is the points below Universe.cover(U_f, b_x)."""
     points = sorted(rank1_nodes, key=lambda n: sorted(n.sources))
+    member = {x: universe.basis(x.sources)[0] for x in points}
+    below, above = {}, {}
 
-    def closure(subset):
-        closed = universe.closure(
-            frozenset().union(*(n.sources for n in subset)))
-        return frozenset(n for n in points if n.sources <= closed)
+    def points_below(flat):
+        if flat not in below:
+            below[flat] = frozenset(x for x in points if x.sources <= flat)
+        return below[flat]
 
-    return geom_mod.flats_by_covers(points, closure)
+    def cover(f, x):
+        if f not in above:
+            above[f] = universe.closure(
+                frozenset().union(*(y.sources for y in f)))
+        return points_below(universe.cover(above[f], member[x]))
+
+    return geom_mod.flats_by_covers(
+        points, points_below(universe.closure(())), cover)
 
 
 def _geometry_json(geometry):

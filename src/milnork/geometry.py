@@ -124,9 +124,9 @@ def _point_list(value, what):
     return value
 
 
-def covers(layer, points, closure):
+def covers(layer, points, cover):
     """The flats covering the flats of a layer, in order of discovery:
-    closure(F | {x}) for F in the layer and x outside F.
+    cover(F, x), the closure of F | {x}, for F in the layer and x outside F.
 
     A point inside a cover of F already found spans that cover again and is
     skipped.  This is valid only where exchange holds (Oxley, Matroid
@@ -137,21 +137,21 @@ def covers(layer, points, closure):
         found = []
         for x in points:
             if x not in f and not any(x in c for c in found):
-                found.append(closure(f | {x}))
+                found.append(cover(f, x))
         out.update(dict.fromkeys(found))
     return list(out)
 
 
-def flats_by_covers(points, closure):
-    """The geometry of a closure on the points, found by covers: the
-    closure of the empty set, then closure(F | {x}) for every flat F found
-    and every point x outside F.  Every flat of a matroid is reached, as
-    every rank-r flat is closure(F | {x}) for some rank-(r - 1) flat F.
+def flats_by_covers(points, empty, cover):
+    """The geometry of a closure on the points, found by covers: empty, the
+    closed empty set (a frozenset), then cover(F, x), the closure of
+    F | {x}, for every flat F found and every point x outside F.  Every
+    flat of a matroid is reached, as every rank-r flat covers some
+    rank-(r - 1) flat.
 
-    No point is skipped, and every answer of the closure is kept as a table
-    entry, so check_axioms checks exchange at every flat the closure yields
-    and checks each answer against the least flat holding its set."""
-    empty = frozenset(closure(frozenset()))
+    No point is skipped, and every answer is kept as a table entry, so
+    check_axioms checks exchange at every flat the closure yields and
+    checks each answer against the least flat holding its set."""
     table = [(frozenset(), empty)]
     flats = {empty: None}
     layer = [empty]
@@ -160,7 +160,7 @@ def flats_by_covers(points, closure):
         for f in layer:
             for x in points:
                 if x not in f:
-                    c = frozenset(closure(f | {x}))
+                    c = frozenset(cover(f, x))
                     table.append((f | {x}, c))
                     if c not in flats:
                         found[c] = None

@@ -1075,10 +1075,6 @@ class RatFunc:
     def __hash__(self):
         return hash(self.key())
 
-    def derivative(self, i):
-        n = self.num.derivative(i) * self.den - self.num * self.den.derivative(i)
-        return RatFunc(n, self.den * self.den)
-
     def compose(self, funcs):
         """Substitute variable i -> funcs[i]."""
         tower = self.den._any_tower()

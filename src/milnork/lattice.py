@@ -217,8 +217,9 @@ class Universe:
     Ranks are computed greedily through a certified independence oracle:
     algebraic independence obeys exchange, so a maximal independent subset
     collected in sorted order has the full rank, and the oracle answers are
-    shared across the sets the recipes probe.  The flats of each rank are
-    found as covers of the flats one rank down (Universe.flats).
+    shared across the sets the recipes probe.  Every closure is a chain of
+    covers (Universe.cover) of flats kept with their bases, and the flats
+    of each rank are the covers of those one rank down (Universe.flats).
 
     Every answer is kept as one Record per set in _records, with the
     witness that Universe.replay checks.  A set of linear members is
@@ -227,8 +228,8 @@ class Universe:
     linearly independent.  Each independent linear set keeps its F_p
     echelon, so a set that adds one member to such a set is decided by
     reducing that member's row against it alone, and a dependent one gets
-    its relation from the same reduction.  Universe.closure asks one set per
-    member, a basis of the set plus that member.
+    its relation from the same reduction.  A new flat asks one set per
+    member, its basis plus that member.
 
     For sets with a nonlinear member, one certificate answers many queries.
     A nonzero symbol has nonzero sub-symbols, {a,b,c} = {a,b}.{c}, so every
@@ -241,12 +242,13 @@ class Universe:
         self.ctx = ctx
         self.subgroups = list(subgroups)
         self.budget = budget
-        self._basis_cache = {}
         self._records = {}
         # the F_p echelon of each set recorded RANK, as (pivot column,
         # reduced row, that row as a {member: coefficient} combination)
         self._echelons = {frozenset(): ()}
-        self._closure_cache = {}
+        # each kept flat's basis; the covers, keyed by flat plus member
+        self._bases = {}
+        self._covers = {}
         self._flats_by_rank = {}
         self._layers = {}
         # each member's linear row (KContext._linear_part), None if it has
@@ -318,38 +320,42 @@ class Universe:
         return self._records[key]
 
     def _decide_linear(self, key):
-        """The Record of a set of linear members.  Where the set less one
-        member i, the largest such, has a kept echelon, only row i is
-        reduced against it; otherwise the rows are reduced in index order
-        from the empty echelon.  A nonzero remainder for every row records
-        RANK and keeps the set's echelon.  The first row with a zero
-        remainder depends on the independent rows before it, and their one
-        relation, scaled to 1 at the largest member it uses, is the first
-        vector of _relation's nullspace basis."""
+        """The Record of a set of linear members.  A set with a kept echelon
+        is independent.  Otherwise the set less its largest member i is
+        decided first, and row i is reduced against its echelon (_reduce);
+        so the rows are reduced in index order from the empty echelon, and
+        the relation of the first dependent rows, 0 after them, is kept."""
+        if key in self._echelons:
+            return Record(True, RANK, None)
+        i = max(key)
+        rec = self._decide_linear(key - {i})
+        if rec.answer:
+            return self._reduce(key, self._echelons[key - {i}], i)
+        return rec._replace(witness=rec.witness + (0,))
+
+    def _reduce(self, key, echelon, i):
+        """The Record of a set of linear members whose members other than i
+        have the kept echelon: row i reduced against it.  A nonzero
+        remainder records RANK and keeps the set's echelon.  A zero one
+        gives row i's relation to those rows, scaled to 1 at the largest
+        member it uses: the first vector of _relation's nullspace basis."""
         p = self.ctx.field.p
-        echelon, rest = (), sorted(key)
-        for i in reversed(rest):
-            if key - {i} in self._echelons:
-                echelon, rest = self._echelons[key - {i}], [i]
-                break
-        for i in rest:
-            row, comb = self._rows[i], {i: 1}
-            for pivot, erow, ecomb in echelon:
-                f = row[pivot]
-                if f:
-                    row = [(a - f * b) % p for a, b in zip(row, erow)]
-                    for j, b in ecomb.items():
-                        comb[j] = (comb.get(j, 0) - f * b) % p
-            lead = next((j for j, a in enumerate(row) if a), None)
-            if lead is None:
-                members = sorted(key)
-                inv = pow(comb[max(j for j in comb if comb[j])], -1, p)
-                return Record(False, RELATION, tuple(
-                    comb.get(j, 0) * inv % p for j in members))
-            inv = pow(row[lead], -1, p)
-            echelon += ((lead, [a * inv % p for a in row],
-                         {j: a * inv % p for j, a in comb.items()}),)
-        self._echelons[key] = echelon
+        row, comb = self._rows[i], {i: 1}
+        for pivot, erow, ecomb in echelon:
+            f = row[pivot]
+            if f:
+                row = [(a - f * b) % p for a, b in zip(row, erow)]
+                for j, b in ecomb.items():
+                    comb[j] = (comb.get(j, 0) - f * b) % p
+        lead = next((j for j, a in enumerate(row) if a), None)
+        if lead is None:
+            inv = pow(comb[max(j for j in comb if comb[j])], -1, p)
+            return Record(False, RELATION, tuple(
+                comb.get(j, 0) * inv % p for j in sorted(key)))
+        inv = pow(row[lead], -1, p)
+        self._echelons[key] = echelon + (
+            (lead, [a * inv % p for a in row],
+             {j: a * inv % p for j, a in comb.items()}),)
         return Record(True, RANK, None)
 
     def _gens(self, key):
@@ -440,43 +446,60 @@ class Universe:
         """The greedy basis of the set: its members in index order, each
         kept when independent of those kept before.  By Gale's theorem it is
         the lexicographically least basis of the set."""
-        key = frozenset(indices)
-        basis = self._basis_cache.get(key)
-        if basis is None:
-            basis = []
-            for i in sorted(key):
-                if self.independent(frozenset(basis + [i])):
-                    basis.append(i)
-            basis = self._basis_cache[key] = tuple(basis)
-        return basis
+        return self._chain(indices)[1]
 
     def closure(self, indices):
-        """All universe subgroups that do not raise the rank of the set.
+        """All universe subgroups that do not raise the rank of the set."""
+        return self._chain(indices)[0]
 
-        A member i outside the set lies in its closure exactly when a basis
-        B of the set plus i is dependent: by exchange (Oxley, Matroid
-        Theory, ch. 1) the set plus i has the rank of B plus i, so each
-        member costs one independence answer rather than a greedy basis.
+    def _chain(self, indices):
+        """The closure of the set and its greedy basis, read off one chain
+        of covers from the closure of the empty set: the members in index
+        order, each moving the chain exactly when it lies outside the
+        chain's flat, that is when the greedy basis keeps it."""
+        flat, basis = self._span((), frozenset()), ()
+        for i in sorted(indices):
+            if i not in flat:
+                flat, basis = self.cover(flat, i), basis + (i,)
+        return flat, basis
 
-        A computed flat of the same rank containing the set already is its
-        closure, so the covers that Universe.flats and the pipeline geometry
-        ask for collapse onto the finitely many flats."""
-        base = frozenset(indices)
-        cached = self._closure_cache.get(base)
-        if cached is not None:
-            return cached
-        b = self.basis(base)
-        r = len(b)
-        for flat in self._flats_by_rank.get(r, ()):
-            if base <= flat:
-                self._closure_cache[base] = flat
-                return flat
-        out = frozenset(i for i in range(len(self.subgroups))
-                        if i in base or not self.independent(b + (i,)))
-        self._closure_cache[base] = out
-        self._closure_cache[out] = out
-        self._flats_by_rank.setdefault(r, []).append(out)
-        return out
+    def cover(self, flat, i):
+        """The closure of a kept flat plus member i, memoized by the union,
+        from the basis B the flat was built with: when B plus i is
+        independent, an answer kept with the flat, it spans the cover of
+        rank r + 1 (_span); else i lies in the flat."""
+        key = flat | {i}
+        if key not in self._covers:
+            basis = self._bases[flat] + (i,)
+            self._covers[key] = (self._span(basis, key)
+                                 if self.independent(basis) else flat)
+        return self._covers[key]
+
+    def _span(self, basis, key):
+        """The flat of an independent basis, holding key: a kept flat of
+        its rank containing key, else a new one, kept with the basis, of
+        the members whose answer with the basis is dependent.  A linear
+        member's answer is its row reduced against the basis's kept
+        echelon (_reduce); any other is Universe.independent's."""
+        r = len(basis)
+        flat = next((f for f in self._flats_by_rank.get(r, ()) if key <= f),
+                    None)
+        if flat is None:
+            members = frozenset(basis)
+            echelon = self._echelons.get(members)
+
+            def dependent(j):
+                more = members | {j}
+                if (echelon is not None and self._rows[j] is not None
+                        and more not in self._records):
+                    self._records[more] = self._reduce(more, echelon, j)
+                return not self.independent(more)
+
+            flat = frozenset(j for j in range(len(self.subgroups))
+                             if j in key or dependent(j))
+            self._bases[flat], self._covers[flat] = basis, flat
+            self._flats_by_rank.setdefault(r, []).append(flat)
+        return flat
 
     def flats(self, r):
         """The rank-r flats, in order of discovery: the closure of the
@@ -489,7 +512,7 @@ class Universe:
             else:
                 layer = geometry.covers(self.flats(r - 1),
                                         range(len(self.subgroups)),
-                                        self.closure)
+                                        self.cover)
             self._layers[r] = layer
         return layer
 
@@ -757,21 +780,15 @@ class RigidityInstance:
         self.fragments = list(fragments)
 
     def triangles(self):
-        """Witness triples connecting fragments pairwise: members u in A,
-        v in B and w in C with w = u - v in ambient coordinates, u and v
-        independent."""
-        out = []
-        for (ia, A), (ib, B), (ic, C) in itertools.permutations(
-                enumerate(self.fragments), 3):
-            for ju, u in enumerate(A.members):
-                for jv, v in enumerate(B.members):
-                    if linalg.rank((u, v), self.ell) < 2:
-                        continue
-                    w = linalg.sub_vec(u, v, self.ell)
-                    for jw, wc in enumerate(C.members):
-                        if wc == w:
-                            out.append((ia, ib, ic, ju, jv, jw))
-        return out
+        """The fragment triples (A, B, C) that a witness triangle connects,
+        each listed once: members u in A, v in B and w in C with w = u - v
+        in ambient coordinates, u and v independent."""
+        l = self.ell
+        return [(ia, ib, ic) for (ia, A), (ib, B), (ic, C)
+                in itertools.permutations(enumerate(self.fragments), 3)
+                if any(linalg.sub_vec(u, v, l) in C.members
+                       for u in A.members for v in B.members
+                       if linalg.rank((u, v), l) == 2)]
 
 
 def epsilon_rigidity_check(phi, instance):
@@ -831,7 +848,7 @@ def epsilon_rigidity_check(phi, instance):
             i = parent[i]
         return i
 
-    for ia, ib, ic, _, _, _ in instance.triangles():
+    for ia, ib, ic in instance.triangles():
         for x, y in ((ia, ib), (ib, ic)):
             parent[find(x)] = find(y)
     groups = {}

@@ -430,38 +430,38 @@ def test_criterion_11_pipeline_determinism():
 # the DimUnknown it raises; the sha256 of its universe's records (see
 # _record_rows), each of which must replay; and its kring pairs left
 # unknown, so that a regression shows as a named pair.  Pinned because no
-# benchmark workload takes the search path of Universe.closure on a
-# nonlinear universe, where which sets closure asks decides which searches
-# run and which records are kept.
+# benchmark workload takes the search path of Universe.cover on a
+# nonlinear universe, where which sets a new flat asks decides which
+# searches run and which records are kept.
 CANDIDATE = "t0+t1, t0*t1, t2*t3+1, t0/(t1+1), (t0+t1)^2+3, t3+t4^2"
 NONLINEAR_PIPELINES = {
     ("t0+t1, t0*t1", 32): (
         "6d818491d5959c3087a9153e43b649cc14b896a453e35ba7787c5aaea68e4963",
-        "e4addc590f91b9df4616066cea7e685bfc44ba1357f707acffce1699866d7940",
+        "731ddeb97d71670b3a6338fdbbc3fd91e1ca7ea33ac2064af03d3c29821332a4",
         []),
     ("t1*t2, t3+t4^2", 32): (
         "29c1f0a9ba8613b59baed59efbb7982a6abd55c4d5efec559a4b04fefdbc50a7",
-        "58e72c511835280879b139f0f22d2354b0bc7063d23851bba106b5bcae827e46",
+        "2ef3f2a2cba39c329c743389f4657cd62cecd9ede32a8f15caccfe00976a3a60",
         []),
     ("t0+t1, t0*t1, t2*t3+1", 32): (
         "c8e3b3e8c92ba00dab907bb1500df140384624fb408711a7f55b69ddd304b16d",
-        "2665679981b70a938173f3b0cbd44c370be3cfaa4e9c119fbcbf7b8a0f1efe41",
+        "328830951a0c9ed5e07326750e562f4002561570168c39406fcc7976b7556a3c",
         [[2, 7], [3, 7]]),
     ("t0+t1, t1*t2", 8): (
         [[2, 3, 4, 5, 6]],
-        "20cf41e318675f79df80c7818ed5e045746f05371f98c76e4dfe4591f11b1f8c",
+        "e65a693cc07f097b238b87e7b37b369d878c4e490425b211cb8188a9f7fa07fc",
         []),
     ("t0+t1, t1*t2, t3+t4^2", 32): (
         "c2f34d8276e148c11f4b7cdc55965da4ad90f4baba7c4e2ac1b676c37a4543da",
-        "b31818fa493bbc04fc88245a40fd12744638d2be4c16e54b3481c1de2f9ed68b",
+        "b43fb65733b8bed8308b1ed29ce130097f7731353b187aeef2e2d41efb9e3afc",
         []),
     (CANDIDATE, 32): (
         "42109f414a2f1546fa8a6d64b45ac345b10f1a803483c51079b719d8045770f7",
-        "e0847d6ae15c46ed7db53a29037a8180feb6e196a9b3a0476e6e422faf214cf9",
+        "11ae900a04f7672f4c16e4e7f95ccc70fc309002cd3bcc8b8759ff1760eff8b7",
         [[2, 7], [3, 7]]),
     (CANDIDATE, 64): (
         "b7cfca3b1cad7f73b1f3b9b30a069059d158dd60abf3421a3a9ff9f69e06dab2",
-        "e0847d6ae15c46ed7db53a29037a8180feb6e196a9b3a0476e6e422faf214cf9",
+        "11ae900a04f7672f4c16e4e7f95ccc70fc309002cd3bcc8b8759ff1760eff8b7",
         [[2, 7], [3, 7]]),
 }
 

@@ -607,6 +607,48 @@ def test_lattice_reconstruct(run):
     assert ranks.count(1) == 5 and ranks.count(2) == 10 and ranks.count(3) == 10
 
 
+@pytest.mark.parametrize("command", ["pipeline", "lattice-reconstruct"])
+def test_dot_file_holds_the_covering_edges(run, tmp_path, command):
+    # the coordinates plus t0+t1 and t2+t3: the --dot file has one node
+    # line per lattice node and, as edges, exactly the pairs of nodes whose
+    # sources are nested with no node strictly between them
+    payload = {"p": 7, "ell": 3, "vars": 5,
+               "universe": [{"var": i} for i in range(5)]
+               + [{"linear": {"0": 1, "1": 1}}, {"linear": {"2": 1, "3": 1}}]}
+    dot = tmp_path / "lattice.dot"
+    code, out = run(command, payload, extra=["--dot", str(dot)])
+    assert code == EXIT_OK
+    lattice = out["lattice_fragment" if command == "pipeline" else "lattice"]
+    sources = [set(n["sources"]) for n in lattice["nodes"]]
+    nested = {(i, j) for i, a in enumerate(sources)
+              for j, b in enumerate(sources) if a < b}
+    assert nested == {tuple(e) for e in lattice["edges"]}
+    covering = {(i, j) for i, j in nested
+                if not any(sources[i] < c < sources[j] for c in sources)}
+    lines = dot.read_text().splitlines()
+    assert lines[0] == "digraph lattice {" and lines[-1] == "}"
+    nodes = [line for line in lines if "[label=" in line]
+    assert nodes == ['  n%d [label="%s (r=%d)"];' % (i, n["label"], n["rank"])
+                     for i, n in enumerate(lattice["nodes"])]
+    edges = [line for line in lines[1:-1] if line not in nodes]
+    assert sorted(edges) == sorted("  n%d -> n%d;" % e for e in covering)
+    assert len(edges) == len(covering) > 0
+
+
+def test_lattice_reconstruct_reports_an_unknown_set(run):
+    # the coordinates plus xy and (xy)^2: {xy, (xy)^2} is dependent with no
+    # witness, so the recovery exits 2 naming it
+    ff = FunctionField(FieldTower(7, seed=0), 5)
+    xy = ff.var(0) * ff.var(1)
+    payload = {"p": 7, "ell": 3, "vars": 5, "budget": 16,
+               "universe": [{"var": i} for i in range(5)]
+               + [{"ratfunc": encode_ratfunc(xy)},
+                  {"ratfunc": encode_ratfunc(xy ** 2)}]}
+    code, out = run("lattice-reconstruct", payload)
+    assert code == EXIT_UNKNOWN
+    assert out == {"error": "dim-unknown", "candidates": [[5, 6]]}
+
+
 def test_delta(run, enc2):
     tw, ff = enc2
     payload = {

@@ -97,7 +97,8 @@ def test_flats_by_covers_exchange_failure():
         s = frozenset(s)
         return s if len(s) < 2 or s == {"b", "c"} else frozenset("abc")
 
-    rep = check_axioms(flats_by_covers(("a", "b", "c"), closure))
+    rep = check_axioms(flats_by_covers(("a", "b", "c"), closure(()),
+                                       lambda f, x: closure(f | {x})))
     assert rep.closure == (True, None)
     assert not rep.exchange[0]
     A, a, b = rep.exchange[1]["A"], rep.exchange[1]["a"], rep.exchange[1]["b"]
@@ -114,7 +115,8 @@ def test_flats_by_covers_checks_each_answer():
             return s if len(s) < 2 else frozenset("abc")
         return frozenset("abcd")
 
-    rep = check_axioms(flats_by_covers(("a", "b", "c", "d"), closure))
+    rep = check_axioms(flats_by_covers(("a", "b", "c", "d"), closure(()),
+                                       lambda f, x: closure(f | {x})))
     assert rep.closure == (False, {"A": frozenset("ab"), "B": frozenset("abc"),
                                    "reason": "cl not monotone"})
     assert closure(rep.closure[1]["B"]) == rep.closure[1]["B"]
@@ -406,7 +408,8 @@ def test_vector_geometry_flats_and_checks(config, data):
                 v for v in points if linalg.rank(rows + (v,), p) == r)
         return memo[subset]
 
-    geom = flats_by_covers(points, closure)
+    geom = flats_by_covers(points, closure(frozenset()),
+                           lambda f, x: closure(f | {x}))
     assert set(geom.flats) == _spanned_sets(p, points)
     assert check_axioms(geom).all_pass()
 
@@ -465,7 +468,8 @@ def test_check_axioms_finds_the_minimal_flats_of_a_set_once():
         r = linalg.rank(rows, 2)
         return frozenset(v for v in points if linalg.rank(rows + (v,), 2) == r)
 
-    geom = flats_by_covers(points, closure)
+    geom = flats_by_covers(points, closure(frozenset()),
+                           lambda f, x: closure(f | {x}))
     scans = []
 
     class CountingScans(dict):

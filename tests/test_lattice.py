@@ -21,6 +21,7 @@ from milnork.lattice import (
     RationalFragmentData,
     RationalSubgroup,
     RigidityInstance,
+    SubgroupFragment,
     Universe,
     ZeroInput,
     delta_set,
@@ -351,8 +352,9 @@ def test_kept_echelons_match_fresh_reduction(case, squares):
     for key in queries:
         r = fresh.rank(key)
         assert r == linalg.rank(tuple(forms[i] for i in key), p)
-        # asked directly, before its basis, a set is reduced from the empty
-        # echelon unless a set one member smaller has one
+        # asked directly, before its basis, a set is reduced in index order
+        # from the empty echelon, or from that of a kept set of its first
+        # members
         assert uni.independent(key) is (r == len(key))
         assert uni.closure(key) == frozenset(
             i for i in range(len(subs)) if fresh.rank(key | {i}) == r)
@@ -382,6 +384,116 @@ def test_kept_echelons_match_fresh_reduction(case, squares):
             assert row[pivot] == 1
             assert not any(row[q] for q, _, _ in echelon[:k])
         assert linalg.rank(tuple(row for _, row, _ in echelon), p) == len(key)
+
+
+def _rank_oracle(rows, p):
+    """The F_p rank of the rows of a set of members, memoized."""
+    memo = {}
+
+    def rank(key):
+        key = frozenset(key)
+        if key not in memo:
+            memo[key] = linalg.rank(tuple(rows[i] for i in sorted(key)), p)
+        return memo[key]
+
+    return rank
+
+
+def _closure_oracle(rank, n):
+    return lambda key: frozenset(i for i in range(n)
+                                 if rank(set(key) | {i}) == rank(key))
+
+
+@settings(max_examples=20, deadline=None)
+@given(linear_universes())
+def test_chain_of_covers_matches_the_rank_oracle(case):
+    # basis and closure are read off one chain of covers, and each cover of
+    # a kept flat is found from the basis it was kept with; all three are
+    # checked against the F_p rank of the drawn rows
+    p, nvars, rows, consts, queries = case
+    ctx = _linear_context(p, nvars)
+    uni = Universe(ctx, [RationalSubgroup(ctx, g, "g%d" % j) for j, g in
+                         enumerate(_linear_gens(ctx.field, rows, consts))])
+    rank = _rank_oracle(rows, p)
+    closure = _closure_oracle(rank, len(rows))
+    for key in queries:
+        greedy = []
+        for i in sorted(key):
+            if rank(greedy + [i]) == len(greedy) + 1:
+                greedy.append(i)
+        assert uni.basis(key) == tuple(greedy)
+        assert uni.rank(key) == rank(key)
+        assert uni.closure(key) == closure(key)
+    # the queries kept flats of every rank they reached, higher ones
+    # included, before the covers of the lower ones below are asked
+    kept = list(uni._bases)
+    assert set(kept) == {f for layer in uni._flats_by_rank.values()
+                         for f in layer}
+    for flat in kept:
+        assert flat == closure(flat)
+        assert len(uni._bases[flat]) == rank(flat)
+        for i in range(len(rows)):
+            assert uni.cover(flat, i) == closure(flat | {i}), (
+                sorted(flat), i)
+    assert uni.replay() == []
+    for key, rec in uni._records.items():
+        assert rec.answer == (rank(key) == len(key)), sorted(key)
+
+
+class _RowMatroid:
+    """The F_p matroid of some rows, zero rows as loops, answering the
+    questions the pipeline geometry asks of a Universe."""
+
+    def __init__(self, rows, p):
+        self.rank = _rank_oracle(rows, p)
+        self.closure = _closure_oracle(self.rank, len(rows))
+
+    def basis(self, key):
+        out = []
+        for i in sorted(key):
+            if self.rank(out + [i]) == len(out) + 1:
+                out.append(i)
+        return tuple(out)
+
+    def cover(self, flat, i):
+        return self.closure(flat | {i})
+
+
+@settings(max_examples=20, deadline=None)
+@given(linear_universes(), st.integers(0, 2), st.data())
+def test_pipeline_geometry_is_the_closure_of_the_sources(case, loops, data):
+    # the geometry on some rank-one flats, as the pipeline finds it through
+    # Universe.cover, against flats_by_covers run with the closure of the
+    # union of the sources: the same flats and the same table.  Zero rows
+    # put loops, members in every flat, at the lowest indices of a
+    # test-local matroid, so a point's sources hold members other than its
+    # basis member
+    from milnork import cli
+    from milnork.geometry import flats_by_covers
+
+    p, nvars, rows, consts, _ = case
+    ctx = _linear_context(p, nvars)
+    uni = Universe(ctx, [RationalSubgroup(ctx, g, "g%d" % j) for j, g in
+                         enumerate(_linear_gens(ctx.field, rows, consts))])
+    looped = [(0,) * nvars] * loops + rows
+    for universe, members in ((uni, rows), (_RowMatroid(looped, p), looped)):
+        closure = _closure_oracle(_rank_oracle(members, p), len(members))
+        lines = sorted({closure({i}) for i in range(len(members))
+                        if closure({i}) != closure(())}, key=sorted)
+        chosen = data.draw(st.lists(st.sampled_from(lines), min_size=1,
+                                    unique=True))
+        points = [SubgroupFragment("p%d" % k, (), 1, sources=f)
+                  for k, f in enumerate(chosen)]
+
+        def below(subset):
+            closed = closure(frozenset().union(*(x.sources for x in subset)))
+            return frozenset(x for x in points if x.sources <= closed)
+
+        got = cli._universe_geometry(universe, points)
+        want = flats_by_covers(got.points, below(()),
+                               lambda f, x: below(f | {x}))
+        assert got.flats == want.flats
+        assert got.table == want.table
 
 
 def _nonlinear_universe(ctx5, ff5, budget=48):
