@@ -202,16 +202,11 @@ def run_pipeline(config):
     kring = _quadratic_fragment(ctx, gens, config.budget)
 
     # step 2: the graded lattice fragment
-    r2 = recover_rank_r(universe, 2)
-    r3 = recover_rank_r(universe, 3)
-    r1 = recover_rank_1(universe, r2, r3)
-    higher = []
-    for r in range(4, config.max_rank + 1):
-        higher.extend(recover_rank_r(universe, r))
-    lat = LatticeFragment(r1 + r2 + r3 + higher)
+    lat = _lattice_stage(universe, config.max_rank)
 
     # step 3: the geometry of flats over the universe closure
-    geometry = _universe_geometry(universe, r1)
+    geometry = _universe_geometry(
+        universe, [n for n in lat.nodes if n.rank == 1])
 
     # step 4: axiom report
     report = geom_mod.check_axioms(geometry)
@@ -230,6 +225,18 @@ def run_pipeline(config):
         "axiom_report": report.to_json(),
     }
     return artifacts, (ctx, universe, lat, geometry)
+
+
+def _lattice_stage(universe, max_rank):
+    """The graded lattice fragment of the universe, recovered in this
+    order: ranks two and three, the rank-one fragments witnessed by them,
+    then ranks 4 to max_rank.  The nodes are listed by rank."""
+    r2 = recover_rank_r(universe, 2)
+    r3 = recover_rank_r(universe, 3)
+    nodes = recover_rank_1(universe, r2, r3) + r2 + r3
+    for r in range(4, max_rank + 1):
+        nodes += recover_rank_r(universe, r)
+    return LatticeFragment(nodes)
 
 
 def _quadratic_fragment(ctx, gens, budget):
@@ -253,10 +260,12 @@ def _quadratic_fragment(ctx, gens, budget):
 def _universe_geometry(universe, rank1_nodes):
     """The geometry on the recovered points, found by covers: the closure
     of a point set is every point below the universe closure of its
-    sources.  Each geometry flat f is mapped once to U_f, that closure of
-    its points, and each universe flat once to the points below it; as
-    cl(A | X) = cl(cl(A) | {b_x}), b_x the basis member of the sources X of
-    x, the cover of f by x is the points below Universe.cover(U_f, b_x)."""
+    sources.  Each universe flat is mapped once to the points below it.
+    As cl(A | X) = cl(cl(A) | {b_x}), b_x the basis member of the sources X
+    of x, the cover of f by x is the points g below U = Universe.cover(U_f,
+    b_x), U_f the closure of the sources of f; and U is U_g, as the sources
+    of g lie in U and hold those of f and b_x.  So each g is kept with the
+    U it was first found from."""
     points = sorted(rank1_nodes, key=lambda n: sorted(n.sources))
     member = {x: universe.basis(x.sources)[0] for x in points}
     below, above = {}, {}
@@ -264,12 +273,10 @@ def _universe_geometry(universe, rank1_nodes):
     def points_below(flat):
         if flat not in below:
             below[flat] = frozenset(x for x in points if x.sources <= flat)
+            above.setdefault(below[flat], flat)
         return below[flat]
 
     def cover(f, x):
-        if f not in above:
-            above[f] = universe.closure(
-                frozenset().union(*(y.sources for y in f)))
         return points_below(universe.cover(above[f], member[x]))
 
     return geom_mod.flats_by_covers(
@@ -291,7 +298,7 @@ def run_roundtrip(config, permutation):
     """Run the pipeline on the original and on the permuted configuration
     and check that the induced lattice isomorphism transfers to exactly the
     permutation-induced map of geometry points."""
-    if (not all(isinstance(i, int) for i in permutation)
+    if (not all(type(i) is int for i in permutation)
             or sorted(permutation) != list(range(config.vars))):
         raise ValueError("the permutation must rearrange 0..%d"
                          % (config.vars - 1))
@@ -456,14 +463,11 @@ def cmd_lattice_reconstruct(args):
     subs = build_universe(ctx, config)
     universe = Universe(ctx, subs, budget=config.budget)
     try:
-        r2 = recover_rank_r(universe, 2)
-        r3 = recover_rank_r(universe, 3)
-        r1 = recover_rank_1(universe, r2, r3) if config.vars >= 4 else []
+        lat = _lattice_stage(universe, config.max_rank)
     except DimUnknown as e:
         _emit(args, {"error": "dim-unknown",
                      "candidates": [sorted(c) for c in e.candidates]})
         return EXIT_UNKNOWN
-    lat = LatticeFragment(r1 + r2 + r3)
     if args.dot:
         with open(args.dot, "w") as fh:
             fh.write(lat.to_dot() + "\n")

@@ -74,9 +74,6 @@ class ClosureGeometry:
                 "more than one minimal" if minimal else "no", s))
         return minimal[0]
 
-    def __len__(self):
-        return len(self.points)
-
     def table_witness(self):
         """The first table entry (A, C) where C is not the closure of A,
         with a witness: A is not inside C, or C is not a flat, or a flat B

@@ -106,9 +106,12 @@ class FieldTower:
 
     Level 1 is the prime field.  One dense polynomial stack over the levels
     (the _lp_* methods) finds the moduli, grows the spine and finds roots.
-    The tower's own stream (_rng) draws only what building a level draws,
-    so its record depends only on the levels built and their order; each
-    root find draws its probes from a stream keyed by its polynomial.
+    Growing the spine draws from the tower's own stream (_rng); a level
+    inside the top draws from a stream keyed by the level and the top, and
+    each root find draws its probes from a stream keyed by its polynomial.
+    So the record, which lists the levels in level order, depends only on
+    how the spine grew and which levels were built inside each top: a root
+    find that builds the minimal level of a root moves no modulus.
     """
 
     def __init__(self, p, seed=0):
@@ -122,7 +125,6 @@ class FieldTower:
         self._spine = [1]
         self._gen_top = {1: (0,)}  # image of the level generator in the top
         self._embed_solvers = {}   # level -> (top, solver data)
-        self._construction_log = [{"level": 1, "modulus": [0, 1]}]
 
     # -- public -------------------------------------------------------------
 
@@ -167,13 +169,14 @@ class FieldTower:
             self._grow_spine(_lcm(self.top, m))
         if m in self._levels:
             return
-        f = [c for (c,) in self._find_irreducible_over(1, m)]
-        # the generator's image: a root of f in the top field
+        # a level inside the top draws from a stream of its own, so building
+        # it moves no other level's modulus
         T = self.top
-        root = self._lp_root([(c,) + (0,) * (T - 1) for c in f], T, self._rng)
+        rng = random.Random(repr(("level", self.p, self.seed, m, T)))
+        f = [c for (c,) in self._find_irreducible_over(1, m, rng)]
+        # the generator's image: a root of f in the top field
         self._levels[m] = f
-        self._gen_top[m] = root
-        self._construction_log.append({"level": m, "modulus": list(f)})
+        self._gen_top[m] = self._lp_root([(c,) + (0,) * (T - 1) for c in f], T, rng)
 
     def snapshot(self):
         """Deterministic record of all tower choices made so far."""
@@ -181,7 +184,8 @@ class FieldTower:
             "p": self.p,
             "seed": self.seed,
             "spine": list(self._spine),
-            "levels": [dict(e) for e in self._construction_log],
+            "levels": [{"level": m, "modulus": list(self._levels[m])}
+                       for m in sorted(self._levels)],
         }
 
     # -- level arithmetic (coefficient tuples) ------------------------------
@@ -242,7 +246,7 @@ class FieldTower:
         e = new_top // old
         p = self.p
         # irreducible g of degree e over the old top field
-        g = self._find_irreducible_over(old, e)
+        g = self._find_irreducible_over(old, e, self._rng)
         # elements of the composite ring are length-e lists of old-top vectors
         zero_old = tuple([0] * old)
         one_old = tuple([1] + [0] * (old - 1))
@@ -268,7 +272,6 @@ class FieldTower:
             sol = linalg.mat_vec(zinv, target, p)
             minpoly = [(-s) % p for s in sol] + [1]
             self._levels[new_top] = minpoly
-            self._construction_log.append({"level": new_top, "modulus": list(minpoly)})
             # refresh generator images: everything factored through the old top
             new_gen = {}
             for m, v in self._gen_top.items():
@@ -286,12 +289,12 @@ class FieldTower:
             return (0,)
         return tuple(1 if i == 1 else 0 for i in range(level))
 
-    def _find_irreducible_over(self, level, degree):
+    def _find_irreducible_over(self, level, degree, rng):
         """Random monic irreducible of given degree over F_{p^level}."""
         one = tuple([1] + [0] * (level - 1))
         q = self.p ** level
         while True:
-            g = [tuple(self.element_from_index(level, self._rng.randrange(q)).coeffs)
+            g = [tuple(self.element_from_index(level, rng.randrange(q)).coeffs)
                  for _ in range(degree)] + [one]
             if self._lpoly_irreducible(g, level):
                 return g

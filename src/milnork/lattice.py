@@ -446,18 +446,18 @@ class Universe:
         """The greedy basis of the set: its members in index order, each
         kept when independent of those kept before.  By Gale's theorem it is
         the lexicographically least basis of the set."""
-        return self._chain(indices)[1]
+        return self.span(indices)[1]
 
     def closure(self, indices):
         """All universe subgroups that do not raise the rank of the set."""
-        return self._chain(indices)[0]
+        return self.span(indices)[0]
 
-    def _chain(self, indices):
+    def span(self, indices):
         """The closure of the set and its greedy basis, read off one chain
         of covers from the closure of the empty set: the members in index
         order, each moving the chain exactly when it lies outside the
         chain's flat, that is when the greedy basis keeps it."""
-        flat, basis = self._span((), frozenset()), ()
+        flat, basis = self._flat((), frozenset()), ()
         for i in sorted(indices):
             if i not in flat:
                 flat, basis = self.cover(flat, i), basis + (i,)
@@ -467,15 +467,15 @@ class Universe:
         """The closure of a kept flat plus member i, memoized by the union,
         from the basis B the flat was built with: when B plus i is
         independent, an answer kept with the flat, it spans the cover of
-        rank r + 1 (_span); else i lies in the flat."""
+        rank r + 1 (_flat); else i lies in the flat."""
         key = flat | {i}
         if key not in self._covers:
             basis = self._bases[flat] + (i,)
-            self._covers[key] = (self._span(basis, key)
+            self._covers[key] = (self._flat(basis, key)
                                  if self.independent(basis) else flat)
         return self._covers[key]
 
-    def _span(self, basis, key):
+    def _flat(self, basis, key):
         """The flat of an independent basis, holding key: a kept flat of
         its rank containing key, else a new one, kept with the basis, of
         the members whose answer with the basis is dependent.  A linear
@@ -556,10 +556,8 @@ def recover_rank_1(universe, rank2_sets, rank3_sets):
         inter = B1.sources & B2.sources
         if not inter:
             continue
-        if universe.rank(inter) != 1:
-            continue
-        A_sources = universe.closure(inter)
-        if A_sources in out:
+        A_sources, basis = universe.span(inter)
+        if len(basis) != 1 or A_sources in out:
             continue
         witness = _rank1_witness(universe, B1, B2, by3, n)
         if witness is None:
@@ -588,12 +586,10 @@ def _rank1_witness(universe, B1, B2, rank3_sets, n):
             shared = B1p.sources & B2p.sources
             base = (B1.sources & B2.sources) | {d}
             try:
-                if universe.rank(base) != 2:
-                    continue
+                e_sources, basis = universe.span(base)
             except DimUnknown:
                 continue
-            e_sources = universe.closure(base)
-            if not e_sources <= shared:
+            if len(basis) != 2 or not e_sources <= shared:
                 continue
             return {"D": d, "C": sorted(C.sources),
                     "B1p": sorted(B1p.sources), "B2p": sorted(B2p.sources),
@@ -687,19 +683,14 @@ class LatticeFragment:
 
     def __init__(self, nodes):
         self.nodes = list(nodes)
-        for a, b in itertools.permutations(self.nodes, 2):
-            if a.sources is None or b.sources is None:
-                continue
-            if a.sources < b.sources and not (a.rank < b.rank):
-                raise ValueError("containment order violates the grading")
-
-    def edges(self):
-        out = []
-        for i, a in enumerate(self.nodes):
-            for j, b in enumerate(self.nodes):
-                if i != j and a.sources < b.sources:
-                    out.append((i, j))
-        return out
+        # the containment order, as the pairs (i, j) of node indices with
+        # the sources of node i strictly inside those of node j
+        self.edges = [(i, j) for i, a in enumerate(self.nodes)
+                      for j, b in enumerate(self.nodes)
+                      if a.sources < b.sources]
+        if any(not self.nodes[i].rank < self.nodes[j].rank
+               for i, j in self.edges):
+            raise ValueError("containment order violates the grading")
 
     def to_json(self):
         from . import jsonio
@@ -723,20 +714,22 @@ class LatticeFragment:
                 }
                 for n in self.nodes
             ],
-            "edges": self.edges(),
+            "edges": self.edges,
         }
 
     def to_dot(self):
         lines = ["digraph lattice {"]
         for i, n in enumerate(self.nodes):
             lines.append('  n%d [label="%s (r=%s)"];' % (i, n.label, n.rank))
-        covers = set(self.edges())
-        # keep only covering edges for readability
-        for (i, j) in sorted(covers):
-            if any((i, k) in covers and (k, j) in covers
-                   for k in range(len(self.nodes)) if k not in (i, j)):
-                continue
-            lines.append("  n%d -> n%d;" % (i, j))
+        above = collections.defaultdict(list)
+        for i, j in self.edges:
+            above[i].append(j)
+        # keep only covering edges for readability: (i, j) when no node
+        # above i lies below j
+        contains = set(self.edges)
+        for i, j in self.edges:
+            if not any((k, j) in contains for k in above[i]):
+                lines.append("  n%d -> n%d;" % (i, j))
         lines.append("}")
         return "\n".join(lines)
 

@@ -1,8 +1,10 @@
 """Acceptance suite: one test per criterion, exact tolerances, stated time
 budgets asserted, one summary line printed per criterion."""
 
+import collections
 import hashlib
 import itertools
+import json
 import random
 import time
 
@@ -423,6 +425,25 @@ def test_criterion_11_pipeline_determinism():
     assert outputs == {CRITERION_11_SHA256}
     print("PASS criterion 11 (byte-identical artifacts): %.2fs"
           % (time.time() - t0))
+
+
+def test_lattice_reconstruct_at_max_rank_4(tmp_path, capsys):
+    # lattice-reconstruct recovers the ranks up to max_rank, as the pipeline
+    # does: on the 13-subgroup prefix at max_rank 4 both give one lattice,
+    # with 24 rank-4 nodes beyond ranks one to three
+    from milnork.cli import main
+
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"p": 7, "ell": 3, "vars": 5, "max_rank": 4,
+                                "universe": list(ACCEPTANCE_UNIVERSE)[:13]}))
+    outputs = []
+    for command in ("lattice-reconstruct", "pipeline"):
+        assert main([command, str(path)]) == 0
+        outputs.append(json.loads(capsys.readouterr().out))
+    lattice = outputs[0]["lattice"]
+    assert lattice == outputs[1]["lattice_fragment"]
+    assert collections.Counter(n["rank"] for n in lattice["nodes"]) == {
+        1: 10, 2: 35, 3: 50, 4: 24}
 
 
 # run_pipeline on the coordinates plus these members at these budgets: the

@@ -369,6 +369,13 @@ def _ram_indices(indices):
     # 200 pencil samples it ran for minutes
     ("pipeline", dict(CONFIG5, auto_universe={"coordinates": True,
                                               "bertini_samples": 200})),
+    # JSON booleans in a permutation: on the coordinates the roundtrip ran
+    # (exit 0, echoing them), and with a linear declaration it failed on
+    # int("False")
+    ("roundtrip", dict(CONFIG5, permutation=[True, False, 2, 3, 4])),
+    ("roundtrip", dict(CONFIG5, permutation=[True, False, 2, 3, 4],
+                       universe=CONFIG5["universe"]
+                       + [{"linear": {"0": 1, "1": 1}}])),
 ])
 def test_malformed_input_exits_3(tmp_path, capsys, command, payload):
     path = tmp_path / "bad.json"
@@ -1084,3 +1091,129 @@ def test_verify_rejects_a_corrupted_universe_record(tmp_path, capsys,
     assert code == EXIT_FAILURE and captured.err == ""
     assert json.loads(captured.out) == {"error": "record-replay-failed",
                                         "key": corrupted[0]}
+
+
+def test_certify_verify_reports_a_certificate_that_does_not_replay(
+        run, enc2, monkeypatch):
+    # the search's certificate with its value changed to the other unit
+    # mod 3 no longer evaluates to it along its chain
+    tw, ff = enc2
+    search = KContext.certificate_search
+
+    def corrupt(self, *args, **kw):
+        cert = search(self, *args, **kw)
+        cert.value = cert.ell - cert.value
+        return cert
+
+    monkeypatch.setattr(KContext, "certificate_search", corrupt)
+    payload = {"elements": [encode_ratfunc(ff.var(0)),
+                            encode_ratfunc(ff.var(1))]}
+    code, out = run("certify", payload, extra=["--vars", "2", "--verify"])
+    assert code == EXIT_FAILURE and out == {"result": "replay-failed"}
+
+
+def test_pipeline_verify_reports_a_kring_certificate_that_does_not_replay(
+        run, monkeypatch):
+    # the first kring certificate of the artifacts with its value changed
+    # to the other unit mod 3
+    from milnork import cli
+
+    run_pipeline = cli.run_pipeline
+    corrupted = []
+
+    def corrupt(config):
+        artifacts, extras = run_pipeline(config)
+        entry = next(e for e in artifacts["kring_fragment"]["pairs"]
+                     if "certificate" in e)
+        cert = entry["certificate"]
+        cert["value"] = cert["ell"] - cert["value"]
+        corrupted.append(entry["pair"])
+        return artifacts, extras
+
+    monkeypatch.setattr(cli, "run_pipeline", corrupt)
+    payload = {"p": 7, "ell": 3, "vars": 5, "universe": PIPELINE_UNIVERSE}
+    code, out = run("pipeline", payload, extra=["--verify"])
+    assert code == EXIT_FAILURE
+    assert out == {"error": "certificate-replay-failed",
+                   "pair": corrupted[0]}
+
+
+@pytest.mark.parametrize("plant", ["node", "flat", "point"])
+def test_roundtrip_reports_a_transfer_mismatch(run, monkeypatch, plant):
+    # one fault planted in the permuted run for each check of the transfer:
+    # a lattice node with no counterpart, a flat missing from the geometry
+    # (so the full point set is a flat on one side only), or a point map
+    # that swaps two points instead of following the permutation
+    from milnork import cli, geometry
+
+    run_pipeline = cli.run_pipeline
+    transfer = geometry.transfer_isomorphism
+    runs = []
+
+    def second_run_broken(config):
+        artifacts, (ctx, universe, lat, geom) = run_pipeline(config)
+        if runs and plant == "node":
+            lat.nodes.pop()
+        if runs and plant == "flat":
+            geom = geometry.ClosureGeometry(geom.points, geom.flats[:-1])
+        runs.append((lat, geom))
+        return artifacts, (ctx, universe, lat, geom)
+
+    def swapped(*args, **kw):
+        ptmap = transfer(*args, **kw)
+        a, b = list(ptmap)[:2]
+        ptmap[a], ptmap[b] = ptmap[b], ptmap[a]
+        return ptmap
+
+    monkeypatch.setattr(cli, "run_pipeline", second_run_broken)
+    if plant == "point":
+        monkeypatch.setattr(geometry, "transfer_isomorphism", swapped)
+    payload = {"p": 7, "ell": 3, "vars": 5, "seed": 4,
+               "universe": PIPELINE_UNIVERSE, "permutation": [1, 0, 2, 3, 4]}
+    code, out = run("roundtrip", payload)
+    (lat1, geom1), (lat2, geom2) = runs
+    if plant == "node":
+        missing, = (n for n in lat1.nodes if n not in lat2.nodes)
+        witness = {"missing": sorted(missing.sources)}
+    elif plant == "flat":
+        witness = {"reason": "closure broken",
+                   "A": sorted(x.label for x in geom1.flats[-1])}
+    else:
+        witness = {"point": sorted(geom1.points[0].sources)}
+    assert code == EXIT_FAILURE
+    assert out == {"error": "transfer-mismatch", "witness": witness}
+
+
+def test_a_repeated_declaration_is_kept_once(run):
+    # t0 declared three times, once as the linear form 1*t0: the universe
+    # holds the five coordinates once each, labelled u0 to u4 in order of
+    # first declaration, and the pipeline gives the artifacts of the five
+    # coordinates declared once
+    from milnork.cli import PipelineConfig, build_universe
+
+    decls = [{"var": 0}, {"var": 1}, {"linear": {"0": 1}}, {"var": 2},
+             {"var": 0}, {"var": 3}, {"var": 4}]
+    config = PipelineConfig(dict(CONFIG5, universe=decls))
+    subs = build_universe(config.context(), config)
+    assert [(s.label, s.coordinate_index) for s in subs] == [
+        ("u%d" % i, i) for i in range(5)]
+    code, out = run("pipeline", dict(CONFIG5, universe=decls))
+    assert code == EXIT_OK and out["config"]["universe_size"] == 5
+    assert out == run("pipeline", CONFIG5)[1]
+
+
+def test_pencil_samples_past_every_pair_take_coefficient_2():
+    # four variables have six pairs: after the coordinates, samples one to
+    # six are t_i + t_j and samples seven and eight start over with
+    # coefficient 2
+    from milnork.cli import PipelineConfig, build_universe
+
+    config = PipelineConfig({"p": 7, "ell": 3, "vars": 4, "auto_universe": {
+        "coordinates": True, "bertini_samples": 8}})
+    ctx = config.context()
+    t, two = [ctx.field.var(i) for i in range(4)], ctx.field.const(2)
+    want = t + [t[0] + t[1], t[0] + t[2], t[0] + t[3], t[1] + t[2],
+                t[1] + t[3], t[2] + t[3], t[0] + two * t[1], t[0] + two * t[2]]
+    subs = build_universe(ctx, config)
+    assert [s.label for s in subs] == ["u%d" % k for k in range(12)]
+    assert [s.gen.key() for s in subs] == [g.key() for g in want]

@@ -17,6 +17,7 @@ from milnork.lattice import (
     SUPERSET,
     CounterexampleReport,
     DimUnknown,
+    LatticeFragment,
     NotPreserving,
     RationalFragmentData,
     RationalSubgroup,
@@ -840,3 +841,20 @@ def test_coordinate_universe_at_budget_zero_is_decided_by_rank(
     assert all(rec.how == RANK for rec in uni._records.values())
     assert searches == []
     assert uni.replay() == []
+
+
+def test_lattice_fragment_edges_follow_containment_and_the_grading():
+    # the edges are the pairs (i, j) whose sources nest strictly, in index
+    # order, and the covering ones go to DOT; nested sources whose ranks do
+    # not rise break the grading
+    a, b, c = (SubgroupFragment(x, (), 1, sources={i})
+               for i, x in enumerate("abc"))
+    ab = SubgroupFragment("ab", (), 2, sources={0, 1})
+    abc = SubgroupFragment("abc", (), 3, sources={0, 1, 2})
+    lat = LatticeFragment([abc, a, ab, b, c])
+    assert lat.edges == [(1, 0), (1, 2), (2, 0), (3, 0), (3, 2), (4, 0)]
+    assert lat.to_json()["edges"] == lat.edges
+    assert [line for line in lat.to_dot().splitlines() if "->" in line] == [
+        "  n1 -> n2;", "  n2 -> n0;", "  n3 -> n2;", "  n4 -> n0;"]
+    with pytest.raises(ValueError, match="grading"):
+        LatticeFragment([a, SubgroupFragment("ab", (), 1, sources={0, 1})])
