@@ -595,13 +595,12 @@ class FieldTower:
 class GroundElem:
     """An element of the algebraic closure, living at a definite level."""
 
-    __slots__ = ("tower", "level", "coeffs", "_min")
+    __slots__ = ("tower", "level", "coeffs")
 
     def __init__(self, tower, level, coeffs):
         self.tower = tower
         self.level = level
         self.coeffs = tuple(coeffs)
-        self._min = None
 
     def is_zero(self):
         return not any(self.coeffs)
@@ -668,12 +667,8 @@ class GroundElem:
 
     def compress(self):
         """The same element at its minimal level of definition."""
-        if self._min is not None:
-            level, coeffs = self._min
-            return GroundElem(self.tower, level, coeffs)
         m = self.level
         p = self.tower.p
-        best = self
         for d in sorted(d for d in range(1, m) if m % d == 0):
             if self ** (p ** d) == self:
                 # a subfield of the level need not be built yet
@@ -681,10 +676,8 @@ class GroundElem:
                 val = self.tower._eval_gen(self)
                 sol = self.tower._embed_solver(d)(val)
                 if sol is not None:
-                    best = GroundElem(self.tower, d, sol)
-                    break
-        self._min = (best.level, best.coeffs)
-        return best
+                    return GroundElem(self.tower, d, sol)
+        return self
 
     def compress_key(self):
         c = self.compress()
@@ -911,16 +904,8 @@ class SparsePoly:
                 continue
             ne = list(exp)
             ne[i] = k - 1
-            key = tuple(ne)
-            val = c * kc
-            if key in out:
-                s = out[key] + val
-                if s:
-                    out[key] = s
-                else:
-                    del out[key]
-            else:
-                out[key] = val
+            # t^e -> t^(e - e_i) is injective, so no two terms meet
+            out[tuple(ne)] = c * kc
         return SparsePoly(self.nvars, out)
 
     def all_exponents_divisible(self, q):

@@ -234,7 +234,7 @@ def decode_certificate(ff, data):
         transform = int_matrix(transform, "the transform of %s" % what,
                                ff.nvars, ff.nvars)
     return Certificate(statement, chain, field(data, "value", what, int),
-                       field(data, "ell", what, int), transform=transform)
+                       modulus(data, what), transform=transform)
 
 
 def decode_abc_group(data):

@@ -91,16 +91,14 @@ class Symbol:
 
 
 def _scalar_free(entry):
-    """Scale numerator and denominator monic; drops a ground constant factor,
-    which is harmless since ground constants are l-divisible."""
-    num, den = entry.num, entry.den
+    """Scale the numerator monic, as RatFunc keeps the denominator; drops a
+    ground constant factor, which is harmless since ground constants are
+    l-divisible."""
+    num = entry.num
     _, ln = num.leading()
-    _, ld = den.leading()
     if not ln.is_one():
         num = num * ln.inverse()
-    if not ld.is_one():
-        den = den * ld.inverse()
-    return RatFunc(num, den)
+    return RatFunc(num, entry.den)
 
 
 def _canonical_term(coeff, entries, ell):
@@ -134,8 +132,6 @@ def _canonical_term(coeff, entries, ell):
     for a, b in zip(sorted_entries, sorted_entries[1:]):
         if a.key() == b.key():
             return None
-    if coeff == 0:
-        return None
     return coeff, Symbol(sorted_entries)
 
 
@@ -402,25 +398,19 @@ class KContext:
     """Ambient data for mod-l K-theory computations: the function field and
     the prime l.
 
-    Two caches are kept.  A value is only ever stored under its own key,
-    and an entry lost to an emptied cache is recomputed.
-
-    _jacobian_cache (grow-only) maps the sorted keys of a nonlinear
-    generator list to its Jacobian rank.
-
-    _trial_values maps a search trial, by its entry keys, its variables
-    and the (level, coefficients) of each centre (INF for a centre at
-    infinity), to its coordinate chain and the scalar the entries take
-    along it, 0 for no certificate.  A chain is serialized with its
-    centres as given, so centres equal in value at different levels keep
-    their own entries.  Searches evaluate only coordinate chains, without
-    covers, and tame_chain depends on the field, the symbol, the chain and
-    l alone, so one evaluation serves every repeat.  Keys are plain
-    tuples, since hashing a Symbol recomputes its entry keys; stored keys
-    share their parts through _key_parts.  The cache is emptied when it
-    reaches TRIAL_CACHE_LIMIT entries.  Only search trials read it:
-    evaluate, tame_chain and Certificate.replay never do, so a replay
-    recomputes independently."""
+    One cache is kept, _trial_values.  It maps a search trial, by its
+    entry keys, its variables and the (level, coefficients) of each centre
+    (INF for a centre at infinity), to its coordinate chain and the scalar
+    the entries take along it, 0 for no certificate.  A chain is serialized
+    with its centres as given, so centres equal in value at different
+    levels keep their own entries.  Searches evaluate only coordinate
+    chains, without covers, and tame_chain depends on the field, the
+    symbol, the chain and l alone, so one evaluation serves every repeat.
+    Keys are plain tuples, since hashing a Symbol recomputes its entry
+    keys; stored keys share their parts through _key_parts.  The cache is
+    emptied when it reaches TRIAL_CACHE_LIMIT entries, and a lost entry is
+    recomputed.  Only search trials read it: evaluate, tame_chain and
+    Certificate.replay never do, so a replay recomputes independently."""
 
     def __init__(self, field, ell):
         if not is_prime(ell):
@@ -431,7 +421,6 @@ class KContext:
             raise ValueError("l = 2 needs odd characteristic")
         self.field = field
         self.ell = ell
-        self._jacobian_cache = {}
         self._trial_values = {}
         self._key_parts = {}
 
@@ -872,10 +861,6 @@ class KContext:
         the Frobenius-stripped generators; exact fraction-free elimination.
         Full rank proves independence; a rank below the number of
         generators proves nothing in characteristic p (see trdeg_upper)."""
-        key = tuple(sorted(g.key() for g in gens))
-        cached = self._jacobian_cache.get(key)
-        if cached is not None:
-            return cached
         p = self.field.p
         rows = []
         for g in gens:
@@ -887,9 +872,7 @@ class KContext:
                 n = g.num.derivative(j) * g.den - g.num * g.den.derivative(j)
                 row.append(n)
             rows.append(row)
-        rank = _poly_matrix_rank(rows)
-        self._jacobian_cache[key] = rank
-        return rank
+        return _poly_matrix_rank(rows)
 
     def trdeg_upper(self, gens):
         """An upper bound on the transcendence degree of the field the

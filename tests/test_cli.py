@@ -438,6 +438,27 @@ FUZZ_BASES = {
     "lcl-eval": {"geometry": {"points": ["a", "b"],
                               "closed_sets": [[], ["a"], ["b"], ["a", "b"]]},
                  "formula": "(cl x y)", "params": {"y": "a"}},
+    "lattice-build": {"subfields": [[X0], [X0, X1_PLUS_G]]},
+    "lattice-reconstruct": dict(CONFIG5, universe=CONFIG5["universe"] + [
+        {"linear": {"0": 1, "1": 1}}, {"ratfunc": X0_X1}]),
+    # three fragments, so that the triangle code runs: e0 - e1 = (1, 4)
+    # glues them
+    "rigidity": {"ell": 5, "ambient_dim": 2, "fragments": [
+        {"name": "A", "members": [[1, 0]]}, {"name": "B", "members": [[0, 1]]},
+        {"name": "C", "members": [[1, 4]]}], "phi": [[3, 0], [0, 3]]},
+    "geometry-check": {"geometry": {"points": ["a", "b", "c"], "closure": [
+        [[], []], [["a"], ["a"]], [["b"], ["b"]], [["c"], ["c"]],
+        [["a", "b"], ["a", "b", "c"]], [["a", "c"], ["a", "b", "c"]],
+        [["b", "c"], ["a", "b", "c"]], [["a", "b", "c"], ["a", "b", "c"]]]}},
+    "abc-verify": {"group": {"rank": 3, "ell": 3, "relations": [[1, 0, 0]]},
+                   "words": ["x1 x2 x1^-1 x2^-1", [[0, 1], [2, -1]]],
+                   "h2": {"n": 2, "ell": 3}},
+    "duality-check": {"group": {"rank": 3, "ell": 3,
+                                "relations": [[1, 0, 0]]},
+                      "mult": {"n": 3, "ell": 3, "kernel": [[1, 0, 0]]}},
+    "kummer": {"mult_k": {"n": 2, "ell": 3, "kernel": []},
+               "mult_l": {"n": 2, "ell": 3, "kernel": []},
+               "phi": [[1, 1], [0, 1]], "pairing_k": [[0, 1], [2, 0]]},
 }
 JSON_VALUES = (None, True, 0, -1, 2.5, "x", [], {})
 BAD_DECLS = ({}, {"var": 5}, {"var": -1}, {"var": "0"}, {"var": 2.0},
@@ -445,6 +466,7 @@ BAD_DECLS = ({}, {"var": 5}, {"var": -1}, {"var": "0"}, {"var": 2.0},
              {"linear": {"0": "1"}}, {"linear": {"0": 7}},
              {"linear": [1, 0]}, {"linear": {"0": 1}, "const": "c"},
              {"ratfunc": X0}, {"ratfunc": 1}, {"const": 1})
+BAD_INTS = (-1, 0, 1, 2, 4, 5, 16, 17, 257, 10 ** 6)
 BAD_PERMUTATIONS = ([0, 0, 1, 2, 3], [0, 1, 2, 3], [1, 2, 3, 4, 5],
                     [0, 1, 2, 3, -1], [4, 3, 2, 1, "0"],
                     [0, 1, 2, 3, 4.0], "01234", {"0": 1})
@@ -459,21 +481,23 @@ def _slots(obj):
         yield from _slots(value)
 
 
-@st.composite
-def mutated_payloads(draw):
-    """A valid certify, dim, pipeline, roundtrip, symbol-eval, delta or
-    lcl-eval payload with up to three mutations: a key dropped, a value of another JSON type, an exponent of
-    the wrong length or with a negative entry, a coefficient list of the
-    wrong length for its level, a bad universe declaration, a bad
-    permutation."""
-    base = draw(st.sampled_from(sorted(FUZZ_BASES)))
-    payload = copy.deepcopy(FUZZ_BASES[base])
+def _mutate(draw, payload):
+    """payload, edited in place by up to three mutations: a key dropped, a
+    value of another JSON type, an integer field given another integer, an
+    exponent of the wrong length or with a negative entry, a coefficient
+    list of the wrong length for its level, a bad universe declaration, a
+    bad permutation.  Every drawn value is copied, so no mutation edits the
+    constants it is drawn from.  An integer inside a list, such as an
+    exponent, is not replaced: root finding alone is slow at a high degree
+    (dim of t0 and t1^16 + g, g of level 2, took 2 s)."""
     for _ in range(draw(st.integers(0, 3))):
         kind = draw(st.sampled_from(("drop", "retype", "exp", "coeffs",
-                                     "decl", "permutation")))
+                                     "decl", "permutation", "int")))
         slots = [(c, k) for c, k in _slots(payload)
                  if kind == "retype"
                  or kind == "drop" and isinstance(c, dict)
+                 or kind == "int" and isinstance(k, str)
+                 and type(c[k]) is int
                  or kind == "decl" and c is payload.get("universe")
                  or k == kind and isinstance(c[k], list)]
         if not slots:
@@ -487,6 +511,8 @@ def mutated_payloads(draw):
         elif kind == "permutation":
             container[key] = copy.deepcopy(
                 draw(st.sampled_from(BAD_PERMUTATIONS)))
+        elif kind == "int":
+            container[key] = draw(st.sampled_from(BAD_INTS))
         elif kind == "retype":
             container[key] = copy.deepcopy(draw(st.sampled_from(
                 [v for v in JSON_VALUES if type(v) is not type(old)])))
@@ -496,10 +522,27 @@ def mutated_payloads(draw):
         else:
             container[key] = draw(st.lists(st.integers(-3, 9), max_size=4)
                                   .filter(lambda v: len(v) != len(old)))
+    return payload
+
+
+@st.composite
+def mutated_payloads(draw):
+    """A valid payload of one of the fourteen subcommands (FUZZ_BASES),
+    mutated by _mutate."""
+    base = draw(st.sampled_from(sorted(FUZZ_BASES)))
+    payload = _mutate(draw, copy.deepcopy(FUZZ_BASES[base]))
     return base.split()[0], payload
 
 
-@settings(max_examples=150, deadline=None)
+# On a 2-core Linux host the slowest base runs in 0.17 s (abc-verify's
+# first call, which warms up its h2 solver; the pipeline base takes 0.02 s),
+# and the slowest of 12,000 mutated payloads in 0.64 s (abc-verify with h2
+# at n 5, the largest system inside the solver's budget).  A payload that
+# runs eight times longer than that fails the fuzz.
+FUZZ_DEADLINE_MS = 5000
+
+
+@settings(max_examples=300, deadline=FUZZ_DEADLINE_MS)
 @given(mutated_payloads())
 def test_mutated_payloads_exit_cleanly(case):
     command, payload = case
@@ -553,6 +596,13 @@ def test_p_power_mixture_is_no_vanishing_pair():
     assert decode_certificate(ff, entry["certificate"]).replay()
 
 
+# {t0} on the chain t0 = 0 pulled back along t0 = s^2, where it takes the
+# value 2 mod 3, with an identity transform
+CERTIFICATE = {"statement": _cover()["symbol"], "chain": _cover()["chain"],
+               "value": 2, "ell": 3, "transform": [[1, 0], [0, 1]]}
+CERTIFICATE_FIELD = FunctionField(FieldTower(7, seed=0), 2)
+
+
 @pytest.mark.parametrize("payload", [
     {},
     {"statement": [X0], "chain": {"steps": [], "uniformizers": [],
@@ -560,11 +610,33 @@ def test_p_power_mixture_is_no_vanishing_pair():
     {"statement": [X0], "chain": {"steps": [], "uniformizers": [],
                                   "ram_indices": []},
      "value": 1, "ell": 3, "transform": [[1, 0]]},
+    # a modulus that is no prime: at ell 0 the value was reduced mod 0, a
+    # ZeroDivisionError that the fuzz below found
+    dict(CERTIFICATE, ell=0),
+    dict(CERTIFICATE, ell=4),
 ])
 def test_decode_certificate_rejects_malformed_input(payload):
-    ff = FunctionField(FieldTower(7, seed=0), 2)
     with pytest.raises(InputError):
-        decode_certificate(ff, payload)
+        decode_certificate(CERTIFICATE_FIELD, payload)
+
+
+def test_the_fuzzed_certificate_replays():
+    assert decode_certificate(CERTIFICATE_FIELD, CERTIFICATE).replay()
+
+
+@st.composite
+def mutated_certificates(draw):
+    return _mutate(draw, copy.deepcopy(CERTIFICATE))
+
+
+@settings(max_examples=150, deadline=FUZZ_DEADLINE_MS)
+@given(mutated_certificates())
+def test_mutated_certificates_decode_or_raise_value_error(payload):
+    # InputError, ChainError and NotUniformizer are all ValueErrors
+    try:
+        decode_certificate(CERTIFICATE_FIELD, payload)
+    except ValueError:
+        pass
 
 
 def test_dim(run, enc2):
@@ -704,6 +776,10 @@ def test_rigidity(run):
     payload["phi"] = [[0, 1], [1, 0]]
     code, out = run("rigidity", payload)
     assert code == EXIT_FAILURE and out["result"] == "rejected"
+    payload["fragments"] = []
+    code, out = run("rigidity", payload)
+    assert code == EXIT_FAILURE
+    assert out == {"result": "rejected", "kind": "no-fragments", "details": {}}
 
 
 @pytest.mark.parametrize("fragments, phi, components", [
@@ -746,6 +822,14 @@ def test_geometry_check_and_lcl(run):
     code, out = run("lcl-eval", {"geometry": geometry, "formula": "(cl x a b)"})
     assert code == EXIT_OK
     assert sorted(t[0] for t in out["tuples"]) == ["a", "b", "c"]
+    # x and a span every point exactly when x is not a; forall agrees with
+    # not exists not
+    for formula in ("(forall y (cl y x a))",
+                    "(not (exists y (not (cl y x a))))"):
+        code, out = run("lcl-eval", {"geometry": geometry,
+                                     "formula": formula})
+        assert code == EXIT_OK
+        assert out == {"free": ["x"], "tuples": [["b"], ["c"]]}
 
 
 def test_geometry_check_mixed_point_types(run):
@@ -834,6 +918,39 @@ def test_kummer_cli(run):
     code, out = run("kummer", payload)
     assert code == EXIT_OK
     assert out["psi"] == [[1, 0], [1, 1]]
+
+
+MULT2 = {"n": 2, "ell": 3, "kernel": []}
+IDENTITY2 = [[1, 0], [0, 1]]
+
+
+@pytest.mark.parametrize("command, payload, reason", [
+    # fragments of another n, or of another ell, than the first
+    ("kummer", {"mult_k": MULT2, "mult_l": {"n": 3, "ell": 3},
+                "phi": IDENTITY2}, "fragment shapes disagree"),
+    ("kummer", {"mult_k": MULT2, "mult_l": {"n": 2, "ell": 5},
+                "phi": IDENTITY2}, "fragment shapes disagree"),
+    ("kummer", {"mult_k": MULT2, "mult_l": MULT2, "phi": [[1, 1], [1, 1]]},
+     "phi is not invertible"),
+    # phi sends the zero kernel into the line of mult_l, but not back
+    ("kummer", {"mult_k": MULT2, "mult_l": {"n": 2, "ell": 3,
+                                            "kernel": [[1]]},
+                "phi": IDENTITY2}, "phi inverse does not send the kernel back"),
+    ("kummer", {"mult_k": MULT2, "mult_l": MULT2, "phi": IDENTITY2,
+                "pairing_l": [[1, 1], [1, 1]]}, "pairings must be perfect"),
+    ("duality-check", {"group": {"rank": 3, "ell": 3, "relations": []},
+                       "mult": MULT2}, "fragment shapes disagree"),
+    ("duality-check", {"group": {"rank": 2, "ell": 5, "relations": []},
+                       "mult": MULT2}, "fragment shapes disagree"),
+])
+def test_incompatible_fragments_exit_3(tmp_path, capsys, command, payload,
+                                       reason):
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(payload))
+    code = main([command, str(path)])
+    captured = capsys.readouterr()
+    assert code == EXIT_FAILURE and captured.out == ""
+    assert captured.err == "error: %s\n" % reason
 
 
 PIPELINE_UNIVERSE = [

@@ -284,6 +284,31 @@ def test_transfer_rejects_broken_containment():
         transfer_isomorphism(lat1, lat2, bad)
 
 
+def test_transfer_rejects_a_map_that_is_no_graded_bijection():
+    spec = [("p0", [0], 1), ("p1", [1], 1), ("q", [0, 1], 2)]
+    lat1, lat2 = _lattice_from_sets(spec), _lattice_from_sets(spec)
+    n1 = {n.label: n for n in lat1.nodes}
+    n2 = {n.label: n for n in lat2.nodes}
+    ident = {n1[k]: n2[k] for k in n1}
+    cases = [
+        # lattices of different sizes, and two nodes sent to one
+        (lat1, _lattice_from_sets(spec[:2]), ident, None, "not a bijection"),
+        (lat1, lat2, {n1["p0"]: n2["p0"], n1["p1"]: n2["p0"],
+                      n1["q"]: n2["q"]}, None, "not a bijection"),
+        # a point sent to the line, and the line to a point
+        (lat1, lat2, {n1["p0"]: n2["q"], n1["p1"]: n2["p1"],
+                      n1["q"]: n2["p0"]}, None, "grading broken"),
+        # a second geometry whose points are not the images of the first's
+        (lat1, lat2, ident,
+         ClosureGeometry([n2["p0"]], [frozenset(), frozenset([n2["p0"]])]),
+         "not a bijection"),
+    ]
+    for a, b, node_map, geom2, reason in cases:
+        with pytest.raises(NotIsomorphism) as exc:
+            transfer_isomorphism(a, b, node_map, geom2=geom2)
+        assert exc.value.witness["reason"] == reason
+
+
 def test_geometry_json_roundtrip():
     g = boolean_geometry(("a", "b"))
     g2 = ClosureGeometry.from_json({"points": list(g.points),

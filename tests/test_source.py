@@ -1,4 +1,5 @@
-"""The package carries no definition that only tests reach."""
+"""The package carries no definition, and no attribute set on self, that
+only tests reach."""
 
 import ast
 import collections
@@ -7,24 +8,29 @@ import pathlib
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "milnork"
 
-# Definitions that no other line of src/ uses and that stay, with the reason.
+# Definitions and attributes that no other line of src/ uses and that
+# stay, with the reason.
 KEPT = {
     "apply_transform": "perfbench/tracing.py wraps it by name",
+    "base": "the subgroup an exported DeltaSet describes",
     "canonical_certificate": "perfbench/tracing.py wraps it by name",
     "cocycle": "the replay of an h2 basis vector, the oracle of the h2 tests",
     "h2_predicted_dim": "the H2 full budget step of CI imports it",
     "levels": "perfbench/tracing.py reads it for the tower_levels metric",
+    "member_index": "NotPreserving's witness for callers",
 }
 
 
 class _Scan(ast.NodeVisitor):
     """The functions, classes and methods of one module, with their class,
-    and every name the module reads outside the definition of that name:
-    as a Name, or as an Attribute or an import, so a re-export counts."""
+    the attributes it sets on self, and every name the module reads outside
+    the definition of that name: as a Name, or as an Attribute or an
+    import, so a re-export counts."""
 
     def __init__(self, module):
         self.module = module
         self.defs = []
+        self.stored = []
         self.names = collections.Counter()
         self.attributes = collections.Counter()
         self._inside = []
@@ -60,6 +66,8 @@ class _Scan(ast.NodeVisitor):
     def visit_Attribute(self, node):
         if not isinstance(node.ctx, ast.Store):
             self._use(self.attributes, node.attr)
+        elif isinstance(node.value, ast.Name) and node.value.id == "self":
+            self.stored.append((self.module, node.attr, node.lineno))
         self.generic_visit(node)
 
     def visit_alias(self, node):
@@ -74,22 +82,27 @@ def _overrides(module, cls_name, name):
 
 
 def _unused():
-    """The definitions that no other line of src/ reads, by name: a method
-    is read only as an attribute, so a local variable of the same name
-    does not count for it."""
-    defs = []
+    """The definitions and the attributes set on self that no other line
+    of src/ reads, by name: a method or an attribute is read only as an
+    attribute, so a local variable of the same name does not count for
+    it."""
+    defs, stored = [], []
     names, attributes = collections.Counter(), collections.Counter()
     for path in sorted(SRC.glob("*.py")):
         scan = _Scan(path.stem)
         scan.visit(ast.parse(path.read_text(), str(path)))
         defs += scan.defs
+        stored += scan.stored
         names += scan.names
         attributes += scan.attributes
-    return {name: "%s.py:%d" % (module, line)
-            for module, cls, name, line in defs
-            if not attributes[name] and (cls or not names[name])
-            and not (name.startswith("__") and name.endswith("__"))
-            and not (cls and _overrides(module, cls, name))}
+    unused = {name: "%s.py:%d" % (module, line)
+              for module, cls, name, line in defs
+              if not attributes[name] and (cls or not names[name])
+              and not (name.startswith("__") and name.endswith("__"))
+              and not (cls and _overrides(module, cls, name))}
+    unused.update((name, "%s.py:%d" % (module, line))
+                  for module, name, line in stored if not attributes[name])
+    return unused
 
 
 def test_every_definition_is_used_in_src():
