@@ -10,7 +10,6 @@ worker count is.
 """
 
 import argparse
-import copy
 import itertools
 import json
 import sys
@@ -56,7 +55,8 @@ class TransferMismatch(RuntimeError):
 
 class PipelineConfig:
     """Validated run configuration; the full pipeline needs five variables,
-    rank-one recovery four, plain K-theory two."""
+    rank-one recovery four, plain K-theory two.  The universe declarations
+    are checked as build_universe decodes them."""
 
     def __init__(self, data):
         what = "the pipeline configuration"
@@ -101,8 +101,6 @@ class PipelineConfig:
                              % jsonio.MAX_AUTO_UNIVERSE)
         if not 3 <= self.max_rank < self.vars:
             raise ValueError("max_rank must lie between 3 and vars - 1")
-        for decl in self.universe_decl:
-            _check_decl(decl, self.vars)
 
     def require_vars(self, k, what):
         if self.vars < k:
@@ -146,52 +144,54 @@ def build_universe(ctx, config):
     return subs
 
 
-def _check_decl(decl, nvars):
-    """InputError unless decl declares a generator in nvars variables:
-    {"var": i}, {"linear": {"i": c, ...}} with an optional "const" c, all
-    integers, or {"ratfunc": f}, which jsonio checks as it decodes f."""
+def _decode_generator(field, decl):
+    """The generator a universe declaration names: {"var": i},
+    {"linear": {"i": c, ...}} with an optional "const" c, all integers and
+    every i in 0..nvars-1, or {"ratfunc": f}, which jsonio checks as it
+    decodes f.  InputError for any other declaration."""
     what = "a universe declaration"
 
-    def index(i):
-        if not 0 <= i < nvars:
+    def var(i):
+        if not 0 <= i < field.nvars:
             raise jsonio.InputError("%s names a variable outside 0..%d"
-                                    % (what, nvars - 1))
+                                    % (what, field.nvars - 1))
+        return field.var(i)
 
     if isinstance(decl, dict) and "var" in decl:
-        index(jsonio.field(decl, "var", what, int))
-    elif isinstance(decl, dict) and "linear" in decl:
+        return var(jsonio.field(decl, "var", what, int))
+    if isinstance(decl, dict) and "linear" in decl:
         linear = jsonio.field(decl, "linear", what, dict)
-        for var in linear:
-            index(int(var) if var.isdecimal() else -1)
-            jsonio.field(linear, var, "a linear declaration", int)
-        if "const" in decl:
-            jsonio.field(decl, "const", what, int)
-    elif not (isinstance(decl, dict) and "ratfunc" in decl):
-        raise jsonio.InputError("unknown generator declaration %r" % (decl,))
-
-
-def _decode_generator(field, decl):
-    if "var" in decl:
-        return field.var(decl["var"])
-    if "linear" in decl:
-        g = field.const(decl.get("const", 0))
-        for var, coef in sorted(decl["linear"].items()):
-            g = g + field.const(coef) * field.var(int(var))
+        g = field.const(jsonio.field(decl, "const", what, int)
+                        if "const" in decl else 0)
+        for v in sorted(linear):
+            t = var(int(v) if v.isdecimal() else -1)
+            coef = jsonio.field(linear, v, "a linear declaration", int)
+            g = g + field.const(coef) * t
         return g
-    return jsonio.decode_ratfunc(field, decl["ratfunc"])
+    if isinstance(decl, dict) and "ratfunc" in decl:
+        return jsonio.decode_ratfunc(field, decl["ratfunc"])
+    raise jsonio.InputError("unknown generator declaration %r" % (decl,))
 
 
-def run_pipeline(config):
-    """The four reconstruction steps on the declared universe.
+def run_pipeline(config, permutation=None):
+    """The four reconstruction steps on the declared universe; with a
+    permutation sigma of 0..vars-1, on its image under the automorphism
+    t_i -> t_sigma(i): each member's generator composed with it, under the
+    member's own label.
 
     Returns canonical artifacts: the degree-one and degree-two fragment with
     certified relations, the recovered lattice fragment, the geometry as a
     flat list, and the axiom report, each edge backed by a replayable
-    certificate or a containment proof.
+    certificate or a containment proof.  A set of members that the budget
+    leaves unresolved raises DimUnknown.
     """
     config.require_vars(5, "the full pipeline")
     ctx = config.context()
     subs = build_universe(ctx, config)
+    if permutation is not None:
+        images = [ctx.field.var(i) for i in permutation]
+        subs = [RationalSubgroup(ctx, s.gen.compose(images), label=s.label)
+                for s in subs]
     if len(subs) < 5:
         raise InsufficientUniverse(
             "the pipeline needs several rational subgroups, got %d" % len(subs))
@@ -295,21 +295,20 @@ def _geometry_json(geometry):
 
 
 def run_roundtrip(config, permutation):
-    """Run the pipeline on the original and on the permuted configuration
-    and check that the induced lattice isomorphism transfers to exactly the
-    permutation-induced map of geometry points."""
+    """Run the pipeline on the declared universe and on its image under the
+    permutation of the variables (run_pipeline), whatever kind each
+    declaration is, and check that the induced lattice isomorphism
+    transfers to exactly the permutation-induced map of geometry points.
+    Either run may raise DimUnknown."""
     if (not all(type(i) is int for i in permutation)
             or sorted(permutation) != list(range(config.vars))):
         raise ValueError("the permutation must rearrange 0..%d"
                          % (config.vars - 1))
     if config.auto_universe is not None:
         raise ValueError("roundtrip needs an explicit universe")
-    config2 = copy.copy(config)
-    config2.universe_decl = [_permute_decl(d, permutation)
-                             for d in config.universe_decl]
     artifacts1, (ctx1, uni1, lat1, g1) = run_pipeline(config)
-    artifacts2, (ctx2, uni2, lat2, g2) = run_pipeline(config2)
-    # declaration i maps to declaration i, so sources correspond by index
+    artifacts2, (ctx2, uni2, lat2, g2) = run_pipeline(config, permutation)
+    # member i maps to member i, so sources correspond by index
     node_map = {}
     nodes2 = {n.sources: n for n in lat2.nodes}
     for n in lat1.nodes:
@@ -334,18 +333,6 @@ def run_roundtrip(config, permutation):
         "artifacts_equal": artifacts1["geometry"]["closed_sets"]
         == artifacts2["geometry"]["closed_sets"],
     }
-
-
-def _permute_decl(decl, permutation):
-    if "var" in decl:
-        return {"var": permutation[decl["var"]]}
-    if "linear" in decl:
-        lin = {str(permutation[int(v)]): c for v, c in decl["linear"].items()}
-        out = {"linear": lin}
-        if "const" in decl:
-            out["const"] = decl["const"]
-        return out
-    raise ValueError("cannot permute declaration %r" % (decl,))
 
 
 # ---------------------------------------------------------------------------
@@ -462,12 +449,7 @@ def cmd_lattice_reconstruct(args):
     ctx = config.context()
     subs = build_universe(ctx, config)
     universe = Universe(ctx, subs, budget=config.budget)
-    try:
-        lat = _lattice_stage(universe, config.max_rank)
-    except DimUnknown as e:
-        _emit(args, {"error": "dim-unknown",
-                     "candidates": [sorted(c) for c in e.candidates]})
-        return EXIT_UNKNOWN
+    lat = _lattice_stage(universe, config.max_rank)
     if args.dot:
         with open(args.dot, "w") as fh:
             fh.write(lat.to_dot() + "\n")
@@ -631,21 +613,17 @@ def cmd_pipeline(args):
     config = _pipeline_config(args, _load_input(args))
     try:
         artifacts, extras = run_pipeline(config)
-    except DimUnknown as e:
-        _emit(args, {"error": "dim-unknown",
-                     "candidates": [sorted(c) for c in e.candidates]})
-        return EXIT_UNKNOWN
     except InsufficientUniverse as e:
         _emit(args, {"error": "insufficient-universe", "detail": str(e)})
         return EXIT_FAILURE
     if args.verify:
         ctx = extras[0]
+        gens = [s.gen for s in extras[1].subgroups]
         for entry in artifacts["kring_fragment"]["pairs"]:
             cert = entry.get("certificate")
-            if cert is None:
-                continue
-            decoded = jsonio.decode_certificate(ctx.field, cert)
-            if not decoded.replay():
+            if cert is not None and not _certifies(
+                    ctx, jsonio.decode_certificate(ctx.field, cert),
+                    [gens[i] for i in entry["pair"]]):
                 _emit(args, {"error": "certificate-replay-failed",
                              "pair": entry["pair"]})
                 return EXIT_FAILURE
@@ -662,6 +640,18 @@ def cmd_pipeline(args):
     _emit(args, artifacts)
     passed = all(v["pass"] for v in ok.values())
     return EXIT_OK if passed else EXIT_FAILURE
+
+
+def _certifies(ctx, cert, pair):
+    """Whether a kring certificate replays and states the symbol of its
+    pair: the pair's generators, or their images under the recorded
+    transform, an invertible change of coordinates mod p
+    (KContext.apply_transform)."""
+    if cert.transform is not None:
+        if not linalg.is_invertible(cert.transform, ctx.field.p):
+            return False
+        pair = [ctx.apply_transform(x, cert.transform) for x in pair]
+    return list(cert.statement.entries) == pair and cert.replay()
 
 
 def cmd_roundtrip(args):
@@ -732,6 +722,10 @@ def main(argv=None):
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
+    except DimUnknown as e:
+        _emit(args, {"error": "dim-unknown",
+                     "candidates": [sorted(c) for c in e.candidates]})
+        return EXIT_UNKNOWN
     except (ValueError, RuntimeError) as e:
         sys.stderr.write("error: %s\n" % e)
         return EXIT_FAILURE

@@ -110,6 +110,11 @@ X0 = {"num": {"vars": 2, "terms": [
     "den": {"vars": 2, "terms": [
         {"exp": [0, 0], "coef": {"level": 1, "coeffs": [1]}}]}}
 ONE = {"level": 1, "coeffs": [1]}
+BAD_DECLS = ({}, {"var": 5}, {"var": -1}, {"var": "0"}, {"var": 2.0},
+             {"linear": {}}, {"linear": {"9": 1}}, {"linear": {"x": 1}},
+             {"linear": {"0": "1"}}, {"linear": {"0": 7}},
+             {"linear": [1, 0]}, {"linear": {"0": 1}, "const": "c"},
+             {"ratfunc": X0}, {"ratfunc": 1}, {"const": 1})
 
 
 def _certify_term(exp, coef, nvars=2):
@@ -376,6 +381,11 @@ def _ram_indices(indices):
     ("roundtrip", dict(CONFIG5, permutation=[True, False, 2, 3, 4],
                        universe=CONFIG5["universe"]
                        + [{"linear": {"0": 1, "1": 1}}])),
+    # every bad declaration, checked as the universe is built
+    *((command, dict(CONFIG5, universe=CONFIG5["universe"] + [decl], **extra))
+      for command, extra in (("pipeline", {}), ("lattice-reconstruct", {}),
+                             ("roundtrip", {"permutation": [1, 0, 2, 3, 4]}))
+      for decl in BAD_DECLS),
 ])
 def test_malformed_input_exits_3(tmp_path, capsys, command, payload):
     path = tmp_path / "bad.json"
@@ -427,7 +437,8 @@ FUZZ_BASES = {
         {"linear": {"0": 1, "1": 1}, "const": 2}, {"ratfunc": X0_X1}]),
     "roundtrip": dict(CONFIG5, permutation=[1, 0, 2, 3, 4],
                       universe=CONFIG5["universe"] + [
-                          {"linear": {"0": 1, "1": 1}, "const": 2}]),
+                          {"linear": {"0": 1, "1": 1}, "const": 2},
+                          {"ratfunc": X0_X1}]),
     # a second pipeline payload, named by its command and a word
     "pipeline auto": {"p": 7, "ell": 3, "vars": 5, "tower_seed": 3,
                       "auto_universe": {"coordinates": True,
@@ -461,11 +472,6 @@ FUZZ_BASES = {
                "phi": [[1, 1], [0, 1]], "pairing_k": [[0, 1], [2, 0]]},
 }
 JSON_VALUES = (None, True, 0, -1, 2.5, "x", [], {})
-BAD_DECLS = ({}, {"var": 5}, {"var": -1}, {"var": "0"}, {"var": 2.0},
-             {"linear": {}}, {"linear": {"9": 1}}, {"linear": {"x": 1}},
-             {"linear": {"0": "1"}}, {"linear": {"0": 7}},
-             {"linear": [1, 0]}, {"linear": {"0": 1}, "const": "c"},
-             {"ratfunc": X0}, {"ratfunc": 1}, {"const": 1})
 BAD_INTS = (-1, 0, 1, 2, 4, 5, 16, 17, 257, 10 ** 6)
 BAD_PERMUTATIONS = ([0, 0, 1, 2, 3], [0, 1, 2, 3], [1, 2, 3, 4, 5],
                     [0, 1, 2, 3, -1], [4, 3, 2, 1, "0"],
@@ -714,16 +720,20 @@ def test_dot_file_holds_the_covering_edges(run, tmp_path, command):
     assert len(edges) == len(covering) > 0
 
 
-def test_lattice_reconstruct_reports_an_unknown_set(run):
+@pytest.mark.parametrize("command",
+                         ["lattice-reconstruct", "pipeline", "roundtrip"])
+def test_lattice_reconstruct_reports_an_unknown_set(run, command):
     # the coordinates plus xy and (xy)^2: {xy, (xy)^2} is dependent with no
-    # witness, so the recovery exits 2 naming it
+    # witness, so the recovery exits 2 naming it, whichever command runs it
     ff = FunctionField(FieldTower(7, seed=0), 5)
     xy = ff.var(0) * ff.var(1)
     payload = {"p": 7, "ell": 3, "vars": 5, "budget": 16,
                "universe": [{"var": i} for i in range(5)]
                + [{"ratfunc": encode_ratfunc(xy)},
                   {"ratfunc": encode_ratfunc(xy ** 2)}]}
-    code, out = run("lattice-reconstruct", payload)
+    if command == "roundtrip":
+        payload["permutation"] = [1, 0, 2, 3, 4]
+    code, out = run(command, payload)
     assert code == EXIT_UNKNOWN
     assert out == {"error": "dim-unknown", "candidates": [[5, 6]]}
 
@@ -1114,6 +1124,93 @@ def test_pipeline_nonlinear_universe_pins_its_unknown_set(run, monkeypatch):
         assert got == (rank == len(key)), sorted(key)
 
 
+def _renamed(decl, sigma):
+    """A universe declaration with t_i written t_sigma(i), on its JSON."""
+    if "var" in decl:
+        return {"var": sigma[decl["var"]]}
+    if "linear" in decl:
+        return dict(decl, linear={str(sigma[int(i)]): c
+                                  for i, c in decl["linear"].items()})
+
+    def poly(f):
+        terms = []
+        for t in f["terms"]:
+            exp = [0] * len(sigma)
+            for i, e in enumerate(t["exp"]):
+                exp[sigma[i]] = e
+            terms.append(dict(t, exp=exp))
+        return dict(f, terms=terms)
+
+    return {"ratfunc": {k: poly(f) for k, f in decl["ratfunc"].items()}}
+
+
+def _nonlinear_ci_config():
+    """The first input of CI's "Nonlinear pipeline verify": the
+    coordinates plus t0+t1, t0*t1 and t2*t3+1 at budget 32."""
+    ff = FunctionField(FieldTower(7, seed=0), 5)
+    t = [ff.var(i) for i in range(5)]
+    return {"p": 7, "ell": 3, "vars": 5, "budget": 32,
+            "universe": [{"var": i} for i in range(5)]
+            + [{"linear": {"0": 1, "1": 1}}]
+            + [{"ratfunc": encode_ratfunc(g)}
+               for g in (t[0] * t[1], t[2] * t[3] + ff.one())]}
+
+
+@pytest.mark.parametrize("case", ["linear", "nonlinear"])
+def test_a_permuted_run_is_the_run_of_the_renamed_declarations(case):
+    # run_pipeline composes each decoded generator with t_i -> t_sigma(i);
+    # renaming the variables of the declarations by hand gives the same
+    # artifacts
+    from milnork.cli import PipelineConfig, run_pipeline
+
+    if case == "linear":
+        config = {"p": 7, "ell": 3, "vars": 5, "seed": 4,
+                  "universe": PIPELINE_UNIVERSE
+                  + [{"linear": {"1": 2, "3": 1}, "const": 3}]}
+        sigma = [4, 0, 1, 2, 3]
+    else:
+        config, sigma = _nonlinear_ci_config(), [1, 0, 2, 3, 4]
+    renamed = dict(config, universe=[_renamed(d, sigma)
+                                     for d in config["universe"]])
+    permuted, _ = run_pipeline(PipelineConfig(config), sigma)
+    direct, _ = run_pipeline(PipelineConfig(renamed))
+    assert permuted == direct
+    assert permuted != run_pipeline(PipelineConfig(config))[0]
+
+
+def test_roundtrip_permutes_ratfunc_declarations(run):
+    # the permuted run composes every generator, whatever its declaration:
+    # a ratfunc member once exited 3 with "cannot permute declaration"
+    payload = dict(_nonlinear_ci_config(), permutation=[1, 0, 2, 3, 4])
+    code, out = run("roundtrip", payload)
+    assert code == EXIT_OK, out
+    assert out["lattices_isomorphic"] and out["points_transferred"] == 8
+
+
+def test_a_vanishing_pair_inside_a_certified_set_is_not_independent(run):
+    # x = t0+1 and y = x (t1 t2 + 1)^3: {x, y} = {x, x} + 3 {x, t1 t2 + 1}
+    # = {x, -1}, which is 0 mod 3 as -1 is a cube.  x and y are
+    # algebraically independent, and the Universe says so by a certified
+    # superset, whose certificate is shifted: it certifies the translates
+    # x - 1 and y - 1.  So the kring relation of the pair may not be read
+    # off that record as "independent".
+    from milnork.cli import PipelineConfig, run_pipeline
+
+    ff = FunctionField(FieldTower(7, seed=0), 5)
+    x = ff.var(0) + ff.one()
+    y = x * (ff.var(1) * ff.var(2) + ff.one()) ** 3
+    payload = {"p": 7, "ell": 3, "vars": 5, "budget": 64,
+               "universe": [{"var": i} for i in range(5)]
+               + [{"ratfunc": encode_ratfunc(g)} for g in (x, y)]}
+    code, out = run("pipeline", payload, extra=["--verify"])
+    assert code == EXIT_OK
+    relations = {tuple(e["pair"]): e["relation"]
+                 for e in out["kring_fragment"]["pairs"]}
+    assert relations[5, 6] != "independent"
+    _, (_, universe, _, _) = run_pipeline(PipelineConfig(payload))
+    assert universe.independent([5, 6])
+
+
 def test_nonlinear_pipeline_certificates_ignore_the_config_seed(run):
     # the certificate search is seed-free, so the config seed reaches no
     # serialized certificate, not even on the pairs with the nonlinear
@@ -1255,6 +1352,43 @@ def test_pipeline_verify_reports_a_kring_certificate_that_does_not_replay(
                    "pair": corrupted[0]}
 
 
+@pytest.mark.parametrize("plant", ["swap", "singular"])
+def test_pipeline_verify_ties_each_kring_certificate_to_its_pair(
+        run, monkeypatch, plant):
+    # each planted certificate still replays: the certificates of the first
+    # two certified pairs swapped, so that each states the other pair's
+    # symbol; or the transform of the first, [t0, t1], made singular by
+    # sending t2, t3 and t4 to 0, under which its statement {t0, t1} is
+    # still the image of its pair
+    from milnork import cli
+
+    run_pipeline = cli.run_pipeline
+    planted = []
+
+    def plant_one(config):
+        artifacts, extras = run_pipeline(config)
+        a, b = [e for e in artifacts["kring_fragment"]["pairs"]
+                if "certificate" in e][:2]
+        if plant == "swap":
+            a["certificate"], b["certificate"] = (b["certificate"],
+                                                  a["certificate"])
+        else:
+            assert a["pair"] == [0, 1]
+            a["certificate"]["transform"] = [[int(i == j < 2)
+                                              for j in range(5)]
+                                             for i in range(5)]
+        assert all(decode_certificate(extras[0].field, e["certificate"])
+                   .replay() for e in (a, b))
+        planted.append(a["pair"])
+        return artifacts, extras
+
+    monkeypatch.setattr(cli, "run_pipeline", plant_one)
+    payload = {"p": 7, "ell": 3, "vars": 5, "universe": PIPELINE_UNIVERSE}
+    code, out = run("pipeline", payload, extra=["--verify"])
+    assert code == EXIT_FAILURE
+    assert out == {"error": "certificate-replay-failed", "pair": planted[0]}
+
+
 @pytest.mark.parametrize("plant", ["node", "flat", "point"])
 def test_roundtrip_reports_a_transfer_mismatch(run, monkeypatch, plant):
     # one fault planted in the permuted run for each check of the transfer:
@@ -1267,8 +1401,9 @@ def test_roundtrip_reports_a_transfer_mismatch(run, monkeypatch, plant):
     transfer = geometry.transfer_isomorphism
     runs = []
 
-    def second_run_broken(config):
-        artifacts, (ctx, universe, lat, geom) = run_pipeline(config)
+    def second_run_broken(config, permutation=None):
+        artifacts, (ctx, universe, lat, geom) = run_pipeline(config,
+                                                             permutation)
         if runs and plant == "node":
             lat.nodes.pop()
         if runs and plant == "flat":

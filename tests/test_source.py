@@ -11,7 +11,6 @@ SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "milnork"
 # Definitions and attributes that no other line of src/ uses and that
 # stay, with the reason.
 KEPT = {
-    "apply_transform": "perfbench/tracing.py wraps it by name",
     "base": "the subgroup an exported DeltaSet describes",
     "canonical_certificate": "perfbench/tracing.py wraps it by name",
     "cocycle": "the replay of an h2 basis vector, the oracle of the h2 tests",
