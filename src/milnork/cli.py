@@ -621,8 +621,8 @@ def cmd_pipeline(args):
         gens = [s.gen for s in extras[1].subgroups]
         for entry in artifacts["kring_fragment"]["pairs"]:
             cert = entry.get("certificate")
-            if cert is not None and not _certifies(
-                    ctx, jsonio.decode_certificate(ctx.field, cert),
+            if cert is not None and not ctx.certifies(
+                    jsonio.decode_certificate(ctx.field, cert),
                     [gens[i] for i in entry["pair"]]):
                 _emit(args, {"error": "certificate-replay-failed",
                              "pair": entry["pair"]})
@@ -640,18 +640,6 @@ def cmd_pipeline(args):
     _emit(args, artifacts)
     passed = all(v["pass"] for v in ok.values())
     return EXIT_OK if passed else EXIT_FAILURE
-
-
-def _certifies(ctx, cert, pair):
-    """Whether a kring certificate replays and states the symbol of its
-    pair: the pair's generators, or their images under the recorded
-    transform, an invertible change of coordinates mod p
-    (KContext.apply_transform)."""
-    if cert.transform is not None:
-        if not linalg.is_invertible(cert.transform, ctx.field.p):
-            return False
-        pair = [ctx.apply_transform(x, cert.transform) for x in pair]
-    return list(cert.statement.entries) == pair and cert.replay()
 
 
 def cmd_roundtrip(args):

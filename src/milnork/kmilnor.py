@@ -437,28 +437,12 @@ class KContext:
             pool += [i for i in range(self.nvars) if i not in pool]
         return pool
 
-    def _linear_part(self, x):
-        """Prime-field coefficient vector of a degree-one numerator with
-        constant denominator, else None."""
-        if not x.den.is_constant():
-            return None
-        row = [0] * self.nvars
-        for exp, c in x.num.terms.items():
-            tot = sum(exp)
-            if tot > 1:
-                return None
-            if tot == 0:
-                continue
-            if c.level != 1:
-                return None
-            row[exp.index(1)] = c.coeffs[0]
-        return tuple(row) if any(row) else None
-
     def _inner_form(self, x):
         """The prime-field linear form L of an entry that is a polynomial in
-        L over a constant denominator, else None.
+        L over a constant denominator, else None: the entry's F_p row.
 
-        The gradient proposes L: every partial derivative of the numerator,
+        An affine entry (_affine) is its own form, unscaled.  Otherwise the
+        gradient proposes L: every partial derivative of the numerator,
         Frobenius-stripped, must be a prime-field multiple of the first
         nonzero one, the derivative in t_j, and L is scaled so that its t_j
         coefficient is 1.  The proposal counts only after an exact check:
@@ -469,9 +453,15 @@ class KContext:
         leaves an entry that uses that coordinate alone.  The gradient
         cannot tell x + y^3 at p = 3 from a polynomial in x, since its
         y-derivative vanishes; the check can."""
+        nv = self.nvars
+        if _affine(x):
+            row = [0] * nv
+            for e, c in x.num.terms.items():
+                if any(e):
+                    row[e.index(1)] = c.coeffs[0]
+            return tuple(row) if any(row) else None
         if not x.den.is_constant() or x.is_constant():
             return None
-        nv = self.nvars
         num = x.frobenius_strip(self.field.p)[0].num
         grads = [num.derivative(i) for i in range(nv)]
         j, pivot = next((i, g) for i, g in enumerate(grads) if not g.is_zero())
@@ -501,19 +491,11 @@ class KContext:
         return tuple(row) if exact else None
 
     def _inner_forms(self, elements):
-        """The inner form of every entry, or None when some entry has none:
-        the coefficient vector of a linear entry (_linear_part), else the
-        form of _inner_form.  Entry k lies in the one-variable field of its
+        """The inner form of every entry (_inner_form), or None when some
+        entry has none.  Entry k lies in the one-variable field of its
         form, so the forms span the field the entries cut out."""
-        rows = []
-        for x in elements:
-            row = self._linear_part(x)
-            if row is None:
-                row = self._inner_form(x)
-                if row is None:
-                    return None
-            rows.append(row)
-        return rows
+        rows = [self._inner_form(x) for x in elements]
+        return None if None in rows else rows
 
     def _straightening_transform(self, rows):
         """The substitution sending the k-th inner form to the k-th
@@ -578,7 +560,7 @@ class KContext:
 
         The trials form one finite stream (_trials), all at the origin: the
         straightened entries (shifted when shifts is on and every entry is
-        linear), then the entries as given, then every tuple of distinct
+        affine), then the entries as given, then every tuple of distinct
         variables from those the entries use, shifted when shifts is on.
         The budget cuts the stream, and the search may end before it.  In
         every trial a chain step is centred at a zero or pole of its entry
@@ -609,16 +591,13 @@ class KContext:
             # the symbol vanishes
             return UNKNOWN
         # the forms, the straightening and their rank once per search
-        rows = [self._linear_part(x) for x in elements]
-        linear = None not in rows
-        if not linear:
-            rows = self._inner_forms(elements)
+        rows = self._inner_forms(elements)
         straight = None if rows is None else self._straightening_transform(rows)
         if rows is not None and straight is None:
             # witnessed dependence: the symbol vanishes
             return UNKNOWN
         search = elements, {}
-        trials = self._trials(elements, straight, shifts and linear, shifts)
+        trials = self._trials(elements, straight, shifts)
         for trial in itertools.islice(trials, budget):
             cert = self._try_trial(search, trial)
             if cert is not None:
@@ -634,43 +613,44 @@ class KContext:
         "independent" with a certificate of a nonzero {x, y}; or
         "unknown".
 
-        A pair of linear entries (_linear_part) is decided by its rows and
-        constant terms alone: proportional rows vanish by dimension, with
-        equal classes when the constants are in the same ratio, and
-        independent rows give the straightened certificate."""
+        Independent inner forms (_inner_form) give the straightened
+        certificate, which no pair of equal classes has.  Proportional
+        affine rows (_affine) vanish by dimension, with equal classes when
+        the constant terms are in the same ratio; those of g(L) tell
+        nothing, so other pairs ask kclass_compare."""
         _check_budget(budget)
-        rows = (self._linear_part(x), self._linear_part(y))
-        if None in rows:
+        rows = (self._inner_form(x), self._inner_form(y))
+        transform = (None if None in rows
+                     else self._straightening_transform(rows))
+        # the first trial of the pair's search; with no budget the search
+        # has no trial at all
+        if budget and transform is not None:
+            cert = self.straightened_certificate([x, y], False, transform)
+            if cert is not None:
+                return "independent", cert
+        if None in rows or not (_affine(x) and _affine(y)):
             if self.kclass_compare(x, y) == EQUAL:
                 return "equal-classes", None
-            if self.trdeg_upper([x, y]) < 2:
+            if transform is None and self.trdeg_upper([x, y]) < 2:
                 return "vanishes-by-dimension", None
-            transform = None
-        else:
-            transform = self._straightening_transform(rows)
-            if transform is None:
-                j = next(i for i, a in enumerate(rows[0]) if a)
-                origin = (0,) * self.nvars
-                cx, cy = (f.num.terms.get(origin, 0) for f in (x, y))
-                return ("equal-classes" if cx * rows[1][j] == cy * rows[0][j]
-                        else "vanishes-by-dimension"), None
-        # the straightened trial, first in the search of a linear pair,
-        # certifies it; with no budget the search has no trial at all
-        cert = (self.straightened_certificate([x, y], False, transform)
-                if budget else None)
-        if cert is None:
-            cert = self.certificate_search([x, y], budget=budget)
+        elif transform is None:
+            j = next(i for i, a in enumerate(rows[0]) if a)
+            origin = (0,) * self.nvars
+            cx, cy = (f.num.terms.get(origin, 0) for f in (x, y))
+            return ("equal-classes" if cx * rows[1][j] == cy * rows[0][j]
+                    else "vanishes-by-dimension"), None
+        cert = self.certificate_search([x, y], budget=budget)
         if cert is UNKNOWN:
             return "unknown", None
         return "independent", cert
 
-    def _trials(self, elements, straight, straight_shift, shifts):
+    def _trials(self, elements, straight, shifts):
         """The trial stream of a search, all at the origin: (variables,
         shift, transform) tuples."""
         r = len(elements)
         first = tuple(range(r))
         if straight is not None:
-            yield first, straight_shift, straight
+            yield first, shifts and all(map(_affine, elements)), straight
         yield first, False, None
         for vars_ in itertools.permutations(self._variable_pool(elements, r),
                                             r):
@@ -770,23 +750,36 @@ class KContext:
         return RatFunc(SparsePoly(nv, terms), x.den)
 
     def straightened_certificate(self, elements, shift, transform=None):
-        """The certificate of the straightened trial at the origin, the
-        first trial of every search of a linear tuple, or None when an entry
-        is not linear (_linear_part) or the forms are dependent.  transform
-        is the straightening, when the caller has it.
+        """The certificate of the straightened trial at the origin, first in
+        every search of entries with independent forms (_inner_forms), or
+        None.  transform is the straightening, when the caller has it.
 
-        Entry k becomes (t_k + c_k)/d_k, which _snap_center centres at its
-        root -c_k; shifted, it is t_k/d_k, centred at the origin.  So the
-        value is a unit of Z/l: the trial never misses."""
+        An affine entry k becomes (t_k + c_k)/d_k, which _snap_center
+        centres at its root -c_k; shifted, it is t_k/d_k, centred at the
+        origin.  So for affine entries the value is a unit of Z/l: the
+        trial never misses."""
         if transform is None:
-            rows = [self._linear_part(x) for x in elements]
-            if None in rows:
-                return None
-            transform = self._straightening_transform(rows)
+            rows = self._inner_forms(elements)
+            transform = (None if rows is None
+                         else self._straightening_transform(rows))
             if transform is None:
                 return None
         return self._try_trial((elements, {}),
                                (tuple(range(len(elements))), shift, transform))
+
+    def certifies(self, cert, elements, shift=False):
+        """Whether a certificate replays and states the symbol of the
+        elements, each mapped by its transform, invertible mod p
+        (apply_transform), and with shift translated by a constant."""
+        T = cert.transform
+        if T is not None:
+            if not linalg.is_invertible(T, self.field.p):
+                return False
+            elements = [self.apply_transform(x, T) for x in elements]
+        diffs = [s - x for s, x in zip(cert.statement, elements)]
+        return len(cert.statement) == len(elements) and all(
+            d.is_zero() or shift and d.num == d.den * d.num.leading()[1]
+            for d in diffs) and cert.replay()
 
     def _try_trial(self, search, trial):
         """The certificate of one trial of a search, or None when its value
@@ -926,6 +919,14 @@ class KContext:
 def _check_budget(budget):
     if budget < 0:
         raise ValueError("budget must be at least 0, got %d" % budget)
+
+
+def _affine(x):
+    """Whether an entry is affine over F_p: degree one over a constant
+    denominator, with level-1 coefficients (_inner_form's first case)."""
+    return x.den.is_constant() and all(
+        not any(e) or sum(e) == 1 and c.level == 1
+        for e, c in x.num.terms.items())
 
 
 def _unit_exponent(nvars, j):

@@ -14,7 +14,7 @@ import itertools
 
 from . import geometry, linalg
 from .groundfield import INF, FunctionField, RatFunc
-from .kmilnor import UNKNOWN, _check_budget, _univariate_divisor
+from .kmilnor import UNKNOWN, _affine, _check_budget, _univariate_divisor
 
 
 class ZeroInput(ValueError):
@@ -154,8 +154,8 @@ def milnor_dim_bounds(ctx, gens, budget=64):
     raises it by at most one, so the upper bound is the basis plus the
     unknown members; when there are any, it is capped by
     KContext.trdeg_upper of the generators.  A negative budget raises
-    ValueError, as linear members never reach a search that would, and a
-    zero generator, whose class is undefined, raises ZeroInput."""
+    ValueError, as members with rows never reach a search that would, and
+    a zero generator, whose class is undefined, raises ZeroInput."""
     _check_budget(budget)
     if any(g.is_zero() for g in gens):
         raise ZeroInput("the class of zero is undefined")
@@ -180,14 +180,14 @@ class Record(collections.namedtuple("Record", "answer how witness")):
     what Universe.replay checks it by.
 
     Independent:
-      RANK       linear members whose rows have full F_p rank; no witness
-                 is kept, as the straightened certificate at the origin
+      RANK       members whose rows have full F_p rank; no witness is
+                 kept, as the straightened certificate at the origin
                  (KContext.straightened_certificate) is built on replay
       CERTIFIED  the Certificate a search won for the set
       SUPERSET   the key of a certified set containing it
     Dependent:
       RELATION   F_p coefficients of a vanishing combination of the inner
-                 forms (KContext._inner_forms; the rows of linear members)
+                 forms (KContext._inner_forms, the rows)
       CONTAINS   the key of a dependent set it contains
       VARIABLES  the variables the members use, fewer than the members
     Unresolved:
@@ -202,6 +202,15 @@ RELATION, CONTAINS, VARIABLES = "relation", "contains", "variables"
 SEARCHED = "searched"
 _ANSWER = {RANK: True, CERTIFIED: True, SUPERSET: True, RELATION: False,
            CONTAINS: False, VARIABLES: False, SEARCHED: None}
+
+
+def _row(ctx, gen):
+    """A member's inner form, kept above degree one only when its own
+    straightened trial certifies it, unshifted and shifted, so that RANK
+    replays: not for c h^l, nor for t^3 + 1 at l = 3 (shifted, t^3)."""
+    row = ctx._inner_form(gen)
+    trials = (ctx.straightened_certificate([gen], s) for s in (False, True))
+    return row if row is None or _affine(gen) or all(trials) else None
 
 
 def _relation(rows, p):
@@ -222,16 +231,18 @@ class Universe:
     of each rank are the covers of those one rank down (Universe.flats).
 
     Every answer is kept as one Record per set in _records, with the
-    witness that Universe.replay checks.  A set of linear members is
-    decided by the F_p rank of their rows, with no search: linear forms
-    over F_p are algebraically independent exactly when their rows are
-    linearly independent.  Each independent linear set keeps its F_p
-    echelon, so a set that adds one member to such a set is decided by
-    reducing that member's row against it alone, and a dependent one gets
-    its relation from the same reduction.  A new flat asks one set per
+    witness that Universe.replay checks.  A member g(L), a polynomial in
+    a prime-field linear form L, lies in the one-variable subfield k(L),
+    algebraic over k(g(L)); L is its row (_row).  A set of members with
+    rows is decided by the F_p rank of their rows, with no search: they
+    are algebraically independent exactly when their forms are linearly
+    independent.  Each independent set of them keeps its F_p echelon, so
+    a set that adds one member to such a set is decided by reducing that
+    member's row against it alone, and a dependent one gets its relation
+    from the same reduction.  A new flat asks one set per
     member, its basis plus that member.
 
-    For sets with a nonlinear member, one certificate answers many queries.
+    For sets with a rowless member, one certificate answers many queries.
     A nonzero symbol has nonzero sub-symbols, {a,b,c} = {a,b}.{c}, so every
     subset of a certified set is independent.  A set that needs a search is
     therefore first extended towards a basis of the universe and the
@@ -250,9 +261,7 @@ class Universe:
         self._bases = {}
         self._covers = {}
         self._flats_by_rank = {}
-        # each member's linear row (KContext._linear_part), None if it has
-        # none
-        self._rows = [ctx._linear_part(s.gen) for s in self.subgroups]
+        self._rows = [_row(ctx, s.gen) for s in self.subgroups]
 
     def __len__(self):
         return len(self.subgroups)
@@ -261,8 +270,8 @@ class Universe:
         """Certified algebraic independence of the generators, kept with
         its witness as the set's Record.
 
-        A set of linear members is independent exactly when its rows have
-        full F_p rank; a dependent one keeps the F_p relation among them.
+        A set of members with rows is independent exactly when its rows
+        have full F_p rank; a dependent one keeps their F_p relation.
 
         Any other set is decided in this order.  A set that contains a
         dependent set minus one member is dependent too, as every superset
@@ -294,9 +303,8 @@ class Universe:
 
     def _decide(self, key):
         """The Record of a set without one, by the rules of independent."""
-        p = self.ctx.field.p
         if all(self._rows[i] is not None for i in key):
-            return self._decide_linear(key)
+            return self._decide_by_rows(key)
         for i in key:
             sub = self._records.get(key - {i})
             if sub is not None and sub.answer is False:
@@ -309,7 +317,7 @@ class Universe:
             if rec.how == CERTIFIED and key <= other:
                 return Record(True, SUPERSET, other)
         rows = self.ctx._inner_forms(gens)
-        relation = None if rows is None else _relation(rows, p)
+        relation = None if rows is None else _relation(rows, self.ctx.field.p)
         if relation is not None:
             return Record(False, RELATION, relation)
         extended = self._extend(key)
@@ -318,23 +326,23 @@ class Universe:
         self._certify(key)
         return self._records[key]
 
-    def _decide_linear(self, key):
-        """The Record of a set of linear members.  A set with a kept echelon
-        is independent.  Otherwise the set less its largest member i is
+    def _decide_by_rows(self, key):
+        """The Record of a set of members with rows.  A set with a kept
+        echelon is independent.  Otherwise the set less its largest member i is
         decided first, and row i is reduced against its echelon (_reduce);
         so the rows are reduced in index order from the empty echelon, and
         the relation of the first dependent rows, 0 after them, is kept."""
         if key in self._echelons:
             return Record(True, RANK, None)
         i = max(key)
-        rec = self._decide_linear(key - {i})
+        rec = self._decide_by_rows(key - {i})
         if rec.answer:
             return self._reduce(key, self._echelons[key - {i}], i)
         return rec._replace(witness=rec.witness + (0,))
 
     def _reduce(self, key, echelon, i):
-        """The Record of a set of linear members whose members other than i
-        have the kept echelon: row i reduced against it.  A nonzero
+        """The Record of a set of members with rows whose members other than
+        i have the kept echelon: row i reduced against it.  A nonzero
         remainder records RANK and keeps the set's echelon.  A zero one
         gives row i's relation to those rows, scaled to 1 at the largest
         member it uses: the first vector of _relation's nullspace basis."""
@@ -364,7 +372,7 @@ class Universe:
         """The set enlarged, in index order, by the members that keep the
         Jacobian at full rank, until it has nvars members.  A set whose own
         Jacobian is rank-deficient is returned as it is: no enlargement of
-        it can have full rank.  Only a set with a nonlinear member is
+        it can have full rank.  Only a set with a rowless member is
         extended."""
         jacobian_rank = self.ctx.jacobian_rank
         if jacobian_rank(self._gens(key)) < len(key):
@@ -398,11 +406,13 @@ class Universe:
 
         A record replays when its answer is the one its reason gives and
         its witness holds: a certificate, the one kept or the straightened
-        one built for a linear set, evaluates to its nonzero value; a
-        relation is nonzero and vanishes mod p on the inner forms,
-        recomputed from the generators; a superset is certified and a
-        contained set dependent by their own records; the members use only
-        the recorded variables, fewer than the members."""
+        one built for a set of members with rows, evaluates to its nonzero
+        value, and a kept one states the symbol of translates of the
+        members (KContext.certifies); a relation is nonzero and vanishes
+        mod p on the inner forms, recomputed from the generators; a
+        superset is certified and a contained set dependent by their own
+        records; the members use only the recorded variables, fewer than
+        the members."""
         return sorted((key for key, rec in self._records.items()
                        if not self._replays(key, rec)), key=sorted)
 
@@ -415,7 +425,7 @@ class Universe:
             cert = self.ctx.straightened_certificate(self._gens(key), True)
             return cert is not None and cert.replay()
         if how == CERTIFIED:
-            return witness.replay()
+            return self.ctx.certifies(witness, self._gens(key), shift=True)
         if how in (SUPERSET, CONTAINS):
             other = self._records.get(witness)
             inside = key < witness if how == SUPERSET else witness < key
@@ -477,9 +487,9 @@ class Universe:
     def _flat(self, basis, key):
         """The flat of an independent basis, holding key: a kept flat of
         its rank containing key, else a new one, kept with the basis, of
-        the members whose answer with the basis is dependent.  A linear
-        member's answer is its row reduced against the basis's kept
-        echelon (_reduce); any other is Universe.independent's."""
+        the members whose answer with the basis is dependent.  A member
+        with a row has its row reduced against the basis's kept echelon
+        (_reduce); any other gets Universe.independent's answer."""
         r = len(basis)
         flat = next((f for f in self._flats_by_rank.get(r, ()) if key <= f),
                     None)
@@ -489,7 +499,7 @@ class Universe:
 
             def dependent(j):
                 # one reduction against the basis's echelon, not
-                # _decide_linear's walk in index order: without it
+                # _decide_by_rows's walk in index order: without it
                 # linear-universe ran 5 % slower, in 4 of 4 pairs
                 more = members | {j}
                 if (echelon is not None and self._rows[j] is not None

@@ -256,6 +256,49 @@ def test_criterion_5_recipe_roundtrip():
            time.time() - t0, 60)
 
 
+def _acceptance_generator(decl, ff):
+    """The generator of an acceptance declaration: t_i, or an affine form
+    over F_p."""
+    if "var" in decl:
+        return ff.var(decl["var"])
+    g = ff.const(decl.get("const", 0))
+    for v, c in decl["linear"].items():
+        g = g + ff.var(int(v)) * ff.const(c)
+    return g
+
+
+@pytest.mark.parametrize("k", [2, 7, 5])
+def test_twisted_acceptance_universe_gives_the_linear_lattice(k):
+    # g^k lies in the one-variable subfield k(g), which is algebraic over
+    # k(g^k), so the rational subgroups cannot tell g^k from g (k = p = 7 is
+    # the Frobenius twist): every member g of the acceptance universe, given
+    # as the ratfunc g^k, has g as its inner form, and the pipeline decides
+    # every set by F_p rank, with the lattice nodes, geometry and kring
+    # relations of the linear run and every record replaying
+    from milnork.cli import PipelineConfig, run_pipeline
+    from milnork.jsonio import encode_ratfunc
+    from milnork.lattice import RANK, RELATION
+
+    def shape(artifacts):
+        return ([(n["sources"], n["rank"])
+                 for n in artifacts["lattice_fragment"]["nodes"]],
+                artifacts["geometry"],
+                [(e["pair"], e["relation"])
+                 for e in artifacts["kring_fragment"]["pairs"]])
+
+    ff = FunctionField(FieldTower(7, seed=0), 5)
+    base = {"p": 7, "ell": 3, "vars": 5, "seed": 1, "budget": 64}
+    linear, _ = run_pipeline(PipelineConfig(
+        dict(base, universe=list(ACCEPTANCE_UNIVERSE))))
+    twisted = [{"ratfunc": encode_ratfunc(_acceptance_generator(d, ff) ** k)}
+               for d in ACCEPTANCE_UNIVERSE]
+    artifacts, (_, universe, _, _) = run_pipeline(PipelineConfig(
+        dict(base, universe=twisted)))
+    assert shape(artifacts) == shape(linear)
+    assert {rec.how for rec in universe._records.values()} == {RANK, RELATION}
+    assert universe.replay() == []
+
+
 def test_criterion_6_divisor_exactness():
     t0 = time.time()
     tw = FieldTower(7, seed=0)
@@ -478,11 +521,11 @@ NONLINEAR_PIPELINES = {
         []),
     (CANDIDATE, 32): (
         "42109f414a2f1546fa8a6d64b45ac345b10f1a803483c51079b719d8045770f7",
-        "11ae900a04f7672f4c16e4e7f95ccc70fc309002cd3bcc8b8759ff1760eff8b7",
+        "414cf0dc33d250650abff4389d0a6fc1a3d13664e707fef0c094d3737c9fb4ed",
         [[2, 7], [3, 7]]),
     (CANDIDATE, 64): (
         "b7cfca3b1cad7f73b1f3b9b30a069059d158dd60abf3421a3a9ff9f69e06dab2",
-        "11ae900a04f7672f4c16e4e7f95ccc70fc309002cd3bcc8b8759ff1760eff8b7",
+        "414cf0dc33d250650abff4389d0a6fc1a3d13664e707fef0c094d3737c9fb4ed",
         [[2, 7], [3, 7]]),
 }
 

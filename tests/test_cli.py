@@ -1389,6 +1389,36 @@ def test_pipeline_verify_ties_each_kring_certificate_to_its_pair(
     assert out == {"error": "certificate-replay-failed", "pair": planted[0]}
 
 
+def test_pipeline_verify_ties_each_universe_certificate_to_its_set(
+        run, monkeypatch):
+    # the certificates of two CERTIFIED records of the CI nonlinear input
+    # swapped: each still replays, but states the symbol of translates of
+    # the other set, so neither record replays
+    from milnork import cli
+    from milnork.lattice import CERTIFIED
+
+    run_pipeline = cli.run_pipeline
+    keys = [frozenset({0, 1, 2, 4, 7}), frozenset({2, 4, 5, 6, 7})]
+    universes = []
+
+    def swapped(config):
+        artifacts, extras = run_pipeline(config)
+        records = extras[1]._records
+        a, b = (records[key] for key in keys)
+        assert a.how == b.how == CERTIFIED
+        assert a.witness.replay() and b.witness.replay()
+        records[keys[0]] = a._replace(witness=b.witness)
+        records[keys[1]] = b._replace(witness=a.witness)
+        universes.append(extras[1])
+        return artifacts, extras
+
+    monkeypatch.setattr(cli, "run_pipeline", swapped)
+    code, out = run("pipeline", _nonlinear_ci_config(), extra=["--verify"])
+    assert code == EXIT_FAILURE
+    assert out == {"error": "record-replay-failed", "key": [0, 1, 2, 4, 7]}
+    assert universes[0].replay() == sorted(keys, key=sorted)
+
+
 @pytest.mark.parametrize("plant", ["node", "flat", "point"])
 def test_roundtrip_reports_a_transfer_mismatch(run, monkeypatch, plant):
     # one fault planted in the permuted run for each check of the transfer:

@@ -382,6 +382,25 @@ def test_linear_pair_relation_matches_the_general_policy(case):
                 == canonical_json(encode_certificate(want[1])))
 
 
+@settings(max_examples=100, deadline=None)
+@given(linear_pairs())
+def test_pair_relation_of_squares_matches_the_general_policy(case):
+    # the squares of two linear entries have the same inner forms, but
+    # their constant terms say nothing of their classes: (L + a)^2 and
+    # (L - a)^2 have equal constant terms and distinct classes.  So a pair
+    # of squares with proportional forms asks kclass_compare, as the
+    # general policy does, and independent forms get its certificate
+    ff, ell, x, y, budget = case
+    got = KContext(ff, ell).pair_relation(x * x, y * y, budget)
+    want = GeneralPolicy(ff, ell).pair_relation(x * x, y * y, budget)
+    assert got[0] == want[0]
+    assert (got[1] is None) == (want[1] is None)
+    if got[1] is not None:
+        assert got[1].replay()
+        assert (canonical_json(encode_certificate(got[1]))
+                == canonical_json(encode_certificate(want[1])))
+
+
 def _trial(ctx, entries):
     """The certificate of the unshifted trial of entries on t0, t1, ..."""
     return ctx._try_trial((entries, {}),

@@ -498,8 +498,10 @@ def _inner_form_context(p, nv):
 @given(st.data())
 def test_inner_form_matches_the_check_by_products(data):
     # g(L) for a random prime-field form L and a random g with coefficients
-    # at levels 1 and 2 has the form L, scaled to a leading 1; with a mixed
-    # monomial of higher degree added it is a polynomial in no linear form
+    # at levels 1 and 2 has the form L, scaled to a leading 1, unless g(L)
+    # is affine with prime-field coefficients, whose form is its own
+    # coefficient vector; with a mixed monomial of higher degree added it
+    # is a polynomial in no linear form
     p = data.draw(st.sampled_from((2, 3, 5, 7)))
     nv = data.draw(st.integers(2, 4))
     ctx = _inner_form_context(p, nv)
@@ -522,9 +524,18 @@ def test_inner_form_matches_the_check_by_products(data):
     if g.is_constant():
         return
     got = ctx._inner_form(g)
-    assert got == _inner_form_by_products(ctx, g)
     j = next(i for i, c in enumerate(a) if c)
-    assert got == tuple(c * pow(a[j], -1, p) % p for c in a)
+    scaled = tuple(c * pow(a[j], -1, p) % p for c in a)
+    assert _inner_form_by_products(ctx, g) == scaled
+    degree_one = {e.index(1): c for e, c in g.num.terms.items()
+                  if sum(e) == 1}
+    if (all(sum(e) <= 1 for e in g.num.terms)
+            and all(c.level == 1 for c in degree_one.values())):
+        assert got == tuple(degree_one[i].coeffs[0] if i in degree_one
+                            else 0 for i in range(nv))
+        assert got == tuple(c * got[j] % p for c in scaled)
+    else:
+        assert got == scaled
     # t_u t_v^top, u != v: the one term of top degree of the sum is mixed,
     # while every power L'^n of a linear form has a term t_k^n, so the sum
     # is a polynomial in no linear form

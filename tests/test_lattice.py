@@ -13,6 +13,7 @@ from milnork.kmilnor import UNKNOWN, KContext
 from milnork.lattice import (
     CERTIFIED,
     RANK,
+    RELATION,
     SEARCHED,
     SUPERSET,
     CounterexampleReport,
@@ -28,6 +29,7 @@ from milnork.lattice import (
     delta_set,
     div_ell,
     epsilon_rigidity_check,
+    milnor_dim_bounds,
     omega,
     recover_rank_1,
     recover_rank_r,
@@ -368,7 +370,7 @@ def test_kept_echelons_match_fresh_reduction(case, squares):
         # and the record is the one a fresh universe gives the set alone,
         # reduced from the empty echelon in index order
         assert rec.witness == lattice._relation(members, p), sorted(key)
-        assert Universe(ctx, subs)._decide_linear(key) == rec, sorted(key)
+        assert Universe(ctx, subs)._decide_by_rows(key) == rec, sorted(key)
         echelon = uni._echelons.get(key)
         assert (echelon is not None) == (rec.how == RANK), sorted(key)
         if echelon is None:
@@ -784,7 +786,7 @@ def _extend_by_jacobian(uni, key):
     """Universe._extend as it read with a Jacobian rank per candidate."""
     ctx = uni.ctx
     gens = uni._gens(key)
-    if (any(ctx._linear_part(g) is None for g in gens)
+    if (any(uni._rows[i] is None for i in key)
             and ctx.jacobian_rank(gens) < len(key)):
         return key
     out = set(key)
@@ -820,9 +822,12 @@ def test_extension_by_rows_is_the_jacobian_extension(rows, nonlinear_at,
 
 
 def test_coordinate_universe_at_budget_zero_is_decided_by_rank(
-        ctx5, subs, monkeypatch):
+        ctx5, ff5, subs, monkeypatch):
     # linear sets take no search, Jacobian, transcendence bound or
-    # extension: the F_p rank decides them, whatever the budget
+    # extension: the F_p rank decides them, whatever the budget.  So do
+    # sets of members g(L) in one-variable subfields k(L), by the rank of
+    # their inner forms: (t0+t1)^2 and (t0+t1)^5 + t0 + t1 share the form
+    # t0 + t1, and t2^7 + 2 is (t2 + 2)^7
     searches = []
     search = ctx5.certificate_search
 
@@ -841,6 +846,34 @@ def test_coordinate_universe_at_budget_zero_is_decided_by_rank(
     assert all(rec.how == RANK for rec in uni._records.values())
     assert searches == []
     assert uni.replay() == []
+    t, c = [ff5.var(i) for i in range(3)], ff5.const
+    u = t[0] + t[1]
+    gens = [u ** 2, (t[0] - t[1]) ** 2 + c(1), u ** 5 + u, t[2] ** 7 + c(2)]
+    assert milnor_dim_bounds(ctx5, gens, budget=0) == (3, 3)
+    uni = Universe(ctx5, [RationalSubgroup(ctx5, g) for g in gens], budget=0)
+    assert uni._rows == [(1, 1, 0, 0, 0), (1, 6, 0, 0, 0), (1, 1, 0, 0, 0),
+                         (0, 0, 1, 0, 0)]
+    assert uni.basis(range(4)) == (0, 1, 3)
+    assert uni._records[frozenset({0, 2})] == (False, RELATION, (6, 1))
+    assert {rec.how for rec in uni._records.values()} == {RANK, RELATION}
+    assert searches == []
+    assert uni.replay() == []
+
+
+def test_a_member_without_a_straightened_certificate_keeps_no_row(ctx5,
+                                                                  ff5):
+    # (t0+t1)^3 is an l-th power at l = 3, and t3^3 + 1 loses its roots of
+    # multiplicity prime to l when shifted: each keeps the search path,
+    # and its answer, although it has an inner form
+    t, c = [ff5.var(i) for i in range(4)], ff5.const
+    cube, shifted = (t[0] + t[1]) ** 3, t[3] ** 3 + c(1)
+    assert ctx5._inner_form(cube) == (1, 1, 0, 0, 0)
+    assert ctx5._inner_form(shifted) == (0, 0, 0, 1, 0)
+    uni = Universe(ctx5, [RationalSubgroup(ctx5, g)
+                          for g in (cube, t[2], shifted)], budget=0)
+    assert uni._rows == [None, (0, 0, 1, 0, 0), None]
+    for budget in (0, 64):
+        assert milnor_dim_bounds(ctx5, [cube, t[2]], budget=budget) == (1, 2)
 
 
 def test_lattice_fragment_edges_follow_containment_and_the_grading():
