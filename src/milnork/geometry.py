@@ -39,36 +39,58 @@ class ClosureGeometry:
     def __init__(self, points, flats, table=()):
         self.points = tuple(points)
         self._universe = frozenset(self.points)
+        # a point set is a bitmask over the distinct points, in the order in
+        # which check_axioms tries them, kept once per set; a set of flats
+        # is a bitset over the flats' indices
+        self._bit = {p: 1 << i
+                     for i, p in enumerate(dict.fromkeys(self.points))}
+        self._masks = {}
         index = {p: i for i, p in enumerate(self.points)}
         self.flats = tuple(sorted(
             {self._inside(f) for f in flats},
             key=lambda f: (len(f), sorted(index[p] for p in f))))
-        # the flats through each point, smallest first
-        self._through = {p: [f for f in self.flats if p in f]
-                         for p in self.points}
+        # the flats through each point, and the flats holding each flat
+        masks = [self._masks[f] for f in self.flats]
+        self._through = {b: sum(1 << j for j, f in enumerate(masks) if f & b)
+                         for b in self._bit.values()}
+        self._above = [self._held(f) for f in masks]
         self.table = [(self._inside(k), self._inside(v)) for k, v in table]
         self._memo = {}
 
     def _inside(self, subset):
         out = frozenset(subset)
-        if not out <= self._universe:
-            raise ValueError("%r lies outside the universe"
-                             % (set(out - self._universe),))
+        if out not in self._masks:
+            if not out <= self._universe:
+                raise ValueError("%r lies outside the universe"
+                                 % (set(out - self._universe),))
+            self._masks[out] = sum(map(self._bit.__getitem__, out))
         return out
 
+    def _held(self, s):
+        """The flats holding the mask s: the AND of its points' flats."""
+        held = (1 << len(self.flats)) - 1
+        for b in _bits(s):
+            held &= self._through[b]
+        return held
+
     def _minimal(self, s):
-        """The minimal flats containing the set, memoized."""
+        """The minimal flats holding the mask s, memoized.  The flats are
+        sorted by size, so the least flat holding s is minimal, and the
+        only one when every flat holding s holds it; otherwise the next is
+        the least flat holding s that holds no flat found before."""
         minimal = self._memo.get(s)
         if minimal is None:
-            minimal = self._memo[s] = []
-            for f in self._through[next(iter(s))] if s else self.flats:
-                if s <= f and not any(m <= f for m in minimal):
-                    minimal.append(f)
+            minimal, held = [], self._held(s)
+            while held:
+                j = (held & -held).bit_length() - 1
+                minimal.append(self.flats[j])
+                held &= ~self._above[j]
+            minimal = self._memo[s] = tuple(minimal)
         return minimal
 
     def cl(self, subset):
         s = self._inside(subset)
-        minimal = self._minimal(s)
+        minimal = self._minimal(self._masks[s])
         if len(minimal) != 1:
             raise JoinUndefined("%s flat contains %r" % (
                 "more than one minimal" if minimal else "no", s))
@@ -86,8 +108,8 @@ class ClosureGeometry:
                 return {"A": a, "reason": "A not in cl(A)"}
             if c not in fixed:
                 return {"A": a, "reason": "cl not idempotent"}
-            minimal = self._minimal(a)
-            if minimal != [c]:
+            minimal = self._minimal(self._masks[a])
+            if minimal != (c,):
                 return {"A": a, "B": next(f for f in minimal if f != c),
                         "reason": "cl not monotone"}
         return None
@@ -190,9 +212,6 @@ class AxiomReport:
             "finite_character": enc(self.finite_character),
         }
 
-    def __repr__(self):
-        return "AxiomReport(%s)" % self.to_json()
-
 
 def encode_witness(w):
     """A witness as plain JSON values, point sets as sorted lists; points of
@@ -206,6 +225,14 @@ def encode_witness(w):
         return str(o)
 
     return json.loads(json.dumps(w, default=plain))
+
+
+def _bits(mask):
+    """The set bits of a mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low
+        mask ^= low
 
 
 def check_axioms(geom):
@@ -228,40 +255,44 @@ def check_axioms(geom):
     witness = geom.table_witness()
     if witness is not None:
         report.closure = (False, witness)
+    masks, name = geom._masks, {b: p for p, b in geom._bit.items()}
 
-    def closure(s):
-        try:
-            return geom.cl(s)
-        except JoinUndefined:
-            if report.closure[0]:
-                report.closure = (False, {"A": s, "reason":
-                                          "no least flat contains A"})
-            return None
+    def closure(s, subset):
+        # the least flat holding the mask s; subset() builds s for a witness
+        minimal = geom._minimal(s)
+        if len(minimal) == 1:
+            return minimal[0]
+        if report.closure[0]:
+            report.closure = (False, {"A": subset(), "reason":
+                                      "no least flat contains A"})
+        return None
 
-    empty = closure(frozenset())
+    empty = closure(0, frozenset)
     if empty != frozenset():
         report.geometry = (False, {"reason": "cl(empty) not empty",
                                    "got": empty})
     else:
         for a in geom.points:
-            got = closure(frozenset([a]))
+            got = closure(geom._bit[a], lambda: frozenset([a]))
             if got != frozenset([a]):
                 report.geometry = (False, {"a": a,
                                            "reason": "cl(a) exceeds {a}",
                                            "got": got})
                 break
     for f in geom.flats:
-        cover = {b: closure(f | {b}) for b in geom.points if b not in f}
+        m = masks[f]
+        cover = {b: masks.get(closure(m | b, lambda: f | {name[b]}))
+                 for b in name if not m & b}
         if not report.exchange[0]:
             continue
         for b, c in cover.items():
             if c is None:
                 continue
-            a = next((a for a in cover if a in c and cover[a] is not None
-                      and b not in cover[a]), None)
+            a = next((a for a in _bits(c & ~m) if cover[a] is not None
+                      and not cover[a] & b), None)
             if a is not None:
                 # a entered through b, but b does not enter through a
-                report.exchange = (False, {"A": f, "a": a, "b": b})
+                report.exchange = (False, {"A": f, "a": name[a], "b": name[b]})
                 break
     return report
 

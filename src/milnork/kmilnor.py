@@ -749,10 +749,12 @@ class KContext:
             terms[tuple(exp)] = c
         return RatFunc(SparsePoly(nv, terms), x.den)
 
-    def straightened_certificate(self, elements, shift, transform=None):
+    def straightened_certificate(self, elements, shift, transform=None,
+                                 snaps=None):
         """The certificate of the straightened trial at the origin, first in
         every search of entries with independent forms (_inner_forms), or
-        None.  transform is the straightening, when the caller has it.
+        None.  transform is the straightening, when the caller has it, and
+        snaps a snap table (_try_trial) shared with other calls, if any.
 
         An affine entry k becomes (t_k + c_k)/d_k, which _snap_center
         centres at its root -c_k; shifted, it is t_k/d_k, centred at the
@@ -764,7 +766,7 @@ class KContext:
                          else self._straightening_transform(rows))
             if transform is None:
                 return None
-        return self._try_trial((elements, {}),
+        return self._try_trial((elements, {} if snaps is None else snaps),
                                (tuple(range(len(elements))), shift, transform))
 
     def certifies(self, cert, elements, shift=False):

@@ -79,9 +79,6 @@ class RationalSubgroup:
             return SparsePoly(1, {(e[i],): c for e, c in poly.terms.items()})
         return RatFunc(rename(f.num), rename(f.den))
 
-    def __repr__(self):
-        return "RationalSubgroup(%s)" % self.label
-
 
 def div_ell(g, A):
     """Reduced divisor of a member, as a map point -> Z/l with zero sum.
@@ -412,17 +409,20 @@ class Universe:
         mod p on the inner forms, recomputed from the generators; a
         superset is certified and a contained set dependent by their own
         records; the members use only the recorded variables, fewer than
-        the members."""
+        the members.  The straightened certificates share one snap table,
+        as a centre depends on the entry and the variable alone."""
+        snaps = {}
         return sorted((key for key, rec in self._records.items()
-                       if not self._replays(key, rec)), key=sorted)
+                       if not self._replays(key, rec, snaps)), key=sorted)
 
-    def _replays(self, key, rec):
+    def _replays(self, key, rec, snaps):
         how, witness = rec.how, rec.witness
         if how not in _ANSWER or _ANSWER[how] is not rec.answer:
             return False
         nvars, p = self.ctx.nvars, self.ctx.field.p
         if how == RANK:
-            cert = self.ctx.straightened_certificate(self._gens(key), True)
+            cert = self.ctx.straightened_certificate(self._gens(key), True,
+                                                     snaps=snaps)
             return cert is not None and cert.replay()
         if how == CERTIFIED:
             return self.ctx.certifies(witness, self._gens(key), shift=True)
@@ -618,9 +618,6 @@ class DeltaEntry:
         key = "inf" if self.point is INF else self.point.compress_key()
         return (self.ram * div.get(key, 0)) % A.ctx.ell
 
-    def __repr__(self):
-        return "DeltaEntry(point=%r, ram=%d)" % (self.point, self.ram)
-
 
 class DeltaSet:
     """The index-l subgroups of a rational subgroup cut out by the unit
@@ -750,9 +747,6 @@ class CounterexampleReport:
         self.kind = kind
         self.details = details
 
-    def __repr__(self):
-        return "CounterexampleReport(%s: %s)" % (self.kind, self.details)
-
 
 class RationalFragmentData:
     """A rational subgroup fragment in ambient coordinates.
@@ -765,9 +759,6 @@ class RationalFragmentData:
     def __init__(self, name, members):
         self.name = name
         self.members = tuple(tuple(m) for m in members)
-
-    def __repr__(self):
-        return "RationalFragmentData(%s)" % self.name
 
 
 class RigidityInstance:

@@ -296,7 +296,18 @@ def test_twisted_acceptance_universe_gives_the_linear_lattice(k):
         dict(base, universe=twisted)))
     assert shape(artifacts) == shape(linear)
     assert {rec.how for rec in universe._records.values()} == {RANK, RELATION}
+    # the replay shares one snap table: the centre of each straightened
+    # entry and variable is found once, however many RANK records ask it
+    ctx, centres = universe.ctx, collections.Counter()
+    snap_center = ctx._snap_center
+
+    def counting_snap_center(entry, var):
+        centres[entry.key(), var] += 1
+        return snap_center(entry, var)
+
+    ctx._snap_center = counting_snap_center
     assert universe.replay() == []
+    assert centres and max(centres.values()) == 1
 
 
 def test_criterion_6_divisor_exactness():

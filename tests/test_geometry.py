@@ -213,8 +213,12 @@ def test_lattice_geometry_and_join_errors():
     ])
     g2 = lattice_geometry(lat2)
     names2 = {n.label: n for n in g2.points}
-    with pytest.raises(JoinUndefined):
+    with pytest.raises(JoinUndefined) as exc:
         g2.cl({names2["p0"], names2["p2"]})
+    # the message names the points by their fragments' labels and ranks
+    assert str(exc.value).startswith("no flat contains frozenset({")
+    for label in ("p0", "p2"):
+        assert "SubgroupFragment(%s, rank=1)" % label in str(exc.value)
 
 
 def test_transfer_isomorphism_identity_and_swap():
@@ -484,8 +488,9 @@ def test_vector_geometry_flats_and_checks(config, data):
 
 
 def test_check_axioms_finds_the_minimal_flats_of_a_set_once():
-    # table_witness and cl ask for the same sets; each set's minimal flats
-    # are found by one scan of the flats through one of its points
+    # table_witness and check_axioms ask for the same sets; the flats
+    # holding each set asked are found once, by one AND per point, and its
+    # minimal flats kept
     points = _projective_points(2, 3)
 
     def closure(subset):
@@ -495,14 +500,112 @@ def test_check_axioms_finds_the_minimal_flats_of_a_set_once():
 
     geom = flats_by_covers(points, closure(frozenset()),
                            lambda f, x: closure(f | {x}))
-    scans = []
+    held, found = geom._held, []
 
-    class CountingScans(dict):
-        def __getitem__(self, point):
-            scans.append(point)
-            return dict.__getitem__(self, point)
+    def counting_held(s):
+        found.append(s)
+        return held(s)
 
-    geom._through = CountingScans(geom._through)
+    geom._held = counting_held
     assert check_axioms(geom).all_pass()
-    asked = [s for s in geom._memo if s]
-    assert asked and len(scans) == len(asked)
+    assert found and sorted(found) == sorted(geom._memo)
+
+
+def _brute_minimal(flats, s):
+    """The minimal flats holding s, in the order of flats, found by
+    comparing every pair of flats holding s."""
+    holding = [f for f in flats if s <= f]
+    return [f for f in holding if not any(g < f for g in holding)]
+
+
+def _brute_table_witness(flats, table):
+    for a, c in table:
+        if not a <= c:
+            return {"A": a, "reason": "A not in cl(A)"}
+        if c not in flats:
+            return {"A": a, "reason": "cl not idempotent"}
+        minimal = _brute_minimal(flats, a)
+        if minimal != [c]:
+            return {"A": a, "B": next(f for f in minimal if f != c),
+                    "reason": "cl not monotone"}
+    return None
+
+
+def _brute_report(points, flats, table):
+    """check_axioms written out over frozensets: the closure witness is the
+    table's, else the first set without a least flat among those asked
+    (the empty set, the points while they are flats, then F | {b} for each
+    flat F and point b outside it, in order); exchange fails at the first
+    F and b such that some a in cl(F | {b}) - F has cl(F | {a}) without b."""
+    def cl(s):
+        minimal = _brute_minimal(flats, s)
+        return minimal[0] if len(minimal) == 1 else None
+
+    asked = [frozenset()]
+    geometry = None
+    if cl(frozenset()) != frozenset():
+        geometry = {"reason": "cl(empty) not empty", "got": cl(frozenset())}
+    else:
+        for a in points:
+            asked.append(frozenset([a]))
+            if cl(asked[-1]) != asked[-1]:
+                geometry = {"a": a, "reason": "cl(a) exceeds {a}",
+                            "got": cl(asked[-1])}
+                break
+    exchange = None
+    for f in flats:
+        cover = {b: cl(f | {b}) for b in points if b not in f}
+        asked += [f | {b} for b in cover]
+        exchange = exchange or next((
+            {"A": f, "a": a, "b": b} for b in cover if cover[b] is not None
+            for a in cover if a in cover[b] and cover[a] is not None
+            and b not in cover[a]), None)
+    closure = _brute_table_witness(flats, table) or next((
+        {"A": s, "reason": "no least flat contains A"}
+        for s in asked if cl(s) is None), None)
+    return {"closure": closure, "geometry": geometry, "exchange": exchange}
+
+
+@st.composite
+def flat_families(draw):
+    """Points, flats and a closure table on up to 8 points, most of them
+    no matroid: sets with no flat holding them or several minimal flats,
+    and broken exchange.  A point may be listed twice."""
+    points = ["p%d" % i for i in range(draw(st.integers(0, 8)))]
+    subset = st.frozensets(st.sampled_from(points)) if points else st.just(
+        frozenset())
+    if points:
+        points += draw(st.lists(st.sampled_from(points), max_size=2))
+    flats = draw(st.lists(subset, max_size=12))
+    if draw(st.booleans()):
+        flats += [frozenset(), frozenset(points)]
+        flats += [frozenset([p]) for p in points if draw(st.booleans())]
+    table = draw(st.lists(st.tuples(subset, subset | st.sampled_from(
+        flats or [frozenset()])), max_size=6))
+    return points, flats, table
+
+
+@settings(max_examples=300, deadline=None)
+@given(flat_families())
+def test_minimal_flats_match_brute_force(family):
+    points, flats, table = family
+    geom = ClosureGeometry(points, flats, table)
+    # the flats sorted by size, then by the last places of their points
+    last = {p: i for i, p in enumerate(points)}
+    order = sorted(set(flats), key=lambda f: (len(f), sorted(
+        last[p] for p in f)))
+    assert list(geom.flats) == order
+    distinct = list(dict.fromkeys(points))
+    for r in range(len(distinct) + 1):
+        for s in map(frozenset, itertools.combinations(distinct, r)):
+            minimal = _brute_minimal(order, s)
+            if len(minimal) == 1:
+                assert geom.cl(s) == minimal[0]
+            else:
+                with pytest.raises(JoinUndefined):
+                    geom.cl(s)
+    assert geom.table_witness() == _brute_table_witness(order, table)
+    want = _brute_report(points, order, table)
+    got = check_axioms(geom)
+    assert {k: getattr(got, k) for k in want} == {
+        k: (w is None, w) for k, w in want.items()}
