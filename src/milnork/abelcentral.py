@@ -43,10 +43,6 @@ class AbcGroup:
         self.wdim = linalg.wedge_dim(rank)
         self.relations = linalg.Subspace(self.wdim, relations, ell)
 
-    def __repr__(self):
-        return "AbcGroup(rank=%d, ell=%d, relations dim %d)" % (
-            self.rank, self.ell, self.relations.dim)
-
     def central_reduce(self, wvec):
         """Canonical coset representative modulo the relation subspace."""
         return self.relations.reduce(wvec)

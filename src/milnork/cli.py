@@ -538,7 +538,9 @@ def cmd_lcl_eval(args):
               else None)
     free, rows = geom_mod.eval_lcl(
         geometry, jsonio.field(data, "formula", what, str), params=params)
-    _emit(args, {"free": free, "tuples": sorted(map(list, rows))})
+    # points of different JSON types sort by type name first, as in witnesses
+    _emit(args, {"free": free, "tuples": sorted(
+        map(list, rows), key=lambda row: [(type(p).__name__, p) for p in row])})
     return EXIT_OK
 
 

@@ -121,6 +121,8 @@ class ClosureGeometry:
         are taken as the flats and whose entries are kept for checking."""
         what = "a geometry"
         points = _point_list(field(data, "points", what, list), "the points")
+        if len(set(points)) != len(points):
+            raise InputError("the points of a geometry must be distinct")
         if "closure" in data:
             table = []
             for entry in field(data, "closure", what, list):
@@ -374,11 +376,10 @@ def _eval(ast, geom, env):
         return all(_eval(ast[2], geom, {**env, ast[1]: p}) for p in geom.points)
     if head == "=":
         return _lookup(ast[1], env) == _lookup(ast[2], env)
-    if head == "cl":
-        x = _lookup(ast[1], env)
-        args = frozenset(_lookup(a, env) for a in ast[2:])
-        return x in geom.cl(args)
-    raise ValueError("unknown connective %r" % head)
+    # "cl": _free_vars has rejected every other connective
+    x = _lookup(ast[1], env)
+    args = frozenset(_lookup(a, env) for a in ast[2:])
+    return x in geom.cl(args)
 
 
 def _lookup(term, env):

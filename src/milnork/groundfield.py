@@ -8,7 +8,7 @@ construction.  Elements never leave exact arithmetic.
 """
 
 import random
-from math import gcd
+from math import comb, gcd
 
 from . import linalg
 
@@ -36,9 +36,6 @@ class _Infinity:
         if cls._instance is None:
             cls._instance = super().__new__(cls)
         return cls._instance
-
-    def __repr__(self):
-        return "INF"
 
 
 INF = _Infinity()
@@ -68,11 +65,10 @@ def _prime_factors(n):
 
 
 def _sqrt_mod(a, p):
-    """A square root of a modulo the odd prime p, or None when a is not a
-    square: Tonelli-Shanks with the least non-residue, so deterministic."""
+    """A square root of a modulo the odd prime p (a prime to p), or None
+    when a is not a square: Tonelli-Shanks with the least non-residue, so
+    deterministic."""
     a %= p
-    if a == 0:
-        return 0
     if pow(a, (p - 1) // 2, p) != 1:
         return None
     q, s = p - 1, 0
@@ -686,30 +682,10 @@ class GroundElem:
     def pth_root(self):
         return self ** (self.tower.p ** (self.level - 1))
 
-    def __repr__(self):
-        return "GroundElem(level=%d, coeffs=%s)" % (self.level, list(self.coeffs))
-
 
 # ---------------------------------------------------------------------------
 # Sparse multivariate polynomials and rational functions.
 # ---------------------------------------------------------------------------
-
-_PASCAL_CACHE = {}
-
-
-def _pascal_row(tower, k):
-    """Binomial coefficients C(k, 0..k) modulo the characteristic."""
-    key = (tower.p, k)
-    row = _PASCAL_CACHE.get(key)
-    if row is None:
-        p = tower.p
-        row = [1]
-        for r in range(1, k + 1):
-            row = [1] + [(row[j - 1] + row[j]) % p for j in range(1, r)] + [1]
-        row = tuple(row)
-        _PASCAL_CACHE[key] = row
-    return row
-
 
 class SparsePoly:
     """Polynomial in d variables, exponent-vector keyed, zero-free terms."""
@@ -844,7 +820,7 @@ class SparsePoly:
         for k in range(max(groups, default=-1) + 1):
             out = {}
             for m, group in groups.items():
-                b = _pascal_row(tower, m)[k] if m >= k else 0
+                b = comb(m, k) % tower.p
                 if not b:
                     continue
                 while len(apow) <= m - k:
@@ -883,8 +859,6 @@ class SparsePoly:
     def reverse_in(self, i):
         """Coefficient reversal in t_i: t_i^k -> t_i^(D-k), D the degree in
         t_i."""
-        if not self.terms:
-            return self
         D = self.degree_in(i)
         out = {}
         for exp, c in self.terms.items():
@@ -919,7 +893,8 @@ class SparsePoly:
         return SparsePoly(self.nvars, out)
 
     def compose_rat(self, funcs):
-        """Substitute variable i -> funcs[i] (RatFuncs); returns a RatFunc."""
+        """Substitute variable i -> funcs[i] (RatFuncs) in a nonzero
+        polynomial; returns a RatFunc."""
         nv = funcs[0].num.nvars if funcs else self.nvars
         result = None
         for exp, c in self.terms.items():
@@ -928,8 +903,6 @@ class SparsePoly:
                 if k:
                     term = term * funcs[i] ** k
             result = term if result is None else result + term
-        if result is None:
-            return RatFunc.zero_of(nv, self._any_tower())
         return result
 
     def _any_tower(self):
@@ -938,8 +911,6 @@ class SparsePoly:
         raise ValueError("empty polynomial has no tower reference")
 
     def __repr__(self):
-        if not self.terms:
-            return "SparsePoly(0)"
         bits = []
         for e, c in sorted(self.terms.items()):
             mono = "*".join("t%d^%d" % (i, k) for i, k in enumerate(e) if k)
@@ -1117,10 +1088,6 @@ class CoordValuation:
         c = "inf" if self.at_infinity else self.center.compress_key()
         return hash((self.var, c, self.nvars))
 
-    def __repr__(self):
-        c = "inf" if self.at_infinity else list(self.center.coeffs)
-        return "CoordValuation(t%d = %s)" % (self.var, c)
-
 
 def _lowest_hasse(poly, i, a):
     """The order of a nonzero poly at t_i = a and its residue there: the
@@ -1223,13 +1190,9 @@ class FunctionField:
         return [m for _, m in self.tower._squarefree_parts(*dense)] if dense else []
 
     def _dense(self, f):
-        """A one-variable polynomial (or one over a constant denominator)
-        as a dense coefficient list over the lcm of its coefficients'
-        levels, with that level; None when it is constant."""
-        if isinstance(f, RatFunc):
-            if not f.den.is_constant():
-                raise ValueError("roots of a polynomial, not a fraction")
-            f = f.num
+        """A one-variable polynomial as a dense coefficient list over the
+        lcm of its coefficients' levels, with that level; None when it is
+        constant."""
         if f.is_zero():
             raise ZeroPolyError("roots of the zero polynomial")
         used = f.vars_used()

@@ -557,8 +557,6 @@ def recover_rank_1(universe, rank2_sets, rank3_sets):
     n = len(universe)
     for i1, i2 in itertools.combinations(range(len(by2)), 2):
         B1, B2 = by2[i1], by2[i2]
-        if B1.sources == B2.sources:
-            continue
         inter = B1.sources & B2.sources
         if not inter:
             continue

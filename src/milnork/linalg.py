@@ -157,9 +157,6 @@ class Subspace:
             and self.basis == other.basis
         )
 
-    def __repr__(self):
-        return "Subspace(dim=%d, n=%d)" % (self.dim, self.n)
-
     def annihilator(self):
         """All v with <v, w> = 0 for every w in the subspace."""
         if not self.basis:

@@ -515,3 +515,17 @@ def test_upsilon_pairing_exhaustive_up_to_rank_six(n):
     G = AbcGroup(n, 3, relations=W)
     assert upsilon(G).pairing_identity_holds()
     assert _pairing_identity_exhaustive(G)
+
+
+def test_linalg_guards():
+    # a singular matrix has no inverse and a rank-deficient system no
+    # presolver; wedge coordinates need i < j < n, and a product with an
+    # empty right factor keeps one empty row per row of the left one
+    with pytest.raises(ValueError, match="not invertible"):
+        linalg.inverse(((1, 2), (2, 4)), 7)
+    with pytest.raises(ValueError, match="full column rank"):
+        linalg.presolve(((1, 2), (2, 4)), 7)
+    for i, j in ((1, 1), (1, 0), (0, 3)):
+        with pytest.raises(ValueError, match="i < j"):
+            linalg.wedge_index(i, j, 3)
+    assert linalg.mat_mul(((), ()), (), 5) == ((), ())

@@ -80,6 +80,24 @@ def test_certify_and_unknown(run, enc2):
                             encode_ratfunc(ff.var(0) ** 2 * cube)]}
     code, out = run("certify", payload, extra=["--vars", "2", "--budget", "30"])
     assert code == EXIT_UNKNOWN and out["result"] == "unknown"
+    # no element, more elements than variables, and two entries without
+    # rows in one variable, whose trials take the second variable too:
+    # each symbol is empty or vanishes
+    x, y = ff.var(0), ff.var(1)
+    for elements in ([], [x, y, x + y],
+                     [x / (x + ff.const(1)), x ** 2 / (x + ff.const(1))]):
+        code, out = run("certify", {"elements": list(map(encode_ratfunc,
+                                                         elements))},
+                        extra=["--vars", "2", "--budget", "8"])
+        assert code == EXIT_UNKNOWN and out == {"result": "unknown"}
+
+
+def test_input_from_standard_input(monkeypatch, capsys):
+    # "-" reads the input from standard input, as a pipe gives it
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(
+        {"generators": [X0]})))
+    assert main(["--vars", "2", "dim", "-"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out) == {"lower": 1, "upper": 1}
 
 
 @pytest.mark.parametrize("payload", [
@@ -386,6 +404,29 @@ def _ram_indices(indices):
       for command, extra in (("pipeline", {}), ("lattice-reconstruct", {}),
                              ("roundtrip", {"permutation": [1, 0, 2, 3, 4]}))
       for decl in BAD_DECLS),
+    # points listed twice, or equal under Python though distinct in JSON:
+    # both once passed every axiom
+    ("geometry-check", {"geometry": {"points": [1, True, "a"],
+                                     "closed_sets": [[], [1], ["a"]]}}),
+    ("geometry-check", {"geometry": {"points": ["a", "a", "b"],
+                                     "closed_sets": [[], ["a"], ["b"]]}}),
+    # lcl-eval formulas that are empty, unbalanced, a bare variable, a
+    # quantifier without a body or an unknown connective, and a parameter
+    # bound to no point
+    *(("lcl-eval", {"geometry": {"points": ["a"],
+                                 "closed_sets": [[], ["a"]]}, **fields})
+      for fields in ({"formula": ""}, {"formula": ")"}, {"formula": "x"},
+                     {"formula": "(exists x)"}, {"formula": "(foo x)"},
+                     {"formula": "(cl x y)", "params": {"y": "z"}})),
+    # a closed set naming an undeclared point, and a closure entry that is
+    # no pair
+    ("geometry-check", {"geometry": {"points": ["a"],
+                                     "closed_sets": [[], ["b"]]}}),
+    ("geometry-check", {"geometry": {"points": ["a"], "closure": [["a"]]}}),
+    # words naming no generator x1, x2, ..., and a letter whose index is
+    # outside the group's rank
+    *(("abc-verify", {"group": GROUP, "words": [word]})
+      for word in ("y1", "xa", [[5, 1]])),
 ])
 def test_malformed_input_exits_3(tmp_path, capsys, command, payload):
     path = tmp_path / "bad.json"
@@ -843,12 +884,20 @@ def test_geometry_check_and_lcl(run):
 
 
 def test_geometry_check_mixed_point_types(run):
-    # a witness over points of two JSON types is still encoded
+    # a witness over points of two JSON types is still encoded, sorted by
+    # the type name of each point first
     code, out = run("geometry-check", {"geometry": {"points": ["a", 1],
                                                     "closed_sets": []}})
     assert code == EXIT_FAILURE
     assert out["report"]["geometry"]["witness"] == {
         "reason": "cl(empty) not empty", "got": [1, "a"]}
+    # so are lcl-eval's tuples, whose plain sort compared 1 with "a" and
+    # raised TypeError
+    code, out = run("lcl-eval", {"geometry": {
+        "points": ["a", 1], "closed_sets": [[], ["a"], [1]]},
+        "formula": "(cl x x)"})
+    assert code == EXIT_OK
+    assert out == {"free": ["x"], "tuples": [[1], ["a"]]}
 
 
 def _table_value(table, subset):

@@ -13,6 +13,7 @@ from milnork.geometry import (
     JoinUndefined,
     NotIsomorphism,
     check_axioms,
+    encode_witness,
     eval_lcl,
     flats_by_covers,
     lattice_geometry,
@@ -219,6 +220,9 @@ def test_lattice_geometry_and_join_errors():
     assert str(exc.value).startswith("no flat contains frozenset({")
     for label in ("p0", "p2"):
         assert "SubgroupFragment(%s, rank=1)" % label in str(exc.value)
+    # a witness value that is no JSON value is encoded as that text
+    assert encode_witness({"point": names2["p0"]}) == {
+        "point": "SubgroupFragment(p0, rank=1)"}
 
 
 def test_transfer_isomorphism_identity_and_swap():

@@ -824,3 +824,32 @@ def test_value_type_operators_match_their_spelled_out_forms():
     assert hash(square) == hash(expanded) and {square: 1}[expanded] == 1
     s1, s2 = Symbol([x, f]), Symbol([ff.var(0), (x + ff.const(1)) / y])
     assert s1 == s2 and hash(s1) == hash(s2) and len({s1, s2}) == 1
+
+
+def test_zero_and_out_of_range_arguments():
+    # the trivial cases and the guards of the arithmetic, each with the
+    # answer or the error its callers rely on
+    tw = FieldTower(7, seed=0)
+    ff = FunctionField(tw, 2)
+    x, y, zero = ff.var(0), ff.var(1), ff.zero()
+    assert tw.from_int(3) / 2 == tw.from_int(5)
+    assert (x / tw.from_int(2)) * ff.const(2) == x
+    assert zero.num.constant_value(tw) == tw.zero()
+    assert zero.num.degree_in(0) == -1
+    assert x.num.shift_var(0, tw.zero()) is x.num
+    assert zero.compose([y, x]).is_zero()
+    assert ff.univariate_roots(ff.const(3).num) == []
+    for call, error in ((lambda: x.num.constant_value(tw), ValueError),
+                        (lambda: zero.num.order_in(0), ZeroInputError),
+                        (lambda: RatFunc(x.num, zero.num), ZeroDivisionError),
+                        (lambda: x / zero, ZeroDivisionError),
+                        (zero.inverse, ZeroDivisionError),
+                        (lambda: ff.var(2), ValueError),
+                        (lambda: ff.univariate_roots((x * y).num), ValueError)):
+        with pytest.raises(error):
+            call()
+    # a valuation equals only a valuation of the same variable and centre
+    assert ff.valuation(0, INF) == ff.valuation(0, INF)
+    assert ff.valuation(0, INF) != ff.valuation(1, INF)
+    assert ff.valuation(0, 1) != ff.valuation(0, INF)
+    assert ff.valuation(0, INF) != "t0"

@@ -1172,3 +1172,23 @@ def test_a_bad_later_uniformizer_raises_though_the_symbol_cancels(ff2):
     data["uniformizers"][1] = encode_ratfunc(t1 ** 2)
     with pytest.raises(NotUniformizer):
         decode_chain(ff2, data)
+
+
+def test_symbol_and_chain_guards(ff2, ctx2):
+    x = ff2.var(0)
+    with pytest.raises(ZeroEntry):
+        Symbol([x, ff2.zero()])
+    # a coefficient divisible by l is no term, and a sum of symbols of
+    # positive degree has no scalar
+    assert FormalSum(3, [(3, Symbol([x]))]).is_zero()
+    with pytest.raises(ValueError, match="symbol entries"):
+        FormalSum(3, [(1, Symbol([x]))]).scalar()
+    chain = coordinate_chain(ff2, [0, 1], [ff2.tower.zero()] * 2)
+    with pytest.raises(ValueError, match="shorter"):
+        tame_chain(ff2, Symbol([x]), chain, 3)
+    with pytest.raises(ValueError, match="scalar"):
+        tame_chain(ff2, FormalSum(3, [(1, Symbol([x]))]), chain, 3)
+    with pytest.raises(ChainError):
+        ParshinChain(ff2, chain.steps, ram_indices=[1])
+    # constants have zero Jacobian rows, which the rank drops
+    assert ctx2.jacobian_rank([ff2.const(2), ff2.const(5)]) == 0

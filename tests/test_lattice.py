@@ -652,6 +652,34 @@ def test_recover_rank_1_needs_witness(ctx5, ff5):
     r2 = recover_rank_r(uni, 2)
     r3 = recover_rank_r(uni, 3)
     assert recover_rank_1(uni, r2, r3) == []
+    # three coordinates: each two rank-two flats meet in a point inside the
+    # one rank-three flat C, but every direction lies in C
+    uni = Universe(ctx5, [RationalSubgroup(ctx5, ff5.var(i))
+                          for i in range(3)], budget=48)
+    r2, r3 = recover_rank_r(uni, 2), recover_rank_r(uni, 3)
+    assert len(r2) == 3 and len(r3) == 1
+    assert recover_rank_1(uni, r2, r3) == []
+
+
+def test_div_ell_of_an_ambient_member_and_of_zero(ctx5, ff5):
+    # a member given in the ambient field is pulled back to the parameter
+    # first, so it has the divisor of its pullback; zero has none
+    A = RationalSubgroup(ctx5, ff5.var(0))
+    T, c = A.param.var(0), A.param.const
+    g = (ff5.var(0) - ff5.const(1)) / (ff5.var(0) - ff5.const(3))
+    assert div_ell(g, A) == div_ell((T - c(1)) / (T - c(3)), A) != {}
+    with pytest.raises(ZeroInput):
+        div_ell(A.param.zero(), A)
+
+
+def test_fragment_equality_and_the_rank_guard(ctx5, ff5, subs):
+    # fragments without sources compare by their generators, and no
+    # fragment equals another kind of object
+    a = SubgroupFragment("a", [ff5.var(0)], 1)
+    assert a == SubgroupFragment("b", [ff5.var(0)], 1)
+    assert a != SubgroupFragment("a", [ff5.var(1)], 1) and a != "a"
+    with pytest.raises(ValueError, match="rank two"):
+        recover_rank_r(Universe(ctx5, subs, budget=48), 1)
 
 
 def test_dim_unknown_reported(ctx5, ff5):
@@ -874,6 +902,14 @@ def test_a_member_without_a_straightened_certificate_keeps_no_row(ctx5,
     assert uni._rows == [None, (0, 0, 1, 0, 0), None]
     for budget in (0, 64):
         assert milnor_dim_bounds(ctx5, [cube, t[2]], budget=budget) == (1, 2)
+    # the cube beside t0+t1, the cube's inner form: the pair is decided by
+    # the relation of the forms, with no search, and the record replays
+    uni = Universe(ctx5, [RationalSubgroup(ctx5, g)
+                          for g in (cube, t[0] + t[1])])
+    assert uni._rows == [None, (1, 1, 0, 0, 0)]
+    assert uni.independent([0, 1]) is False
+    assert uni._records[frozenset({0, 1})].how == RELATION
+    assert uni.replay() == []
 
 
 def test_lattice_fragment_edges_follow_containment_and_the_grading():
