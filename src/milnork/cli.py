@@ -1,9 +1,9 @@
 """Command-line front end and the end-to-end reconstruction pipeline.
 
-The pipeline assembles the quadratic-algebra fragment from certified symbol
-values, recovers the graded lattice fragment relative to the declared
-universe, finds the flats of the closure geometry on its points, and emits
-the geometry with its axiom report.  All output JSON is canonical and
+The pipeline recovers the graded lattice fragment relative to the declared
+universe, reads the quadratic-algebra fragment off the same universe's
+records and certified symbol values, finds the flats of the closure
+geometry on its points, and emits the geometry with its axiom report.  All output JSON is canonical and
 byte-stable.  Certificate searches are finite and deterministic: the search
 seed (--seed, the configuration's "seed") is accepted and ignored, as the
 worker count is.
@@ -25,8 +25,9 @@ from .abelcentral import (
     word_normal_form,
 )
 from .groundfield import FieldTower, FunctionField
-from .kmilnor import UNKNOWN, KContext, tame_chain
+from .kmilnor import EQUAL, UNKNOWN, KContext, tame_chain
 from .lattice import (
+    RANK,
     DimUnknown,
     LatticeFragment,
     RationalSubgroup,
@@ -197,12 +198,11 @@ def run_pipeline(config, permutation=None):
             "the pipeline needs several rational subgroups, got %d" % len(subs))
     universe = Universe(ctx, subs, budget=config.budget)
 
-    # step 1: the quadratic algebra fragment on the universe generators
-    gens = [s.gen for s in subs]
-    kring = _quadratic_fragment(ctx, gens, config.budget)
-
-    # step 2: the graded lattice fragment
+    # step 1: the graded lattice fragment
     lat = _lattice_stage(universe, config.max_rank)
+
+    # step 2: the quadratic algebra fragment, read off the same universe
+    kring = _quadratic_fragment(universe)
 
     # step 3: the geometry of flats over the universe closure
     geometry = _universe_geometry(
@@ -239,16 +239,35 @@ def _lattice_stage(universe, max_rank):
     return LatticeFragment(nodes)
 
 
-def _quadratic_fragment(ctx, gens, budget):
-    """Degree-one generators with the relation of every generator pair
-    (KContext.pair_relation), and its certificate when it has one."""
+def _quadratic_fragment(universe):
+    """Degree-one generators with the relation of every generator pair,
+    read off its record (Universe.record), and its certificate when it has
+    one.  A pair recorded RANK, whose rows leave its classes distinct, is
+    "independent" by the unshifted straightened certificate
+    (Universe.straightened).  Any other pair is "equal-classes" by
+    kclass_compare, else "vanishes-by-dimension" when recorded dependent.
+    A pair left takes its own unshifted search, "independent" or
+    "unknown": a Universe certificate is shifted, so it states the symbol
+    of translates of the members, not of the pair."""
+    ctx, budget = universe.ctx, universe.budget
+    gens = [s.gen for s in universe.subgroups]
 
     def entry_for(a, b):
-        relation, cert = ctx.pair_relation(gens[a], gens[b], budget)
-        entry = {"pair": [a, b], "relation": relation}
-        if cert is not None:
-            entry["certificate"] = jsonio.encode_certificate(cert)
-        return entry
+        entry, cert = {"pair": [a, b]}, None
+        rec = universe.record([a, b])
+        if rec.how == RANK:
+            if budget:
+                cert = universe.straightened([a, b], False)
+        elif ctx.kclass_compare(gens[a], gens[b]) == EQUAL:
+            return dict(entry, relation="equal-classes")
+        elif rec.answer is False:
+            return dict(entry, relation="vanishes-by-dimension")
+        if cert is None:
+            cert = ctx.certificate_search([gens[a], gens[b]], budget=budget)
+        if cert is UNKNOWN:
+            return dict(entry, relation="unknown")
+        return dict(entry, relation="independent",
+                    certificate=jsonio.encode_certificate(cert))
 
     return {
         "generators": [jsonio.encode_ratfunc(g) for g in gens],

@@ -584,44 +584,6 @@ class KContext:
 
     canonical_certificate = certificate_search  # perfbench traces it apart
 
-    def pair_relation(self, x, y, budget):
-        """(relation, certificate or None) of a generator pair:
-        "equal-classes" (kclass_compare); "vanishes-by-dimension" when both
-        lie in a field of transcendence degree below 2 (trdeg_upper);
-        "independent" with a certificate of a nonzero {x, y}; or
-        "unknown".
-
-        Independent inner forms (_inner_form) give the straightened
-        certificate, which no pair of equal classes has.  Proportional
-        affine rows (_affine) vanish by dimension, with equal classes when
-        the constant terms are in the same ratio; those of g(L) tell
-        nothing, so other pairs ask kclass_compare."""
-        _check_budget(budget)
-        rows = (self._inner_form(x), self._inner_form(y))
-        transform = (None if None in rows
-                     else self._straightening_transform(rows))
-        # the first trial of the pair's search; with no budget the search
-        # has no trial at all
-        if budget and transform is not None:
-            cert = self.straightened_certificate([x, y], False, transform)
-            if cert is not None:
-                return "independent", cert
-        if None in rows or not (_affine(x) and _affine(y)):
-            if self.kclass_compare(x, y) == EQUAL:
-                return "equal-classes", None
-            if transform is None and self.trdeg_upper([x, y]) < 2:
-                return "vanishes-by-dimension", None
-        elif transform is None:
-            j = next(i for i, a in enumerate(rows[0]) if a)
-            origin = (0,) * self.nvars
-            cx, cy = (f.num.terms.get(origin, 0) for f in (x, y))
-            return ("equal-classes" if cx * rows[1][j] == cy * rows[0][j]
-                    else "vanishes-by-dimension"), None
-        cert = self.certificate_search([x, y], budget=budget)
-        if cert is UNKNOWN:
-            return "unknown", None
-        return "independent", cert
-
     def _trials(self, elements, straight, shifts):
         """The trial stream of a search, all at the origin: (variables,
         shift, transform) tuples."""

@@ -179,7 +179,7 @@ class Record(collections.namedtuple("Record", "answer how witness")):
     Independent:
       RANK       members whose rows have full F_p rank; no witness is
                  kept, as the straightened certificate at the origin
-                 (KContext.straightened_certificate) is built on replay
+                 (Universe.straightened) is built on replay
       CERTIFIED  the Certificate a search won for the set
       SUPERSET   the key of a certified set containing it
     Dependent:
@@ -290,13 +290,18 @@ class Universe:
         the set searched on its own.  So the extension changes no answer,
         except that a set whose own search would run out of budget can be
         certified through it."""
-        key = frozenset(indices)
-        rec = self._records.get(key)
-        if rec is None:
-            rec = self._records[key] = self._decide(key)
+        rec = self.record(indices)
         if rec.answer is None:
-            raise DimUnknown([key])
+            raise DimUnknown([frozenset(indices)])
         return rec.answer
+
+    def record(self, indices):
+        """The set's Record, decided first (by the rules of independent)
+        when it has none; an unresolved one is returned, not raised."""
+        key = frozenset(indices)
+        if key not in self._records:
+            self._records[key] = self._decide(key)
+        return self._records[key]
 
     def _decide(self, key):
         """The Record of a set without one, by the rules of independent."""
@@ -421,8 +426,7 @@ class Universe:
             return False
         nvars, p = self.ctx.nvars, self.ctx.field.p
         if how == RANK:
-            cert = self.ctx.straightened_certificate(self._gens(key), True,
-                                                     snaps=snaps)
+            cert = self.straightened(key, True, snaps)
             return cert is not None and cert.replay()
         if how == CERTIFIED:
             return self.ctx.certifies(witness, self._gens(key), shift=True)
@@ -442,6 +446,18 @@ class Universe:
             used = set().union(*(g.vars_used() for g in self._gens(key)))
             return used <= set(witness) and len(witness) < len(key)
         return True
+
+    def straightened(self, indices, shift, snaps=None):
+        """The witness of a set recorded RANK: the straightened certificate
+        at the origin (KContext.straightened_certificate), its
+        straightening taken from the kept rows, or None when the rows are
+        dependent or the trial misses."""
+        key = sorted(indices)
+        transform = self.ctx._straightening_transform(
+            [self._rows[i] for i in key])
+        return None if transform is None else (
+            self.ctx.straightened_certificate(self._gens(key), shift,
+                                              transform, snaps))
 
     def rank(self, indices):
         """Certified dimension of the join of the indexed subgroups: the

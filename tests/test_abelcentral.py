@@ -31,6 +31,7 @@ from milnork.cli import _quadratic_fragment
 from milnork.groundfield import FunctionField
 from milnork.jsonio import decode_certificate
 from milnork.kmilnor import KContext
+from milnork.lattice import RationalSubgroup, Universe
 
 
 def test_word_normal_form_defining_commutator():
@@ -356,9 +357,12 @@ def test_duality_mismatch_witnessed():
 
 
 def _kring_fragment(ctx, gens, budget):
-    """The pairs of the pipeline's kring stage, and the multiplication
-    fragment whose kernel holds a vector for each vanishing pair."""
-    pairs = _quadratic_fragment(ctx, gens, budget)["pairs"]
+    """The pairs of the pipeline's kring stage on a Universe of the
+    generators, and the multiplication fragment whose kernel holds a vector
+    for each vanishing pair."""
+    universe = Universe(ctx, [RationalSubgroup(ctx, g) for g in gens],
+                        budget=budget)
+    pairs = _quadratic_fragment(universe)["pairs"]
     n = len(gens)
     kernel = []
     for entry in pairs:

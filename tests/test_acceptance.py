@@ -599,7 +599,9 @@ def _nonlinear_pipeline(case, monkeypatch):
     assert universes[0].replay() == []
     records = hashlib.sha256(canonical_json(
         _record_rows(universes[0])).encode()).hexdigest()
-    unknown = [e["pair"] for e in fragments[0]["pairs"]
+    # the kring stage runs after the lattice stage, so a DimUnknown raised
+    # there leaves no kring pairs
+    unknown = [e["pair"] for f in fragments[:1] for e in f["pairs"]
                if e["relation"] == "unknown"]
     return outcome, records, unknown
 
@@ -608,6 +610,69 @@ def _nonlinear_pipeline(case, monkeypatch):
                          ids=lambda case: "%s @%d" % case)
 def test_nonlinear_pipelines_are_pinned(case, monkeypatch):
     assert _nonlinear_pipeline(case, monkeypatch) == NONLINEAR_PIPELINES[case]
+
+
+def _kring_stage(config, monkeypatch):
+    """A pipeline run's kring pairs, its universe's records before and
+    after the kring stage, and the calls that stage made of
+    certificate_search, _inner_form and trdeg_upper."""
+    from milnork import cli
+
+    calls, stage, out = collections.Counter(), [], {}
+    for name in ("certificate_search", "_inner_form", "trdeg_upper"):
+        def spy(self, *args, _name=name, _method=getattr(KContext, name),
+                **kw):
+            if stage:
+                calls[_name] += 1
+            return _method(self, *args, **kw)
+        monkeypatch.setattr(KContext, name, spy)
+    quadratic_fragment = cli._quadratic_fragment
+
+    def kring(universe):
+        out["before"] = dict(universe._records)
+        stage.append(True)
+        fragment = quadratic_fragment(universe)
+        stage.clear()
+        out["pairs"], out["after"] = fragment["pairs"], dict(universe._records)
+        return fragment
+
+    monkeypatch.setattr(cli, "_quadratic_fragment", kring)
+    cli.run_pipeline(config)
+    return out["pairs"], out["before"], out["after"], calls
+
+
+@pytest.mark.parametrize("case", ["acceptance"] + sorted(
+    case for case, pin in NONLINEAR_PIPELINES.items()
+    if isinstance(pin[0], str)), ids=lambda case: (
+        case if isinstance(case, str) else "%s @%d" % case))
+def test_kring_relations_agree_with_their_records(case, monkeypatch):
+    # the kring stage reads each pair off its Universe record: no relation
+    # contradicts it, "vanishes-by-dimension" needs a dependent record and
+    # "independent" never has one.  On the decided nonlinear pipelines the
+    # lattice has recorded every pair, so the kring stage adds no record.
+    # The acceptance universe has 28 pairs that no lattice step asks, such
+    # as [5, 6], whose members are parallel to 0 and 1: the kring stage
+    # records them by their rows, with no search and no inner form
+    from milnork.cli import PipelineConfig
+    from milnork.lattice import RANK, RELATION
+
+    config = (PipelineConfig({"p": 7, "ell": 3, "vars": 5, "budget": 64,
+                              "universe": list(ACCEPTANCE_UNIVERSE)})
+              if case == "acceptance" else _nonlinear_config(*case))
+    pairs, before, after, calls = _kring_stage(config, monkeypatch)
+    for entry in pairs:
+        answer = after[frozenset(entry["pair"])].answer
+        if entry["relation"] == "vanishes-by-dimension":
+            assert answer is False, entry["pair"]
+        if entry["relation"] == "independent":
+            assert answer is not False, entry["pair"]
+    added = {key: after[key].how for key in after.keys() - before.keys()}
+    assert calls["trdeg_upper"] == 0
+    if case == "acceptance":
+        assert len(added) == 28 and set(added.values()) <= {RANK, RELATION}
+        assert calls == {}
+    else:
+        assert added == {}
 
 
 # certificate_search at budget 64 over the five fields below, each on a fresh

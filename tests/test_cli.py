@@ -634,13 +634,36 @@ def test_roundtrip_rejects_a_repeated_index(tmp_path, capsys):
 
 def test_p_power_mixture_is_no_vanishing_pair():
     from milnork.cli import _quadratic_fragment
+    from milnork.lattice import RationalSubgroup, Universe
 
     ff = FunctionField(FieldTower(3, seed=0), 2)
     ctx = KContext(ff, 2)
     x, y = ff.var(0), ff.var(1)
-    (entry,) = _quadratic_fragment(ctx, [x, x + y ** 3], 64)["pairs"]
+    universe = Universe(ctx, [RationalSubgroup(ctx, g)
+                              for g in (x, x + y ** 3)], budget=64)
+    (entry,) = _quadratic_fragment(universe)["pairs"]
     assert entry["relation"] == "independent"
     assert decode_certificate(ff, entry["certificate"]).replay()
+
+
+def test_an_unresolved_pair_is_unknown_in_the_kring_stage():
+    # two rowless members at budget 0: the pair's record is unresolved
+    # (SEARCHED), so the kring stage runs the pair's own search, which has
+    # no trial, and reads "unknown" without raising DimUnknown
+    from milnork.cli import _quadratic_fragment
+    from milnork.lattice import SEARCHED, DimUnknown, RationalSubgroup, Universe
+
+    ff = FunctionField(FieldTower(7, seed=0), 4)
+    ctx = KContext(ff, 3)
+    t = [ff.var(i) for i in range(4)]
+    universe = Universe(ctx, [RationalSubgroup(ctx, g) for g in
+                              (t[0] * t[1], t[2] * t[3] + ff.one())],
+                        budget=0)
+    assert _quadratic_fragment(universe)["pairs"] == [
+        {"pair": [0, 1], "relation": "unknown"}]
+    assert universe.record([0, 1]) == (None, SEARCHED, 0)
+    with pytest.raises(DimUnknown):
+        universe.independent([0, 1])
 
 
 # {t0} on the chain t0 = 0 pulled back along t0 = s^2, where it takes the

@@ -6,9 +6,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from milnork import kmilnor, linalg
+from milnork.cli import _quadratic_fragment
 from milnork.groundfield import INF, FieldTower, FunctionField, RatFunc, SparsePoly
-from milnork.jsonio import canonical_json, encode_certificate
+from milnork.jsonio import canonical_json, decode_certificate, encode_certificate
 from milnork.kmilnor import UNKNOWN, KContext, _poly_matrix_rank
+from milnork.lattice import RationalSubgroup, Universe
 
 P = 7
 NV = 3
@@ -311,14 +313,40 @@ class GeneralPolicy(GenericTrials):
 
 
 class ClosedForm(KContext):
-    """A context whose pair of linear entries must be decided without
-    kclass_compare or trdeg_upper."""
+    """A context whose kring pairs must be decided without trdeg_upper,
+    and whose pairs of independent linear forms without kclass_compare."""
 
     def kclass_compare(self, x, y):
-        raise AssertionError("kclass_compare on a linear pair")
+        rows = (self._inner_form(x), self._inner_form(y))
+        if (None not in rows
+                and self._straightening_transform(rows) is not None):
+            raise AssertionError("kclass_compare on an independent pair")
+        return super().kclass_compare(x, y)
 
     def trdeg_upper(self, gens):
-        raise AssertionError("trdeg_upper on a linear pair")
+        raise AssertionError("trdeg_upper on a kring pair")
+
+
+def _kring_entry(ctx, x, y, budget):
+    """The kring stage's entry (cli._quadratic_fragment) for the one pair
+    of a Universe of x and y."""
+    universe = Universe(ctx, [RationalSubgroup(ctx, g) for g in (x, y)],
+                        budget=budget)
+    (entry,) = _quadratic_fragment(universe)["pairs"]
+    return entry
+
+
+def _matches(entry, want, ff):
+    """Assert that a kring entry has the relation and the encoded
+    certificate of the general policy's answer, and that its certificate
+    replays."""
+    relation, cert = want
+    assert entry["relation"] == relation
+    assert ("certificate" in entry) == (cert is not None)
+    if cert is not None:
+        assert decode_certificate(ff, entry["certificate"]).replay()
+        assert (canonical_json(entry["certificate"])
+                == canonical_json(encode_certificate(cert)))
 
 
 @st.composite
@@ -369,17 +397,12 @@ def linear_pairs(draw):
 @settings(max_examples=300, deadline=None)
 @given(linear_pairs())
 def test_linear_pair_relation_matches_the_general_policy(case):
-    # two rows and two constant terms give the relation and the encoded
-    # certificate of equal classes, then dimension, then the search
+    # the kring stage reads the pair's Universe record: independent rows
+    # give the straightened certificate, and dependent ones the relation
+    # of equal classes or of dimension, as the general policy does
     ff, ell, x, y, budget = case
-    got = ClosedForm(ff, ell).pair_relation(x, y, budget)
-    want = GeneralPolicy(ff, ell).pair_relation(x, y, budget)
-    assert got[0] == want[0]
-    assert (got[1] is None) == (want[1] is None)
-    if got[1] is not None:
-        assert got[1].replay()
-        assert (canonical_json(encode_certificate(got[1]))
-                == canonical_json(encode_certificate(want[1])))
+    _matches(_kring_entry(ClosedForm(ff, ell), x, y, budget),
+             GeneralPolicy(ff, ell).pair_relation(x, y, budget), ff)
 
 
 @settings(max_examples=100, deadline=None)
@@ -391,14 +414,8 @@ def test_pair_relation_of_squares_matches_the_general_policy(case):
     # of squares with proportional forms asks kclass_compare, as the
     # general policy does, and independent forms get its certificate
     ff, ell, x, y, budget = case
-    got = KContext(ff, ell).pair_relation(x * x, y * y, budget)
-    want = GeneralPolicy(ff, ell).pair_relation(x * x, y * y, budget)
-    assert got[0] == want[0]
-    assert (got[1] is None) == (want[1] is None)
-    if got[1] is not None:
-        assert got[1].replay()
-        assert (canonical_json(encode_certificate(got[1]))
-                == canonical_json(encode_certificate(want[1])))
+    _matches(_kring_entry(KContext(ff, ell), x * x, y * y, budget),
+             GeneralPolicy(ff, ell).pair_relation(x * x, y * y, budget), ff)
 
 
 def _trial(ctx, entries):
