@@ -1,12 +1,12 @@
 """Command-line front end and the end-to-end reconstruction pipeline.
 
 The pipeline recovers the graded lattice fragment relative to the declared
-universe, reads the quadratic-algebra fragment off the same universe's
-records and certified symbol values, finds the flats of the closure
-geometry on its points, and emits the geometry with its axiom report.  All output JSON is canonical and
-byte-stable.  Certificate searches are finite and deterministic: the search
-seed (--seed, the configuration's "seed") is accepted and ignored, as the
-worker count is.
+universe and the flats of the closure geometry on its points (reconstruct,
+all that roundtrip runs), reads the quadratic-algebra fragment off the
+universe's records and certified symbol values, and emits the geometry
+with its axiom report.  All output JSON is canonical and byte-stable.
+Certificate searches are finite and deterministic: the search seed (--seed,
+the configuration's "seed") is accepted and ignored, as the worker count is.
 """
 
 import argparse
@@ -174,18 +174,11 @@ def _decode_generator(field, decl):
     raise jsonio.InputError("unknown generator declaration %r" % (decl,))
 
 
-def run_pipeline(config, permutation=None):
-    """The four reconstruction steps on the declared universe; with a
-    permutation sigma of 0..vars-1, on its image under the automorphism
-    t_i -> t_sigma(i): each member's generator composed with it, under the
-    member's own label.
-
-    Returns canonical artifacts: the degree-one and degree-two fragment with
-    certified relations, the recovered lattice fragment, the geometry as a
-    flat list, and the axiom report, each edge backed by a replayable
-    certificate or a containment proof.  A set of members that the budget
-    leaves unresolved raises DimUnknown.
-    """
+def reconstruct(config, permutation=None):
+    """Steps 1 and 2, the lattice and the geometry, of the declared universe
+    or of its image under t_i -> t_sigma(i) for a permutation sigma of
+    0..vars-1 (each generator composed with it, under its member's label):
+    (ctx, universe, lattice, geometry).  May raise DimUnknown."""
     config.require_vars(5, "the full pipeline")
     ctx = config.context()
     subs = build_universe(ctx, config)
@@ -201,12 +194,26 @@ def run_pipeline(config, permutation=None):
     # step 1: the graded lattice fragment
     lat = _lattice_stage(universe, config.max_rank)
 
-    # step 2: the quadratic algebra fragment, read off the same universe
-    kring = _quadratic_fragment(universe)
-
-    # step 3: the geometry of flats over the universe closure
+    # step 2: the geometry of flats over the universe closure
     geometry = _universe_geometry(
         universe, [n for n in lat.nodes if n.rank == 1])
+    return ctx, universe, lat, geometry
+
+
+def run_pipeline(config, permutation=None):
+    """The four reconstruction steps: reconstruct's lattice and geometry,
+    then the quadratic algebra fragment and the axiom report on top.
+
+    Returns canonical artifacts: the degree-one and degree-two fragment with
+    certified relations, the recovered lattice fragment, the geometry as a
+    flat list, and the axiom report, each edge backed by a replayable
+    certificate or a containment proof.  A set of members that the budget
+    leaves unresolved raises DimUnknown.
+    """
+    ctx, universe, lat, geometry = extras = reconstruct(config, permutation)
+
+    # step 3: the quadratic algebra fragment, read off the same universe
+    kring = _quadratic_fragment(universe)
 
     # step 4: axiom report
     report = geom_mod.check_axioms(geometry)
@@ -216,7 +223,7 @@ def run_pipeline(config, permutation=None):
         "config": {
             "p": config.p, "ell": config.ell, "vars": config.vars,
             "budget": config.budget,
-            "universe_size": len(subs),
+            "universe_size": len(universe.subgroups),
         },
         "tower": ctx.field.tower.snapshot(),
         "kring_fragment": kring,
@@ -224,7 +231,7 @@ def run_pipeline(config, permutation=None):
         "geometry": _geometry_json(geometry),
         "axiom_report": report.to_json(),
     }
-    return artifacts, (ctx, universe, lat, geometry)
+    return artifacts, extras
 
 
 def _lattice_stage(universe, max_rank):
@@ -314,19 +321,19 @@ def _geometry_json(geometry):
 
 
 def run_roundtrip(config, permutation):
-    """Run the pipeline on the declared universe and on its image under the
-    permutation of the variables (run_pipeline), whatever kind each
-    declaration is, and check that the induced lattice isomorphism
-    transfers to exactly the permutation-induced map of geometry points.
-    Either run may raise DimUnknown."""
+    """Reconstruct the declared universe and its image under the permutation
+    of the variables, whatever kind each declaration is, and check that the
+    induced lattice isomorphism transfers to exactly the permutation-induced
+    map of geometry points; the kring fragment and axiom report are the
+    pipeline's alone.  Either side may raise DimUnknown."""
     if (not all(type(i) is int for i in permutation)
             or sorted(permutation) != list(range(config.vars))):
         raise ValueError("the permutation must rearrange 0..%d"
                          % (config.vars - 1))
     if config.auto_universe is not None:
         raise ValueError("roundtrip needs an explicit universe")
-    artifacts1, (ctx1, uni1, lat1, g1) = run_pipeline(config)
-    artifacts2, (ctx2, uni2, lat2, g2) = run_pipeline(config, permutation)
+    _, _, lat1, g1 = reconstruct(config)
+    _, _, lat2, g2 = reconstruct(config, permutation)
     # member i maps to member i, so sources correspond by index
     node_map = {}
     nodes2 = {n.sources: n for n in lat2.nodes}
@@ -349,8 +356,8 @@ def run_roundtrip(config, permutation):
         "permutation": list(permutation),
         "points_transferred": len(ptmap),
         "lattices_isomorphic": True,
-        "artifacts_equal": artifacts1["geometry"]["closed_sets"]
-        == artifacts2["geometry"]["closed_sets"],
+        "artifacts_equal": _geometry_json(g1)["closed_sets"]
+        == _geometry_json(g2)["closed_sets"],
     }
 
 
@@ -669,6 +676,9 @@ def cmd_roundtrip(args):
     config = _pipeline_config(args, data)
     try:
         out = run_roundtrip(config, perm)
+    except InsufficientUniverse as e:
+        _emit(args, {"error": "insufficient-universe", "detail": str(e)})
+        return EXIT_FAILURE
     except TransferMismatch as e:
         _emit(args, {"error": "transfer-mismatch",
                      "witness": jsonio.plain(e.witness)})

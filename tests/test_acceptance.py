@@ -599,8 +599,8 @@ def _nonlinear_pipeline(case, monkeypatch):
     assert universes[0].replay() == []
     records = hashlib.sha256(canonical_json(
         _record_rows(universes[0])).encode()).hexdigest()
-    # the kring stage runs after the lattice stage, so a DimUnknown raised
-    # there leaves no kring pairs
+    # the kring stage runs after the lattice and geometry stages, so a
+    # DimUnknown raised there leaves no kring pairs
     unknown = [e["pair"] for f in fragments[:1] for e in f["pairs"]
                if e["relation"] == "unknown"]
     return outcome, records, unknown
@@ -673,6 +673,38 @@ def test_kring_relations_agree_with_their_records(case, monkeypatch):
         assert calls == {}
     else:
         assert added == {}
+
+
+def test_roundtrip_runs_no_report_stage(monkeypatch):
+    # roundtrip reads only the two lattices and geometries: with the kring
+    # stage, the axiom report and the lattice JSON failing when called, it
+    # still answers on the 13-subgroup prefix at a seeded permutation and
+    # on the CI nonlinear input (the coordinates plus t0+t1, t0*t1 and
+    # t2*t3+1 at budget 32) under t0 <-> t1, and under (0,3,1,2,4) that
+    # input still raises DimUnknown with the candidate it always had
+    from milnork import cli, geometry
+    from milnork.cli import PipelineConfig, run_roundtrip
+    from milnork.lattice import DimUnknown, LatticeFragment
+
+    def fail(*args, **kw):
+        raise AssertionError("a report stage ran")
+
+    monkeypatch.setattr(cli, "_quadratic_fragment", fail)
+    monkeypatch.setattr(geometry, "check_axioms", fail)
+    monkeypatch.setattr(LatticeFragment, "to_json", fail)
+    prefix = PipelineConfig({"p": 7, "ell": 3, "vars": 5, "budget": 64,
+                             "universe": list(ACCEPTANCE_UNIVERSE)[:13]})
+    sigma = random.Random(5).sample(range(5), 5)
+    out = run_roundtrip(prefix, sigma)
+    assert out["lattices_isomorphic"] and out["artifacts_equal"]
+    assert out["points_transferred"] == 10
+    ci = _nonlinear_config("t0+t1, t0*t1, t2*t3+1", 32)
+    out = run_roundtrip(ci, [1, 0, 2, 3, 4])
+    assert out["lattices_isomorphic"] and out["artifacts_equal"]
+    assert out["points_transferred"] == 8
+    with pytest.raises(DimUnknown) as e:
+        run_roundtrip(ci, [0, 3, 1, 2, 4])
+    assert sorted(sorted(c) for c in e.value.candidates) == [[1, 4, 5, 7]]
 
 
 # certificate_search at budget 64 over the five fields below, each on a fresh

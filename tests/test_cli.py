@@ -1061,6 +1061,19 @@ def test_pipeline_insufficient_universe(run):
     assert out["error"] == "insufficient-universe"
 
 
+def test_roundtrip_insufficient_universe(run):
+    # four members: the roundtrip reports it as the pipeline does, where
+    # it once wrote only an error: line
+    payload = {"p": 7, "ell": 3, "vars": 5,
+               "universe": [{"var": i} for i in range(4)],
+               "permutation": [1, 0, 2, 3, 4]}
+    for command in ("pipeline", "roundtrip"):
+        code, out = run(command, payload)
+        assert code == EXIT_FAILURE
+        assert out == {"error": "insufficient-universe", "detail":
+                       "the pipeline needs several rational subgroups, got 4"}
+
+
 def test_roundtrip_cli(run):
     payload = {"p": 7, "ell": 3, "vars": 5, "seed": 4,
                "universe": PIPELINE_UNIVERSE,
@@ -1499,19 +1512,18 @@ def test_roundtrip_reports_a_transfer_mismatch(run, monkeypatch, plant):
     # that swaps two points instead of following the permutation
     from milnork import cli, geometry
 
-    run_pipeline = cli.run_pipeline
+    reconstruct = cli.reconstruct
     transfer = geometry.transfer_isomorphism
     runs = []
 
     def second_run_broken(config, permutation=None):
-        artifacts, (ctx, universe, lat, geom) = run_pipeline(config,
-                                                             permutation)
+        ctx, universe, lat, geom = reconstruct(config, permutation)
         if runs and plant == "node":
             lat.nodes.pop()
         if runs and plant == "flat":
             geom = geometry.ClosureGeometry(geom.points, geom.flats[:-1])
         runs.append((lat, geom))
-        return artifacts, (ctx, universe, lat, geom)
+        return ctx, universe, lat, geom
 
     def swapped(*args, **kw):
         ptmap = transfer(*args, **kw)
@@ -1519,7 +1531,7 @@ def test_roundtrip_reports_a_transfer_mismatch(run, monkeypatch, plant):
         ptmap[a], ptmap[b] = ptmap[b], ptmap[a]
         return ptmap
 
-    monkeypatch.setattr(cli, "run_pipeline", second_run_broken)
+    monkeypatch.setattr(cli, "reconstruct", second_run_broken)
     if plant == "point":
         monkeypatch.setattr(geometry, "transfer_isomorphism", swapped)
     payload = {"p": 7, "ell": 3, "vars": 5, "seed": 4,
